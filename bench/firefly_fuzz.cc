@@ -41,6 +41,7 @@
 using namespace firefly;
 using check::FuzzConfig;
 using check::FuzzResult;
+using check::kFuzzShapes;
 using check::runFuzz;
 
 namespace
@@ -50,30 +51,6 @@ constexpr ProtocolKind kProtocols[] = {
     ProtocolKind::Firefly,       ProtocolKind::Dragon,
     ProtocolKind::Mesi,          ProtocolKind::Berkeley,
     ProtocolKind::WriteThroughInvalidate,
-};
-
-/** The three machine shapes the corpus cycles through. */
-struct Shape
-{
-    const char *name;
-    void (*apply)(FuzzConfig &);
-};
-
-constexpr Shape kShapes[] = {
-    {"1-word lines", [](FuzzConfig &) {}},
-    {"2-word lines, heavy DMA",
-     [](FuzzConfig &cfg) {
-         cfg.lineBytes = 8;
-         cfg.dmaFrac = 0.2;
-         cfg.dmaBurstMax = 4;
-     }},
-    {"4 caches, tiny, contended",
-     [](FuzzConfig &cfg) {
-         cfg.nCaches = 4;
-         cfg.cacheBytes = 128;
-         cfg.sharedFrac = 0.85;
-         cfg.migrateFrac = 0.3;
-     }},
 };
 
 std::optional<double> gFaultRate;     // --fault-rate=F
@@ -134,13 +111,13 @@ experiment()
 
     std::vector<FuzzConfig> corpus;
     for (unsigned p = 0; p < std::size(kProtocols); ++p) {
-        for (unsigned sh = 0; sh < std::size(kShapes); ++sh) {
+        for (unsigned sh = 0; sh < std::size(kFuzzShapes); ++sh) {
             for (unsigned s = 0; s < seeds; ++s) {
                 FuzzConfig cfg;
                 cfg.protocol = kProtocols[p];
                 cfg.seed = harness::pointSeed(base, p, sh, s);
                 cfg.steps = steps;
-                kShapes[sh].apply(cfg);
+                kFuzzShapes[sh].apply(cfg);
                 applyFaults(cfg, base);
                 corpus.push_back(cfg);
             }
@@ -184,7 +161,7 @@ experiment()
 
     std::size_t at = 0;
     for (unsigned p = 0; p < std::size(kProtocols); ++p) {
-        for (unsigned sh = 0; sh < std::size(kShapes); ++sh) {
+        for (unsigned sh = 0; sh < std::size(kFuzzShapes); ++sh) {
             std::uint64_t cell_loads = 0, cell_writes = 0;
             std::uint64_t cell_scans = 0, cell_cycles = 0;
             for (unsigned s = 0; s < seeds; ++s, ++at) {
@@ -202,7 +179,7 @@ experiment()
                 timeouts += r.deviceTimeouts;
             }
             std::printf("%-10s %-26s %10llu %12llu %12llu %10llu\n",
-                        toString(kProtocols[p]), kShapes[sh].name,
+                        toString(kProtocols[p]), kFuzzShapes[sh].name,
                         static_cast<unsigned long long>(cell_loads),
                         static_cast<unsigned long long>(cell_writes),
                         static_cast<unsigned long long>(cell_scans),

@@ -13,9 +13,9 @@
  * Two workloads bracket the space:
  *
  *   saturated - the calibrated synthetic stream on every CPU, endless;
- *               at 7 processors the MBus runs near its ~0.97 load
- *               asymptote.  This measures the cycle-by-cycle engine:
- *               bus phases, snoops, cache dispatch.
+ *               at 7 processors the MBus is heavily loaded (measured
+ *               load ~0.64-0.67).  This measures the cycle-by-cycle
+ *               engine: bus phases, snoops, cache dispatch.
  *   idle      - each CPU halts after a small instruction burst, then
  *               the machine idles to the horizon.  This measures the
  *               idle fast-forward path: the simulator should leap to

@@ -1,5 +1,6 @@
 #include "check/coherence_checker.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/trace.hh"
@@ -7,6 +8,17 @@
 
 namespace firefly::check
 {
+
+namespace
+{
+
+std::string
+clientName(const MBusClient *client)
+{
+    return client ? client->busClientName() : "?";
+}
+
+} // namespace
 
 CoherenceChecker::CoherenceChecker(Simulator &sim, MBus &bus,
                                    MainMemory &memory, ProtocolKind kind,
@@ -17,6 +29,7 @@ CoherenceChecker::CoherenceChecker(Simulator &sim, MBus &bus,
       cfg(config),
       golden(memory, config.raceWindowCycles),
       scanner(kind, memory),
+      replay(config.replayDepth),
       statGroup("checker")
 {
     bus.addCommitObserver(
@@ -56,10 +69,7 @@ CoherenceChecker::watch(OnChipCache &onchip)
 Addr
 CoherenceChecker::lineBaseOf(Addr addr) const
 {
-    if (caches.empty())
-        return addr - addr % bytesPerWord;
-    const Addr line_bytes = caches.front()->lineWords() * bytesPerWord;
-    return addr - addr % line_bytes;
+    return addr - addr % scanner.lineBytes();
 }
 
 // --- serialization points -----------------------------------------------
@@ -72,6 +82,11 @@ CoherenceChecker::writeSerialized(Addr addr, Word value, const Cache &by,
     (void)how;
     golden.serialize(sim.now(), addr, value);
     ++writesTracked;
+    // Silent write hits and the writes an MReadOwned/MInvalidate
+    // carries change the oracle (and a cached copy) with no settle on
+    // this line's behalf - a broken protocol's stale copies elsewhere
+    // are only found if the line is re-checked.
+    markDirty(addr, 1);
 }
 
 void
@@ -94,19 +109,13 @@ CoherenceChecker::busCommit(const MBusTransaction &txn)
 {
     // Record first, so the failing transaction itself shows up in the
     // replay log of any diagnostic it triggers.
-    TxnRecord rec;
-    rec.when = sim.now();
-    rec.type = txn.type;
-    rec.kind = txn.kind;
-    rec.addr = txn.addr;
-    rec.words = txn.words;
-    rec.data = txn.data;
-    rec.mshared = txn.mshared;
-    rec.updatesMemory = txn.updatesMemory;
-    rec.by = txn.initiator ? txn.initiator->busClientName() : "?";
-    replay.push_back(std::move(rec));
-    while (replay.size() > cfg.replayDepth)
-        replay.pop_front();
+    if (!replay.empty()) {
+        replay[replayNext] = {sim.now(), txn.type, txn.kind, txn.addr,
+                              txn.words, txn.data, txn.mshared,
+                              txn.updatesMemory, txn.initiator};
+        replayNext = (replayNext + 1) % replay.size();
+        replayCount = std::min(replayCount + 1, replay.size());
+    }
 
     if (txn.type != MBusOpType::MWrite)
         return;
@@ -122,7 +131,7 @@ CoherenceChecker::busCommit(const MBusTransaction &txn)
             if (golden.admissible(sim.now(), a, txn.data[i]))
                 continue;
             std::ostringstream os;
-            os << "victim write-back by " << replay.back().by
+            os << "victim write-back by " << clientName(txn.initiator)
                << " carries " << obs::hexAddr(txn.data[i]) << " for "
                << obs::hexAddr(a) << " but the oracle says "
                << obs::hexAddr(golden.current(a)) << " (serialized @"
@@ -146,9 +155,57 @@ CoherenceChecker::busCommit(const MBusTransaction &txn)
 // --- invariant scans -----------------------------------------------------
 
 void
+CoherenceChecker::markDirty(Addr addr, unsigned words)
+{
+    if (!cfg.fullScanPeriod)
+        return;  // no periodic scan would ever drain the set
+    const Addr line_bytes = scanner.lineBytes();
+    const Addr last = lineBaseOf(addr + (std::max(words, 1u) - 1) *
+                                            bytesPerWord);
+    for (Addr base = lineBaseOf(addr);; base += line_bytes) {
+        if (dirtyLines.empty() || dirtyLines.back() != base)
+            dirtyLines.push_back(base);
+        if (base == last)
+            break;
+    }
+}
+
+void
+CoherenceChecker::scanDirtyLines(std::vector<std::string> &violations)
+{
+    // Ascending order, so the report matches what a full scan would
+    // say about these lines, in the same order.
+    std::sort(dirtyLines.begin(), dirtyLines.end());
+    dirtyLines.erase(std::unique(dirtyLines.begin(), dirtyLines.end()),
+                     dirtyLines.end());
+    const Cycle now = sim.now();
+    scanner.checkLines(dirtyLines, golden, now, violations);
+    if (!violations.empty())
+        return;
+
+    // Every check is a function of cache states, cached data, memory
+    // and the oracle, which only change through the dirty-line feeds
+    // - except I4's race window, under which a copy holding a
+    // superseded value turns inadmissible by the clock alone.  Lines
+    // with a word still inside the window stay for the next scan.
+    const unsigned words = scanner.lineBytes() / bytesPerWord;
+    std::erase_if(dirtyLines, [&](Addr base) {
+        for (unsigned w = 0; w < words; ++w) {
+            if (golden.inRaceWindow(now, base + w * bytesPerWord))
+                return false;
+        }
+        return true;
+    });
+}
+
+void
 CoherenceChecker::busSettled(const MBusTransaction &txn)
 {
     ++txnsObserved;
+    // Fills, snoop transitions, victim write-backs, DMA and every
+    // memory write (memory only changes through the bus) all land on
+    // the lines the transaction spans.
+    markDirty(txn.addr, txn.words);
 
     std::vector<std::string> violations;
     scanner.checkLine(txn.addr, golden, sim.now(), violations);
@@ -156,7 +213,7 @@ CoherenceChecker::busSettled(const MBusTransaction &txn)
 
     if (violations.empty() && cfg.fullScanPeriod &&
         txnsObserved.value() % cfg.fullScanPeriod == 0) {
-        scanner.fullScan(golden, sim.now(), violations);
+        scanDirtyLines(violations);
         ++fullScans;
     }
 
@@ -164,8 +221,7 @@ CoherenceChecker::busSettled(const MBusTransaction &txn)
         std::ostringstream os;
         os << "after " << toString(txn.type) << " ("
            << toString(txn.kind) << ") " << obs::hexAddr(txn.addr)
-           << " by " << (replay.empty() ? std::string("?")
-                                        : replay.back().by);
+           << " by " << clientName(txn.initiator);
         for (const std::string &v : violations)
             os << "\n  " << v;
         fail(txn.addr, os.str());
@@ -273,14 +329,17 @@ CoherenceChecker::replayFor(Addr line_base) const
     os << "\n  last bus transactions touching "
        << obs::hexAddr(line_base) << ":";
     bool any = false;
-    for (const TxnRecord &rec : replay) {
+    for (std::size_t n = 0; n < replayCount; ++n) {
+        const TxnRecord &rec =
+            replay[(replayNext + replay.size() - replayCount + n) %
+                   replay.size()];
         const Addr rec_end = rec.addr + rec.words * bytesPerWord;
         if (rec_end <= line_base || rec.addr >= line_base + line_bytes)
             continue;
         any = true;
         os << "\n    @" << rec.when << " " << toString(rec.type) << " ("
            << toString(rec.kind) << ") " << obs::hexAddr(rec.addr)
-           << " by " << rec.by << " words=" << rec.words;
+           << " by " << clientName(rec.by) << " words=" << rec.words;
         if (rec.type == MBusOpType::MWrite) {
             os << " data=[";
             for (unsigned i = 0; i < rec.words; ++i)
@@ -290,7 +349,7 @@ CoherenceChecker::replayFor(Addr line_base) const
         os << (rec.mshared ? " mshared" : "");
     }
     if (!any)
-        os << " none in the last " << replay.size() << " recorded";
+        os << " none in the last " << replayCount << " recorded";
     return os.str();
 }
 

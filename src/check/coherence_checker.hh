@@ -12,9 +12,10 @@
  *    serialization instant, before any completion callback can
  *    trigger the next validated load;
  *  - as an MBus settle observer, it scans the transaction's line
- *    (and periodically every line) against the InvariantScanner once
- *    all snoop/completion callbacks have applied their state
- *    changes, and appends the transaction to a bounded replay ring.
+ *    (and periodically every line touched since the last periodic
+ *    scan) against the InvariantScanner once all snoop/completion
+ *    callbacks have applied their state changes.  The commit
+ *    observer appends the transaction to a bounded replay ring.
  *
  * On a violation it emits a flight-recorder instant event (category
  * "Check"), then either throws CoherenceViolation (tests) or panics
@@ -41,7 +42,6 @@
 #ifndef FIREFLY_CHECK_COHERENCE_CHECKER_HH
 #define FIREFLY_CHECK_COHERENCE_CHECKER_HH
 
-#include <deque>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -63,8 +63,9 @@ struct CheckerConfig
 {
     /** Bus transactions kept for the per-line replay log. */
     unsigned replayDepth = 16;
-    /** Scan every cache line each N transactions (0 = never; the
-     *  per-transaction line scan still runs). */
+    /** Each N transactions, scan every line that changed since the
+     *  last such scan (0 = never; the per-transaction line scan still
+     *  runs, and finalCheck() always scans every line). */
     unsigned fullScanPeriod = 256;
     /** Cycles a superseded value stays an admissible load result. */
     unsigned raceWindowCycles = 16;
@@ -128,11 +129,18 @@ class CoherenceChecker : public CoherenceObserver
         std::array<Word, maxBurstWords> data;
         bool mshared;
         bool updatesMemory;
-        std::string by;
+        const MBusClient *by;  ///< named only when a diagnostic is built
     };
 
     void busCommit(const MBusTransaction &txn);
     void busSettled(const MBusTransaction &txn);
+
+    /** Add the lines spanning `words` words at `addr` to the set the
+     *  next periodic scan checks. */
+    void markDirty(Addr addr, unsigned words);
+    /** The periodic scan: check the dirty lines, then forget those
+     *  whose verdict cannot change until they are touched again. */
+    void scanDirtyLines(std::vector<std::string> &violations);
 
     Addr lineBaseOf(Addr addr) const;
     std::string describeLine(Addr line_base) const;
@@ -148,7 +156,28 @@ class CoherenceChecker : public CoherenceObserver
     InvariantScanner scanner;
     std::vector<const Cache *> caches;
 
-    std::deque<TxnRecord> replay;
+    /** Ring of the last cfg.replayDepth transactions: replayCount
+     *  records, the newest just before replayNext. */
+    std::vector<TxnRecord> replay;
+    std::size_t replayNext = 0;
+    std::size_t replayCount = 0;
+
+    /**
+     * Line bases whose cache states, cached data, memory or oracle
+     * value may have changed since the last periodic scan (unsorted,
+     * and one entry per mark until the scan sorts and dedupes it, so
+     * it grows with one period's traffic).  Fed by every settled bus
+     * transaction, by writeSerialized, and by the race window (see
+     * scanDirtyLines).  Nothing else can break an invariant on a line
+     * that passed: a clean eviction on fill only removes a non-owning
+     * holder, which adds no state, owner, holder or value and leaves
+     * I5's owner set alone; and FireflySystem::offlineProcessor's
+     * flushFunctional writes back only lines that are in the set or
+     * passed unchanged - whose owner held the oracle value, so memory
+     * holds it once the line is uncached, as checkLine's I5 rule
+     * requires.  DESIGN.md section 9 has the full argument.
+     */
+    std::vector<Addr> dirtyLines;
 
     /** Oracle snapshots backing the tags-only on-chip caches. */
     std::map<const OnChipCache *,

@@ -130,6 +130,12 @@ runFuzz(const FuzzConfig &cfg)
                              checker_cfg);
     for (auto &cache : caches)
         checker.watch(*cache);
+    if (cfg.onBuilt) {
+        FuzzMachine machine{sim, bus, {}, checker};
+        for (const auto &cache : caches)
+            machine.caches.push_back(cache.get());
+        cfg.onBuilt(machine);
+    }
 
     // Cache 0 plays the I/O processor: DMA flows through it.
     DmaEngine dma(sim, *caches[0], 16 * 1024 * 1024);

@@ -39,6 +39,15 @@
 namespace firefly::check
 {
 
+/** The machine runFuzz built, as FuzzConfig::onBuilt sees it. */
+struct FuzzMachine
+{
+    Simulator &sim;
+    MBus &bus;
+    std::vector<const Cache *> caches;
+    CoherenceChecker &checker;
+};
+
 /** Knobs for one fuzz run.  Defaults are a busy 3-CPU machine. */
 struct FuzzConfig
 {
@@ -82,6 +91,39 @@ struct FuzzConfig
      * makeProtocol(protocol).
      */
     std::function<std::unique_ptr<CoherenceProtocol>()> protocolFactory;
+
+    /**
+     * Called once the machine is built and the checker watches every
+     * cache, before the first operation.  Bus observers registered
+     * here run after the checker's, so tests can cross-examine it.
+     */
+    std::function<void(FuzzMachine &)> onBuilt;
+};
+
+/** A machine shape the fuzz corpus cycles through. */
+struct FuzzShape
+{
+    const char *name;
+    void (*apply)(FuzzConfig &);
+};
+
+/** The corpus shapes: plain 1-word lines, 2-word lines under heavy
+ *  DMA, and a tiny contended 4-cache machine. */
+inline constexpr FuzzShape kFuzzShapes[] = {
+    {"1-word lines", [](FuzzConfig &) {}},
+    {"2-word lines, heavy DMA",
+     [](FuzzConfig &cfg) {
+         cfg.lineBytes = 8;
+         cfg.dmaFrac = 0.2;
+         cfg.dmaBurstMax = 4;
+     }},
+    {"4 caches, tiny, contended",
+     [](FuzzConfig &cfg) {
+         cfg.nCaches = 4;
+         cfg.cacheBytes = 128;
+         cfg.sharedFrac = 0.85;
+         cfg.migrateFrac = 0.3;
+     }},
 };
 
 /** What one fuzz run did (all zero-violation: violations throw). */

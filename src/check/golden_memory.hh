@@ -25,11 +25,9 @@
 #ifndef FIREFLY_CHECK_GOLDEN_MEMORY_HH
 #define FIREFLY_CHECK_GOLDEN_MEMORY_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "mem/main_memory.hh"
@@ -67,6 +65,15 @@ class GoldenMemory
 
     /** True if `addr` has ever been written through the oracle. */
     bool tracked(Addr addr) const { return entries.count(addr) != 0; }
+
+    /** True if `addr` is tracked and memory does not hold its
+     *  visible value (one lookup: the scans ask this of every word). */
+    bool
+    memoryStale(Addr addr) const
+    {
+        const auto it = entries.find(addr);
+        return it != entries.end() && memory.peek(addr) != it->second.value;
+    }
 
     /** The visible value: last serialized write, else memory. */
     Word
@@ -107,16 +114,25 @@ class GoldenMemory
         return false;
     }
 
-    /** Every tracked word, sorted by address (deterministic order). */
-    std::vector<std::pair<Addr, Word>>
-    snapshot() const
+    /**
+     * True while a value `addr` held before its last write may still
+     * be admissible (see admissible()): the verdict on a cached copy
+     * of `addr` can change at `now` or later with no further event.
+     */
+    bool
+    inRaceWindow(Cycle now, Addr addr) const
     {
-        std::vector<std::pair<Addr, Word>> out;
-        out.reserve(entries.size());
-        for (const auto &[addr, entry] : entries)
-            out.emplace_back(addr, entry.value);
-        std::sort(out.begin(), out.end());
-        return out;
+        const auto it = entries.find(addr);
+        return it != entries.end() && it->second.when + window >= now;
+    }
+
+    /** Call `fn(addr)` for every tracked word, in no set order. */
+    template <typename Fn>
+    void
+    forEachTracked(Fn &&fn) const
+    {
+        for (const auto &entry : entries)
+            fn(entry.first);
     }
 
     std::size_t trackedWords() const { return entries.size(); }

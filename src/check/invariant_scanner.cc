@@ -1,9 +1,12 @@
 #include "check/invariant_scanner.hh"
 
-#include <set>
+#include <algorithm>
+#include <array>
+#include <span>
 #include <sstream>
 
 #include "obs/trace.hh"
+#include "sim/logging.hh"
 
 namespace firefly::check
 {
@@ -57,15 +60,26 @@ InvariantScanner::stateLegal(LineState state) const
     return legal(kind, state);
 }
 
-std::vector<InvariantScanner::Holder>
-InvariantScanner::holdersOf(Addr addr) const
+void
+InvariantScanner::addCache(const Cache *cache)
 {
-    std::vector<Holder> holders;
-    for (const Cache *cache : caches) {
-        if (cache->holds(addr))
-            holders.push_back({cache, &cache->lineAt(addr)});
-    }
-    return holders;
+    if (caches.size() == maxCaches)
+        panic("invariant scanner: more than %zu caches", maxCaches);
+    caches.push_back(cache);
+}
+
+Addr
+InvariantScanner::lineBytes() const
+{
+    return caches.empty() ? bytesPerWord
+                          : caches.front()->lineWords() * bytesPerWord;
+}
+
+bool
+InvariantScanner::resident(Addr line_base) const
+{
+    return std::any_of(caches.begin(), caches.end(),
+                       [&](const Cache *c) { return c->holds(line_base); });
 }
 
 void
@@ -75,10 +89,17 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
     if (caches.empty())
         return;
     const unsigned words = caches.front()->lineWords();
-    const Addr line_bytes = words * bytesPerWord;
-    const Addr base = addr - addr % line_bytes;
+    const Addr base = addr - addr % lineBytes();
 
-    const auto holders = holdersOf(base);
+    // Fixed inline storage: a scan runs after every bus transaction,
+    // so it must not touch the heap unless it has something to say.
+    std::array<Holder, maxCaches> holder_buf;
+    std::size_t n_holders = 0;
+    for (const Cache *cache : caches) {
+        if (cache->holds(base))
+            holder_buf[n_holders++] = {cache, &cache->lineAt(base)};
+    }
+    const std::span<const Holder> holders(holder_buf.data(), n_holders);
 
     // I1: state legality.
     for (const Holder &h : holders) {
@@ -93,11 +114,13 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
     }
 
     // I2: at most one owner (write-back responsibility).
-    std::vector<const Cache *> owners;
+    std::array<const Cache *, maxCaches> owner_buf;
+    std::size_t n_owners = 0;
     for (const Holder &h : holders) {
         if (needsWriteback(h.line->state))
-            owners.push_back(h.cache);
+            owner_buf[n_owners++] = h.cache;
     }
+    const std::span<const Cache *const> owners(owner_buf.data(), n_owners);
     if (owners.size() > 1) {
         std::ostringstream os;
         os << "I2 multiple owners of " << obs::hexAddr(base) << ":";
@@ -145,8 +168,7 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
                << " (serialized @" << oracle.writtenAt(a) << ")";
             out.push_back(os.str());
         }
-        if (owners.empty() && oracle.tracked(a) &&
-            memory.peek(a) != oracle.current(a)) {
+        if (owners.empty() && oracle.memoryStale(a)) {
             std::ostringstream os;
             os << "I5 no owner for " << obs::hexAddr(a)
                << " yet memory holds " << obs::hexAddr(memory.peek(a))
@@ -158,36 +180,51 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
 }
 
 void
+InvariantScanner::checkLines(const std::vector<Addr> &bases,
+                             const GoldenMemory &oracle, Cycle now,
+                             std::vector<std::string> &out) const
+{
+    // Tracked words nobody caches: memory must hold the value.  Their
+    // reports follow every resident line's, as in a full scan.
+    std::vector<std::string> uncached;
+    const unsigned words = lineBytes() / bytesPerWord;
+    for (const Addr base : bases) {
+        if (resident(base)) {
+            checkLine(base, oracle, now, out);
+            continue;
+        }
+        for (unsigned w = 0; w < words; ++w) {
+            const Addr a = base + w * bytesPerWord;
+            if (!oracle.memoryStale(a))
+                continue;
+            std::ostringstream os;
+            os << "I5 uncached word " << obs::hexAddr(a)
+               << ": memory holds " << obs::hexAddr(memory.peek(a))
+               << ", oracle " << obs::hexAddr(oracle.current(a))
+               << " (serialized @" << oracle.writtenAt(a) << ")";
+            uncached.push_back(os.str());
+        }
+    }
+    out.insert(out.end(), uncached.begin(), uncached.end());
+}
+
+void
 InvariantScanner::fullScan(const GoldenMemory &oracle, Cycle now,
                            std::vector<std::string> &out) const
 {
-    std::set<Addr> bases;
+    std::vector<Addr> bases;
     for (const Cache *cache : caches) {
         for (const CacheLine &line : cache->allLines()) {
             if (line.valid())
-                bases.insert(line.base);
+                bases.push_back(line.base);
         }
     }
-    for (const Addr base : bases)
-        checkLine(base, oracle, now, out);
-
-    // Tracked words nobody caches: memory must hold the value (the
-    // per-line pass above only visits resident lines).
-    const Addr line_bytes = caches.empty()
-        ? bytesPerWord
-        : caches.front()->lineWords() * bytesPerWord;
-    for (const auto &[addr, value] : oracle.snapshot()) {
-        if (bases.count(addr - addr % line_bytes))
-            continue;
-        if (memory.peek(addr) != value) {
-            std::ostringstream os;
-            os << "I5 uncached word " << obs::hexAddr(addr)
-               << ": memory holds " << obs::hexAddr(memory.peek(addr))
-               << ", oracle " << obs::hexAddr(value) << " (serialized @"
-               << oracle.writtenAt(addr) << ")";
-            out.push_back(os.str());
-        }
-    }
+    const Addr line_bytes = lineBytes();
+    oracle.forEachTracked(
+        [&](Addr addr) { bases.push_back(addr - addr % line_bytes); });
+    std::sort(bases.begin(), bases.end());
+    bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
+    checkLines(bases, oracle, now, out);
 }
 
 } // namespace firefly::check

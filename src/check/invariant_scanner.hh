@@ -31,6 +31,7 @@
 #ifndef FIREFLY_CHECK_INVARIANT_SCANNER_HH
 #define FIREFLY_CHECK_INVARIANT_SCANNER_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -44,12 +45,19 @@ namespace firefly::check
 class InvariantScanner
 {
   public:
+    /** Most caches one scanner watches (bounds checkLine's inline
+     *  holder storage; a Firefly has at most 16 processors). */
+    static constexpr std::size_t maxCaches = 32;
+
     InvariantScanner(ProtocolKind kind, const MainMemory &memory)
         : kind(kind), memory(memory)
     {
     }
 
-    void addCache(const Cache *cache) { caches.push_back(cache); }
+    void addCache(const Cache *cache);
+
+    /** Bytes per cache line (one word before any cache is added). */
+    Addr lineBytes() const;
 
     /** True if `state` is one the protocol can legally produce. */
     bool stateLegal(LineState state) const;
@@ -60,6 +68,17 @@ class InvariantScanner
      */
     void checkLine(Addr addr, const GoldenMemory &oracle, Cycle now,
                    std::vector<std::string> &out) const;
+
+    /**
+     * Check the lines whose bases are in `bases` (ascending, no
+     * duplicates): checkLine for each line some cache holds, then
+     * memory-vs-oracle for the tracked words of the others.  Reports
+     * exactly what fullScan reports about those lines, in the same
+     * order.
+     */
+    void checkLines(const std::vector<Addr> &bases,
+                    const GoldenMemory &oracle, Cycle now,
+                    std::vector<std::string> &out) const;
 
     /**
      * Check every valid line in every cache, plus memory-vs-oracle
@@ -75,7 +94,7 @@ class InvariantScanner
         const CacheLine *line;
     };
 
-    std::vector<Holder> holdersOf(Addr addr) const;
+    bool resident(Addr line_base) const;
 
     ProtocolKind kind;
     const MainMemory &memory;

@@ -112,6 +112,27 @@ class DeafToWritesProtocol : public DelegatingProtocol
     }
 };
 
+/**
+ * Treats a write hit on a Shared line as Silent: the writer turns
+ * Dirty without a bus transaction, so every other cached copy goes
+ * stale.  No transaction touches the line, so the per-transaction
+ * line scan never looks at it; the periodic scan finds the second
+ * holder of an exclusive line (I3) and the disagreeing copies (I4).
+ */
+class SilentSharedWriteProtocol : public DelegatingProtocol
+{
+  public:
+    using DelegatingProtocol::DelegatingProtocol;
+
+    WriteHitAction
+    writeHit(const CacheLine &line) const override
+    {
+        if (line.state == LineState::Shared)
+            return WriteHitAction::Silent;  // the missing broadcast
+        return DelegatingProtocol::writeHit(line);
+    }
+};
+
 } // namespace firefly::test
 
 #endif // FIREFLY_TESTS_BROKEN_PROTOCOLS_HH

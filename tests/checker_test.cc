@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "broken_protocols.hh"
@@ -150,6 +151,99 @@ TEST(Checker, LostSnoopedWriteCaughtWithReplayLog)
     }
 }
 
+namespace
+{
+
+/**
+ * Read fresh lines above kB through `cache` until the checker has
+ * observed a multiple of `period` transactions (a periodic scan).
+ * Each read misses, so keying the address on the transaction count
+ * never revisits a line.
+ */
+void
+padToPeriodicScan(CheckedRig &rig, unsigned cache, unsigned period)
+{
+    do {
+        rig.read(cache, kB + 0x40 * rig.checker->txnsObserved.value());
+    } while (rig.checker->txnsObserved.value() % period != 0);
+}
+
+} // namespace
+
+TEST(Checker, SilentSharedWriteCaughtByPeriodicScan)
+{
+    // The broken protocol turns a write hit on a Shared line into a
+    // silent Dirty write: no bus transaction, so no per-transaction
+    // line scan ever looks at the line.  The write's serialization
+    // marks the line for the next periodic scan, which must find the
+    // stale copy left in the other cache.
+    CheckerConfig ccfg;
+    ccfg.fullScanPeriod = 4;
+    CheckedRig rig(ProtocolKind::Firefly, 2, {}, [] {
+        return std::make_unique<test::SilentSharedWriteProtocol>(
+            makeProtocol(ProtocolKind::Firefly));
+    }, ccfg);
+    rig.read(0, kA);
+    rig.read(1, kA);
+    ASSERT_EQ(rig.state(0, kA), LineState::Shared);
+    // A periodic scan passes the line, so only the write can put it
+    // back in front of the next one.
+    padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+    const std::uint64_t txns = rig.checker->txnsObserved.value();
+    rig.write(0, kA, 77);
+    ASSERT_EQ(rig.checker->txnsObserved.value(), txns);  // truly silent
+    try {
+        padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+        FAIL() << "silent write to a shared line not caught";
+    } catch (const CoherenceViolation &v) {
+        const std::string what = v.what();
+        EXPECT_EQ(rig.checker->txnsObserved.value(),
+                  txns + ccfg.fullScanPeriod);
+        EXPECT_NE(what.find("I3 exclusivity: cache0 holds " +
+                            obs::hexAddr(kA)),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("I4 copies disagree at " + obs::hexAddr(kA)),
+                  std::string::npos) << what;
+    }
+}
+
+TEST(Checker, StaleCopyCaughtOnceRaceWindowCloses)
+{
+    // A DMA write to a line only cache1 holds, with cache1 deaf to
+    // it.  At the write's own settle the stale copy is still
+    // admissible (superseded this very cycle), so the line scan and a
+    // periodic scan in the same cycle pass it.  The line must stay
+    // marked until a periodic scan after the race window catches it.
+    CheckerConfig ccfg;
+    ccfg.fullScanPeriod = 4;
+    CheckedRig rig(ProtocolKind::Firefly, 2, {}, [] {
+        return std::make_unique<test::DeafToWritesProtocol>(
+            makeProtocol(ProtocolKind::Firefly));
+    }, ccfg);
+    rig.write(1, kA, 5);  // tracked, so the old value stays admissible
+    while (rig.checker->txnsObserved.value() % ccfg.fullScanPeriod !=
+           ccfg.fullScanPeriod - 1) {
+        rig.read(0, kB + 0x1000 + 0x40 * rig.checker->txnsObserved.value());
+    }
+    bool done = false;
+    rig.caches[0]->dmaAccess({kA, RefType::DataWrite, 9},
+                             [&](Word) { done = true; });
+    while (!done)
+        rig.sim.run(1);
+    const std::uint64_t scans = rig.checker->fullScans.value();
+    ASSERT_EQ(rig.checker->txnsObserved.value() % ccfg.fullScanPeriod, 0u);
+    rig.sim.run(2 * ccfg.raceWindowCycles);
+    try {
+        padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+        FAIL() << "stale copy outlived the race window unnoticed";
+    } catch (const CoherenceViolation &v) {
+        const std::string what = v.what();
+        EXPECT_EQ(rig.checker->fullScans.value(), scans + 1);
+        EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
+                  std::string::npos) << what;
+    }
+}
+
 TEST(Checker, ViolationEmitsFlightRecorderEvent)
 {
     RecordingSink sink;
@@ -246,4 +340,37 @@ TEST(Checker, CheckedRunDoesNotPerturbStatistics)
                          sys.bus().stats().get("writes"));
     };
     EXPECT_EQ(busReads(false), busReads(true));
+}
+
+TEST(Checker, FullSizeCheckedRunIsCleanAndUnperturbed)
+{
+    // A full-size machine - seven MicroVAX processors on the Firefly
+    // protocol - under the checker for a million cycles, then the
+    // exhaustive final scan.  A violation panics.  The stat tree,
+    // less the checker's own subtree, must equal an unchecked run's.
+    const auto run = [](bool checked) {
+        FireflyConfig cfg = FireflyConfig::microVax(7);
+        cfg.coherenceCheck = checked;
+        FireflySystem sys(cfg);
+        sys.attachSyntheticWorkload(SyntheticConfig{});
+        sys.simulator().run(1'000'000);
+        if (checked) {
+            sys.checker()->finalCheck();
+            EXPECT_GT(sys.checker()->fullScans.value(), 1u);
+        }
+        std::ostringstream all;
+        sys.stats().dumpJson(all);
+        std::string text = all.str();
+        if (checked) {
+            std::ostringstream sub;
+            sys.checker()->stats().dumpJson(sub, 1);
+            const std::string cut = ", " + sub.str();
+            const auto at = text.find(cut);
+            EXPECT_NE(at, std::string::npos);
+            if (at != std::string::npos)
+                text.erase(at, cut.size());
+        }
+        return text;
+    };
+    EXPECT_EQ(run(true), run(false));
 }

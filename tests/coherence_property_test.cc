@@ -130,23 +130,34 @@ TEST_P(CoherenceStress, DeterministicGivenSeed)
     EXPECT_EQ(run(123), run(123));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CoherenceStress,
-    ::testing::Values(
-        StressParams{ProtocolKind::Firefly, 2, 4, 32},
-        StressParams{ProtocolKind::Firefly, 4, 4, 96},
-        StressParams{ProtocolKind::Firefly, 7, 4, 200},
-        StressParams{ProtocolKind::Firefly, 4, 16, 96},
-        StressParams{ProtocolKind::Dragon, 2, 4, 32},
-        StressParams{ProtocolKind::Dragon, 4, 4, 96},
-        StressParams{ProtocolKind::Dragon, 4, 16, 96},
-        StressParams{ProtocolKind::WriteThroughInvalidate, 4, 4, 96},
-        StressParams{ProtocolKind::Berkeley, 2, 4, 32},
-        StressParams{ProtocolKind::Berkeley, 4, 4, 96},
-        StressParams{ProtocolKind::Berkeley, 4, 16, 96},
-        StressParams{ProtocolKind::Mesi, 4, 4, 96},
-        StressParams{ProtocolKind::Mesi, 7, 16, 200}),
-    paramName);
+namespace
+{
+
+// gtest names each case with a hex dump of its parameter's bytes,
+// padding included.  A table in static storage has its padding
+// zero-initialized, so those names come out the same on every run;
+// temporaries built inside ::testing::Values() would carry whatever
+// the stack held.
+constexpr StressParams kSweep[] = {
+    {ProtocolKind::Firefly, 2, 4, 32},
+    {ProtocolKind::Firefly, 4, 4, 96},
+    {ProtocolKind::Firefly, 7, 4, 200},
+    {ProtocolKind::Firefly, 4, 16, 96},
+    {ProtocolKind::Dragon, 2, 4, 32},
+    {ProtocolKind::Dragon, 4, 4, 96},
+    {ProtocolKind::Dragon, 4, 16, 96},
+    {ProtocolKind::WriteThroughInvalidate, 4, 4, 96},
+    {ProtocolKind::Berkeley, 2, 4, 32},
+    {ProtocolKind::Berkeley, 4, 4, 96},
+    {ProtocolKind::Berkeley, 4, 16, 96},
+    {ProtocolKind::Mesi, 4, 4, 96},
+    {ProtocolKind::Mesi, 7, 16, 200},
+};
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CoherenceStress, ::testing::ValuesIn(kSweep),
+                         paramName);
 
 // ---------------------------------------------------------------------------
 // Firefly-specific invariants (P4) under random traffic.
