@@ -210,21 +210,6 @@ experiment()
                 transitions.size(), failures);
 }
 
-void
-stateTransitionLatency(benchmark::State &state)
-{
-    // How fast the simulator executes a sharing ping-pong.
-    Rig rig;
-    rig.read(rig.c0, kA);
-    rig.read(rig.c1, kA);
-    for (auto _ : state) {
-        rig.write(rig.c0, kA);
-        rig.write(rig.c1, kA);
-    }
-    state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(stateTransitionLatency);
-
 } // namespace
 
 int

@@ -156,34 +156,6 @@ experiment()
     }
 }
 
-void
-busTransactionThroughput(benchmark::State &state)
-{
-    Simulator sim;
-    MainMemory memory;
-    memory.addModule(4 * 1024 * 1024);
-    MBus bus(sim, memory);
-    struct Client : MBusClient
-    {
-        std::string busClientName() const override { return "c"; }
-        SnoopReply snoopProbe(const MBusTransaction &) override
-        {
-            return {};
-        }
-    } client;
-    bus.attach(&client);
-    for (auto _ : state) {
-        MBusTransaction txn;
-        txn.type = MBusOpType::MRead;
-        txn.addr = 0x100;
-        txn.initiator = &client;
-        bus.request(txn);
-        sim.run(4);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(busTransactionThroughput);
-
 } // namespace
 
 int

@@ -150,21 +150,6 @@ experiment()
         observedRun();
 }
 
-void
-simulatorSpeed(benchmark::State &state)
-{
-    // Wall-clock cost of simulating one millisecond of a machine.
-    for (auto _ : state) {
-        FireflySystem sys(
-            FireflyConfig::microVax(state.range(0)));
-        sys.attachSyntheticWorkload(SyntheticConfig{});
-        sys.run(0.001);
-        benchmark::DoNotOptimize(sys.busLoad());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(simulatorSpeed)->Arg(1)->Arg(5);
-
 } // namespace
 
 int

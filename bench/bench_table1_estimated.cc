@@ -90,17 +90,6 @@ experiment()
                 model.saturationProcessors());
 }
 
-void
-modelEvaluation(benchmark::State &state)
-{
-    QueueingModel model;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            model.rowForProcessors(state.range(0)));
-    }
-}
-BENCHMARK(modelEvaluation)->Arg(2)->Arg(8)->Arg(12);
-
 } // namespace
 
 int

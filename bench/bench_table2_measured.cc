@@ -163,27 +163,6 @@ experiment()
                 one.perCpuTotalK, five.perCpuTotalK);
 }
 
-void
-exerciserThroughput(benchmark::State &state)
-{
-    for (auto _ : state) {
-        FireflySystem sys(FireflyConfig::microVax(2));
-        TopazConfig tc;
-        tc.cpus = 2;
-        TopazRuntime runtime(tc);
-        ExerciserParams params;
-        params.threads = 4;
-        params.iterations = 10;
-        buildThreadsExerciser(runtime, params);
-        std::vector<RefSource *> sources{&runtime.port(0),
-                                         &runtime.port(1)};
-        sys.attachSources(sources);
-        sys.runToCompletion(5'000'000);
-        benchmark::DoNotOptimize(sys.busLoad());
-    }
-}
-BENCHMARK(exerciserThroughput);
-
 } // namespace
 
 int

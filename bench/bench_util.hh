@@ -5,8 +5,8 @@
  * Every binary under bench/ regenerates one table or figure of the
  * paper (see DESIGN.md's experiment index): it prints the paper's
  * numbers next to the model's/simulator's, so the shape comparison is
- * immediate.  Passing --gbench additionally runs any registered
- * google-benchmark microbenchmarks (simulator speed measurements).
+ * immediate.  The simulator's own speed is measured by
+ * bench/firefly_perf and by perfbench/, not here.
  *
  * Options, understood by every bench binary:
  *
@@ -33,8 +33,6 @@
 
 #ifndef FIREFLY_BENCH_BENCH_UTIL_HH
 #define FIREFLY_BENCH_BENCH_UTIL_HH
-
-#include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdio>
@@ -304,10 +302,7 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
                  "  --debug-flags=A,B   enable debug-trace categories\n"
                  "                      (MBus, Cache, Cpu, Dma, Sched, Rpc,\n"
                  "                      Fault)\n"
-                 "  --jobs=N            run sweep points on N worker threads\n"
-                 "  --gbench            also run google-benchmark "
-                 "microbenchmarks\n"
-                 "                      (--benchmark_* options pass through)\n",
+                 "  --jobs=N            run sweep points on N worker threads\n",
                  prog);
     for (const ExtraFlag &flag : extras)
         std::fprintf(stderr, "  %-19s %s\n", flag.prefix, flag.help);
@@ -319,15 +314,14 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
 
 /**
  * Standard main body: parse the shared options (rejecting anything
- * unrecognized), run the experiment under the requested sinks, then
- * google-benchmark if requested.  Returns the process exit code.
+ * unrecognized) and run the experiment under the requested sinks.
+ * Returns the process exit code.
  * `extras` registers bench-specific "--name=value" flags.
  */
 inline int
 runBenchMain(int argc, char **argv, void (*experiment)(),
              const std::vector<ExtraFlag> &extras = {})
 {
-    bool gbench = false;
     ObsOptions &opts = obsOptions();
 
     // Returns the value of "--name=value" or nullopt if `arg` is a
@@ -349,9 +343,7 @@ runBenchMain(int argc, char **argv, void (*experiment)(),
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strcmp(arg, "--gbench") == 0) {
-            gbench = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
+        if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             printUsage(argv[0], extras);
             return 0;
@@ -373,8 +365,6 @@ runBenchMain(int argc, char **argv, void (*experiment)(),
                 return 2;
             }
             opts.jobs = static_cast<unsigned>(n);
-        } else if (std::strncmp(arg, "--benchmark_", 12) == 0) {
-            // Left in argv for benchmark::Initialize below.
         } else {
             bool matched = false;
             for (const ExtraFlag &flag : extras) {
@@ -407,12 +397,6 @@ runBenchMain(int argc, char **argv, void (*experiment)(),
         experiment();
     }
     detail::flushExportedStats();
-
-    if (gbench) {
-        benchmark::Initialize(&argc, argv);
-        benchmark::RunSpecifiedBenchmarks();
-        benchmark::Shutdown();
-    }
     return 0;
 }
 

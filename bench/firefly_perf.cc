@@ -25,6 +25,11 @@
  * Each point runs twice, fast-forward on and (forcibly) off, and
  * reports the ratio; behaviour and statistics are bit-identical
  * between the two (scripts/check.sh perf byte-compares the exports).
+ * Two host-independent work counters back the wall-clock numbers:
+ * Clocked::tick calls per simulated cycle (due-cycle gating) and
+ * snoop probes per bus transaction (the duplicate-tag filter), both
+ * from the gated run; check.sh perf holds them to the committed
+ * baseline exactly.
  * Wall clock is std::chrono::steady_clock; every point gets a warmup
  * run plus `--perf-reps` measured repetitions, best-of reported
  * (minimum wall time - host noise only ever slows a run down).
@@ -62,6 +67,9 @@ struct Measure
     Cycle simCycles = 0;
     std::uint64_t refs = 0;
     Cycle ffSkipped = 0;
+    std::uint64_t ticks = 0;       ///< Clocked::tick calls
+    std::uint64_t snoops = 0;      ///< snoopProbe calls
+    std::uint64_t txns = 0;        ///< bus transactions
 
     double
     cyclesPerSec() const
@@ -73,6 +81,18 @@ struct Measure
     refsPerSec() const
     {
         return wallSec > 0.0 ? refs / wallSec : 0.0;
+    }
+
+    double
+    ticksPerCycle() const
+    {
+        return simCycles ? static_cast<double>(ticks) / simCycles : 0.0;
+    }
+
+    double
+    snoopsPerTxn() const
+    {
+        return txns ? static_cast<double>(snoops) / txns : 0.0;
     }
 };
 
@@ -96,7 +116,11 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
         simSeconds *= 10.0;
     }
     sys.attachSyntheticWorkload(sc);
-    sys.simulator().setFastForward(fast_forward);
+    // FIREFLY_NO_FASTFORWARD forces the reference path on the "fast"
+    // runs too, so the headline --stats-json can be compared across
+    // the two paths (scripts/check.sh perf).
+    sys.simulator().setFastForward(
+        fast_forward && sys.simulator().fastForwardEnabled());
 
     const auto t0 = std::chrono::steady_clock::now();
     sys.run(simSeconds);
@@ -107,6 +131,12 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
     m.simCycles = sys.simulator().now();
     m.refs = sys.totalCpuRefs();
     m.ffSkipped = sys.simulator().cyclesFastForwarded();
+    m.ticks = sys.simulator().ticksDispatched();
+    m.snoops = sys.bus().snoopCalls();
+    const StatGroup &bus = sys.bus().stats();
+    m.txns = static_cast<std::uint64_t>(
+        bus.get("reads") + bus.get("writes") + bus.get("reads_owned") +
+        bus.get("invalidates"));
     if (headline)
         bench::exportStats(sys.stats());
     return m;
@@ -151,9 +181,10 @@ experiment()
         {"saturated", ProtocolKind::Mesi, 7},
     };
 
-    std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s\n",
+    std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s | %9s %9s\n",
                 "workload", "protocol", "np", "Mcycles/s", "Mrefs/s",
-                "ff-skip%", "slow Mcyc/s", "speedup");
+                "ff-skip%", "slow Mcyc/s", "speedup", "ticks/cyc",
+                "snoop/txn");
     bench::rule();
 
     std::string json;
@@ -178,10 +209,12 @@ experiment()
             : 0.0;
 
         std::printf(
-            "%-9s %-8s %3u | %12.2f %12.2f %8.1f%% | %12.2f %7.2fx\n",
+            "%-9s %-8s %3u | %12.2f %12.2f %8.1f%% | %12.2f %7.2fx | "
+            "%9.3f %9.3f\n",
             pt.workload, toString(pt.proto), pt.cpus,
             fast.cyclesPerSec() / 1e6, fast.refsPerSec() / 1e6,
-            skipFrac, slow.cyclesPerSec() / 1e6, speedup);
+            skipFrac, slow.cyclesPerSec() / 1e6, speedup,
+            fast.ticksPerCycle(), fast.snoopsPerTxn());
 
         if (!first)
             json += ",";
@@ -202,6 +235,10 @@ experiment()
         json += ",\"slow_cycles_per_sec\":" +
                 statNumber(slow.cyclesPerSec());
         json += ",\"speedup_vs_slow\":" + statNumber(speedup);
+        json += ",\"tick_calls_per_cycle\":" +
+                statNumber(fast.ticksPerCycle());
+        json += ",\"snoop_calls_per_txn\":" +
+                statNumber(fast.snoopsPerTxn());
         json += "}";
     }
     json += "]}\n";

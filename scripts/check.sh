@@ -25,9 +25,11 @@
 # guards the host-performance work (DESIGN.md section 11): it proves
 # idle fast-forward changes nothing observable (byte-identical stats
 # exports with FIREFLY_NO_FASTFORWARD=1), that the idle-heavy
-# speedup is still there, and that throughput has not cratered
-# against the committed BENCH_perf.json baseline (lenient threshold:
-# hosts differ; the committed file tracks the trajectory).
+# speedup is still there, that the deterministic work counters (tick
+# calls per cycle, snoop probes per transaction) have not grown over
+# the committed BENCH_perf.json baseline (strict: they do not depend
+# on the host), and that throughput has not cratered against it
+# (lenient threshold: hosts differ; the file tracks the trajectory).
 set -eu
 
 sanitize="${1:-}"
@@ -166,8 +168,24 @@ for bp in base["points"]:
         sys.exit(f"point {key}: {p['fast_cycles_per_sec']:.3g} "
                  f"cycles/s is {ratio:.2f}x of the committed "
                  f"baseline - host-performance regression")
+    # The work counters do not depend on the host: any increase over
+    # the committed baseline is a regression (re-record the baseline
+    # with scripts/bench_all.sh when a change lowers them).
+    for counter in ("tick_calls_per_cycle", "snoop_calls_per_txn"):
+        if counter in bp and p[counter] > bp[counter] * (1 + 1e-9):
+            sys.exit(f"point {key}: {counter} {p[counter]:.4f} exceeds "
+                     f"the committed {bp[counter]:.4f}")
+
+# The saturated 7-CPU Firefly point must keep the gating and the
+# snoop filter doing their job (was 8.0 ticks/cycle, 6.0 probes/txn).
+sat7 = points[("saturated", "Firefly", 7)]
+if sat7["tick_calls_per_cycle"] > 2.5 or sat7["snoop_calls_per_txn"] > 0.5:
+    sys.exit(f"saturated 7-CPU point: {sat7['tick_calls_per_cycle']:.3f} "
+             f"ticks/cycle (max 2.5), {sat7['snoop_calls_per_txn']:.3f} "
+             f"snoops/txn (max 0.5)")
 print("perf lane: fast/slow identical, idle speedup >= 3x, "
-      "throughput within baseline envelope")
+      "work counters within baseline, throughput within baseline "
+      "envelope")
 EOF
     echo "check.sh: all green (perf)"
     exit 0

@@ -27,8 +27,11 @@ Cache::Cache(Simulator &sim, MBus &bus,
     _lineWords = geom.lineBytes / bytesPerWord;
     lineBytes = geom.lineBytes;
     lines.resize(geom.cacheBytes / geom.lineBytes);
+    while ((Addr{1} << lineShift) < lineBytes)
+        ++lineShift;
+    linesPow2 = (lines.size() & (lines.size() - 1)) == 0;
 
-    bus.attach(this);
+    busIndex = bus.attachCache(this, lineBytes, lines.size());
 
     statGroup.addCounter(&refsInstr, "refs_instr", "instruction reads");
     statGroup.addCounter(&refsRead, "refs_read", "data reads");
@@ -196,7 +199,7 @@ Cache::cpuAccessSlow(const MemRef &ref, Callback cb)
     if (ref.addr % bytesPerWord != 0)
         panic("%s: unaligned reference 0x%x", _name.c_str(), ref.addr);
 
-    if (tagBusyCycle == sim.now()) {
+    if (tagBusy()) {
         ++tagBusyRetries;
         return {AccessOutcome::RetryTagBusy, 0};
     }
@@ -362,6 +365,13 @@ Cache::applyWriteHit(CacheLine &line, const MemRef &ref)
         issueInvalidate(ref.addr);
         break;
     }
+}
+
+void
+Cache::install(CacheLine &line, Addr byte_addr)
+{
+    line.base = lineBaseOf(byte_addr);
+    bus.noteInstall(busIndex, line.base);
 }
 
 void
@@ -543,7 +553,7 @@ Cache::transactionDone(const MBusTransaction &txn)
         if (line.valid() && line.base != lineBaseOf(p.ref.addr))
             traceLine(line.base, line.state, LineState::Invalid,
                       "evicted-clean");
-        line.base = lineBaseOf(p.ref.addr);
+        install(line, p.ref.addr);
         for (unsigned i = 0; i < _lineWords; ++i)
             line.data[i] = txn.data[i];
         line.state = proto->fillState(txn.mshared);
@@ -565,7 +575,7 @@ Cache::transactionDone(const MBusTransaction &txn)
         if (line.valid() && line.base != lineBaseOf(p.ref.addr))
             traceLine(line.base, line.state, LineState::Invalid,
                       "evicted-clean");
-        line.base = lineBaseOf(p.ref.addr);
+        install(line, p.ref.addr);
         for (unsigned i = 0; i < _lineWords; ++i)
             line.data[i] = txn.data[i];
         writeWord(line, p.ref.addr, p.ref.value);
@@ -591,7 +601,7 @@ Cache::transactionDone(const MBusTransaction &txn)
             if (line.valid() && line.base != lineBaseOf(p.ref.addr))
                 traceLine(line.base, line.state, LineState::Invalid,
                           "evicted-clean");
-            line.base = lineBaseOf(p.ref.addr);
+            install(line, p.ref.addr);
             line.data.fill(0);
             writeWord(line, p.ref.addr, p.ref.value);
             line.state = proto->afterWriteThrough(txn.mshared);

@@ -16,7 +16,9 @@
  * Timing notes:
  *  - The tag store is single ported: a snoop probe in bus cycle C
  *    makes a CPU access attempted in C retry one processor tick later
- *    (the paper's SP term).
+ *    (the paper's SP term).  The bus probes only the caches whose
+ *    duplicate tags name the line (MBus::attachCache) but stamps the
+ *    probe cycle for all, so the contention is unchanged.
  *  - The cache handles one access at a time; misses occupy it until
  *    the bus sequence completes.  DMA accesses queue behind CPU
  *    accesses and vice versa.
@@ -179,6 +181,7 @@ class Cache : public MBusClient
     };
 
     Addr lineBaseOf(Addr byte_addr) const;
+    std::size_t indexOf(Addr byte_addr) const;
     CacheLine &lineFor(Addr byte_addr);
     const CacheLine &lineFor(Addr byte_addr) const;
     bool tagMatch(const CacheLine &line, Addr byte_addr) const;
@@ -216,6 +219,13 @@ class Cache : public MBusClient
     /** Apply the write-hit policy to a resident line (head access). */
     void applyWriteHit(CacheLine &line, const MemRef &ref);
 
+    /** Point `line` at the line of `byte_addr`, telling the bus's
+     *  duplicate tags. */
+    void install(CacheLine &line, Addr byte_addr);
+
+    /** The tag store is taken by a snoop probe this cycle. */
+    bool tagBusy() const;
+
     Simulator &sim;
     MBus &bus;
     std::unique_ptr<CoherenceProtocol> proto;
@@ -224,13 +234,21 @@ class Cache : public MBusClient
     unsigned _lineWords;
     Addr lineBytes;
     std::vector<CacheLine> lines;
+    /** Indexing by shift and mask, not division: it runs on every
+     *  access and snoop.  A line count that is not a power of two
+     *  falls back to a modulo. */
+    unsigned lineShift = 0;
+    bool linesPow2 = false;
 
     std::deque<PendingAccess> queue;
     bool engineBusy = false;  ///< head of queue has a bus op in flight
 
     CoherenceObserver *checkObs = nullptr;
 
+    /** Set by a direct snoopProbe call; bus probes are stamped on
+     *  the bus instead (MBus::probedAt). */
     Cycle tagBusyCycle = ~Cycle{0};
+    unsigned busIndex = 0;  ///< arbitration priority on the bus
 
     StatGroup statGroup;
 };
@@ -238,19 +256,26 @@ class Cache : public MBusClient
 inline Addr
 Cache::lineBaseOf(Addr byte_addr) const
 {
-    return byte_addr - byte_addr % lineBytes;
+    return byte_addr & ~(lineBytes - 1);
+}
+
+inline std::size_t
+Cache::indexOf(Addr byte_addr) const
+{
+    const Addr line = byte_addr >> lineShift;
+    return linesPow2 ? line & (lines.size() - 1) : line % lines.size();
 }
 
 inline CacheLine &
 Cache::lineFor(Addr byte_addr)
 {
-    return lines[(byte_addr / lineBytes) % lines.size()];
+    return lines[indexOf(byte_addr)];
 }
 
 inline const CacheLine &
 Cache::lineFor(Addr byte_addr) const
 {
-    return lines[(byte_addr / lineBytes) % lines.size()];
+    return lines[indexOf(byte_addr)];
 }
 
 inline bool
@@ -263,6 +288,13 @@ inline Word
 Cache::readWord(const CacheLine &line, Addr byte_addr) const
 {
     return line.data[(byte_addr - line.base) / bytesPerWord];
+}
+
+inline bool
+Cache::tagBusy() const
+{
+    const Cycle now = sim.now();
+    return tagBusyCycle == now || bus.probedAt(now, this);
 }
 
 inline void
@@ -286,8 +318,8 @@ Cache::cpuAccess(const MemRef &ref, Callback cb)
     // The fast path handles exactly the aligned read hit on an idle
     // engine; the checks mirror cpuAccessSlow's, in the same order,
     // so counting and behaviour are identical on both routes.
-    if (ref.addr % bytesPerWord == 0 && tagBusyCycle != sim.now() &&
-        queue.empty() && !engineBusy && !isWrite(ref.type)) {
+    if (ref.addr % bytesPerWord == 0 && !tagBusy() && queue.empty() &&
+        !engineBusy && !isWrite(ref.type)) {
         const CacheLine &line = lineFor(ref.addr);
         if (line.valid() && tagMatch(line, ref.addr)) {
             countRef(ref, true);

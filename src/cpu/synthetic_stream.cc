@@ -6,7 +6,14 @@ namespace firefly
 {
 
 SyntheticStream::SyntheticStream(const SyntheticConfig &config)
-    : cfg(config), rng(config.seed)
+    : cfg(config), rng(config.seed), mixDraw(config.mix),
+      readSharedT(Rng::chanceThreshold(config.readSharedFrac)),
+      writeSharedT(Rng::chanceThreshold(config.writeSharedFrac)),
+      dataReuseT(Rng::chanceThreshold(config.dataReuseProb)),
+      writeReuseT(Rng::chanceThreshold(config.writeReuseProb)),
+      sequentialT(Rng::chanceThreshold(config.dataSequentialProb)),
+      branchT(Rng::chanceThreshold(config.branchProb)),
+      loopBranchT(Rng::chanceThreshold(config.loopBranchFrac))
 {
     if (cfg.codeBytes < 4 || cfg.privateBytes < 4 || cfg.sharedBytes < 4)
         fatal("synthetic regions must be non-empty");
@@ -33,19 +40,17 @@ SyntheticStream::pickDataAddr(bool is_write)
     // The sharing fractions apply to the whole access stream (the
     // paper's S is "a fraction S = 0.1 of the processor's writes are
     // to shared data"), so check them before the locality model.
-    const double shared_frac =
-        is_write ? cfg.writeSharedFrac : cfg.readSharedFrac;
-    if (rng.chance(shared_frac))
+    if (rng.chanceScaled(is_write ? writeSharedT : readSharedT))
         return freshAddr(cfg.sharedBase, cfg.sharedBytes);
 
     // Temporal locality: usually re-touch something recent.
-    const double reuse_prob =
-        is_write ? cfg.writeReuseProb : cfg.dataReuseProb;
-    if (!reuse.empty() && rng.chance(reuse_prob))
+    if (!reuse.empty() &&
+        rng.chanceScaled(is_write ? writeReuseT : dataReuseT)) {
         return reuse[rng.below(reuse.size())];
+    }
 
     Addr addr;
-    if (lastFresh != 0 && rng.chance(cfg.dataSequentialProb) &&
+    if (lastFresh != 0 && rng.chanceScaled(sequentialT) &&
         lastFresh + 4 < cfg.privateBase + cfg.privateBytes) {
         addr = lastFresh + 4;  // sequential run through private data
         lastFresh = addr;
@@ -67,7 +72,7 @@ void
 SyntheticStream::startInstruction()
 {
     ++instructions;
-    const InstrRefs refs = drawInstrRefs(cfg.mix, rng);
+    const InstrRefs refs = mixDraw.draw(rng);
 
     // Instruction fetches: sequential until a branch.
     for (unsigned i = 0; i < refs.instrReads; ++i) {
@@ -77,8 +82,8 @@ SyntheticStream::startInstruction()
         if (pc >= cfg.codeBase + cfg.codeBytes)
             pc = cfg.codeBase;
     }
-    if (rng.chance(cfg.branchProb)) {
-        if (rng.chance(cfg.loopBranchFrac)) {
+    if (rng.chanceScaled(branchT)) {
+        if (rng.chanceScaled(loopBranchT)) {
             // Loop back within the hot region.
             pc = loopStart +
                  4 * static_cast<Addr>(rng.below(cfg.loopWords));
@@ -112,16 +117,16 @@ SyntheticStream::startInstruction()
 CpuStep
 SyntheticStream::next()
 {
-    if (stepQueue.empty()) {
+    while (stepNext == stepQueue.size()) {
         if (cfg.instructionLimit != 0 &&
             instructions >= cfg.instructionLimit) {
             return CpuStep::makeHalt();
         }
+        stepQueue.clear();
+        stepNext = 0;
         startInstruction();
     }
-    const CpuStep step = stepQueue.front();
-    stepQueue.pop_front();
-    return step;
+    return stepQueue[stepNext++];
 }
 
 } // namespace firefly

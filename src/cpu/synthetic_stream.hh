@@ -26,7 +26,6 @@
 #ifndef FIREFLY_CPU_SYNTHETIC_STREAM_HH
 #define FIREFLY_CPU_SYNTHETIC_STREAM_HH
 
-#include <deque>
 #include <vector>
 
 #include "cpu/ref_source.hh"
@@ -108,6 +107,12 @@ class SyntheticStream : public RefSource
     SyntheticConfig cfg;
     Rng rng;
 
+    // The config's probabilities as Rng::chanceScaled thresholds.
+    MixDraw mixDraw;
+    std::uint64_t readSharedT, writeSharedT;
+    std::uint64_t dataReuseT, writeReuseT;
+    std::uint64_t sequentialT, branchT, loopBranchT;
+
     // I-stream state.
     Addr pc;        ///< next fetch address
     Addr loopStart; ///< base of the current hot loop
@@ -117,8 +122,10 @@ class SyntheticStream : public RefSource
     std::size_t reuseNext = 0;
     Addr lastFresh = 0;  ///< previous fresh data address (runs)
 
-    // Steps queued for the current instruction.
-    std::deque<CpuStep> stepQueue;
+    // Steps of the current instruction, consumed in order from
+    // `stepNext`; refilled only once all are consumed.
+    std::vector<CpuStep> stepQueue;
+    std::size_t stepNext = 0;
     double computeDebt = 0.0;
     std::uint64_t instructions = 0;
     Word writeSeq = 1;

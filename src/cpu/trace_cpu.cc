@@ -19,7 +19,13 @@ TraceCpu::TraceCpu(Simulator &sim, Cache &cache, RefSource &source,
     // First tick boundary at or after "now": keeps tick phase on
     // multiples of cyclesPerTick even for a CPU attached mid-run.
     const Cycle cpt = timing.cyclesPerTick;
+    if (cpt == 0 || (cpt & (cpt - 1)) != 0)
+        fatal("%s: %u cycles per tick is not a power of two",
+              _name.c_str(), timing.cyclesPerTick);
+    while ((Cycle{1} << tickShift) < cpt)
+        ++tickShift;
     nextTickCycle = (sim.now() + cpt - 1) / cpt * cpt;
+    setDue(nextTickCycle);
 
     statGroup.addCounter(&tickCount, "ticks", "processor ticks");
     statGroup.addCounter(&computeTickCount, "compute_ticks",
@@ -36,24 +42,57 @@ TraceCpu::TraceCpu(Simulator &sim, Cache &cache, RefSource &source,
         [this] { return tpi(); });
 }
 
-Cycle
-TraceCpu::nextWake(Cycle now) const
+void
+TraceCpu::credit(Cycle horizon)
 {
-    // A halted processor never acts again.  A live one acts only on
-    // its tick boundary (every other bus cycle on the MicroVAX): the
-    // off cycles may be skipped whenever the rest of the machine is
-    // idle too.  A stalled processor still counts mem_wait_ticks per
-    // tick, so it must keep waking on the boundary.
-    if (_halted)
-        return kNeverWakes;
-    return std::max(now, nextTickCycle);
+    // Boundaries before the due cycle are the ones slept through:
+    // stalled on the cache, or inside a compute burst.
+    const Cycle end = std::min(horizon, dueCycle());
+    if (_halted || end <= nextTickCycle)
+        return;
+    const Cycle n = (end - nextTickCycle + timing.cyclesPerTick - 1) >>
+                    tickShift;
+    tickCount += n;
+    if (waitingForMem) {
+        memWaitTicks += n;
+    } else {
+        // Each compute tick is watchdog progress, as if ticked.
+        computeTickCount += n;
+        computeRemaining -= n;
+        sim.noteProgressAt(nextTickCycle + ((n - 1) << tickShift));
+    }
+    nextTickCycle += n << tickShift;
+}
+
+void
+TraceCpu::reschedule()
+{
+    if (_halted || waitingForMem)
+        setDue(kNeverWakes);  // a completion callback wakes a stall
+    else if (fenced)
+        setDue(nextTickCycle);  // halts on its next boundary
+    else
+        setDue(nextTickCycle + computeRemaining * timing.cyclesPerTick);
+}
+
+void
+TraceCpu::fence()
+{
+    credit(sim.settleHorizon(Phase::Cpu));
+    fenced = true;
+    reschedule();
 }
 
 void
 TraceCpu::tick(Cycle now)
 {
+    // Ticked every cycle (gating off), this skips the off cycles; the
+    // stall and compute branches below then count tick by tick.
+    // Gated, it runs only at the due boundary, after crediting the
+    // boundaries slept through.
     if (now < nextTickCycle || _halted)
         return;
+    credit(now);
     nextTickCycle = now + timing.cyclesPerTick;
 
     ++tickCount;
@@ -70,6 +109,7 @@ TraceCpu::tick(Cycle now)
         // issuing and halt.  The cache may still hold dirty lines -
         // the offlining host flushes them once the bus drains too.
         _halted = true;
+        setDue(kNeverWakes);
         sim.retireClocked(this);
         if (auto *ts = obs::traceSink())
             ts->instant(sim.now(), obs::kCatCpu, _name, "fenced");
@@ -81,6 +121,7 @@ TraceCpu::tick(Cycle now)
         return;
     }
     issue(now);
+    reschedule();
 }
 
 void
@@ -124,6 +165,9 @@ TraceCpu::issue(Cycle now)
             const MemRef issued = pending.ref;
             const auto result = cache.cpuAccess(
                 issued, [this, issued](Word data) {
+                    // Stall ticks up to now; in the Bus phase this
+                    // cycle's boundary is still to come.
+                    credit(sim.settleHorizon(Phase::Cpu));
                     waitingForMem = false;
                     if (auto *ts = obs::traceSink())
                         ts->end(sim.now(), obs::kCatCpu, _name);
@@ -131,6 +175,7 @@ TraceCpu::issue(Cycle now)
                     // tick on the MicroVAX (the paper's one-tick miss
                     // penalty), +2 CVAX ticks (misses add 400 ns).
                     computeRemaining += timing.missRestartTicks;
+                    reschedule();
                     source.onRefCompleted(issued, data);
                 });
             switch (result.outcome) {

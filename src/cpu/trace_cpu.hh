@@ -19,6 +19,16 @@
  *
  * Tag-store contention (a snoop probe in the same cycle) costs one
  * retry tick - the analytic model's SP term.
+ *
+ * The processor is due (Clocked) only on the tick boundaries where it
+ * issues work: it sleeps through the off cycles, through compute
+ * bursts and hit occupancy, and through memory stalls (until the
+ * cache's completion callback wakes it).  The ticks it sleeps through
+ * are credited to `ticks`, `compute_ticks` and `mem_wait_ticks` by
+ * arithmetic whenever they can be observed: on settle(), at the
+ * completion callback, and on fence().  Ticked every cycle (gating
+ * off) it counts each tick as it happens, the reference the lazy
+ * crediting must match.
  */
 
 #ifndef FIREFLY_CPU_TRACE_CPU_HH
@@ -68,14 +78,14 @@ class TraceCpu : public Clocked
              OnChipCache *onchip = nullptr);
 
     void tick(Cycle now) override;
-    Cycle nextWake(Cycle now) const override;
+    void settle(Cycle horizon) override { credit(horizon); }
 
     /**
      * Fence the processor: it stops issuing new work, drains any
      * outstanding miss, then halts.  Used to offline a processor
      * mid-run; a fenced processor never resumes.
      */
-    void fence() { fenced = true; }
+    void fence();
     bool isFenced() const { return fenced; }
 
     bool halted() const { return _halted; }
@@ -110,6 +120,11 @@ class TraceCpu : public Clocked
 
   private:
     void issue(Cycle now);
+    /** Account the tick boundaries before `horizon` (and before the
+     *  due cycle) that the processor slept through. */
+    void credit(Cycle horizon);
+    /** Publish the due cycle for the current state. */
+    void reschedule();
 
     Simulator &sim;
     Cache &cache;
@@ -118,11 +133,12 @@ class TraceCpu : public Clocked
     std::string _name;
     OnChipCache *onchip;
 
-    /** Next cycle that is a processor tick boundary.  Kept instead of
-     *  computing `now % cyclesPerTick` so the every-cycle early-out in
-     *  tick() is a compare, not a division (hot: once per CPU per
-     *  simulated cycle). */
+    /** First tick boundary not yet ticked or credited.  Kept instead
+     *  of computing `now % cyclesPerTick` so the early-out in tick()
+     *  is a compare, not a division. */
     Cycle nextTickCycle = 0;
+    /** log2 of cyclesPerTick: crediting divides by shifting. */
+    unsigned tickShift = 0;
 
     bool _halted = false;
     bool fenced = false;

@@ -6,26 +6,33 @@ namespace firefly
 namespace
 {
 
+/** The deterministic floor of a mean; the rest is its chance. */
 unsigned
-drawCount(double mean, Rng &rng)
+floorOf(double mean)
 {
-    unsigned count = static_cast<unsigned>(mean);
-    const double frac = mean - count;
-    if (rng.chance(frac))
-        ++count;
-    return count;
+    return static_cast<unsigned>(mean);
+}
+
+std::uint64_t
+thresholdOf(double mean)
+{
+    return Rng::chanceThreshold(mean - floorOf(mean));
 }
 
 } // namespace
 
+MixDraw::MixDraw(const VaxMix &mix)
+    : floors{floorOf(mix.instrReads), floorOf(mix.dataReads),
+             floorOf(mix.dataWrites)},
+      thresholds{thresholdOf(mix.instrReads), thresholdOf(mix.dataReads),
+                 thresholdOf(mix.dataWrites)}
+{
+}
+
 InstrRefs
 drawInstrRefs(const VaxMix &mix, Rng &rng)
 {
-    InstrRefs refs;
-    refs.instrReads = drawCount(mix.instrReads, rng);
-    refs.dataReads = drawCount(mix.dataReads, rng);
-    refs.dataWrites = drawCount(mix.dataWrites, rng);
-    return refs;
+    return MixDraw(mix).draw(rng);
 }
 
 } // namespace firefly

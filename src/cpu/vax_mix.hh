@@ -52,6 +52,29 @@ struct InstrRefs
  */
 InstrRefs drawInstrRefs(const VaxMix &mix, Rng &rng);
 
+/** drawInstrRefs with the mix's floors and Rng::chance thresholds
+ *  computed once, for generators that draw every instruction. */
+class MixDraw
+{
+  public:
+    explicit MixDraw(const VaxMix &mix);
+
+    /** Same draws, same results as drawInstrRefs(mix, rng). */
+    InstrRefs
+    draw(Rng &rng) const
+    {
+        InstrRefs refs = floors;
+        refs.instrReads += rng.chanceScaled(thresholds[0]);
+        refs.dataReads += rng.chanceScaled(thresholds[1]);
+        refs.dataWrites += rng.chanceScaled(thresholds[2]);
+        return refs;
+    }
+
+  private:
+    InstrRefs floors;
+    std::uint64_t thresholds[3];
+};
+
 /** MicroVAX 78032: base ticks per instruction with no-wait memory. */
 constexpr double microVaxBaseTpi = 11.9;
 

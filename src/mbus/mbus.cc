@@ -58,8 +58,8 @@ MBusClient::refreshWriteData(MBusTransaction &)
 }
 
 MBus::MBus(Simulator &sim, MainMemory &memory, std::string name)
-    : sim(sim), memory(memory), statGroup(std::move(name)),
-      arbWaitHist(16, 2.0)
+    : sim(sim), memory(memory), countedTo(sim.now()),
+      statGroup(std::move(name)), arbWaitHist(16, 2.0)
 {
     sim.addClocked(this, Phase::Bus);
 
@@ -99,8 +99,23 @@ unsigned
 MBus::attach(MBusClient *client)
 {
     clients.push_back(client);
+    filters.emplace_back();
     pending.emplace_back();
     return clients.size() - 1;
+}
+
+unsigned
+MBus::attachCache(MBusClient *client, Addr line_bytes, unsigned lines)
+{
+    const unsigned index = attach(client);
+    if (lines == 0 || (lines & (lines - 1)) != 0)
+        return index;
+    TagFilter &f = filters[index];
+    f.filtered = true;
+    while ((Addr{1} << f.lineShift) < line_bytes)
+        ++f.lineShift;
+    f.indexMask = lines - 1;
+    return index;
 }
 
 void
@@ -121,6 +136,10 @@ MBus::request(const MBusTransaction &txn)
                       txn.initiator->busClientName().c_str());
             }
             pending[i] = PendingRequest{txn, sim.now()};
+            // Arbitrate at this cycle's Bus phase if it is still to
+            // come, else at the next one.
+            if (dueCycle() > sim.now())
+                setDue(sim.now());
             if (auto *ts = obs::traceSink()) {
                 ts->instant(sim.now(), obs::kCatMBus,
                             statGroup.name(), "request",
@@ -148,33 +167,33 @@ MBus::busy(const MBusClient *client) const
 }
 
 Cycle
-MBus::nextWake(Cycle now) const
+MBus::idleDue(Cycle from) const
 {
-    if (active)
-        return now;
-    // Idle bus: the earliest eligible pending request is the next
-    // arbitration; slots in parity-retry backoff wake at `earliest`.
-    Cycle wake = kNeverWakes;
+    // The earliest pending request is the next arbitration; slots in
+    // parity-retry backoff are due at `earliest`.
+    Cycle due = kNeverWakes;
     for (const auto &slot : pending) {
-        if (!slot.has_value())
-            continue;
-        wake = std::min(wake, std::max(slot->earliest, now));
+        if (slot.has_value())
+            due = std::min(due, std::max(slot->earliest, from));
     }
-    return wake;
+    return due;
 }
 
 void
-MBus::skipCycles(Cycle from, Cycle to)
+MBus::settle(Cycle horizon)
 {
     // tick() counts every cycle (idle ones are the denominator of
-    // load()); credit the skipped span so stats stay bit-identical.
-    totalCycleCount += to - from;
+    // load()); credit the idle cycles the bus slept through.
+    if (horizon > countedTo) {
+        totalCycleCount += horizon - countedTo;
+        countedTo = horizon;
+    }
 }
 
 void
 MBus::tick(Cycle now)
 {
-    ++totalCycleCount;
+    settle(now + 1);  // this cycle, and any idle ones slept through
 
     if (!active) {
         // Arbitration: fixed priority, lowest index wins.  Slots in
@@ -213,7 +232,8 @@ MBus::tick(Cycle now)
             }
             return;
         }
-        return;  // idle cycle
+        setDue(idleDue(now + 1));  // idle cycle
+        return;
     }
 
     ++busyCycleCount;
@@ -245,23 +265,31 @@ MBus::tick(Cycle now)
             // before any word moves: no memory or cache state has
             // changed, so dropping the attempt is side-effect free.
             parityAbort(now);
+            setDue(idleDue(now + 1));
             return;
         }
         dataPhase(burst);
         trace(now, "data",
               active->suppliedByCache ? "cache supplies, memory inhibited"
                                       : "memory drives/captures");
-        if (burst + 1 == active->words)
+        if (burst + 1 == active->words) {
             completeTransaction();
+            setDue(idleDue(now + 1));
+        }
     }
 }
 
 void
 MBus::probePhase()
 {
+    // Every other client's tag store is busy this cycle, probed or
+    // not; only caches that may hold the line are actually probed.
+    probeCycle = sim.now();
+    probeInitiator = active->initiator;
     for (unsigned i = 0; i < clients.size(); ++i) {
-        if (clients[i] == active->initiator)
+        if (clients[i] == active->initiator || !mayHold(i, active->addr))
             continue;
+        ++snoopCallCount;
         const SnoopReply reply = clients[i]->snoopProbe(*active);
         if (reply.shared)
             active->mshared = true;
@@ -414,9 +442,9 @@ MBus::completeTransaction()
             observer(txn.addr, txn.words);
     }
 
-    for (auto *client : clients) {
-        if (client != txn.initiator)
-            client->snoopComplete(txn);
+    for (unsigned i = 0; i < clients.size(); ++i) {
+        if (clients[i] != txn.initiator && mayHold(i, txn.addr))
+            clients[i]->snoopComplete(txn);
     }
     txn.initiator->transactionDone(txn);
 

@@ -152,9 +152,56 @@ class MBus : public Clocked
     /**
      * Attach a client.  Attachment order is arbitration priority:
      * earlier clients win ties (the real Firefly used fixed priority).
+     * The bus probes a client attached this way on every transaction.
      * @return the client's priority index.
      */
     unsigned attach(MBusClient *client);
+
+    /**
+     * Attach a direct-mapped cache of `lines` lines of `line_bytes`
+     * bytes.  The bus keeps a duplicate tag per line (4 bytes each)
+     * and probes the cache only on transactions whose line its
+     * duplicate tag names.  The cache must report every line it
+     * installs through noteInstall(); the duplicate tags are then a
+     * superset of its valid lines, and a stale tag is harmless because
+     * snoopProbe/snoopComplete re-check the real line.  The tags are
+     * allocated at the cache's first install, so building a machine
+     * costs nothing extra.  A line count that is not a power of two
+     * opts out of filtering.
+     * @return the client's priority index.
+     */
+    unsigned attachCache(MBusClient *client, Addr line_bytes,
+                         unsigned lines);
+
+    /** A cache attached with attachCache installed `line_base`. */
+    void
+    noteInstall(unsigned client_index, Addr line_base)
+    {
+        TagFilter &f = filters[client_index];
+        if (!f.filtered)
+            return;
+        if (f.tags.empty())  // an unaligned value is never a line base
+            f.tags.assign(std::size_t{f.indexMask} + 1, ~Addr{0});
+        f.tags[(line_base >> f.lineShift) & f.indexMask] = line_base;
+    }
+
+    /**
+     * True if the tag store of `client` is taken by a snoop probe in
+     * cycle `now`: the bus probed this cycle for a transaction someone
+     * else initiated.  This stamp stands for the probe of every
+     * non-initiator, including the caches the duplicate tags let the
+     * bus skip, so the single-ported tag-store contention (the paper's
+     * SP term) does not depend on the filter.
+     */
+    bool
+    probedAt(Cycle now, const MBusClient *client) const
+    {
+        return probeCycle == now && probeInitiator != client;
+    }
+
+    /** snoopProbe calls made so far (host-perf diagnostics, not a
+     *  registered stat; snoopComplete goes to the same caches). */
+    std::uint64_t snoopCalls() const { return snoopCallCount; }
 
     /**
      * Request a transaction.  A client may have at most one pending
@@ -166,8 +213,7 @@ class MBus : public Clocked
     bool busy(const MBusClient *client) const;
 
     void tick(Cycle now) override;
-    Cycle nextWake(Cycle now) const override;
-    void skipCycles(Cycle from, Cycle to) override;
+    void settle(Cycle horizon) override;
 
     /** The storage system behind the bus (for functional access). */
     MainMemory &memorySystem() { return memory; }
@@ -243,7 +289,30 @@ class MBus : public Clocked
         unsigned attempt = 0;
     };
 
-    void beginTransaction(Cycle now);
+    /** Duplicate tags of one client. */
+    struct TagFilter
+    {
+        bool filtered = false;    ///< else probed on every transaction
+        std::vector<Addr> tags;   ///< empty until the first install
+        unsigned lineShift = 0;
+        Addr indexMask = 0;
+    };
+
+    /** May client `i` hold the line of `addr`? */
+    bool
+    mayHold(unsigned i, Addr addr) const
+    {
+        const TagFilter &f = filters[i];
+        if (!f.filtered)
+            return true;
+        if (f.tags.empty())
+            return false;  // has installed nothing yet
+        const Addr line = addr >> f.lineShift;
+        return f.tags[line & f.indexMask] == line << f.lineShift;
+    }
+
+    /** Due cycle of an idle bus: its earliest eligible request. */
+    Cycle idleDue(Cycle from) const;
     void probePhase();
     void dataPhase(unsigned burst_index);
     void completeTransaction();
@@ -265,6 +334,15 @@ class MBus : public Clocked
     MainMemory &memory;
 
     std::vector<MBusClient *> clients;
+    std::vector<TagFilter> filters;  ///< indexed by priority
+    /** Snoop-probe stamp: the cycle of the last probe and the
+     *  transaction's initiator (see probedAt). */
+    Cycle probeCycle = kNeverWakes;
+    const MBusClient *probeInitiator = nullptr;
+    std::uint64_t snoopCallCount = 0;
+    /** Cycles before this are in totalCycleCount; idle cycles the bus
+     *  slept through are credited at its next tick or settle. */
+    Cycle countedTo;
     /** One pending slot per client, indexed by priority. */
     std::vector<std::optional<PendingRequest>> pending;
 

@@ -8,7 +8,9 @@ namespace firefly
 {
 
 SparseMemory::SparseMemory(Addr size_words)
-    : _sizeWords(size_words)
+    : _sizeWords(size_words),
+      chunks((static_cast<std::size_t>(size_words) + chunkWords - 1) /
+             chunkWords)
 {
 }
 
@@ -25,25 +27,21 @@ Word
 SparseMemory::read(Addr word_addr) const
 {
     checkBounds(word_addr);
-    const Addr chunk = word_addr / chunkWords;
-    const auto it = chunks.find(chunk);
-    if (it == chunks.end())
-        return 0;
-    return it->second[word_addr % chunkWords];
+    const Word *chunk = chunks[word_addr / chunkWords].get();
+    return chunk ? chunk[word_addr % chunkWords] : 0;
 }
 
 void
 SparseMemory::write(Addr word_addr, Word value)
 {
     checkBounds(word_addr);
-    const Addr chunk = word_addr / chunkWords;
-    auto it = chunks.find(chunk);
-    if (it == chunks.end()) {
-        auto storage = std::make_unique<Word[]>(chunkWords);
-        std::memset(storage.get(), 0, chunkWords * sizeof(Word));
-        it = chunks.emplace(chunk, std::move(storage)).first;
+    auto &chunk = chunks[word_addr / chunkWords];
+    if (!chunk) {
+        chunk = std::make_unique<Word[]>(chunkWords);
+        std::memset(chunk.get(), 0, chunkWords * sizeof(Word));
+        ++allocated;
     }
-    it->second[word_addr % chunkWords] = value;
+    chunk[word_addr % chunkWords] = value;
 }
 
 } // namespace firefly

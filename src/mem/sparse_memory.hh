@@ -5,14 +5,15 @@
  * A CVAX Firefly can have 128 MB of physical memory; workloads touch
  * only a fraction of it, so the backing store allocates fixed-size
  * chunks lazily.  Unwritten memory reads as zero, matching
- * initialised DRAM after the MBus init sequence.
+ * initialised DRAM after the MBus init sequence.  The chunk table is
+ * a flat vector indexed by chunk number (one pointer per 64 KB: 16 KB
+ * of table for 128 MB), so a lookup is one index, not a hash.
  */
 
 #ifndef FIREFLY_MEM_SPARSE_MEMORY_HH
 #define FIREFLY_MEM_SPARSE_MEMORY_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -33,7 +34,7 @@ class SparseMemory
     Addr sizeWords() const { return _sizeWords; }
 
     /** Number of chunks actually allocated (for tests). */
-    std::size_t allocatedChunks() const { return chunks.size(); }
+    std::size_t allocatedChunks() const { return allocated; }
 
   private:
     static constexpr Addr chunkWords = 16384; // 64 KB chunks
@@ -41,7 +42,8 @@ class SparseMemory
     void checkBounds(Addr word_addr) const;
 
     Addr _sizeWords;
-    mutable std::unordered_map<Addr, std::unique_ptr<Word[]>> chunks;
+    std::vector<std::unique_ptr<Word[]>> chunks;  ///< null: all zero
+    std::size_t allocated = 0;
 };
 
 } // namespace firefly

@@ -7,11 +7,13 @@ namespace firefly::obs
 {
 
 StatSampler::StatSampler(Simulator &sim, Cycle period)
-    : _period(period)
+    : sim(sim), _period(period)
 {
     if (period == 0)
         fatal("StatSampler period must be at least one cycle");
     sim.addClocked(this, Phase::Device);
+    // Samples land on period boundaries only.
+    setDue((sim.now() + period - 1) / period * period);
 }
 
 void
@@ -37,19 +39,13 @@ StatSampler::addProbe(std::string label, std::function<double()> fn,
     channels.push_back({std::move(label), std::move(fn), mode, 0.0, {}});
 }
 
-Cycle
-StatSampler::nextWake(Cycle now) const
-{
-    // Samples land on period boundaries only.
-    const Cycle rem = now % _period;
-    return rem == 0 ? now : now + (_period - rem);
-}
-
 void
 StatSampler::tick(Cycle now)
 {
     if (now % _period != 0)
         return;
+    setDue(now + _period);
+    sim.settle();
     times.push_back(now);
     for (auto &ch : channels) {
         const double value = ch.fn();

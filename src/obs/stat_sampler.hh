@@ -16,7 +16,10 @@
  * more useful as per-interval deltas (bus busy cycles per sample
  * window = utilisation-vs-time); Mode::Delta does that subtraction.
  *
- * Sampling only reads; it cannot perturb simulated behaviour.  The
+ * Sampling only reads; it cannot perturb simulated behaviour.  Each
+ * sample first settles lazily credited counters (Clocked::settle), so
+ * a processor asleep in a compute burst reads exactly as if it had
+ * ticked every cycle.  The
  * cadence tradeoff: a small period gives fine-grained curves but a
  * sample every period cycles (memory grows linearly); 10k cycles
  * (1 ms simulated) gives 120 points for the standard 0.12 s runs.
@@ -58,7 +61,6 @@ class StatSampler : public Clocked
                   Mode mode = Mode::Level);
 
     void tick(Cycle now) override;
-    Cycle nextWake(Cycle now) const override;
 
     Cycle period() const { return _period; }
     std::size_t sampleCount() const { return times.size(); }
@@ -81,6 +83,7 @@ class StatSampler : public Clocked
         std::vector<double> values;
     };
 
+    Simulator &sim;
     Cycle _period;
     std::vector<Channel> channels;
     std::vector<Cycle> times;

@@ -50,40 +50,67 @@ Simulator::stepOneCycle()
     // Publish the cycle for trace emitters that have no Simulator
     // reference (obs::traceNow); a single word store per cycle.
     obs::publishTraceNow(_now);
+    curPhase = 0;
     if (_events.runUntil(_now) > 0)
         lastProgress = _now;
+    // Gating reads each due cycle as the phase reaches it, so a due
+    // cycle lowered earlier in this cycle (a bus completion waking a
+    // processor) takes effect in this very cycle.
+    const bool gate = ffEnabled;
     for (auto &phase : phases) {
-        for (auto *c : phase)
+        for (auto *c : phase) {
+            if (gate && c->dueCycle() > _now)
+                continue;
+            ++ticksCalled;
             c->tick(_now);
+        }
+        ++curPhase;
     }
     if (!retired.empty())
         compactRetired();
-    if (watchdogBound != 0 && _now - lastProgress >= watchdogBound)
-        reportWedge();
+    if (watchdogBound != 0 && _now - lastProgress >= watchdogBound) {
+        // A processor sleeping through a compute burst reports that
+        // progress only when settled; only then is the machine wedged.
+        settle();
+        if (_now - lastProgress >= watchdogBound)
+            reportWedge();
+    }
     ++_now;
+    curPhase = 0;
+}
+
+void
+Simulator::settle()
+{
+    for (int p = 0; p < 4; ++p) {
+        const Cycle horizon = settleHorizon(static_cast<Phase>(p));
+        for (auto *c : phases[p])
+            c->settle(horizon);
+    }
 }
 
 void
 Simulator::fastForward(Cycle when)
 {
-    // The machine may skip to the earliest cycle any component could
-    // act: the next scheduled event, or a Clocked component's wake.
-    // Nothing executes over the skipped span, so nothing can schedule
-    // new work inside it - the bound stays valid once computed.
-    // A component reporting "busy now" ends the probe immediately
-    // (the bus, scanned first, is busy on almost every cycle of a
-    // saturated run), and repeated failures back the probe off so a
-    // busy machine pays almost nothing for the idle machinery.
+    // The machine may skip to the earliest cycle any component is
+    // due: the next scheduled event, or a Clocked component's due
+    // cycle.  Nothing executes over the skipped span, so nothing can
+    // schedule new work inside it - the bound stays valid once
+    // computed; components credit the span lazily (Clocked::settle).
+    // A component due now ends the probe immediately (the bus,
+    // scanned first, is busy on most cycles of a saturated run), and
+    // repeated failures back the probe off so a busy machine pays
+    // almost nothing for the idle machinery.
     Cycle wake = _events.nextEventCycle();
     for (const auto &phase : phases) {
         for (const auto *c : phase) {
-            const Cycle w = c->nextWake(_now);
-            if (w <= _now) {
+            const Cycle due = c->dueCycle();
+            if (due <= _now) {
                 ffRetryAt = _now + ffBackoff;
                 ffBackoff = std::min<Cycle>(ffBackoff * 2, 64);
                 return;
             }
-            wake = std::min(wake, w);
+            wake = std::min(wake, due);
         }
     }
     ffBackoff = 1;
@@ -97,10 +124,6 @@ Simulator::fastForward(Cycle when)
         target = std::min(target, lastProgress + watchdogBound);
     if (target <= _now)
         return;
-    for (auto &phase : phases) {
-        for (auto *c : phase)
-            c->skipCycles(_now, target);
-    }
     ffSkipped += target - _now;
     _now = target;
 }
@@ -134,7 +157,7 @@ Simulator::runUntil(Cycle when)
     while (_now < when) {
         if (stopRequested) {
             stopRequested = false;
-            return;
+            break;
         }
         stepOneCycle();
         if (ffEnabled && _now < when && _now >= ffRetryAt &&
@@ -142,6 +165,8 @@ Simulator::runUntil(Cycle when)
             fastForward(when);
         }
     }
+    // Every statistic is exact whenever a run returns.
+    settle();
 }
 
 } // namespace firefly

@@ -36,10 +36,30 @@ class SimulationWedged : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** nextWake() value for a component with no work ever again. */
+/** Due cycle of a component with no work ever again. */
 constexpr Cycle kNeverWakes = std::numeric_limits<Cycle>::max();
 
-/** Interface for components evaluated every cycle. */
+/**
+ * Interface for synchronous components.
+ *
+ * Wake protocol: a component publishes its *due cycle*, the earliest
+ * cycle at which its tick() could do anything.  The simulator skips
+ * tick() before that cycle, and idle fast-forward jumps time to the
+ * earliest due cycle (or event) when nothing is due now.  The default
+ * due cycle is 0, "due every cycle", so a component that does not opt
+ * in ticks every cycle exactly as written.  A due cycle must be
+ * conservative: publishing a cycle later than the component's first
+ * real work would change simulated behaviour.  It may be lowered from
+ * anywhere (a bus request, a completion callback); a component whose
+ * phase already ran this cycle then ticks next cycle.
+ *
+ * With fast-forward off every component ticks every cycle regardless,
+ * which makes the ungated run the reference the gated one must match.
+ *
+ * A component that sleeps through cycles it would otherwise count
+ * (processor ticks, bus cycles) credits them lazily, and settle()
+ * makes those counters exact on demand.
+ */
 class Clocked
 {
   public:
@@ -49,29 +69,22 @@ class Clocked
     virtual void tick(Cycle now) = 0;
 
     /**
-     * Quiescence protocol for idle fast-forward.  The earliest cycle
-     * >= `now` at which this component's tick() could do anything
-     * observable; kNeverWakes if it is fully quiescent.  The default
-     * (`now`) means "always busy", which disables fast-forward and
-     * preserves exact per-cycle ticking for components that do not
-     * opt in.  Implementations must be conservative: returning a
-     * cycle later than the component's first real work would change
-     * simulated behaviour.
+     * Bring lazily credited statistics up to date: account every
+     * cycle before `horizon` this component slept through.  Called
+     * when runUntil returns, before every StatSampler sample, and
+     * before the watchdog declares a wedge.  Must be idempotent and
+     * must not change simulated behaviour.
      */
-    virtual Cycle nextWake(Cycle now) const { return now; }
+    virtual void settle(Cycle horizon) { (void)horizon; }
 
-    /**
-     * The simulator jumped time from `from` to `to` without ticking
-     * the cycles in between (all components reported quiescence over
-     * the span).  Components whose per-tick bookkeeping counts cycles
-     * (the MBus's total-cycle counter) compensate here so statistics
-     * are bit-identical to the slow path.
-     */
-    virtual void skipCycles(Cycle from, Cycle to)
-    {
-        (void)from;
-        (void)to;
-    }
+    /** Earliest cycle at which tick() could act. */
+    Cycle dueCycle() const { return due; }
+
+  protected:
+    void setDue(Cycle cycle) { due = cycle; }
+
+  private:
+    Cycle due = 0;
 };
 
 /** Evaluation phases within one cycle, in execution order. */
@@ -126,13 +139,14 @@ class Simulator
     void requestStop() { stopRequested = true; }
 
     /**
-     * Enable or disable idle fast-forward (on by default unless the
-     * FIREFLY_NO_FASTFORWARD environment variable is set).  With it
-     * on, whenever every Clocked component reports quiescence,
-     * runUntil jumps time straight to the next event (or the run
-     * horizon) instead of ticking empty cycles.  Simulated behaviour
-     * and statistics are bit-identical either way; the switch exists
-     * so tests and the perf lane can compare the two paths.
+     * Enable or disable due-cycle gating and idle fast-forward (on by
+     * default unless the FIREFLY_NO_FASTFORWARD environment variable
+     * is set).  With it on, a component ticks only from its due cycle
+     * on, and whenever nothing is due runUntil jumps time straight to
+     * the earliest due cycle or event (or the run horizon).  With it
+     * off every component ticks every cycle.  Simulated behaviour and
+     * statistics are bit-identical either way; the switch exists so
+     * tests and the perf lane can compare the two paths.
      */
     void setFastForward(bool enabled) { ffEnabled = enabled; }
     bool fastForwardEnabled() const { return ffEnabled; }
@@ -141,6 +155,29 @@ class Simulator
      *  deliberately not a registered stat, so exports stay identical
      *  between the fast and slow paths). */
     Cycle cyclesFastForwarded() const { return ffSkipped; }
+
+    /** Clocked::tick calls made so far (host-perf diagnostics, like
+     *  cyclesFastForwarded: the work the gating saves shows here). */
+    std::uint64_t ticksDispatched() const { return ticksCalled; }
+
+    /**
+     * Settle every component's lazily credited statistics at the
+     * current point of the current cycle (see Clocked::settle).
+     */
+    void settle();
+
+    /**
+     * The horizon for settling a component of phase `p` right now:
+     * one past the current cycle once that phase has run in it, else
+     * the current cycle.  A completion callback in the Bus phase, for
+     * example, must not count the current cycle's processor tick,
+     * which has not happened yet.
+     */
+    Cycle
+    settleHorizon(Phase p) const
+    {
+        return _now + (static_cast<int>(p) < curPhase ? 1 : 0);
+    }
 
     /**
      * Wedge watchdog: if no component reports progress for `bound`
@@ -162,6 +199,15 @@ class Simulator
     /** A component did useful work this cycle (cheap: one store). */
     void noteProgress() { lastProgress = _now; }
 
+    /** A lazily credited component did useful work at `cycle` (a
+     *  tick boundary of a compute burst it slept through). */
+    void
+    noteProgressAt(Cycle cycle)
+    {
+        if (cycle > lastProgress)
+            lastProgress = cycle;
+    }
+
   private:
     void stepOneCycle();
     void fastForward(Cycle when);
@@ -169,9 +215,13 @@ class Simulator
     [[noreturn]] void reportWedge();
 
     Cycle _now = 0;
+    /** Phase whose components are ticking (4 once all have; 0 between
+     *  cycles and while events run). */
+    int curPhase = 0;
     bool stopRequested = false;
     bool ffEnabled = true;
     Cycle ffSkipped = 0;
+    std::uint64_t ticksCalled = 0;
     /** Quiescence-probe backoff: after a failed probe the next try
      *  waits ffBackoff cycles (doubling, capped), so saturated runs
      *  pay ~zero for the idle machinery.  Host-side only - skipping

@@ -22,6 +22,7 @@
 #define FIREFLY_SIM_SMALL_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -101,8 +102,10 @@ class SmallFunction<R(Args...), Capacity>
     struct Ops
     {
         R (*invoke)(void *, Args...);
-        /** Move-construct into dst from src, then destroy src. */
+        /** Move-construct into dst from src, then destroy src; null
+         *  for a trivially copyable inline callable (copy the bytes). */
         void (*relocate)(void *dst, void *src) noexcept;
+        /** Null for a trivially destructible inline callable. */
         void (*destroy)(void *) noexcept;
     };
 
@@ -126,7 +129,12 @@ class SmallFunction<R(Args...), Capacity>
         {
             static_cast<Fn *>(s)->~Fn();
         }
-        static constexpr Ops ops = {&invoke, &relocate, &destroy};
+        // The common capture (a pointer and a few words) needs neither
+        // call: moving and destroying it stay inline.
+        static constexpr Ops ops = {
+            &invoke,
+            std::is_trivially_copyable_v<Fn> ? nullptr : &relocate,
+            std::is_trivially_destructible_v<Fn> ? nullptr : &destroy};
     };
 
     template <typename Fn>
@@ -161,7 +169,10 @@ class SmallFunction<R(Args...), Capacity>
     moveFrom(SmallFunction &other) noexcept
     {
         if (other.ops) {
-            other.ops->relocate(storage(), other.storage());
+            if (other.ops->relocate)
+                other.ops->relocate(storage(), other.storage());
+            else
+                std::memcpy(buf, other.buf, bufBytes);
             ops = other.ops;
             other.ops = nullptr;
         }
@@ -171,7 +182,8 @@ class SmallFunction<R(Args...), Capacity>
     reset()
     {
         if (ops) {
-            ops->destroy(storage());
+            if (ops->destroy)
+                ops->destroy(storage());
             ops = nullptr;
         }
     }

@@ -1,0 +1,130 @@
+/**
+ * @file
+ * Golden stat-tree digests: whole-machine statistics, pinned.
+ *
+ * The simulator's host-performance machinery - due-cycle gating of
+ * Clocked components, lazily credited processor counters, the bus's
+ * duplicate-tag snoop filter, integer-threshold random draws, the
+ * flat memory chunk table - must not change a single simulated
+ * number.  Each case runs a machine on the synthetic workload for a
+ * fixed span and hashes its whole stat tree as `--stats-json` writes
+ * it.  The expected digests were recorded before any of that
+ * machinery existed, so a mismatch means simulated behaviour changed.
+ * Every case runs twice: gated with fast-forward, and with both off
+ * (every component ticked every cycle).
+ *
+ * A deliberate change to what the simulator computes (a timing fix, a
+ * new statistic) changes these digests too; re-record them then, and
+ * say why in the change.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ostream>
+#include <sstream>
+#include <string>
+
+#include "firefly/system.hh"
+
+using namespace firefly;
+
+namespace
+{
+
+struct GoldenCase
+{
+    bool cvax;  ///< CVAX with on-chip I+D caches, else MicroVAX
+    unsigned cpus;
+    ProtocolKind protocol;
+    std::uint64_t digest;
+};
+
+constexpr Cycle kSpan = 400'000;
+
+// Recorded with the configuration built by run() below.
+constexpr GoldenCase kCases[] = {
+    {false, 1, ProtocolKind::Firefly, 0xccf813104646bf18ULL},
+    {false, 7, ProtocolKind::Firefly, 0xf8424e6622a95039ULL},
+    {false, 1, ProtocolKind::Dragon, 0x3a2da82c8f9f27b1ULL},
+    {false, 7, ProtocolKind::Dragon, 0x3e178a0a9bbb11b1ULL},
+    {false, 1, ProtocolKind::WriteThroughInvalidate, 0x64327f964e63031eULL},
+    {false, 7, ProtocolKind::WriteThroughInvalidate, 0xcb0e24176426789aULL},
+    {false, 1, ProtocolKind::Berkeley, 0x719e2459e5e73114ULL},
+    {false, 7, ProtocolKind::Berkeley, 0x8ce477a7a4cca360ULL},
+    {false, 1, ProtocolKind::Mesi, 0x117db43bf89397d6ULL},
+    {false, 7, ProtocolKind::Mesi, 0x0dea9618c947cac2ULL},
+    {true, 1, ProtocolKind::Firefly, 0x75fb339e449787c9ULL},
+    {true, 7, ProtocolKind::Firefly, 0xef5540ada0b9d952ULL},
+    {true, 1, ProtocolKind::Dragon, 0x4d7f6ba66e7209deULL},
+    {true, 7, ProtocolKind::Dragon, 0x4d9c454acf8ca243ULL},
+    {true, 1, ProtocolKind::WriteThroughInvalidate, 0x33c141a6f9e79717ULL},
+    {true, 7, ProtocolKind::WriteThroughInvalidate, 0xe8914746ae492ee6ULL},
+    {true, 1, ProtocolKind::Berkeley, 0x2c4679138b671d21ULL},
+    {true, 7, ProtocolKind::Berkeley, 0xa488afcddd48f107ULL},
+    {true, 1, ProtocolKind::Mesi, 0x1e81a851bd4ac49bULL},
+    {true, 7, ProtocolKind::Mesi, 0xa6955338350113edULL},
+};
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+run(const GoldenCase &c, bool gated)
+{
+    FireflyConfig cfg = c.cvax ? FireflyConfig::cvax(c.cpus)
+                               : FireflyConfig::microVax(c.cpus);
+    cfg.protocol = c.protocol;
+    if (c.cvax)
+        cfg.onChipMode = OnChipCache::DataMode::InstructionsAndData;
+    FireflySystem sys(cfg);
+    sys.simulator().setFastForward(gated);
+    sys.attachSyntheticWorkload(SyntheticConfig{});
+    sys.simulator().run(kSpan);
+    std::ostringstream os;
+    sys.stats().dumpJson(os);
+    return fnv1a(os.str());
+}
+
+std::string
+caseName(const GoldenCase &c)
+{
+    std::string name = toString(c.protocol);
+    name += c.cvax ? "_Cvax" : "_MicroVax";
+    return name + std::to_string(c.cpus);
+}
+
+// gtest prints a parameter into the test's listed name; without this
+// it would print the raw bytes, digest included.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
+class GoldenStats : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+} // namespace
+
+TEST_P(GoldenStats, DigestMatchesRecordedOnBothPaths)
+{
+    const GoldenCase &c = GetParam();
+    EXPECT_EQ(run(c, true), c.digest) << "gated, fast-forward on";
+    EXPECT_EQ(run(c, false), c.digest) << "every cycle ticked";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, GoldenStats, ::testing::ValuesIn(kCases),
+    [](const ::testing::TestParamInfo<GoldenCase> &info) {
+        return caseName(info.param);
+    });

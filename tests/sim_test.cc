@@ -132,6 +132,34 @@ TEST(Rng, ChanceMatchesProbability)
     EXPECT_TRUE(rng.chance(1.0));
 }
 
+TEST(Rng, IntegerChanceMatchesDoubleForm)
+{
+    // chance() tests x < ceil(p * 2^53) on the 53-bit draw x; the
+    // reference is the double form it replaced, uniform() < p with no
+    // draw at p <= 0 or p >= 1.  Same answers and the same number of
+    // draws, so the streams stay in lockstep.
+    const double probabilities[] = {0.0, 0x1.0p-60, 0.1, 0.5,
+                                    1.0 - 0x1.0p-53, 1.0};
+    for (const std::uint64_t seed : {1ULL, 42ULL, 0x5eedf1ef1ULL}) {
+        for (const double p : probabilities) {
+            Rng viaChance(seed), viaThreshold(seed), reference(seed);
+            const std::uint64_t threshold = Rng::chanceThreshold(p);
+            int mismatches = 0;
+            for (int i = 0; i < 1'000'000; ++i) {
+                const bool want = p <= 0.0 ? false
+                                : p >= 1.0 ? true
+                                           : reference.uniform() < p;
+                mismatches += viaChance.chance(p) != want;
+                mismatches += viaThreshold.chanceScaled(threshold) != want;
+            }
+            EXPECT_EQ(mismatches, 0) << "p=" << p << " seed=" << seed;
+            const std::uint64_t after = reference.next();
+            EXPECT_EQ(viaChance.next(), after);
+            EXPECT_EQ(viaThreshold.next(), after);
+        }
+    }
+}
+
 TEST(Rng, GeometricMean)
 {
     Rng rng(13);
@@ -404,34 +432,35 @@ namespace
 {
 
 /** A component with work only every `period` cycles, opting in to
- *  idle fast-forward and recording everything that happens to it. */
+ *  due-cycle gating and recording everything that happens to it. */
 struct Periodic : Clocked
 {
     Cycle period;
     std::vector<Cycle> ticks;          ///< cycles tick() saw
-    Cycle covered = 0;                 ///< cycles ticked + skipped
+    Cycle covered = 0;                 ///< cycles ticked + slept through
+    Cycle coveredTo = 0;               ///< cycles before this counted
 
     explicit Periodic(Cycle p) : period(p) {}
 
     void
     tick(Cycle now) override
     {
-        if (now % period == 0)
-            ticks.push_back(now);
+        settle(now);
         ++covered;
-    }
-
-    Cycle
-    nextWake(Cycle now) const override
-    {
-        const Cycle rem = now % period;
-        return rem == 0 ? now : now + (period - rem);
+        coveredTo = now + 1;
+        if (now % period == 0) {
+            ticks.push_back(now);
+            setDue(now + period);
+        }
     }
 
     void
-    skipCycles(Cycle from, Cycle to) override
+    settle(Cycle horizon) override
     {
-        covered += to - from;
+        if (horizon > coveredTo) {
+            covered += horizon - coveredTo;
+            coveredTo = horizon;
+        }
     }
 };
 
@@ -439,10 +468,10 @@ struct Periodic : Clocked
 
 TEST(Simulator, FastForwardMatchesSlowPathTickForTick)
 {
-    // The core invariant: with every component quiescent between
-    // wakes, the fast path must deliver the exact same tick sequence
+    // The core invariant: with every component asleep until its due
+    // cycle, the fast path must deliver the exact same tick sequence
     // as cycle-by-cycle execution, with the skipped spans accounted
-    // for through skipCycles.
+    // for through settle.
     Simulator fast;
     fast.setFastForward(true);
     Periodic pf(1000);
@@ -489,8 +518,8 @@ TEST(Simulator, WatchdogWedgesAtTheSameCycleEitherPath)
         sim.setWatchdog(100, /*throw_on_wedge=*/true);
         struct Quiet : Clocked
         {
+            Quiet() { setDue(kNeverWakes); }
             void tick(Cycle) override {}
-            Cycle nextWake(Cycle) const override { return kNeverWakes; }
         } quiet;
         sim.addClocked(&quiet, Phase::Device);
         try {
