@@ -13,6 +13,14 @@
  * Every case runs twice: gated with fast-forward, and with both off
  * (every component ticked every cycle).
  *
+ * A second set pins the coherence protocols where the whole-machine
+ * cases cannot reach: the fuzz corpus shapes (check::kFuzzShapes),
+ * whose 2-word lines and DMA bursts drive partial DMA writes into
+ * owned lines, squashed victim write-backs and Dragon's covered-line
+ * rule.  Each such case hashes the bus and cache stat groups as they
+ * stand at the last bus transaction's settle point (only cache hits
+ * follow it), together with the run's cycle count.
+ *
  * A deliberate change to what the simulator computes (a timing fix, a
  * new statistic) changes these digests too; re-record them then, and
  * say why in the change.
@@ -21,10 +29,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
 
+#include "check/fuzz.hh"
 #include "firefly/system.hh"
 
 using namespace firefly;
@@ -127,4 +137,92 @@ INSTANTIATE_TEST_SUITE_P(
     Machines, GoldenStats, ::testing::ValuesIn(kCases),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return caseName(info.param);
+    });
+
+namespace
+{
+
+struct GoldenFuzzCase
+{
+    unsigned shape;  ///< index into check::kFuzzShapes
+    ProtocolKind protocol;
+    std::uint64_t digest;
+};
+
+constexpr std::uint64_t kFuzzSeed = 0x601D;
+constexpr const char *kShapeTags[] = {"OneWord", "TwoWordDma",
+                                      "FourCaches"};
+static_assert(std::size(kShapeTags) == std::size(check::kFuzzShapes));
+
+// Recorded with the configuration built by runFuzzCase() below.
+constexpr GoldenFuzzCase kFuzzCases[] = {
+    {0, ProtocolKind::Firefly, 0xc3144ff772df120fULL},
+    {0, ProtocolKind::Dragon, 0xc86105d02ec1c429ULL},
+    {0, ProtocolKind::WriteThroughInvalidate, 0x88de738753469849ULL},
+    {0, ProtocolKind::Berkeley, 0x4d335379e2621d80ULL},
+    {0, ProtocolKind::Mesi, 0x1e28f4b31b4df886ULL},
+    {1, ProtocolKind::Firefly, 0x5e53df6ebd1246bcULL},
+    {1, ProtocolKind::Dragon, 0x2dfc8a1eec3958faULL},
+    {1, ProtocolKind::WriteThroughInvalidate, 0xdb9e9d7d4728007cULL},
+    {1, ProtocolKind::Berkeley, 0x5c6b213056cbc9a0ULL},
+    {1, ProtocolKind::Mesi, 0x47ba15dec222ebcaULL},
+    {2, ProtocolKind::Firefly, 0x0c09d86963d6fde2ULL},
+    {2, ProtocolKind::Dragon, 0xefd3338afb50fc30ULL},
+    {2, ProtocolKind::WriteThroughInvalidate, 0x538769d608426cf6ULL},
+    {2, ProtocolKind::Berkeley, 0xf739fd54f5920a33ULL},
+    {2, ProtocolKind::Mesi, 0xe8deb4a3215ee22bULL},
+};
+
+std::uint64_t
+runFuzzCase(const GoldenFuzzCase &c)
+{
+    check::FuzzConfig cfg;
+    cfg.protocol = c.protocol;
+    cfg.seed = kFuzzSeed;
+    check::kFuzzShapes[c.shape].apply(cfg);
+    std::string last;
+    cfg.onBuilt = [&last](check::FuzzMachine &m) {
+        m.bus.addSettleObserver(
+            [&last, bus = &m.bus, caches = m.caches](
+                const MBusTransaction &) {
+                std::ostringstream os;
+                bus->stats().dumpJson(os);
+                for (const Cache *cache : caches)
+                    cache->stats().dumpJson(os);
+                last = os.str();
+            });
+    };
+    const check::FuzzResult result = check::runFuzz(cfg);
+    return fnv1a(last + std::to_string(result.cycles));
+}
+
+std::string
+fuzzCaseName(const GoldenFuzzCase &c)
+{
+    return std::string(toString(c.protocol)) + "_" + kShapeTags[c.shape];
+}
+
+void
+PrintTo(const GoldenFuzzCase &c, std::ostream *os)
+{
+    *os << fuzzCaseName(c);
+}
+
+class GoldenFuzzStats : public ::testing::TestWithParam<GoldenFuzzCase>
+{
+};
+
+} // namespace
+
+TEST_P(GoldenFuzzStats, DigestMatchesRecorded)
+{
+    const GoldenFuzzCase &c = GetParam();
+    const std::uint64_t digest = runFuzzCase(c);
+    EXPECT_EQ(digest, c.digest) << std::hex << "0x" << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FuzzShapes, GoldenFuzzStats, ::testing::ValuesIn(kFuzzCases),
+    [](const ::testing::TestParamInfo<GoldenFuzzCase> &info) {
+        return fuzzCaseName(info.param);
     });
