@@ -8,10 +8,9 @@
 namespace firefly
 {
 
-Cache::Cache(Simulator &sim, MBus &bus,
-             std::unique_ptr<CoherenceProtocol> protocol, Geometry geom,
-             std::string name)
-    : sim(sim), bus(bus), proto(std::move(protocol)),
+Cache::Cache(Simulator &sim, MBus &bus, const ProtocolTable &protocol,
+             Geometry geom, std::string name)
+    : sim(sim), bus(bus), proto(protocol),
       _name(std::move(name)), statGroup(_name)
 {
     if (geom.lineBytes < bytesPerWord ||
@@ -176,7 +175,7 @@ Cache::tryFastPath(const MemRef &ref, Word &out)
             checkObs->loadObserved(ref.addr, out, *this, "hit");
         return true;
     }
-    if (proto->writeHit(line) == WriteHitAction::Silent) {
+    if (writeHitAction(line) == WriteHitAction::Silent) {
         countRef(ref, true);
         writeWord(line, ref.addr, ref.value);
         const LineState old = line.state;
@@ -262,7 +261,7 @@ Cache::dispatchHead()
                 txn.kind = MBusOpKind::DmaRead;
                 txn.addr = p.ref.addr;
                 txn.words = 1;  // DMA misses do not allocate
-                txn.updatesMemory = proto->fillsUpdateMemory();
+                txn.updatesMemory = proto.fillsUpdateMemory;
                 txn.initiator = this;
                 p.stage = Stage::DmaRead;
                 engineBusy = true;
@@ -303,7 +302,7 @@ Cache::dispatchHead()
         return;
     }
 
-    switch (proto->writeMiss(_lineWords)) {
+    switch (proto.writeMiss[_lineWords == 1 ? 0 : 1]) {
       case WriteMissAction::WriteThroughAllocate:
         if (_lineWords != 1)
             panic("WriteThroughAllocate requires one-word lines");
@@ -339,10 +338,22 @@ Cache::dispatchHead()
     }
 }
 
+WriteHitAction
+Cache::writeHitAction(const CacheLine &line) const
+{
+    const WriteHitAction action = proto.onWriteHit(line.state);
+    if (action == WriteHitAction::Illegal)
+        panic("%s write hit in state %s", proto.name,
+              toString(line.state));
+    return action;
+}
+
 void
 Cache::applyWriteHit(CacheLine &line, const MemRef &ref)
 {
-    switch (proto->writeHit(line)) {
+    switch (writeHitAction(line)) {
+      case WriteHitAction::Illegal:
+        break;  // writeHitAction panicked
       case WriteHitAction::Silent: {
         writeWord(line, ref.addr, ref.value);
         const LineState old = line.state;
@@ -413,7 +424,7 @@ Cache::issueFill(Addr byte_addr, Stage stage)
     txn.kind = MBusOpKind::Fill;
     txn.addr = lineBaseOf(byte_addr);
     txn.words = _lineWords;
-    txn.updatesMemory = proto->fillsUpdateMemory();
+    txn.updatesMemory = proto.fillsUpdateMemory;
     txn.initiator = this;
     queue.front().stage = stage;
     engineBusy = true;
@@ -452,6 +463,26 @@ Cache::issueInvalidate(Addr byte_addr)
     bus.request(txn);
 }
 
+const SnoopRule &
+Cache::snoopRule(const CacheLine &line, const MBusTransaction &txn) const
+{
+    // snoopEvent judges coverage by length: a transaction must be one
+    // word, or the whole line from its base.
+    if (txn.words > _lineWords ||
+        (txn.words == _lineWords && txn.addr != line.base)) {
+        panic("%s: %u-word %s at 0x%x is neither one word nor line "
+              "0x%x", _name.c_str(), txn.words, toString(txn.type),
+              txn.addr, line.base);
+    }
+    const SnoopRule &rule =
+        proto.onSnoop(line.state, snoopEvent(txn, _lineWords));
+    if (!rule.legal) {
+        panic("%s cache snooped %s in state %s", proto.name,
+              toString(txn.type), toString(line.state));
+    }
+    return rule;
+}
+
 SnoopReply
 Cache::snoopProbe(const MBusTransaction &txn)
 {
@@ -459,7 +490,8 @@ Cache::snoopProbe(const MBusTransaction &txn)
     const CacheLine &line = lineFor(txn.addr);
     if (!line.valid() || !tagMatch(line, txn.addr))
         return SnoopReply{};
-    return proto->snoopProbe(line, txn);
+    // Every holder asserts MShared, whatever its state.
+    return SnoopReply{true, snoopRule(line, txn).supply};
 }
 
 void
@@ -490,7 +522,15 @@ Cache::snoopComplete(const MBusTransaction &txn)
         return;
     const bool was_valid = line.valid();
     const LineState old = line.state;
-    proto->snoopApply(line, txn, _lineWords);
+    const SnoopRule &rule = snoopRule(line, txn);
+    if (rule.merge) {
+        for (unsigned i = 0; i < txn.words; ++i) {
+            const Addr a = txn.addr + i * bytesPerWord;
+            if (a >= line.base && a < line.base + lineBytes)
+                writeWord(line, a, txn.data[i]);
+        }
+    }
+    line.state = rule.next;
     static const char *snoop_causes[4] = {
         "snoop-read", "snoop-write", "snoop-read-owned",
         "snoop-invalidate"
@@ -556,7 +596,7 @@ Cache::transactionDone(const MBusTransaction &txn)
         install(line, p.ref.addr);
         for (unsigned i = 0; i < _lineWords; ++i)
             line.data[i] = txn.data[i];
-        line.state = proto->fillState(txn.mshared);
+        line.state = proto.fillState[txn.mshared];
         traceLine(line.base, LineState::Invalid, line.state, "fill");
         if (!isWrite(p.ref.type)) {
             const Word value = readWord(line, p.ref.addr);
@@ -579,7 +619,7 @@ Cache::transactionDone(const MBusTransaction &txn)
         for (unsigned i = 0; i < _lineWords; ++i)
             line.data[i] = txn.data[i];
         writeWord(line, p.ref.addr, p.ref.value);
-        line.state = proto->ownedState();
+        line.state = proto.ownedState;
         traceLine(line.base, LineState::Invalid, line.state,
                   "read-owned");
         // The write serializes at the commit of the MReadOwned that
@@ -604,13 +644,13 @@ Cache::transactionDone(const MBusTransaction &txn)
             install(line, p.ref.addr);
             line.data.fill(0);
             writeWord(line, p.ref.addr, p.ref.value);
-            line.state = proto->afterWriteThrough(txn.mshared);
+            line.state = proto.afterWriteThrough[txn.mshared];
             traceLine(line.base, LineState::Invalid, line.state,
                       "write-allocate-through");
         } else if (line.valid() && tagMatch(line, p.ref.addr)) {
             writeWord(line, p.ref.addr, p.ref.value);
             const LineState old = line.state;
-            line.state = proto->afterWriteThrough(txn.mshared);
+            line.state = proto.afterWriteThrough[txn.mshared];
             traceLine(line.base, old, line.state, "write-through");
         }
         finishHead(0);
@@ -623,7 +663,7 @@ Cache::transactionDone(const MBusTransaction &txn)
         if (line.valid() && tagMatch(line, p.ref.addr)) {
             writeWord(line, p.ref.addr, p.ref.value);
             const LineState old = line.state;
-            line.state = proto->afterWriteThrough(txn.mshared);
+            line.state = proto.afterWriteThrough[txn.mshared];
             traceLine(line.base, old, line.state, "update");
         }
         finishHead(0);
@@ -636,7 +676,7 @@ Cache::transactionDone(const MBusTransaction &txn)
         if (line.valid() && tagMatch(line, p.ref.addr)) {
             writeWord(line, p.ref.addr, p.ref.value);
             const LineState old = line.state;
-            line.state = proto->ownedState();
+            line.state = proto.ownedState;
             traceLine(line.base, old, line.state, "invalidate");
             if (checkObs)
                 checkObs->writeSerialized(p.ref.addr, p.ref.value,
@@ -668,13 +708,13 @@ Cache::transactionDone(const MBusTransaction &txn)
             // ownership state: memory received only the DMA word, so
             // we still owe it the others.  Otherwise memory now holds
             // everything we do, so the copy is clean - the same state
-            // a fresh fill would install, NOT afterWriteThrough(),
+            // a fresh fill would install, NOT afterWriteThrough,
             // whose Dragon meaning (update: writer becomes owner,
             // memory unchanged) would claim ownership a snooping
             // owner never gave up.
             if (!(needsWriteback(line.state) && _lineWords > 1)) {
                 const LineState old = line.state;
-                line.state = proto->fillState(txn.mshared);
+                line.state = proto.fillState[txn.mshared];
                 traceLine(line.base, old, line.state, "dma-write");
             }
         }

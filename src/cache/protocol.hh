@@ -1,11 +1,14 @@
 /**
  * @file
- * Coherence protocol abstraction.
+ * Coherence protocols as transition tables.
  *
  * The cache engine (cache.hh) owns the mechanics - lookup, victim
- * write-back, bus sequencing, data movement - and consults a
- * CoherenceProtocol for every policy decision.  Five protocols are
- * provided:
+ * write-back, bus sequencing, data movement - and reads every policy
+ * decision from a ProtocolTable: plain data, one constexpr instance
+ * per protocol (protocol.cc).  The invariant scanner (src/check/)
+ * derives the states it accepts from the same tables, so the engine
+ * and the checker share one description of each protocol.  Five
+ * protocols are provided:
  *
  *   - Firefly (the paper's contribution): update-based, conditional
  *     write-through, dynamic sharing detection via MShared;
@@ -23,8 +26,8 @@
 #define FIREFLY_CACHE_PROTOCOL_HH
 
 #include <array>
-#include <memory>
-#include <string>
+#include <cstddef>
+#include <initializer_list>
 
 #include "mbus/mbus.hh"
 #include "sim/types.hh"
@@ -50,6 +53,8 @@ enum class LineState : std::uint8_t
     SharedDirty,
 };
 
+constexpr std::size_t numLineStates = 5;
+
 const char *toString(LineState state);
 
 /** True if victimising a line in this state requires a write-back. */
@@ -72,6 +77,7 @@ struct CacheLine
 /** What to do on a processor write that hits. */
 enum class WriteHitAction : std::uint8_t
 {
+    Illegal,       ///< the protocol never holds a line in this state
     Silent,        ///< write into the line, mark Dirty, no bus op
     WriteThrough,  ///< MWrite updating memory and sharing caches
     Update,        ///< MWrite updating caches only (Dragon)
@@ -93,7 +99,132 @@ enum class WriteMissAction : std::uint8_t
     ReadOwned,
 };
 
-/** Identifiers for the factory. */
+/**
+ * Another agent's bus transaction as a snooping cache classifies it.
+ * MWrite splits four ways because the protocols treat a cache-only
+ * update, a write-back squashed on the bus, and memory writes that
+ * cover all or part of the line differently.
+ */
+enum class SnoopEvent : std::uint8_t
+{
+    Read,           ///< MRead (DMA reads never reach the table)
+    ReadOwned,      ///< MReadOwned
+    Invalidate,     ///< MInvalidate
+    Write,          ///< MWrite updating memory, covering the line
+    PartialWrite,   ///< MWrite updating memory, part of the line
+    Update,         ///< Dragon update: caches only, memory untouched
+    SquashedWrite,  ///< victim write-back whose line died in waiting
+};
+
+constexpr std::size_t numSnoopEvents = 7;
+
+/**
+ * Classify `txn` for a cache with `line_words`-word lines.  Coverage
+ * is judged by length alone: every transaction the bus carries is a
+ * single word or a whole line from its base (Cache::snoopRule panics
+ * otherwise), so it covers the line exactly when it is not shorter.
+ * Only Dragon issues updates (one word each), and only a write-back
+ * clears updatesMemory, always on a whole line.
+ */
+constexpr SnoopEvent
+snoopEvent(const MBusTransaction &txn, unsigned line_words)
+{
+    switch (txn.type) {
+      case MBusOpType::MRead: return SnoopEvent::Read;
+      case MBusOpType::MReadOwned: return SnoopEvent::ReadOwned;
+      case MBusOpType::MInvalidate: return SnoopEvent::Invalidate;
+      case MBusOpType::MWrite: break;
+    }
+    if (txn.kind == MBusOpKind::Update)
+        return SnoopEvent::Update;
+    if (!txn.updatesMemory)
+        return SnoopEvent::SquashedWrite;
+    return txn.words < line_words ? SnoopEvent::PartialWrite
+                                  : SnoopEvent::Write;
+}
+
+/** A snooping cache's response to one (line state, event) pair. */
+struct SnoopRule
+{
+    bool legal = false;  ///< false: impossible, the engine panics
+    LineState next = LineState::Invalid;
+    bool supply = false;  ///< drive the read data (memory inhibited)
+    bool merge = false;   ///< copy the written words into the line
+};
+
+/** A set of line states. */
+class StateSet
+{
+  public:
+    constexpr StateSet(std::initializer_list<LineState> states)
+    {
+        for (const LineState s : states)
+            bits |= 1u << static_cast<unsigned>(s);
+    }
+
+    constexpr bool
+    contains(LineState s) const
+    {
+        return (bits >> static_cast<unsigned>(s)) & 1u;
+    }
+
+  private:
+    unsigned bits = 0;
+};
+
+/**
+ * One coherence protocol, written down once as data.  Arrays indexed
+ * by state run Invalid, Valid, Dirty, Shared, SharedDirty; arrays
+ * indexed by MShared run clear, asserted.
+ */
+struct ProtocolTable
+{
+    const char *name;
+
+    // --- invariants (DESIGN.md section 9) -------------------------------
+    /** I1: states the protocol can leave a valid line in. */
+    StateSet legal;
+    /** I3: states that claim no other cache holds the line. */
+    StateSet exclusive;
+
+    // --- processor side -------------------------------------------------
+    std::array<WriteHitAction, numLineStates> writeHit;
+    /** Write-miss action for one-word lines, then for wider lines. */
+    std::array<WriteMissAction, 2> writeMiss;
+    /** State a line is installed in after an MRead fill. */
+    std::array<LineState, 2> fillState;
+    /** State after a write-through or update completes. */
+    std::array<LineState, 2> afterWriteThrough;
+    /** State after MReadOwned or MInvalidate completes. */
+    LineState ownedState;
+    /**
+     * Should main memory capture cache-supplied fill data?  True for
+     * protocols whose shared copies are always clean (Firefly, MESI/
+     * Illinois, WTI); false where an owner retains responsibility
+     * (Berkeley, Dragon).
+     */
+    bool fillsUpdateMemory;
+
+    // --- snoop side -----------------------------------------------------
+    /** Response to another agent's transaction, by state and event. */
+    std::array<std::array<SnoopRule, numSnoopEvents>, numLineStates>
+        snoop;
+
+    constexpr WriteHitAction
+    onWriteHit(LineState state) const
+    {
+        return writeHit[static_cast<std::size_t>(state)];
+    }
+
+    constexpr const SnoopRule &
+    onSnoop(LineState state, SnoopEvent event) const
+    {
+        return snoop[static_cast<std::size_t>(state)]
+                    [static_cast<std::size_t>(event)];
+    }
+};
+
+/** Identifiers for the protocol tables. */
 enum class ProtocolKind : std::uint8_t
 {
     Firefly,
@@ -105,54 +236,8 @@ enum class ProtocolKind : std::uint8_t
 
 const char *toString(ProtocolKind kind);
 
-/** Policy object consulted by the cache engine. */
-class CoherenceProtocol
-{
-  public:
-    virtual ~CoherenceProtocol() = default;
-
-    virtual const char *name() const = 0;
-
-    // --- processor-side policy -----------------------------------------
-    virtual WriteHitAction writeHit(const CacheLine &line) const = 0;
-    virtual WriteMissAction writeMiss(unsigned line_words) const = 0;
-
-    /** State a line is installed in after an MRead fill. */
-    virtual LineState fillState(bool mshared) const = 0;
-
-    /** State after a write-through/update completes, given MShared. */
-    virtual LineState afterWriteThrough(bool mshared) const = 0;
-
-    /** State after MReadOwned or MInvalidate completes. */
-    virtual LineState ownedState() const { return LineState::Dirty; }
-
-    /**
-     * Should main memory capture cache-supplied fill data?  True for
-     * protocols whose shared copies are always clean (Firefly, MESI/
-     * Illinois, WTI); false where an owner retains responsibility
-     * (Berkeley, Dragon).
-     */
-    virtual bool fillsUpdateMemory() const = 0;
-
-    // --- snoop-side policy ---------------------------------------------
-    /**
-     * Tag probe for another agent's transaction; `line` is tag
-     * matched and valid.  Must not mutate state.
-     */
-    virtual SnoopReply snoopProbe(const CacheLine &line,
-                                  const MBusTransaction &txn) const = 0;
-
-    /**
-     * Apply the committed transaction to our matching line: merge
-     * update data, change state, or invalidate.  `line_words` is the
-     * cache's line size in longwords.
-     */
-    virtual void snoopApply(CacheLine &line, const MBusTransaction &txn,
-                            unsigned line_words) const = 0;
-};
-
-/** Instantiate a protocol by kind. */
-std::unique_ptr<CoherenceProtocol> makeProtocol(ProtocolKind kind);
+/** The table of a protocol. */
+const ProtocolTable &makeProtocol(ProtocolKind kind);
 
 } // namespace firefly
 

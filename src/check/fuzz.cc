@@ -114,12 +114,12 @@ runFuzz(const FuzzConfig &cfg)
 
     const Cache::Geometry geom{cfg.cacheBytes, cfg.lineBytes};
     std::vector<std::unique_ptr<Cache>> caches;
+    const ProtocolTable &protocol = cfg.protocolTable
+                                        ? *cfg.protocolTable
+                                        : makeProtocol(cfg.protocol);
     for (unsigned i = 0; i < cfg.nCaches; ++i) {
-        auto protocol = cfg.protocolFactory ? cfg.protocolFactory()
-                                            : makeProtocol(cfg.protocol);
         caches.push_back(std::make_unique<Cache>(
-            sim, bus, std::move(protocol), geom,
-            "cache" + std::to_string(i)));
+            sim, bus, protocol, geom, "cache" + std::to_string(i)));
     }
 
     CheckerConfig checker_cfg;

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/protocol.hh"
@@ -86,11 +85,12 @@ struct FuzzConfig
     fault::FaultConfig faults;
 
     /**
-     * Protocol factory, overridable so tests can inject a broken
-     * protocol and prove the checker has teeth.  Default:
+     * The table the caches run, overridable so tests can inject a
+     * broken protocol and prove the checker has teeth; the checker
+     * still judges by `protocol`'s rules.  nullptr:
      * makeProtocol(protocol).
      */
-    std::function<std::unique_ptr<CoherenceProtocol>()> protocolFactory;
+    const ProtocolTable *protocolTable = nullptr;
 
     /**
      * Called once the machine is built and the checker watches every

@@ -11,55 +11,6 @@
 namespace firefly::check
 {
 
-namespace
-{
-
-/** States the protocol can legally leave a line in. */
-bool
-legal(ProtocolKind kind, LineState state)
-{
-    switch (kind) {
-      case ProtocolKind::Firefly:
-      case ProtocolKind::Mesi:
-        return state == LineState::Valid || state == LineState::Dirty ||
-               state == LineState::Shared;
-      case ProtocolKind::Dragon:
-        return state != LineState::Invalid;
-      case ProtocolKind::WriteThroughInvalidate:
-        return state == LineState::Valid;
-      case ProtocolKind::Berkeley:
-        return state == LineState::Dirty ||
-               state == LineState::Shared ||
-               state == LineState::SharedDirty;
-    }
-    return false;
-}
-
-/** States that assert "no other cache holds this line". */
-bool
-exclusive(ProtocolKind kind, LineState state)
-{
-    switch (kind) {
-      case ProtocolKind::WriteThroughInvalidate:
-        // WTI's only state is Valid and it is freely shared.
-        return false;
-      case ProtocolKind::Berkeley:
-        // Berkeley has no exclusive-clean state; only Dirty claims
-        // sole residency.
-        return state == LineState::Dirty;
-      default:
-        return state == LineState::Valid || state == LineState::Dirty;
-    }
-}
-
-} // namespace
-
-bool
-InvariantScanner::stateLegal(LineState state) const
-{
-    return legal(kind, state);
-}
-
 void
 InvariantScanner::addCache(const Cache *cache)
 {
@@ -103,12 +54,12 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
 
     // I1: state legality.
     for (const Holder &h : holders) {
-        if (!stateLegal(h.line->state)) {
+        if (!rules.legal.contains(h.line->state)) {
             std::ostringstream os;
             os << "I1 illegal state: " << h.cache->name() << " holds "
                << obs::hexAddr(base) << " in state "
                << toString(h.line->state) << ", which "
-               << toString(kind) << " never produces";
+               << rules.name << " never produces";
             out.push_back(os.str());
         }
     }
@@ -131,7 +82,8 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
 
     // I3: exclusive states really are exclusive (MShared agreed).
     for (const Holder &h : holders) {
-        if (exclusive(kind, h.line->state) && holders.size() > 1) {
+        if (rules.exclusive.contains(h.line->state) &&
+            holders.size() > 1) {
             std::ostringstream os;
             os << "I3 exclusivity: " << h.cache->name() << " holds "
                << obs::hexAddr(base) << " in exclusive state "

@@ -4,7 +4,8 @@
  *
  * Walks every attached cache's copy of a line and checks the
  * invariants the coherence protocols promise (DESIGN.md section 9
- * tabulates them per protocol):
+ * tabulates them per protocol; I1 and I3 read their state sets from
+ * the protocol's ProtocolTable):
  *
  *   I1  legality     - every line state is one the protocol uses;
  *   I2  single owner - at most one cache holds the line in an owning
@@ -49,8 +50,10 @@ class InvariantScanner
      *  holder storage; a Firefly has at most 16 processors). */
     static constexpr std::size_t maxCaches = 32;
 
+    /** Judges caches by the rules of `kind`'s table, whatever table
+     *  the caches run (a deliberately broken one, in tests). */
     InvariantScanner(ProtocolKind kind, const MainMemory &memory)
-        : kind(kind), memory(memory)
+        : rules(makeProtocol(kind)), memory(memory)
     {
     }
 
@@ -58,9 +61,6 @@ class InvariantScanner
 
     /** Bytes per cache line (one word before any cache is added). */
     Addr lineBytes() const;
-
-    /** True if `state` is one the protocol can legally produce. */
-    bool stateLegal(LineState state) const;
 
     /**
      * Check every invariant for the line containing `addr`;
@@ -96,7 +96,7 @@ class InvariantScanner
 
     bool resident(Addr line_base) const;
 
-    ProtocolKind kind;
+    const ProtocolTable &rules;
     const MainMemory &memory;
     std::vector<const Cache *> caches;
 };

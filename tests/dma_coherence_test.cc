@@ -300,3 +300,46 @@ TEST(DmaBurst, WritesAcrossSharedLinesStayCoherent)
     }
     rig.checker->finalCheck();
 }
+
+/**
+ * A squashed write-back must leave a new owner alone.  cache2 starts
+ * evicting a Modified line; in the same cycle a full-line DMA write
+ * and cache1's write miss queue for the bus ahead of it.  The DMA
+ * write invalidates cache2's copy, cache1 takes the line with
+ * MReadOwned and writes it, and cache2's write-back then finds its
+ * line gone and drives nothing.  cache1 snoops that squashed MWrite
+ * holding the only up-to-date copy: it must neither merge the stale
+ * data nor drop the line.  Only the invalidation protocols squash.
+ */
+TEST(DmaSquashedWriteback, NewOwnerKeepsItsLine)
+{
+    for (const auto kind : {ProtocolKind::Berkeley, ProtocolKind::Mesi}) {
+        CheckedRig rig(kind, 3, {256, 4});
+        const Addr conflict = kX + 256;  // same set, different tag
+        rig.read(2, kX);
+        rig.write(2, kX, 0x11);
+        ASSERT_EQ(rig.state(2, kX), LineState::Dirty) << toString(kind);
+
+        // One cycle, three requests; bus priority follows the cache
+        // index, so the victim write-back goes last.
+        unsigned done = 0;
+        const auto count = [&](Word) { ++done; };
+        ASSERT_EQ(rig.caches[2]
+                      ->cpuAccess({conflict, RefType::DataRead, 0}, count)
+                      .outcome,
+                  Cache::AccessOutcome::Pending);
+        rig.caches[0]->dmaAccess({kX, RefType::DataWrite, 0x22}, count);
+        ASSERT_EQ(rig.caches[1]
+                      ->cpuAccess({kX, RefType::DataWrite, 0x33}, count)
+                      .outcome,
+                  Cache::AccessOutcome::Pending);
+        while (done < 3)
+            rig.sim.run(1);
+
+        EXPECT_EQ(rig.caches[2]->victimWrites.value(), 1u);
+        EXPECT_EQ(rig.memory.read(kX), 0x22u) << "write-back not squashed";
+        EXPECT_EQ(rig.state(1, kX), LineState::Dirty) << toString(kind);
+        EXPECT_EQ(rig.read(1, kX), 0x33u) << toString(kind);
+        rig.checker->finalCheck();
+    }
+}

@@ -142,10 +142,7 @@ TEST(CoherenceFuzz, SkippedMSharedUpdateIsCaught)
     cfg.protocol = ProtocolKind::Firefly;
     cfg.seed = harness::pointSeed(kBaseSeed, 300);
     cfg.steps = 500;
-    cfg.protocolFactory = [] {
-        return std::make_unique<test::IgnoreMSharedProtocol>(
-            makeProtocol(ProtocolKind::Firefly));
-    };
+    cfg.protocolTable = &test::kIgnoreMShared;
     try {
         runFuzz(cfg);
         FAIL() << "broken protocol survived the fuzzer";
@@ -165,9 +162,6 @@ TEST(CoherenceFuzz, LostSnoopedWritesAreCaught)
     cfg.seed = harness::pointSeed(kBaseSeed, 301);
     cfg.steps = 800;
     cfg.sharedFrac = 0.9;  // make lost updates matter fast
-    cfg.protocolFactory = [] {
-        return std::make_unique<test::DeafToWritesProtocol>(
-            makeProtocol(ProtocolKind::Firefly));
-    };
+    cfg.protocolTable = &test::kDeafToWrites;
     EXPECT_THROW(runFuzz(cfg), CoherenceViolation);
 }
