@@ -2,16 +2,20 @@
  * @file
  * Experiment F4: regenerate paper Figure 4, "MBus Timing" - the
  * cycle-by-cycle structure of MRead and MWrite operations, plus the
- * resulting 10 MB/s aggregate bandwidth.
+ * resulting 10 MB/s aggregate bandwidth.  The timing lines are the
+ * bus's flight-recorder phase instants (mbus/mbus.hh), and the run
+ * fails unless they match the figure.
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "cache/cache.hh"
 #include "mbus/mbus.hh"
 #include "mem/main_memory.hh"
+#include "obs/trace.hh"
 #include "sim/simulator.hh"
 
 using namespace firefly;
@@ -19,94 +23,112 @@ using namespace firefly;
 namespace
 {
 
-/** Capture one transaction's phase-by-phase trace. */
-std::vector<std::string>
-traceTransaction(ProtocolKind kind, bool make_shared, bool is_write)
+/** Checks that disagreed with the paper's figure. */
+int failures = 0;
+
+/** Keeps the MBus phase instants and forwards every event to the
+ *  sink attached before it, so --trace-out and --debug-flags still
+ *  see the traced operations. */
+struct PhaseLog : obs::TraceSink
+{
+    obs::TraceSink *next = obs::traceSink();
+    std::vector<obs::TraceEvent> phases;
+
+    void
+    event(const obs::TraceEvent &ev) override
+    {
+        if (ev.kind == obs::EventKind::Instant && !ev.args.empty() &&
+            ev.args[0].first == "detail")
+            phases.push_back(ev);
+        if (next)
+            next->event(ev);
+    }
+};
+
+/** Two Firefly caches on one bus, with a blocking access helper. */
+struct Rig
 {
     Simulator sim;
     MainMemory memory;
-    memory.addModule(4 * 1024 * 1024);
-    MBus bus(sim, memory);
-    Cache initiator(sim, bus, makeProtocol(kind), {}, "initiator");
-    Cache other(sim, bus, makeProtocol(kind), {}, "other");
+    MBus bus;
+    Cache a, b;
 
-    const Addr addr = 0x1000;
-    auto blocking = [&](Cache &cache, const MemRef &ref) {
+    Rig(const char *a_name, const char *b_name)
+        : bus(sim, memory),
+          a(sim, bus, makeProtocol(ProtocolKind::Firefly), {}, a_name),
+          b(sim, bus, makeProtocol(ProtocolKind::Firefly), {}, b_name)
+    {
+        memory.addModule(4 * 1024 * 1024);
+    }
+
+    void
+    access(Cache &cache, RefType type)
+    {
         bool done = false;
-        auto result = cache.cpuAccess(ref, [&](Word) { done = true; });
+        auto result = cache.cpuAccess({0x1000, type, 0xbeef},
+                                      [&](Word) { done = true; });
         if (result.outcome == Cache::AccessOutcome::Hit)
             return;
         while (!done)
             sim.run(1);
-    };
-
-    if (make_shared) {
-        blocking(other, {addr, RefType::DataRead, 0});
-        blocking(initiator, {addr, RefType::DataRead, 0});
     }
 
-    std::vector<std::string> lines;
-    bus.setTraceHook([&](Cycle now, const std::string &phase,
-                         const std::string &detail) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), "  cycle %2llu (%3llu ns)  %-12s %s",
-                      static_cast<unsigned long long>(now),
-                      static_cast<unsigned long long>(now * 100),
-                      phase.c_str(), detail.c_str());
-        lines.emplace_back(buf);
-    });
+    /** Print the phases of one access by cache `a`, and check that
+     *  they are Figure 4's four, on consecutive cycles. */
+    std::vector<obs::TraceEvent>
+    trace(const char *title, RefType type)
+    {
+        PhaseLog log;
+        {
+            obs::ScopedTraceSink attach(&log);
+            access(a, type);
+        }
+        bench::exportStats(bus.stats());
 
-    blocking(initiator,
-             {addr, is_write ? RefType::DataWrite : RefType::DataRead,
-              0xbeef});
-    bench::exportStats(bus.stats());
-    return lines;
-}
+        static const char *const order[] = {"arb+addr", "wdata+probe",
+                                            "mshared", "data"};
+        failures += log.phases.size() != 4;
+        std::printf("\n%s:\n", title);
+        for (std::size_t i = 0; i < log.phases.size(); ++i) {
+            const obs::TraceEvent &p = log.phases[i];
+            std::printf("  cycle %2llu (%3llu ns)  %-12s %s\n",
+                        static_cast<unsigned long long>(p.when),
+                        static_cast<unsigned long long>(p.when * 100),
+                        p.name.c_str(), p.args[0].second.c_str());
+            failures += i < 4 && (p.name != order[i] ||
+                                  p.when != log.phases[0].when + i);
+        }
+        return log.phases;
+    }
+};
 
 void
 experiment()
 {
     bench::banner("Figure 4", "MBus timing (four 100 ns cycles per op)");
 
-    std::printf("\nMRead, no other cache holds the line:\n");
-    for (const auto &line :
-         traceTransaction(ProtocolKind::Firefly, false, false))
-        std::printf("%s\n", line.c_str());
-
-    std::printf("\nMRead, another cache holds the line (MShared, "
-                "memory inhibited):\n");
+    Rig("initiator", "other")
+        .trace("MRead, no other cache holds the line", RefType::DataRead);
     {
         // Make the other cache the only holder: trace a fresh read.
-        Simulator sim;
-        MainMemory memory;
-        memory.addModule(4 * 1024 * 1024);
-        MBus bus(sim, memory);
-        Cache a(sim, bus, makeProtocol(ProtocolKind::Firefly), {}, "a");
-        Cache b(sim, bus, makeProtocol(ProtocolKind::Firefly), {}, "b");
-        bool done = false;
-        b.cpuAccess({0x1000, RefType::DataRead, 0},
-                    [&](Word) { done = true; });
-        while (!done)
-            sim.run(1);
-        bus.setTraceHook([&](Cycle now, const std::string &phase,
-                             const std::string &detail) {
-            std::printf("  cycle %2llu (%3llu ns)  %-12s %s\n",
-                        static_cast<unsigned long long>(now),
-                        static_cast<unsigned long long>(now * 100),
-                        phase.c_str(), detail.c_str());
-        });
-        done = false;
-        a.cpuAccess({0x1000, RefType::DataRead, 0},
-                    [&](Word) { done = true; });
-        while (!done)
-            sim.run(1);
+        Rig rig("a", "b");
+        rig.access(rig.b, RefType::DataRead);
+        const auto phases =
+            rig.trace("MRead, another cache holds the line (MShared, "
+                      "memory inhibited)",
+                      RefType::DataRead);
+        failures += phases.size() != 4 ||
+                    phases[2].args[0].second != "MShared asserted" ||
+                    phases[3].args[0].second !=
+                        "cache supplies, memory inhibited";
     }
-
-    std::printf("\nMWrite (conditional write-through to a shared "
-                "line):\n");
-    for (const auto &line :
-         traceTransaction(ProtocolKind::Firefly, true, true))
-        std::printf("%s\n", line.c_str());
+    {
+        Rig rig("initiator", "other");
+        rig.access(rig.b, RefType::DataRead);
+        rig.access(rig.a, RefType::DataRead);
+        rig.trace("MWrite (conditional write-through to a shared line)",
+                  RefType::DataWrite);
+    }
 
     // Bandwidth: saturate the bus for a millisecond.
     bench::rule();
@@ -147,11 +169,14 @@ experiment()
         sim.run(10000);  // 1 ms
         const double mb_per_s =
             hammer.done * 4.0 / sim.seconds() / 1e6;
+        char rate[32];
+        std::snprintf(rate, sizeof(rate), "%.2f", mb_per_s);
         std::printf("Saturated bus: %llu transfers in %.3f ms -> "
-                    "%.2f MB/s  (paper: \"one four-byte transfer "
+                    "%s MB/s  (paper: \"one four-byte transfer "
                     "every 400 ns ... 10 megabytes per second\")\n",
                     static_cast<unsigned long long>(hammer.done),
-                    sim.seconds() * 1e3, mb_per_s);
+                    sim.seconds() * 1e3, rate);
+        failures += std::string(rate) != "10.00";
         std::printf("Bus load: %.3f\n", bus.load());
     }
 }
@@ -161,5 +186,8 @@ experiment()
 int
 main(int argc, char **argv)
 {
-    return firefly::bench::runBenchMain(argc, argv, experiment);
+    const int status = firefly::bench::runBenchMain(argc, argv, experiment);
+    if (status == 0 && failures != 0)
+        std::fprintf(stderr, "%d checks disagree with Figure 4\n", failures);
+    return status != 0 ? status : (failures != 0 ? 1 : 0);
 }

@@ -14,14 +14,16 @@
  *                        tree as JSON (StatGroup::dumpJson)
  *   --trace-out=FILE     record a Chrome trace-event JSON file of the
  *                        whole run (load it at ui.perfetto.dev)
- *   --debug-flags=A,B    enable debug-trace categories (MBus, Cache,
- *                        Cpu, Dma, Sched, Rpc) printed to stderr
+ *   --debug-flags=A,B    print these trace categories (MBus, Cache,
+ *                        Cpu, Dma, Sched, Rpc, Check, Fault) to
+ *                        stderr; FIREFLY_DEBUG=A,B adds more
  *   --jobs=N             run independent sweep points on N worker
  *                        threads (default 1 = today's serial loop)
  *
  * Unrecognized arguments are an error (usage + nonzero exit), so a
- * typo like "--trace-out foo" or an empty "--stats-json=" cannot
- * silently produce no output.
+ * typo like "--trace-out foo", an empty "--stats-json=" or an unknown
+ * category like "--debug-flags=Mbus" cannot silently produce no
+ * output.
  *
  * runBenchMain() parses these, attaches the sinks around the
  * experiment, and flushes/finalises them afterwards.  Experiments
@@ -34,6 +36,7 @@
 #ifndef FIREFLY_BENCH_BENCH_UTIL_HH
 #define FIREFLY_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +66,8 @@ struct ObsOptions
     std::string traceOutPath;   ///< --trace-out=FILE
     std::string debugFlags;     ///< --debug-flags=MBus,Cache,...
     unsigned jobs = 1;          ///< --jobs=N
+    /** Text-sink categories: --debug-flags plus FIREFLY_DEBUG. */
+    std::vector<std::string> textFlags;
 
     /** True if any observability output was requested. */
     bool
@@ -188,7 +193,7 @@ effectiveJobs()
     const ObsOptions &opts = obsOptions();
     if (opts.jobs <= 1)
         return 1;
-    if (!opts.traceOutPath.empty() || anyDebugFlagsSet()) {
+    if (!opts.traceOutPath.empty() || !opts.textFlags.empty()) {
         static std::once_flag warned;
         std::call_once(warned, [] {
             warn("tracing observes one thread; --jobs forced to 1");
@@ -232,31 +237,23 @@ class Observation
     Observation()
     {
         const ObsOptions &opts = obsOptions();
-        if (!opts.traceOutPath.empty())
+        if (!opts.traceOutPath.empty()) {
             chrome = std::make_unique<obs::ChromeTraceSink>(
                 opts.traceOutPath);
-        if (anyDebugFlagsSet())
-            text = std::make_unique<obs::TextTraceSink>();
-
-        obs::TraceSink *sink = nullptr;
-        if (chrome && text) {
-            tee = std::make_unique<obs::TeeSink>();
-            tee->add(chrome.get());
-            tee->add(text.get());
-            sink = tee.get();
-        } else if (chrome) {
-            sink = chrome.get();
-        } else if (text) {
-            sink = text.get();
+            tee.add(chrome.get());
         }
-        if (sink)
-            scoped.emplace(sink);
+        if (!opts.textFlags.empty()) {
+            text = std::make_unique<obs::TextTraceSink>(opts.textFlags);
+            tee.add(text.get());
+        }
+        if (chrome || text)
+            scoped.emplace(&tee);
     }
 
   private:
     std::unique_ptr<obs::ChromeTraceSink> chrome;
     std::unique_ptr<obs::TextTraceSink> text;
-    std::unique_ptr<obs::TeeSink> tee;
+    obs::TeeSink tee;
     std::optional<obs::ScopedTraceSink> scoped;
 };
 
@@ -299,9 +296,10 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
                  "usage: %s [options]\n"
                  "  --stats-json=FILE   write the headline stat tree as JSON\n"
                  "  --trace-out=FILE    record a Chrome trace-event JSON file\n"
-                 "  --debug-flags=A,B   enable debug-trace categories\n"
+                 "  --debug-flags=A,B   print trace categories to stderr\n"
                  "                      (MBus, Cache, Cpu, Dma, Sched, Rpc,\n"
-                 "                      Fault)\n"
+                 "                      Check, Fault; FIREFLY_DEBUG=A,B\n"
+                 "                      adds more)\n"
                  "  --jobs=N            run sweep points on N worker threads\n",
                  prog);
     for (const ExtraFlag &flag : extras)
@@ -313,17 +311,15 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
 }
 
 /**
- * Standard main body: parse the shared options (rejecting anything
- * unrecognized) and run the experiment under the requested sinks.
- * Returns the process exit code.
+ * Parse the shared options and FIREFLY_DEBUG into `opts`, rejecting
+ * anything unrecognized.  Returns the exit code to stop with, or
+ * nullopt to run the experiment.
  * `extras` registers bench-specific "--name=value" flags.
  */
-inline int
-runBenchMain(int argc, char **argv, void (*experiment)(),
+inline std::optional<int>
+parseOptions(ObsOptions &opts, int argc, char **argv,
              const std::vector<ExtraFlag> &extras = {})
 {
-    ObsOptions &opts = obsOptions();
-
     // Returns the value of "--name=value" or nullopt if `arg` is a
     // different option; an empty value is a hard usage error.
     auto valueOf = [&](const char *arg,
@@ -389,9 +385,34 @@ runBenchMain(int argc, char **argv, void (*experiment)(),
             }
         }
     }
-    if (!opts.debugFlags.empty())
-        setDebugFlags(opts.debugFlags);
 
+    // FIREFLY_DEBUG adds to --debug-flags.  A name that is no
+    // category would silently print nothing.
+    const char *env = std::getenv("FIREFLY_DEBUG");
+    opts.textFlags =
+        obs::splitFlags(opts.debugFlags + "," + (env ? env : ""));
+    for (const std::string &flag : opts.textFlags) {
+        if (std::find(std::begin(obs::kCategories),
+                      std::end(obs::kCategories),
+                      flag) == std::end(obs::kCategories)) {
+            std::fprintf(stderr, "%s: unknown debug flag '%s' in "
+                         "--debug-flags or FIREFLY_DEBUG\n",
+                         argv[0], flag.c_str());
+            printUsage(argv[0], extras);
+            return 2;
+        }
+    }
+    return std::nullopt;
+}
+
+/** Standard main body: parse the shared options and run the
+ *  experiment under the requested sinks.  Returns the exit code. */
+inline int
+runBenchMain(int argc, char **argv, void (*experiment)(),
+             const std::vector<ExtraFlag> &extras = {})
+{
+    if (auto status = parseOptions(obsOptions(), argc, argv, extras))
+        return *status;
     {
         Observation observation;
         experiment();

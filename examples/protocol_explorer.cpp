@@ -3,7 +3,8 @@
  * Protocol explorer: narrate what the coherence hardware does, bus
  * operation by bus operation, for a canonical two-processor sharing
  * scenario.  Useful for teaching the Firefly protocol and comparing
- * it with the baselines.
+ * it with the baselines.  The narration is the bus's flight-recorder
+ * phase instants (mbus/mbus.hh), printed as they happen.
  *
  * Usage: protocol_explorer [firefly|dragon|wti|berkeley|mesi]
  */
@@ -15,6 +16,7 @@
 #include "cache/cache.hh"
 #include "mbus/mbus.hh"
 #include "mem/main_memory.hh"
+#include "obs/trace.hh"
 #include "sim/simulator.hh"
 
 using namespace firefly;
@@ -22,12 +24,29 @@ using namespace firefly;
 namespace
 {
 
+/** Prints each MBus phase instant as one narration line. */
+struct PhasePrinter : obs::TraceSink
+{
+    void
+    event(const obs::TraceEvent &ev) override
+    {
+        if (ev.kind != obs::EventKind::Instant || ev.args.empty() ||
+            ev.args[0].first != "detail")
+            return;
+        std::printf("      [cycle %3llu] %-11s %s\n",
+                    static_cast<unsigned long long>(ev.when),
+                    ev.name.c_str(), ev.args[0].second.c_str());
+    }
+};
+
 struct Explorer
 {
     Simulator sim;
     MainMemory memory;
     MBus bus;
     Cache a, b;
+    PhasePrinter printer;
+    obs::ScopedTraceSink attach{&printer};
 
     explicit Explorer(ProtocolKind kind)
         : bus(sim, memory),
@@ -35,12 +54,6 @@ struct Explorer
           b(sim, bus, makeProtocol(kind), {}, "cpu1-cache")
     {
         memory.addModule(4 * 1024 * 1024);
-        bus.setTraceHook([](Cycle now, const std::string &phase,
-                            const std::string &detail) {
-            std::printf("      [cycle %3llu] %-11s %s\n",
-                        static_cast<unsigned long long>(now),
-                        phase.c_str(), detail.c_str());
-        });
     }
 
     void

@@ -12,7 +12,7 @@
 #
 # Each variant uses its own build directory so they do not trample
 # one another's caches.  The thread variant runs the tests labelled
-# "tsan" (sweep harness, observability, logging - everything the
+# "tsan" (sweep harness, observability - everything the
 # parallel harness threads through) so new threading stays race-clean
 # without paying TSan's ~10x slowdown on the whole cycle-level suite.
 # The fuzz variant runs the "checker"-labelled tests plus the
@@ -220,8 +220,10 @@ fi
 (cd "$builddir" && ctest --output-on-failure -j "$(nproc)")
 
 # Flight-recorder smoke test: the observed bench run must produce a
-# parseable trace and stats export (obs_test covers the details; this
-# checks the command-line plumbing in a real binary).
+# parseable trace with the MBus phase instants and a stats export
+# (obs_test covers the details; this checks the command-line plumbing
+# in a real binary), and the debug flags must parse the same from the
+# environment as from the command line.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 "$builddir/bench/bench_scaling" \
@@ -236,8 +238,26 @@ d = sys.argv[1]
 trace = json.load(open(f"{d}/trace.json"))
 cats = {r.get("cat") for r in trace if r["ph"] != "M"}
 assert {"MBus", "Cache", "Cpu", "Sched"} <= cats, cats
+# The bus phases of paper Figure 4 are flight-recorder instants.
+assert any(r["ph"] == "i" and r.get("cat") == "MBus" and
+           r["name"] == "wdata+probe" for r in trace), "no MBus phases"
 stats = json.load(open(f"{d}/stats.json"))
 assert stats["name"] == "system"
 EOF
+# Debug flags: FIREFLY_DEBUG and --debug-flags name the same text
+# categories, and a name that is no category is a usage error.
+fig4="$builddir/bench/bench_fig4_mbus_timing"
+FIREFLY_DEBUG=MBus "$fig4" > /dev/null 2> "$tmpdir/env.err"
+"$fig4" --debug-flags=MBus > /dev/null 2> "$tmpdir/flag.err"
+cmp "$tmpdir/env.err" "$tmpdir/flag.err" || {
+    echo "FIREFLY_DEBUG=MBus and --debug-flags=MBus differ" >&2
+    exit 1
+}
+status=0
+"$fig4" --debug-flags=Mbus > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "--debug-flags=Mbus exited $status, not 2" >&2
+    exit 1
+fi
 
 echo "check.sh: all green${sanitize:+ (sanitize=$sanitize)}"

@@ -486,7 +486,6 @@ Cache::snoopRule(const CacheLine &line, const MBusTransaction &txn) const
 SnoopReply
 Cache::snoopProbe(const MBusTransaction &txn)
 {
-    tagBusyCycle = sim.now();
     const CacheLine &line = lineFor(txn.addr);
     if (!line.valid() || !tagMatch(line, txn.addr))
         return SnoopReply{};

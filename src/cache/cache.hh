@@ -232,7 +232,7 @@ class Cache : public MBusClient
     void install(CacheLine &line, Addr byte_addr);
 
     /** The tag store is taken by a snoop probe this cycle. */
-    bool tagBusy() const;
+    bool tagBusy() const { return bus.probedAt(sim.now(), this); }
 
     Simulator &sim;
     MBus &bus;
@@ -253,9 +253,6 @@ class Cache : public MBusClient
 
     CoherenceObserver *checkObs = nullptr;
 
-    /** Set by a direct snoopProbe call; bus probes are stamped on
-     *  the bus instead (MBus::probedAt). */
-    Cycle tagBusyCycle = ~Cycle{0};
     unsigned busIndex = 0;  ///< arbitration priority on the bus
 
     StatGroup statGroup;
@@ -296,13 +293,6 @@ inline Word
 Cache::readWord(const CacheLine &line, Addr byte_addr) const
 {
     return line.data[(byte_addr - line.base) / bytesPerWord];
-}
-
-inline bool
-Cache::tagBusy() const
-{
-    const Cycle now = sim.now();
-    return tagBusyCycle == now || bus.probedAt(now, this);
 }
 
 inline void

@@ -40,11 +40,12 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
             statGroup.addChild(&onchips.back()->stats());
             if (oc.mode == OnChipCache::DataMode::InstructionsAndData) {
                 // A data-caching on-chip cache does not snoop; watch
-                // the bus to count (and repair) would-be staleness.
+                // bus commits to count (and repair) would-be staleness.
                 OnChipCache *chip = onchips.back().get();
-                mbus->addWriteObserver(
-                    [chip](Addr addr, unsigned words) {
-                        chip->observeBusWrite(addr, words);
+                mbus->addCommitObserver(
+                    [chip](const MBusTransaction &txn) {
+                        if (txn.type != MBusOpType::MRead)
+                            chip->observeBusWrite(txn.addr, txn.words);
                     });
             }
         } else {

@@ -5,8 +5,7 @@
  * The pool exists to run *independent simulations* concurrently (see
  * harness/sweep.hh): jobs must not share mutable state with each
  * other.  The simulator itself is thread-clean for this use - the
- * observability context (obs/trace.hh) is thread_local, the debug
- * flag registry (sim/logging.hh) is internally synchronised, and
+ * observability context (obs/trace.hh) is thread_local and
  * everything else hangs off per-instance objects - so a job that
  * builds, runs, and tears down its own FireflySystem touches nothing
  * another worker can see.

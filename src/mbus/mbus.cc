@@ -1,7 +1,5 @@
 #include "mbus/mbus.hh"
 
-#include <sstream>
-
 #include "fault/fault_injector.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -212,23 +210,20 @@ MBus::tick(Cycle now)
             suppliers.clear();
             ++busyCycleCount;
             sim.noteProgress();
-            if (traceHook) {
-                std::ostringstream os;
-                os << toString(active->type) << " 0x" << std::hex
-                   << active->addr << std::dec << " ("
-                   << toString(active->kind) << ") by "
-                   << active->initiator->busClientName();
-                trace(now, "arb+addr", os.str().c_str());
-            }
             if (auto *ts = obs::traceSink()) {
                 // The whole transaction renders as one slice on the
                 // bus track, grant (address cycle) to completion.
-                ts->begin(now, obs::kCatMBus, statGroup.name(),
-                          std::string(toString(active->type)) + " " +
-                              obs::hexAddr(active->addr),
-                          {{"kind", toString(active->kind)},
-                           {"by",
-                            active->initiator->busClientName()}});
+                const std::string op =
+                    std::string(toString(active->type)) + " " +
+                    obs::hexAddr(active->addr);
+                const std::string by = active->initiator->busClientName();
+                ts->begin(now, obs::kCatMBus, statGroup.name(), op,
+                          {{"kind", toString(active->kind)}, {"by", by}});
+                ts->instant(now, obs::kCatMBus, statGroup.name(),
+                            "arb+addr",
+                            {{"detail", op + " (" +
+                                            toString(active->kind) +
+                                            ") by " + by}});
             }
             return;
         }
@@ -244,14 +239,19 @@ MBus::tick(Cycle now)
         if (active->type == MBusOpType::MWrite)
             active->initiator->refreshWriteData(*active);
         probePhase();
-        trace(now, "wdata+probe",
-              active->type == MBusOpType::MWrite ? "write data driven"
-                                                 : "tag probe");
+        if (auto *ts = obs::traceSink()) {
+            ts->instant(now, obs::kCatMBus, statGroup.name(),
+                        "wdata+probe",
+                        {{"detail", active->type == MBusOpType::MWrite
+                                        ? "write data driven"
+                                        : "tag probe"}});
+        }
     } else if (phaseCycle == 2) {
-        trace(now, "mshared",
-              active->mshared ? "MShared asserted" : "MShared clear");
-        if (active->mshared) {
-            if (auto *ts = obs::traceSink()) {
+        if (auto *ts = obs::traceSink()) {
+            ts->instant(now, obs::kCatMBus, statGroup.name(), "mshared",
+                        {{"detail", active->mshared ? "MShared asserted"
+                                                    : "MShared clear"}});
+            if (active->mshared) {
                 ts->instant(now, obs::kCatMBus, statGroup.name(),
                             "MShared",
                             {{"addr", obs::hexAddr(active->addr)}});
@@ -269,9 +269,12 @@ MBus::tick(Cycle now)
             return;
         }
         dataPhase(burst);
-        trace(now, "data",
-              active->suppliedByCache ? "cache supplies, memory inhibited"
-                                      : "memory drives/captures");
+        if (auto *ts = obs::traceSink()) {
+            ts->instant(now, obs::kCatMBus, statGroup.name(), "data",
+                        {{"detail", active->suppliedByCache
+                                        ? "cache supplies, memory inhibited"
+                                        : "memory drives/captures"}});
+        }
         if (burst + 1 == active->words) {
             completeTransaction();
             setDue(idleDue(now + 1));
@@ -355,8 +358,9 @@ MBus::parityAbort(Cycle now)
     active.reset();
     ++injector->parityErrors;
     const unsigned attempt = activeAttempt + 1;
-    trace(now, "parity", "data parity error, transaction NACKed");
     if (auto *ts = obs::traceSink()) {
+        ts->instant(now, obs::kCatMBus, statGroup.name(), "parity",
+                    {{"detail", "data parity error, transaction NACKed"}});
         ts->end(now, obs::kCatMBus, statGroup.name());
         ts->instant(now, obs::kCatFault, statGroup.name(),
                     "parity-nack",
@@ -436,11 +440,6 @@ MBus::completeTransaction()
 
     for (const auto &observer : commitObservers)
         observer(txn);
-
-    if (txn.type != MBusOpType::MRead && !writeObservers.empty()) {
-        for (const auto &observer : writeObservers)
-            observer(txn.addr, txn.words);
-    }
 
     for (unsigned i = 0; i < clients.size(); ++i) {
         if (clients[i] != txn.initiator && mayHold(i, txn.addr))

@@ -13,6 +13,12 @@
  *            inhibited (but captures a dirty supply, keeping memory
  *            consistent with clean-shared copies)
  *
+ * With a flight-recorder sink attached (obs/trace.hh) every busy bus
+ * cycle emits one MBus instant on the bus track, named for its phase:
+ * "arb+addr", "wdata+probe", "mshared", "data" (once per burst word)
+ * or "parity" (a data cycle NACKed by an injected fault).  Its one
+ * arg, "detail", is the text Figure 4 prints for that cycle.
+ *
  * One transfer completes every 400 ns, i.e. 10 MB/s peak with 4-byte
  * transfers.  Arbitration is fixed priority (the paper notes this
  * favours high-priority caches).  Burst transfers of more than one
@@ -235,26 +241,6 @@ class MBus : public Clocked
     StatGroup &stats() { return statGroup; }
 
     /**
-     * Cycle-by-cycle trace hook for the Figure 4 bench: receives
-     * (cycle, phase-name, detail) while enabled.
-     */
-    using TraceHook =
-        std::function<void(Cycle, const std::string &, const std::string &)>;
-    void setTraceHook(TraceHook hook) { traceHook = std::move(hook); }
-
-    /**
-     * Observe every committed write-class transaction (MWrite,
-     * MReadOwned, MInvalidate).  Non-snooping structures - the CVAX
-     * on-chip cache model - use this to detect would-be staleness.
-     */
-    using WriteObserver = std::function<void(Addr, unsigned words)>;
-    void
-    addWriteObserver(WriteObserver observer)
-    {
-        writeObservers.push_back(std::move(observer));
-    }
-
-    /**
      * Observe every transaction at two points of its completion
      * cycle.  Commit observers run first, before any snoopComplete/
      * transactionDone callback: this is the serialization instant,
@@ -262,7 +248,9 @@ class MBus : public Clocked
      * (a completion callback can synchronously start validating the
      * next queued access).  Settle observers run last, after every
      * callback has applied its state changes: this is where the
-     * invariant scanner sees a quiescent machine.
+     * invariant scanner sees a quiescent machine.  Non-snooping
+     * structures (the CVAX on-chip cache model) also watch commits to
+     * detect would-be staleness.
      */
     using TxnObserver = std::function<void(const MBusTransaction &)>;
     void
@@ -319,17 +307,6 @@ class MBus : public Clocked
     /** Parity NACK: drop the attempt (no side effects have happened
      *  yet) and re-arm the master's slot for a backed-off retry. */
     void parityAbort(Cycle now);
-    /** const char* so call sites build no std::string temporaries on
-     *  the (usual) no-hook path; the hook still receives strings.
-     *  Inline guard: several calls per bus cycle, hook almost never
-     *  attached outside the Figure 4 bench. */
-    void
-    trace(Cycle now, const char *phase, const char *detail)
-    {
-        if (traceHook)
-            traceHook(now, phase, detail);
-    }
-
     Simulator &sim;
     MainMemory &memory;
 
@@ -354,8 +331,6 @@ class MBus : public Clocked
 
     fault::FaultInjector *injector = nullptr;
 
-    TraceHook traceHook;
-    std::vector<WriteObserver> writeObservers;
     std::vector<TxnObserver> commitObservers;
     std::vector<TxnObserver> settleObservers;
 

@@ -1,26 +1,33 @@
 #include "obs/text_trace.hh"
 
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
 #include <sstream>
-
-#include "sim/logging.hh"
 
 namespace firefly::obs
 {
 
-TextTraceSink::TextTraceSink() : out(nullptr)
+std::vector<std::string>
+splitFlags(const std::string &list)
 {
+    std::vector<std::string> names;
+    std::istringstream in(list);
+    for (std::string name; std::getline(in, name, ',');) {
+        if (!name.empty())
+            names.push_back(name);
+    }
+    return names;
 }
 
-TextTraceSink::TextTraceSink(std::ostream &os) : out(&os)
+TextTraceSink::TextTraceSink(std::vector<std::string> flags,
+                             std::ostream &os)
+    : flags(std::move(flags)), out(os)
 {
 }
 
 void
 TextTraceSink::event(const TraceEvent &ev)
 {
-    if (!debugFlagSet(ev.category))
+    if (std::find(flags.begin(), flags.end(), ev.category) == flags.end())
         return;
     ++lines;
 
@@ -45,17 +52,13 @@ TextTraceSink::event(const TraceEvent &ev)
     }
     line << "\n";
 
-    if (out)
-        *out << line.str();
-    else
-        std::fputs(line.str().c_str(), stderr);
+    out << line.str();
 }
 
 void
 TextTraceSink::flush()
 {
-    if (out)
-        out->flush();
+    out.flush();
 }
 
 } // namespace firefly::obs

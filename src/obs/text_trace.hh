@@ -1,11 +1,10 @@
 /**
  * @file
- * Human-readable text sink, gated by the debug-trace flags.
+ * Human-readable text sink, filtered by category.
  *
- * This is what finally drives the sim/logging.hh flag machinery: an
- * event is printed only if its category's flag is enabled (via
- * setDebugFlags("MBus,Cache"), a bench's --debug-flags option, or the
- * FIREFLY_DEBUG environment variable).  Output looks like
+ * The sink is built with the categories to print (the flags a bench
+ * takes from --debug-flags and FIREFLY_DEBUG, see bench/bench_util.hh)
+ * and drops every other event.  Output looks like
  *
  *     [Cache] 1204 cache0: line 0x1f40 Shared->Dirty (write-hit)
  *
@@ -15,21 +14,26 @@
 #ifndef FIREFLY_OBS_TEXT_TRACE_HH
 #define FIREFLY_OBS_TEXT_TRACE_HH
 
-#include <ostream>
+#include <iostream>
+#include <string>
+#include <vector>
 
 #include "obs/trace.hh"
 
 namespace firefly::obs
 {
 
-/** Prints flag-enabled events as text lines (default: stderr). */
+/** The nonempty names of a comma-separated flag list, in order
+ *  (",MBus,,Cache," gives MBus and Cache). */
+std::vector<std::string> splitFlags(const std::string &list);
+
+/** Prints the events of its categories as text lines. */
 class TextTraceSink : public TraceSink
 {
   public:
-    /** Write to stderr. */
-    TextTraceSink();
-    /** Write to a caller-owned stream. */
-    explicit TextTraceSink(std::ostream &os);
+    /** Print events whose category is one of `flags` to `os`. */
+    explicit TextTraceSink(std::vector<std::string> flags,
+                           std::ostream &os = std::cerr);
 
     void event(const TraceEvent &ev) override;
     void flush() override;
@@ -37,7 +41,8 @@ class TextTraceSink : public TraceSink
     std::uint64_t linesPrinted() const { return lines; }
 
   private:
-    std::ostream *out;  ///< nullptr = stderr via std::fputs
+    std::vector<std::string> flags;
+    std::ostream &out;
     std::uint64_t lines = 0;
 };
 

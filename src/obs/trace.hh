@@ -24,9 +24,9 @@
  * zero-cost case - and sink objects themselves are not thread-safe,
  * so a sink must only ever be attached on the thread that uses it.
  *
- * Event categories double as the debug-trace flag names understood by
- * sim/logging.hh (and the FIREFLY_DEBUG environment variable); the
- * text sink filters on them, the Chrome sink records them as "cat".
+ * Event categories double as the flag names a text sink
+ * (obs/text_trace.hh) is built with; the Chrome sink records them as
+ * "cat".
  *
  * Components that have no Simulator reference (the Topaz scheduler)
  * timestamp events with obs::traceNow(), which the Simulator
@@ -45,7 +45,7 @@
 namespace firefly::obs
 {
 
-/** Event categories == debug-flag names (see sim/logging.hh). */
+/** Event categories == text-sink flag names (obs/text_trace.hh). */
 inline constexpr const char *kCatMBus = "MBus";
 inline constexpr const char *kCatCache = "Cache";
 inline constexpr const char *kCatCpu = "Cpu";
@@ -54,6 +54,11 @@ inline constexpr const char *kCatSched = "Sched";
 inline constexpr const char *kCatRpc = "Rpc";
 inline constexpr const char *kCatCheck = "Check";
 inline constexpr const char *kCatFault = "Fault";
+
+/** Every category, in the order usage messages list them. */
+inline constexpr const char *kCategories[] = {
+    kCatMBus,  kCatCache, kCatCpu,   kCatDma,
+    kCatSched, kCatRpc,   kCatCheck, kCatFault};
 
 /** Event shape, following the Chrome trace-event phases. */
 enum class EventKind : char
@@ -70,7 +75,7 @@ struct TraceEvent
 
     Cycle when = 0;              ///< bus cycle of the event
     EventKind kind = EventKind::Instant;
-    const char *category = "";   ///< kCat* / debug-flag name
+    const char *category = "";   ///< one of kCategories
     std::string track;           ///< one timeline per component
     std::string name;            ///< what happened
     Args args;                   ///< key/value detail

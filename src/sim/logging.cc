@@ -1,60 +1,13 @@
 #include "sim/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 
 namespace firefly
 {
 
 namespace
 {
-
-// The flag registry is shared by every simulation thread (harness
-// workers run whole simulators concurrently), so it is guarded by a
-// mutex.  The common case - no flags enabled - never takes the lock:
-// flagCount mirrors the set's size (-1 until FIREFLY_DEBUG has been
-// folded in) and DPRINTF sites bail out on the atomic load alone.
-std::mutex flagMutex;
-std::set<std::string> debugFlags;           // guarded by flagMutex
-bool envParsed = false;                     // guarded by flagMutex
-std::atomic<int> flagCount{-1};
-
-/** Insert each nonempty comma-separated token of `list`. */
-void
-insertFlagList(const std::string &list)
-{
-    std::string::size_type start = 0;
-    while (start <= list.size()) {
-        auto end = list.find(',', start);
-        if (end == std::string::npos)
-            end = list.size();
-        if (end > start)
-            debugFlags.insert(list.substr(start, end - start));
-        start = end + 1;
-    }
-}
-
-/** Fold FIREFLY_DEBUG into the flag set, once, at first use. */
-void
-ensureEnvParsedLocked()
-{
-    if (envParsed)
-        return;
-    envParsed = true;
-    if (const char *env = std::getenv("FIREFLY_DEBUG"))
-        insertFlagList(env);
-}
-
-/** Publish the set's size for the lock-free fast path. */
-void
-publishFlagCountLocked()
-{
-    flagCount.store(static_cast<int>(debugFlags.size()),
-                    std::memory_order_release);
-}
 
 void
 vreport(const char *prefix, const char *fmt, va_list args)
@@ -101,68 +54,6 @@ inform(const char *fmt, ...)
     va_list args;
     va_start(args, fmt);
     vreport("info", fmt, args);
-    va_end(args);
-}
-
-void
-setDebugFlag(const std::string &flag, bool enable)
-{
-    std::lock_guard<std::mutex> lock(flagMutex);
-    ensureEnvParsedLocked();
-    if (enable)
-        debugFlags.insert(flag);
-    else
-        debugFlags.erase(flag);
-    publishFlagCountLocked();
-}
-
-void
-setDebugFlags(const std::string &comma_list)
-{
-    std::lock_guard<std::mutex> lock(flagMutex);
-    ensureEnvParsedLocked();
-    insertFlagList(comma_list);
-    publishFlagCountLocked();
-}
-
-bool
-debugFlagSet(const std::string &flag)
-{
-    if (flagCount.load(std::memory_order_acquire) == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(flagMutex);
-    ensureEnvParsedLocked();
-    publishFlagCountLocked();
-    return debugFlags.count(flag) != 0;
-}
-
-bool
-anyDebugFlagsSet()
-{
-    if (flagCount.load(std::memory_order_acquire) == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(flagMutex);
-    ensureEnvParsedLocked();
-    publishFlagCountLocked();
-    return !debugFlags.empty();
-}
-
-void
-resetDebugFlagsForTest()
-{
-    std::lock_guard<std::mutex> lock(flagMutex);
-    debugFlags.clear();
-    envParsed = false;
-    flagCount.store(-1, std::memory_order_release);
-}
-
-void
-debugPrintf(const std::string &flag, const char *fmt, ...)
-{
-    std::fprintf(stderr, "[%s] ", flag.c_str());
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
     va_end(args);
 }
 

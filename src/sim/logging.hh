@@ -1,23 +1,17 @@
 /**
  * @file
- * Error reporting and debug tracing.
+ * Error reporting.
  *
  * Follows the gem5 convention: panic() for internal simulator bugs
  * (conditions that should be impossible), fatal() for user errors
- * (bad configuration), warn()/inform() for status.  Debug tracing is
- * gated by named flags so individual subsystems can be traced.
- *
- * The flag registry is shared across threads (harness workers run
- * whole simulators concurrently) and is internally synchronised; the
- * no-flags-enabled fast path that every DPRINTF site takes is a
- * single lock-free atomic load.
+ * (bad configuration), warn()/inform() for status.  Tracing goes
+ * through the flight recorder (obs/trace.hh), not through here.
  */
 
 #ifndef FIREFLY_SIM_LOGGING_HH
 #define FIREFLY_SIM_LOGGING_HH
 
 #include <cstdarg>
-#include <string>
 
 namespace firefly
 {
@@ -35,41 +29,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Informational status message. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Enable a named debug-trace flag (e.g. "MBus", "Cache", "Sched"). */
-void setDebugFlag(const std::string &flag, bool enable = true);
-
-/** Enable every flag in a comma-separated list ("MBus,Cache,Dma"). */
-void setDebugFlags(const std::string &comma_list);
-
-/**
- * Query a debug-trace flag.  On first use the FIREFLY_DEBUG
- * environment variable (a comma-separated flag list) is folded in,
- * so any binary can be traced without per-tool flag plumbing:
- *
- *     FIREFLY_DEBUG=MBus,Cache build/bench/bench_scaling
- */
-bool debugFlagSet(const std::string &flag);
-
-/** True if any flag is enabled (set programmatically or via env). */
-bool anyDebugFlagsSet();
-
-/** Test hook: clear all flags and re-read FIREFLY_DEBUG on next use. */
-void resetDebugFlagsForTest();
-
-/** Emit a trace line if the flag is enabled. */
-void debugPrintf(const std::string &flag, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-/**
- * Trace macro: cheap when the flag is off.  Usage:
- *   DPRINTF("MBus", "grant to client %u\n", id);
- */
-#define DPRINTF(flag, ...)                                              \
-    do {                                                                \
-        if (::firefly::debugFlagSet(flag))                              \
-            ::firefly::debugPrintf(flag, __VA_ARGS__);                  \
-    } while (0)
 
 } // namespace firefly
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "test_util.hh"
 
 using namespace firefly;
@@ -240,25 +243,37 @@ TEST(FireflyProtocol, WriteThroughContinuesWhileShared)
 
 TEST(FireflyProtocol, SnoopProbeMakesTagStoreBusy)
 {
+    // Cache 1 misses on a line cache 0 holds.  In the cycle the bus
+    // probes cache 0's tags, cache 0's processor access must retry; a
+    // cycle later the tag store is free and the access hits.
     FireflyRig rig;
-    // Simulate a snoop probe arriving in the current cycle, then
-    // attempt a CPU access in the same cycle: it must retry.
-    MBusTransaction txn;
-    txn.type = MBusOpType::MRead;
-    txn.addr = kA;
-    txn.initiator = rig.caches[1].get();
-    rig.caches[0]->snoopProbe(txn);
+    rig.read(0, kA);
+    struct Cpu0 : Clocked
+    {
+        Cache &cache;
+        const MBus &bus;
+        std::vector<std::pair<Cycle, Cache::AccessOutcome>> log;
+        Cpu0(Cache &c, const MBus &b) : cache(c), bus(b) {}
+        void
+        tick(Cycle now) override
+        {
+            // Read once in the cycle the bus probes this cache (its
+            // first snoop call) and once in the next.
+            if (log.size() == 2 || (log.empty() && bus.snoopCalls() == 0))
+                return;
+            const MemRef ref{kA, RefType::DataRead, 0};
+            log.emplace_back(now, cache.cpuAccess(ref, {}).outcome);
+        }
+    } cpu0(*rig.caches[0], *rig.bus);
+    rig.sim.addClocked(&cpu0, Phase::Cpu);
+    rig.read(1, kA);
 
-    bool called = false;
-    auto result = rig.caches[0]->cpuAccess(
-        {kA, RefType::DataRead, 0}, [&](Word) { called = true; });
-    EXPECT_EQ(result.outcome, Cache::AccessOutcome::RetryTagBusy);
-    EXPECT_FALSE(called);
+    EXPECT_EQ(rig.bus->snoopCalls(), 1u);
+    ASSERT_EQ(cpu0.log.size(), 2u);
+    EXPECT_EQ(cpu0.log[0].second, Cache::AccessOutcome::RetryTagBusy);
+    EXPECT_EQ(cpu0.log[1].first, cpu0.log[0].first + 1);
+    EXPECT_EQ(cpu0.log[1].second, Cache::AccessOutcome::Hit);
     EXPECT_EQ(rig.caches[0]->tagBusyRetries.value(), 1u);
-
-    // A cycle later the tag store is free again.
-    rig.sim.run(1);
-    EXPECT_EQ(rig.read(0, kA), 0u);
 }
 
 TEST(FireflyProtocol, InstructionReadsBehaveLikeDataReads)

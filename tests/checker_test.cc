@@ -273,16 +273,17 @@ TEST(Checker, OnChipStalenessDetectedWithoutRepair)
 
 TEST(Checker, OnChipRepairPreventsStaleness)
 {
-    // Same scenario, but with the repair observer the system wires
-    // for InstructionsAndData mode: the write drops the entry, the
+    // Same scenario, but with the repair commit observer the system
+    // wires for InstructionsAndData mode: the write drops the entry, the
     // next access misses and reinstalls, and nothing is stale.
     CheckedRig rig(ProtocolKind::Firefly, 2);
     OnChipCache::Config oc;
     oc.mode = OnChipCache::DataMode::InstructionsAndData;
     OnChipCache chip(oc, "onchip0");
     rig.checker->watch(chip);
-    rig.bus->addWriteObserver([&chip](Addr addr, unsigned words) {
-        chip.observeBusWrite(addr, words);
+    rig.bus->addCommitObserver([&chip](const MBusTransaction &txn) {
+        if (txn.type != MBusOpType::MRead)
+            chip.observeBusWrite(txn.addr, txn.words);
     });
 
     rig.memory.write(kA, 1);

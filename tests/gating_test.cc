@@ -23,6 +23,7 @@
 #include "cpu/trace_cpu.hh"
 #include "firefly/system.hh"
 #include "obs/stat_sampler.hh"
+#include "obs/trace.hh"
 #include "test_util.hh"
 
 using namespace firefly;
@@ -219,12 +220,19 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
     rig.read(2, kB);  // nobody else holds B: no probe at all
     EXPECT_EQ(rig.bus->snoopCalls(), 0u);
 
-    std::vector<Cycle> probes;
-    rig.bus->setTraceHook(
-        [&](Cycle now, const std::string &phase, const std::string &) {
-            if (phase == "wdata+probe")
-                probes.push_back(now);
-        });
+    struct ProbeLog : obs::TraceSink
+    {
+        std::vector<Cycle> probes;
+        void
+        event(const obs::TraceEvent &ev) override
+        {
+            if (ev.kind == obs::EventKind::Instant &&
+                ev.name == "wdata+probe")
+                probes.push_back(ev.when);
+        }
+    } probe_log;
+    obs::ScopedTraceSink attach(&probe_log);
+    const std::vector<Cycle> &probes = probe_log.probes;
     // The bystander's processor re-reads its own line every cycle
     // while cache 1 misses on A, which only cache 0 holds.
     struct Poker : Clocked

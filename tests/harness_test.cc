@@ -195,7 +195,7 @@ TEST(ObsContext, WorkersStartWithNoSink)
     // The sink context is thread_local: attaching on the test thread
     // must leave harness workers unobserved (the zero-cost path).
     std::ostringstream os;
-    obs::TextTraceSink sink(os);
+    obs::TextTraceSink sink({}, os);
     obs::ScopedTraceSink scoped(&sink);
     ASSERT_EQ(obs::traceSink(), &sink);
 
@@ -211,7 +211,7 @@ TEST(ObsContext, PerThreadSinksAndTimestampsAreIsolated)
     // Two threads attach different sinks and publish different
     // timestamps; neither may observe the other's context.
     std::ostringstream os_a, os_b;
-    obs::TextTraceSink sink_a(os_a), sink_b(os_b);
+    obs::TextTraceSink sink_a({}, os_a), sink_b({}, os_b);
     std::atomic<bool> ok_a{false}, ok_b{false};
     std::thread a([&] {
         obs::ScopedTraceSink scoped(&sink_a);

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mbus/interrupts.hh"
 #include "mbus/mbus.hh"
 #include "mem/main_memory.hh"
+#include "obs/trace.hh"
 #include "sim/simulator.hh"
 
 using namespace firefly;
@@ -301,21 +304,28 @@ TEST(MBusDeathTest, DoubleRequestPanics)
                  "outstanding");
 }
 
-TEST(MBus, TraceHookSeesFourPhases)
+TEST(MBus, FlightRecorderSeesFourPhases)
 {
+    // Each cycle of a transaction is one MBus phase instant whose
+    // "detail" arg is the text Figure 4 prints.
+    struct PhaseLog : obs::TraceSink
+    {
+        std::vector<std::pair<Cycle, std::string>> phases;
+        void
+        event(const obs::TraceEvent &ev) override
+        {
+            if (ev.kind == obs::EventKind::Instant &&
+                ev.args.size() == 1 && ev.args[0].first == "detail")
+                phases.emplace_back(ev.when, ev.name);
+        }
+    } log;
+    obs::ScopedTraceSink attach(&log);
     BusRig rig;
-    std::vector<std::string> phases;
-    rig.bus.setTraceHook(
-        [&](Cycle, const std::string &phase, const std::string &) {
-            phases.push_back(phase);
-        });
     rig.bus.request(rig.makeRead(rig.a, 0x100));
     rig.sim.run(4);
-    ASSERT_EQ(phases.size(), 4u);
-    EXPECT_EQ(phases[0], "arb+addr");
-    EXPECT_EQ(phases[1], "wdata+probe");
-    EXPECT_EQ(phases[2], "mshared");
-    EXPECT_EQ(phases[3], "data");
+    const std::vector<std::pair<Cycle, std::string>> expected = {
+        {0, "arb+addr"}, {1, "wdata+probe"}, {2, "mshared"}, {3, "data"}};
+    EXPECT_EQ(log.phases, expected);
 }
 
 TEST(Interrupts, DirectedDelivery)

@@ -561,15 +561,10 @@ TEST(Observation, TracingDoesNotChangeTheMachine)
 
 TEST(TextTrace, FiltersOnDebugFlags)
 {
-    resetDebugFlagsForTest();
     std::ostringstream out;
-    obs::TextTraceSink sink(out);
+    obs::TextTraceSink sink({"MBus"}, out);
     obs::ScopedTraceSink attach(&sink);
 
-    obs::traceSink()->instant(10, obs::kCatMBus, "mbus", "request");
-    EXPECT_EQ(sink.linesPrinted(), 0u) << "no flags: nothing prints";
-
-    setDebugFlags("MBus");
     obs::traceSink()->instant(11, obs::kCatMBus, "mbus", "request",
                               {{"addr", "0x40"}});
     obs::traceSink()->instant(12, obs::kCatCache, "cache0", "fill");
@@ -580,7 +575,54 @@ TEST(TextTrace, FiltersOnDebugFlags)
     EXPECT_NE(text.find("mbus"), std::string::npos);
     EXPECT_NE(text.find("addr=0x40"), std::string::npos);
     EXPECT_EQ(text.find("cache0"), std::string::npos);
-    resetDebugFlagsForTest();
+}
+
+// The flag list a text sink is built with.  FIREFLY_DEBUG is read by
+// the bench option parse; its cases are in bench_options_test.cc.
+
+TEST(LoggingFlags, DefaultsToAllOff)
+{
+    std::ostringstream out;
+    obs::TextTraceSink sink({}, out);
+    for (const char *category : obs::kCategories)
+        sink.instant(10, category, "track", "event");
+    EXPECT_EQ(sink.linesPrinted(), 0u);
+    EXPECT_TRUE(out.str().empty());
+}
+
+TEST(LoggingFlags, SetAndClearOneFlag)
+{
+    // One sink per flag set: each prints exactly its own categories.
+    std::ostringstream with_out, without_out;
+    obs::TextTraceSink with({"MBus"}, with_out);
+    obs::TextTraceSink without({"Cache"}, without_out);
+    for (obs::TextTraceSink *sink : {&with, &without})
+        sink->instant(10, obs::kCatMBus, "mbus", "request");
+    EXPECT_EQ(with.linesPrinted(), 1u);
+    EXPECT_EQ(without.linesPrinted(), 0u);
+}
+
+TEST(LoggingFlags, CommaSeparatedList)
+{
+    EXPECT_EQ(obs::splitFlags("MBus,Cache,Sched"),
+              (std::vector<std::string>{"MBus", "Cache", "Sched"}));
+
+    std::ostringstream out;
+    obs::TextTraceSink sink(obs::splitFlags("MBus,Cache,Sched"), out);
+    sink.instant(1, obs::kCatMBus, "mbus", "request");
+    sink.instant(2, obs::kCatCache, "cache0", "fill");
+    sink.instant(3, obs::kCatSched, "sched", "dispatch");
+    sink.instant(4, obs::kCatDma, "dma", "start");
+    EXPECT_EQ(sink.linesPrinted(), 3u);
+    EXPECT_EQ(out.str().find("[Dma]"), std::string::npos);
+}
+
+TEST(LoggingFlags, ListSkipsEmptyTokens)
+{
+    EXPECT_EQ(obs::splitFlags(",MBus,,Cache,"),
+              (std::vector<std::string>{"MBus", "Cache"}));
+    EXPECT_TRUE(obs::splitFlags("").empty());
+    EXPECT_TRUE(obs::splitFlags(",,").empty());
 }
 
 // --- the stat sampler -------------------------------------------------
