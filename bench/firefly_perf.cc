@@ -25,11 +25,12 @@
  * Each point runs twice, fast-forward on and (forcibly) off, and
  * reports the ratio; behaviour and statistics are bit-identical
  * between the two (scripts/check.sh perf byte-compares the exports).
- * Two host-independent work counters back the wall-clock numbers:
- * Clocked::tick calls per simulated cycle (due-cycle gating) and
- * snoop probes per bus transaction (the duplicate-tag filter), both
+ * Three host-independent work counters back the wall-clock numbers:
+ * Clocked::tick calls per simulated cycle (due-cycle gating), snoop
+ * probes per bus transaction (the bus probes only the caches whose
+ * tags hold the line) and events scheduled per simulated cycle, all
  * from the gated run; check.sh perf holds them to the committed
- * baseline exactly.
+ * baseline exactly.  Each point also reports its bus load.
  * Wall clock is std::chrono::steady_clock; every point gets a warmup
  * run plus `--perf-reps` measured repetitions, best-of reported
  * (minimum wall time - host noise only ever slows a run down).
@@ -70,6 +71,8 @@ struct Measure
     std::uint64_t ticks = 0;       ///< Clocked::tick calls
     std::uint64_t snoops = 0;      ///< snoopProbe calls
     std::uint64_t txns = 0;        ///< bus transactions
+    std::uint64_t events = 0;      ///< EventQueue::schedule calls
+    double busLoad = 0.0;
 
     double
     cyclesPerSec() const
@@ -93,6 +96,12 @@ struct Measure
     snoopsPerTxn() const
     {
         return txns ? static_cast<double>(snoops) / txns : 0.0;
+    }
+
+    double
+    eventsPerCycle() const
+    {
+        return simCycles ? static_cast<double>(events) / simCycles : 0.0;
     }
 };
 
@@ -133,6 +142,8 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
     m.ffSkipped = sys.simulator().cyclesFastForwarded();
     m.ticks = sys.simulator().ticksDispatched();
     m.snoops = sys.bus().snoopCalls();
+    m.events = sys.simulator().events().scheduled();
+    m.busLoad = sys.busLoad();
     const StatGroup &bus = sys.bus().stats();
     m.txns = static_cast<std::uint64_t>(
         bus.get("reads") + bus.get("writes") + bus.get("reads_owned") +
@@ -181,10 +192,11 @@ experiment()
         {"saturated", ProtocolKind::Mesi, 7},
     };
 
-    std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s | %9s %9s\n",
+    std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s | %9s %9s "
+                "%9s %6s\n",
                 "workload", "protocol", "np", "Mcycles/s", "Mrefs/s",
                 "ff-skip%", "slow Mcyc/s", "speedup", "ticks/cyc",
-                "snoop/txn");
+                "snoop/txn", "evts/cyc", "load");
     bench::rule();
 
     std::string json;
@@ -210,11 +222,12 @@ experiment()
 
         std::printf(
             "%-9s %-8s %3u | %12.2f %12.2f %8.1f%% | %12.2f %7.2fx | "
-            "%9.3f %9.3f\n",
+            "%9.3f %9.3f %9.4f %6.3f\n",
             pt.workload, toString(pt.proto), pt.cpus,
             fast.cyclesPerSec() / 1e6, fast.refsPerSec() / 1e6,
             skipFrac, slow.cyclesPerSec() / 1e6, speedup,
-            fast.ticksPerCycle(), fast.snoopsPerTxn());
+            fast.ticksPerCycle(), fast.snoopsPerTxn(),
+            fast.eventsPerCycle(), fast.busLoad);
 
         if (!first)
             json += ",";
@@ -239,6 +252,9 @@ experiment()
                 statNumber(fast.ticksPerCycle());
         json += ",\"snoop_calls_per_txn\":" +
                 statNumber(fast.snoopsPerTxn());
+        json += ",\"events_per_cycle\":" +
+                statNumber(fast.eventsPerCycle());
+        json += ",\"bus_load\":" + statNumber(fast.busLoad);
         json += "}";
     }
     json += "]}\n";

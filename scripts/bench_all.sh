@@ -2,8 +2,11 @@
 # Run every sweep bench serially (--jobs=1) and in parallel
 # (--jobs=N), verify the parallel run reproduces the serial stats
 # byte for byte, and record wall-clock and speedup per sweep in
-# BENCH_sweeps.json - the start of the perf trajectory.  Then run
-# the host-throughput bench (firefly_perf) and record its grid in
+# BENCH_sweeps.json - the start of the perf trajectory.  Then time
+# all twelve paper benches run one after another, at --jobs=1 and at
+# --jobs=N (the cost of regenerating every paper table and figure),
+# and add that as the "paper_tables" row.  Finally run the
+# host-throughput bench (firefly_perf) and record its grid in
 # BENCH_perf.json - the baseline scripts/check.sh perf compares
 # against.
 #
@@ -22,6 +25,10 @@ out="$repo/BENCH_sweeps.json"
 
 sweeps="bench_protocols bench_scaling bench_line_size bench_migration \
 bench_cvax_upgrade bench_table1_estimated"
+papers="bench_fig3_states bench_fig4_mbus_timing bench_table1_estimated \
+bench_table2_measured bench_protocols bench_scaling bench_line_size \
+bench_migration bench_cvax_upgrade bench_io_dma bench_mdc_display \
+bench_rpc"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -58,6 +65,23 @@ for bench in $sweeps; do
         >> "$tmpdir/rows"
 done
 
+# One row for the whole set of paper benches, each pass in one go.
+run_papers() {
+    for bench in $papers; do
+        bin="$builddir/bench/$bench"
+        [ -x "$bin" ] || { echo "missing $bin (build first)" >&2; exit 1; }
+        "$bin" --jobs="$1" > /dev/null
+    done
+}
+echo "== paper tables --jobs=1"
+t0=$(now_ns)
+run_papers 1
+t1=$(now_ns)
+echo "== paper tables --jobs=$jobs"
+run_papers "$jobs"
+t2=$(now_ns)
+echo "paper_tables $((t1 - t0)) $((t2 - t1)) na" >> "$tmpdir/rows"
+
 python3 - "$tmpdir/rows" "$jobs" "$out" <<'EOF'
 import json, os, sys, time
 
@@ -73,10 +97,19 @@ for line in open(rows_path):
         "speedup": round(serial_s / parallel_s, 3) if parallel_s else None,
         "stats_identical": {"true": True, "na": None}[identical],
     })
+host_cpu = None
+try:
+    for line in open("/proc/cpuinfo"):
+        if line.startswith("model name"):
+            host_cpu = line.split(":", 1)[1].strip()
+            break
+except OSError:
+    pass
 doc = {
     "schema": "firefly-bench-sweeps-v1",
     "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     "host_cores": os.cpu_count(),
+    "host_cpu": host_cpu,
     "jobs": jobs,
     "sweeps": sweeps,
 }

@@ -26,7 +26,8 @@
 # idle fast-forward changes nothing observable (byte-identical stats
 # exports with FIREFLY_NO_FASTFORWARD=1), that the idle-heavy
 # speedup is still there, that the deterministic work counters (tick
-# calls per cycle, snoop probes per transaction) have not grown over
+# calls per cycle, snoop probes per transaction, events scheduled per
+# cycle) have not grown over
 # the committed BENCH_perf.json baseline (strict: they do not depend
 # on the host), and that throughput has not cratered against it
 # (lenient threshold: hosts differ; the file tracks the trajectory).
@@ -171,7 +172,8 @@ for bp in base["points"]:
     # The work counters do not depend on the host: any increase over
     # the committed baseline is a regression (re-record the baseline
     # with scripts/bench_all.sh when a change lowers them).
-    for counter in ("tick_calls_per_cycle", "snoop_calls_per_txn"):
+    for counter in ("tick_calls_per_cycle", "snoop_calls_per_txn",
+                    "events_per_cycle"):
         if counter in bp and p[counter] > bp[counter] * (1 + 1e-9):
             sys.exit(f"point {key}: {counter} {p[counter]:.4f} exceeds "
                      f"the committed {bp[counter]:.4f}")

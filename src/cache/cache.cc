@@ -25,12 +25,15 @@ Cache::Cache(Simulator &sim, MBus &bus, const ProtocolTable &protocol,
     }
     _lineWords = geom.lineBytes / bytesPerWord;
     lineBytes = geom.lineBytes;
-    lines.resize(geom.cacheBytes / geom.lineBytes);
+    const std::size_t lines = geom.cacheBytes / geom.lineBytes;
+    tag.assign(lines, kNoLine);
+    state.assign(lines, LineState::Invalid);
+    data.assign(lines * _lineWords, 0);
     while ((Addr{1} << lineShift) < lineBytes)
         ++lineShift;
-    linesPow2 = (lines.size() & (lines.size() - 1)) == 0;
+    linesPow2 = (lines & (lines - 1)) == 0;
 
-    busIndex = bus.attachCache(this, lineBytes, lines.size());
+    bus.attachCache(this, lineBytes, lines, tag.data());
 
     statGroup.addCounter(&refsInstr, "refs_instr", "instruction reads");
     statGroup.addCounter(&refsRead, "refs_read", "data reads");
@@ -86,23 +89,17 @@ Cache::Cache(Simulator &sim, MBus &bus, const ProtocolTable &protocol,
         [this] { return dirtyFraction(); });
 }
 
-const CacheLine &
-Cache::lineAt(Addr byte_addr) const
-{
-    return lineFor(byte_addr);
-}
-
 bool
 Cache::holds(Addr byte_addr) const
 {
-    const CacheLine &line = lineFor(byte_addr);
-    return line.valid() && tagMatch(line, byte_addr);
+    return tag[indexOf(byte_addr)] == lineBaseOf(byte_addr);
 }
 
 void
-Cache::writeWord(CacheLine &line, Addr byte_addr, Word value)
+Cache::setLine(std::size_t index, Addr base, LineState s)
 {
-    line.data[(byte_addr - line.base) / bytesPerWord] = value;
+    tag[index] = s == LineState::Invalid ? kNoLine : base;
+    state[index] = s;
 }
 
 double
@@ -110,10 +107,10 @@ Cache::dirtyFraction() const
 {
     std::size_t valid = 0;
     std::size_t dirty = 0;
-    for (const auto &line : lines) {
-        if (line.valid()) {
+    for (const LineState s : state) {
+        if (s != LineState::Invalid) {
             ++valid;
-            if (needsWriteback(line.state))
+            if (needsWriteback(s))
                 ++dirty;
         }
     }
@@ -123,9 +120,9 @@ Cache::dirtyFraction() const
 double
 Cache::validFraction() const
 {
-    const auto valid = std::count_if(lines.begin(), lines.end(),
-        [](const CacheLine &l) { return l.valid(); });
-    return static_cast<double>(valid) / lines.size();
+    const auto valid = std::count_if(state.begin(), state.end(),
+        [](LineState s) { return s != LineState::Invalid; });
+    return static_cast<double>(valid) / state.size();
 }
 
 double
@@ -133,13 +130,11 @@ Cache::sharedFraction() const
 {
     std::size_t valid = 0;
     std::size_t shared = 0;
-    for (const auto &line : lines) {
-        if (line.valid()) {
+    for (const LineState s : state) {
+        if (s != LineState::Invalid) {
             ++valid;
-            if (line.state == LineState::Shared ||
-                line.state == LineState::SharedDirty) {
+            if (s == LineState::Shared || s == LineState::SharedDirty)
                 ++shared;
-            }
         }
     }
     return valid ? static_cast<double>(shared) / valid : 0.0;
@@ -163,24 +158,23 @@ Cache::traceLine(Addr line_base, LineState old_state,
 bool
 Cache::tryFastPath(const MemRef &ref, Word &out)
 {
-    CacheLine &line = lineFor(ref.addr);
-    const bool hit = line.valid() && tagMatch(line, ref.addr);
-    if (!hit)
+    const std::size_t i = indexOf(ref.addr);
+    if (tag[i] != lineBaseOf(ref.addr))
         return false;
 
     if (!isWrite(ref.type)) {
         countRef(ref, true);
-        out = readWord(line, ref.addr);
+        out = wordAt(i, ref.addr);
         if (checkObs)
             checkObs->loadObserved(ref.addr, out, *this, "hit");
         return true;
     }
-    if (writeHitAction(line) == WriteHitAction::Silent) {
+    if (writeHitAction(state[i]) == WriteHitAction::Silent) {
         countRef(ref, true);
-        writeWord(line, ref.addr, ref.value);
-        const LineState old = line.state;
-        line.state = LineState::Dirty;
-        traceLine(line.base, old, line.state, "write-hit");
+        wordAt(i, ref.addr) = ref.value;
+        const LineState old = state[i];
+        setLine(i, tag[i], LineState::Dirty);
+        traceLine(tag[i], old, LineState::Dirty, "write-hit");
         // The line is exclusive (a silent write requires it), so the
         // local write instant is the global serialization instant.
         if (checkObs)
@@ -212,7 +206,7 @@ Cache::cpuAccessSlow(const MemRef &ref, Callback cb)
     queue.push_back(PendingAccess{ref, false, std::move(cb),
                                   Stage::Start, false});
     if (!engineBusy && queue.size() == 1)
-        startHead();
+        dispatchHead();
     return {AccessOutcome::Pending, 0};
 }
 
@@ -225,21 +219,17 @@ Cache::dmaAccess(const MemRef &ref, Callback cb)
     queue.push_back(PendingAccess{ref, true, std::move(cb),
                                   Stage::Start, false});
     if (!engineBusy && queue.size() == 1)
-        startHead();
-}
-
-void
-Cache::startHead()
-{
-    dispatchHead();
+        dispatchHead();
 }
 
 void
 Cache::dispatchHead()
 {
     PendingAccess &p = queue.front();
-    CacheLine &line = lineFor(p.ref.addr);
-    const bool hit = line.valid() && tagMatch(line, p.ref.addr);
+    const std::size_t i = indexOf(p.ref.addr);
+    const bool hit = tag[i] == lineBaseOf(p.ref.addr);
+    // A miss must first write back a dirty line in its way.
+    const bool victim = needsWriteback(state[i]);
 
     if (p.isDma) {
         if (isWrite(p.ref.type)) {
@@ -249,7 +239,7 @@ Cache::dispatchHead()
         } else {
             ++dmaReads;
             if (hit) {
-                const Word value = readWord(line, p.ref.addr);
+                const Word value = wordAt(i, p.ref.addr);
                 if (checkObs)
                     checkObs->loadObserved(p.ref.addr, value, *this,
                                            "dma-hit");
@@ -282,13 +272,13 @@ Cache::dispatchHead()
 
     if (!isWrite(p.ref.type)) {
         if (hit) {
-            const Word value = readWord(line, p.ref.addr);
+            const Word value = wordAt(i, p.ref.addr);
             if (checkObs)
                 checkObs->loadObserved(p.ref.addr, value, *this, "hit");
             finishHead(value);
             return;
         }
-        if (line.valid() && needsWriteback(line.state)) {
+        if (victim) {
             issueVictimWriteFor(p.ref.addr);
             return;
         }
@@ -298,7 +288,7 @@ Cache::dispatchHead()
 
     // Processor write.
     if (hit) {
-        applyWriteHit(line, p.ref);
+        applyWriteHit(i, p.ref);
         return;
     }
 
@@ -306,7 +296,7 @@ Cache::dispatchHead()
       case WriteMissAction::WriteThroughAllocate:
         if (_lineWords != 1)
             panic("WriteThroughAllocate requires one-word lines");
-        if (line.valid() && needsWriteback(line.state)) {
+        if (victim) {
             issueVictimWriteFor(p.ref.addr);
             return;
         }
@@ -321,7 +311,7 @@ Cache::dispatchHead()
         return;
 
       case WriteMissAction::FillThenWriteHit:
-        if (line.valid() && needsWriteback(line.state)) {
+        if (victim) {
             issueVictimWriteFor(p.ref.addr);
             return;
         }
@@ -329,7 +319,7 @@ Cache::dispatchHead()
         return;
 
       case WriteMissAction::ReadOwned:
-        if (line.valid() && needsWriteback(line.state)) {
+        if (victim) {
             issueVictimWriteFor(p.ref.addr);
             return;
         }
@@ -339,26 +329,25 @@ Cache::dispatchHead()
 }
 
 WriteHitAction
-Cache::writeHitAction(const CacheLine &line) const
+Cache::writeHitAction(LineState s) const
 {
-    const WriteHitAction action = proto.onWriteHit(line.state);
+    const WriteHitAction action = proto.onWriteHit(s);
     if (action == WriteHitAction::Illegal)
-        panic("%s write hit in state %s", proto.name,
-              toString(line.state));
+        panic("%s write hit in state %s", proto.name, toString(s));
     return action;
 }
 
 void
-Cache::applyWriteHit(CacheLine &line, const MemRef &ref)
+Cache::applyWriteHit(std::size_t index, const MemRef &ref)
 {
-    switch (writeHitAction(line)) {
+    switch (writeHitAction(state[index])) {
       case WriteHitAction::Illegal:
         break;  // writeHitAction panicked
       case WriteHitAction::Silent: {
-        writeWord(line, ref.addr, ref.value);
-        const LineState old = line.state;
-        line.state = LineState::Dirty;
-        traceLine(line.base, old, line.state, "write-hit");
+        wordAt(index, ref.addr) = ref.value;
+        const LineState old = state[index];
+        setLine(index, tag[index], LineState::Dirty);
+        traceLine(tag[index], old, LineState::Dirty, "write-hit");
         if (checkObs)
             checkObs->writeSerialized(ref.addr, ref.value, *this,
                                       "write-hit");
@@ -379,35 +368,39 @@ Cache::applyWriteHit(CacheLine &line, const MemRef &ref)
 }
 
 void
-Cache::install(CacheLine &line, Addr byte_addr)
+Cache::install(std::size_t index, Addr byte_addr, LineState s,
+               const char *cause)
 {
-    line.base = lineBaseOf(byte_addr);
-    bus.noteInstall(busIndex, line.base);
+    const Addr base = lineBaseOf(byte_addr);
+    if (tag[index] != kNoLine && tag[index] != base)
+        traceLine(tag[index], state[index], LineState::Invalid,
+                  "evicted-clean");
+    setLine(index, base, s);
+    traceLine(base, LineState::Invalid, s, cause);
 }
 
 void
-Cache::finishHead(Word data)
+Cache::finishHead(Word value)
 {
     Callback cb = std::move(queue.front().cb);
     queue.pop_front();
     engineBusy = false;
     if (cb)
-        cb(data);
+        cb(value);
     if (!queue.empty() && !engineBusy)
-        startHead();
+        dispatchHead();
 }
 
 void
 Cache::issueVictimWriteFor(Addr target_addr)
 {
-    CacheLine &victim = lineFor(target_addr);
+    const std::size_t victim = indexOf(target_addr);
     MBusTransaction txn;
     txn.type = MBusOpType::MWrite;
     txn.kind = MBusOpKind::VictimWrite;
-    txn.addr = victim.base;
+    txn.addr = tag[victim];
     txn.words = _lineWords;
-    for (unsigned i = 0; i < _lineWords; ++i)
-        txn.data[i] = victim.data[i];
+    std::copy_n(&data[victim * _lineWords], _lineWords, txn.data.begin());
     txn.updatesMemory = true;
     txn.initiator = this;
     queue.front().stage = Stage::VictimWrite;
@@ -464,21 +457,21 @@ Cache::issueInvalidate(Addr byte_addr)
 }
 
 const SnoopRule &
-Cache::snoopRule(const CacheLine &line, const MBusTransaction &txn) const
+Cache::snoopRule(std::size_t index, const MBusTransaction &txn) const
 {
     // snoopEvent judges coverage by length: a transaction must be one
     // word, or the whole line from its base.
     if (txn.words > _lineWords ||
-        (txn.words == _lineWords && txn.addr != line.base)) {
+        (txn.words == _lineWords && txn.addr != tag[index])) {
         panic("%s: %u-word %s at 0x%x is neither one word nor line "
               "0x%x", _name.c_str(), txn.words, toString(txn.type),
-              txn.addr, line.base);
+              txn.addr, tag[index]);
     }
     const SnoopRule &rule =
-        proto.onSnoop(line.state, snoopEvent(txn, _lineWords));
+        proto.onSnoop(state[index], snoopEvent(txn, _lineWords));
     if (!rule.legal) {
         panic("%s cache snooped %s in state %s", proto.name,
-              toString(txn.type), toString(line.state));
+              toString(txn.type), toString(state[index]));
     }
     return rule;
 }
@@ -486,31 +479,30 @@ Cache::snoopRule(const CacheLine &line, const MBusTransaction &txn) const
 SnoopReply
 Cache::snoopProbe(const MBusTransaction &txn)
 {
-    const CacheLine &line = lineFor(txn.addr);
-    if (!line.valid() || !tagMatch(line, txn.addr))
+    const std::size_t i = indexOf(txn.addr);
+    if (tag[i] != lineBaseOf(txn.addr))
         return SnoopReply{};
     // Every holder asserts MShared, whatever its state.
-    return SnoopReply{true, snoopRule(line, txn).supply};
+    return SnoopReply{true, snoopRule(i, txn).supply};
 }
 
 void
 Cache::snoopSupplyData(const MBusTransaction &txn, Word *out)
 {
-    const CacheLine &line = lineFor(txn.addr);
-    if (!line.valid() || !tagMatch(line, txn.addr))
+    const std::size_t i = indexOf(txn.addr);
+    if (tag[i] != lineBaseOf(txn.addr))
         panic("%s asked to supply a line it does not hold",
               _name.c_str());
-    for (unsigned i = 0; i < txn.words; ++i) {
-        const Addr a = txn.addr + i * bytesPerWord;
-        out[i] = line.data[(a - line.base) / bytesPerWord];
-    }
+    for (unsigned w = 0; w < txn.words; ++w)
+        out[w] = wordAt(i, txn.addr + w * bytesPerWord);
 }
 
 void
 Cache::snoopComplete(const MBusTransaction &txn)
 {
-    CacheLine &line = lineFor(txn.addr);
-    if (!line.valid() || !tagMatch(line, txn.addr))
+    const std::size_t i = indexOf(txn.addr);
+    const Addr base = tag[i];
+    if (base != lineBaseOf(txn.addr))
         return;
     // A DMA read installs no cached copy anywhere, so no snoop
     // transition is warranted: in particular a dirty owner must NOT
@@ -519,28 +511,26 @@ Cache::snoopComplete(const MBusTransaction &txn)
     // orphaned dirty with nobody left owing the write-back.
     if (txn.type == MBusOpType::MRead && txn.kind == MBusOpKind::DmaRead)
         return;
-    const bool was_valid = line.valid();
-    const LineState old = line.state;
-    const SnoopRule &rule = snoopRule(line, txn);
+    const LineState old = state[i];
+    const SnoopRule &rule = snoopRule(i, txn);
     if (rule.merge) {
-        for (unsigned i = 0; i < txn.words; ++i) {
-            const Addr a = txn.addr + i * bytesPerWord;
-            if (a >= line.base && a < line.base + lineBytes)
-                writeWord(line, a, txn.data[i]);
+        for (unsigned w = 0; w < txn.words; ++w) {
+            const Addr a = txn.addr + w * bytesPerWord;
+            if (a >= base && a < base + lineBytes)
+                wordAt(i, a) = txn.data[w];
         }
     }
-    line.state = rule.next;
+    setLine(i, base, rule.next);
     static const char *snoop_causes[4] = {
         "snoop-read", "snoop-write", "snoop-read-owned",
         "snoop-invalidate"
     };
-    traceLine(line.base, old, line.state,
+    traceLine(base, old, rule.next,
               snoop_causes[static_cast<int>(txn.type)]);
-    if (was_valid && !line.valid()) {
+    if (rule.next == LineState::Invalid)
         ++invalidationsReceived;
-    } else if (txn.type == MBusOpType::MWrite && line.valid()) {
+    else if (txn.type == MBusOpType::MWrite)
         ++updatesReceived;
-    }
 }
 
 void
@@ -553,10 +543,9 @@ Cache::refreshWriteData(MBusTransaction &txn)
     // line while this request waited for the bus (a DMA write - the
     // I/O cache outranks us in arbitration) must be part of what we
     // write back, or memory ends up holding pre-DMA data.
-    CacheLine &line = lineFor(txn.addr);
-    if (line.valid() && line.base == txn.addr) {
-        for (unsigned i = 0; i < txn.words; ++i)
-            txn.data[i] = line.data[i];
+    const std::size_t i = indexOf(txn.addr);
+    if (tag[i] == txn.addr) {
+        std::copy_n(&data[i * _lineWords], txn.words, txn.data.begin());
     } else {
         // The line was invalidated while the write-back waited (a
         // full-line overwrite snooped by an invalidation protocol):
@@ -577,10 +566,11 @@ Cache::transactionDone(const MBusTransaction &txn)
     switch (p.stage) {
       case Stage::VictimWrite: {
         ++victimWrites;
-        CacheLine &victim = lineFor(p.ref.addr);
-        const LineState old = victim.state;
-        victim.state = LineState::Invalid;
-        traceLine(victim.base, old, victim.state, "victim-writeback");
+        const std::size_t victim = indexOf(p.ref.addr);
+        const Addr base = tag[victim];
+        const LineState old = state[victim];
+        setLine(victim, base, LineState::Invalid);
+        traceLine(base, old, LineState::Invalid, "victim-writeback");
         p.stage = Stage::Start;
         dispatchHead();
         break;
@@ -588,39 +578,26 @@ Cache::transactionDone(const MBusTransaction &txn)
 
       case Stage::Fill: {
         ++fills;
-        CacheLine &line = lineFor(p.ref.addr);
-        if (line.valid() && line.base != lineBaseOf(p.ref.addr))
-            traceLine(line.base, line.state, LineState::Invalid,
-                      "evicted-clean");
-        install(line, p.ref.addr);
-        for (unsigned i = 0; i < _lineWords; ++i)
-            line.data[i] = txn.data[i];
-        line.state = proto.fillState[txn.mshared];
-        traceLine(line.base, LineState::Invalid, line.state, "fill");
+        const std::size_t i = indexOf(p.ref.addr);
+        std::copy_n(txn.data.begin(), _lineWords, &data[i * _lineWords]);
+        install(i, p.ref.addr, proto.fillState[txn.mshared], "fill");
         if (!isWrite(p.ref.type)) {
-            const Word value = readWord(line, p.ref.addr);
+            const Word value = wordAt(i, p.ref.addr);
             if (checkObs)
                 checkObs->loadObserved(p.ref.addr, value, *this, "fill");
             finishHead(value);
         } else {
-            applyWriteHit(line, p.ref);
+            applyWriteHit(i, p.ref);
         }
         break;
       }
 
       case Stage::ReadOwned: {
         ++fills;
-        CacheLine &line = lineFor(p.ref.addr);
-        if (line.valid() && line.base != lineBaseOf(p.ref.addr))
-            traceLine(line.base, line.state, LineState::Invalid,
-                      "evicted-clean");
-        install(line, p.ref.addr);
-        for (unsigned i = 0; i < _lineWords; ++i)
-            line.data[i] = txn.data[i];
-        writeWord(line, p.ref.addr, p.ref.value);
-        line.state = proto.ownedState;
-        traceLine(line.base, LineState::Invalid, line.state,
-                  "read-owned");
+        const std::size_t i = indexOf(p.ref.addr);
+        std::copy_n(txn.data.begin(), _lineWords, &data[i * _lineWords]);
+        wordAt(i, p.ref.addr) = p.ref.value;
+        install(i, p.ref.addr, proto.ownedState, "read-owned");
         // The write serializes at the commit of the MReadOwned that
         // carried it (other copies died in its snoop).
         if (checkObs)
@@ -635,22 +612,17 @@ Cache::transactionDone(const MBusTransaction &txn)
             ++wtMshared;
         else
             ++wtNoMshared;
-        CacheLine &line = lineFor(p.ref.addr);
+        const std::size_t i = indexOf(p.ref.addr);
+        const LineState next = proto.afterWriteThrough[txn.mshared];
         if (p.installOnWriteThrough) {
-            if (line.valid() && line.base != lineBaseOf(p.ref.addr))
-                traceLine(line.base, line.state, LineState::Invalid,
-                          "evicted-clean");
-            install(line, p.ref.addr);
-            line.data.fill(0);
-            writeWord(line, p.ref.addr, p.ref.value);
-            line.state = proto.afterWriteThrough[txn.mshared];
-            traceLine(line.base, LineState::Invalid, line.state,
-                      "write-allocate-through");
-        } else if (line.valid() && tagMatch(line, p.ref.addr)) {
-            writeWord(line, p.ref.addr, p.ref.value);
-            const LineState old = line.state;
-            line.state = proto.afterWriteThrough[txn.mshared];
-            traceLine(line.base, old, line.state, "write-through");
+            std::fill_n(&data[i * _lineWords], _lineWords, 0);
+            wordAt(i, p.ref.addr) = p.ref.value;
+            install(i, p.ref.addr, next, "write-allocate-through");
+        } else if (tag[i] == lineBaseOf(p.ref.addr)) {
+            wordAt(i, p.ref.addr) = p.ref.value;
+            const LineState old = state[i];
+            setLine(i, tag[i], next);
+            traceLine(tag[i], old, next, "write-through");
         }
         finishHead(0);
         break;
@@ -658,12 +630,13 @@ Cache::transactionDone(const MBusTransaction &txn)
 
       case Stage::Update: {
         ++updatesSent;
-        CacheLine &line = lineFor(p.ref.addr);
-        if (line.valid() && tagMatch(line, p.ref.addr)) {
-            writeWord(line, p.ref.addr, p.ref.value);
-            const LineState old = line.state;
-            line.state = proto.afterWriteThrough[txn.mshared];
-            traceLine(line.base, old, line.state, "update");
+        const std::size_t i = indexOf(p.ref.addr);
+        if (tag[i] == lineBaseOf(p.ref.addr)) {
+            wordAt(i, p.ref.addr) = p.ref.value;
+            const LineState old = state[i];
+            const LineState next = proto.afterWriteThrough[txn.mshared];
+            setLine(i, tag[i], next);
+            traceLine(tag[i], old, next, "update");
         }
         finishHead(0);
         break;
@@ -671,12 +644,12 @@ Cache::transactionDone(const MBusTransaction &txn)
 
       case Stage::Invalidate: {
         ++invalidatesSent;
-        CacheLine &line = lineFor(p.ref.addr);
-        if (line.valid() && tagMatch(line, p.ref.addr)) {
-            writeWord(line, p.ref.addr, p.ref.value);
-            const LineState old = line.state;
-            line.state = proto.ownedState;
-            traceLine(line.base, old, line.state, "invalidate");
+        const std::size_t i = indexOf(p.ref.addr);
+        if (tag[i] == lineBaseOf(p.ref.addr)) {
+            wordAt(i, p.ref.addr) = p.ref.value;
+            const LineState old = state[i];
+            setLine(i, tag[i], proto.ownedState);
+            traceLine(tag[i], old, proto.ownedState, "invalidate");
             if (checkObs)
                 checkObs->writeSerialized(p.ref.addr, p.ref.value,
                                           *this, "invalidate");
@@ -699,9 +672,9 @@ Cache::transactionDone(const MBusTransaction &txn)
         break;
 
       case Stage::DmaWrite: {
-        CacheLine &line = lineFor(p.ref.addr);
-        if (line.valid() && tagMatch(line, p.ref.addr)) {
-            writeWord(line, p.ref.addr, p.ref.value);
+        const std::size_t i = indexOf(p.ref.addr);
+        if (tag[i] == lineBaseOf(p.ref.addr)) {
+            wordAt(i, p.ref.addr) = p.ref.value;
             // A partial DMA write into a line we own (Dirty, or
             // SharedDirty under Berkeley/Dragon) must not launder the
             // ownership state: memory received only the DMA word, so
@@ -711,10 +684,11 @@ Cache::transactionDone(const MBusTransaction &txn)
             // whose Dragon meaning (update: writer becomes owner,
             // memory unchanged) would claim ownership a snooping
             // owner never gave up.
-            if (!(needsWriteback(line.state) && _lineWords > 1)) {
-                const LineState old = line.state;
-                line.state = proto.fillState[txn.mshared];
-                traceLine(line.base, old, line.state, "dma-write");
+            if (!(needsWriteback(state[i]) && _lineWords > 1)) {
+                const LineState old = state[i];
+                const LineState next = proto.fillState[txn.mshared];
+                setLine(i, tag[i], next);
+                traceLine(tag[i], old, next, "dma-write");
             }
         }
         finishHead(0);
@@ -730,12 +704,13 @@ void
 Cache::flushFunctional()
 {
     MainMemory &memory = bus.memorySystem();
-    for (auto &line : lines) {
-        if (line.valid() && needsWriteback(line.state)) {
-            for (unsigned i = 0; i < _lineWords; ++i)
-                memory.write(line.base + i * bytesPerWord, line.data[i]);
+    for (std::size_t i = 0; i < tag.size(); ++i) {
+        if (needsWriteback(state[i])) {
+            for (unsigned w = 0; w < _lineWords; ++w)
+                memory.write(tag[i] + w * bytesPerWord,
+                             data[i * _lineWords + w]);
         }
-        line.state = LineState::Invalid;
+        setLine(i, kNoLine, LineState::Invalid);
     }
 }
 

@@ -17,11 +17,18 @@
  *  - The tag store is single ported: a snoop probe in bus cycle C
  *    makes a CPU access attempted in C retry one processor tick later
  *    (the paper's SP term).  The bus probes only the caches whose
- *    duplicate tags name the line (MBus::attachCache) but stamps the
- *    probe cycle for all, so the contention is unchanged.
+ *    tags hold the line (MBus::attachCache reads the tag array
+ *    below) but stamps the probe cycle for all, so the contention is
+ *    unchanged.
  *  - The cache handles one access at a time; misses occupy it until
  *    the bus sequence completes.  DMA accesses queue behind CPU
  *    accesses and vice versa.
+ *
+ * Storage is structure-of-arrays: a tag array (the base of each valid
+ * line, kNoLine for an invalid one), a state array and the data, one
+ * word per line on the paper's geometry.  A line is Invalid exactly
+ * when its tag is kNoLine, so a hit is one compare of the tag with
+ * the address's line base.
  */
 
 #ifndef FIREFLY_CACHE_CACHE_HH
@@ -105,12 +112,26 @@ class Cache : public MBusClient
     bool idle() const { return queue.empty() && !engineBusy; }
     const std::string &name() const { return _name; }
     unsigned lineWords() const { return _lineWords; }
-    unsigned numLines() const { return lines.size(); }
+    unsigned numLines() const { return tag.size(); }
 
+    /** A read-only view of one line, good until the cache changes. */
+    struct LineView
+    {
+        LineState state;
+        Addr base;         ///< kNoLine if the line is invalid
+        const Word *data;  ///< lineWords() words
+
+        bool valid() const { return state != LineState::Invalid; }
+    };
+
+    /** Line `index` (0 .. numLines()-1), for whole-cache scans. */
+    LineView
+    line(std::size_t index) const
+    {
+        return {state[index], tag[index], &data[index * _lineWords]};
+    }
     /** The line the address maps to (valid or not). */
-    const CacheLine &lineAt(Addr byte_addr) const;
-    /** Every line, for whole-cache scans (src/check/). */
-    const std::vector<CacheLine> &allLines() const { return lines; }
+    LineView lineAt(Addr byte_addr) const { return line(indexOf(byte_addr)); }
     /**
      * Attach a coherence checker (nullptr detaches).  The observer
      * is called at every load value binding and write serialization
@@ -183,12 +204,13 @@ class Cache : public MBusClient
 
     Addr lineBaseOf(Addr byte_addr) const;
     std::size_t indexOf(Addr byte_addr) const;
-    CacheLine &lineFor(Addr byte_addr);
-    const CacheLine &lineFor(Addr byte_addr) const;
-    bool tagMatch(const CacheLine &line, Addr byte_addr) const;
+    /** The word of `byte_addr` in line `index` (which must hold it or
+     *  be about to). */
+    Word &wordAt(std::size_t index, Addr byte_addr);
 
-    Word readWord(const CacheLine &line, Addr byte_addr) const;
-    void writeWord(CacheLine &line, Addr byte_addr, Word value);
+    /** The one writer of tag and state: an Invalid line gets tag
+     *  kNoLine, any other `base`. */
+    void setLine(std::size_t index, Addr base, LineState s);
 
     /** Record a CPU reference in the stat counters. */
     void countRef(const MemRef &ref, bool hit);
@@ -205,11 +227,10 @@ class Cache : public MBusClient
     /** Try to satisfy a CPU access without the bus.  True if done. */
     bool tryFastPath(const MemRef &ref, Word &out);
 
-    /** Begin processing the queue head (engine must be idle). */
-    void startHead();
-    /** Dispatch the head access from scratch (Stage::Start). */
+    /** Dispatch the head access from Stage::Start (engine must be
+     *  idle). */
     void dispatchHead();
-    void finishHead(Word data);
+    void finishHead(Word value);
 
     void issueVictimWriteFor(Addr target_addr);
     void issueFill(Addr byte_addr, Stage stage);
@@ -219,17 +240,20 @@ class Cache : public MBusClient
 
     /** The write-hit action for a resident line; panics if the
      *  protocol never writes a line in its state. */
-    WriteHitAction writeHitAction(const CacheLine &line) const;
-    /** Apply the write-hit policy to a resident line (head access). */
-    void applyWriteHit(CacheLine &line, const MemRef &ref);
-    /** The snoop rule for another agent's transaction on a held
-     *  line; panics if the protocol never sees it. */
-    const SnoopRule &snoopRule(const CacheLine &line,
+    WriteHitAction writeHitAction(LineState s) const;
+    /** Apply the write-hit policy to resident line `index` (head
+     *  access). */
+    void applyWriteHit(std::size_t index, const MemRef &ref);
+    /** The snoop rule for another agent's transaction on held line
+     *  `index`; panics if the protocol never sees it. */
+    const SnoopRule &snoopRule(std::size_t index,
                                const MBusTransaction &txn) const;
 
-    /** Point `line` at the line of `byte_addr`, telling the bus's
-     *  duplicate tags. */
-    void install(CacheLine &line, Addr byte_addr);
+    /** Make line `index` hold the line of `byte_addr` in state `s`
+     *  (its data is the caller's to write), tracing the clean line it
+     *  evicts and the install as `cause`. */
+    void install(std::size_t index, Addr byte_addr, LineState s,
+                 const char *cause);
 
     /** The tag store is taken by a snoop probe this cycle. */
     bool tagBusy() const { return bus.probedAt(sim.now(), this); }
@@ -241,7 +265,11 @@ class Cache : public MBusClient
 
     unsigned _lineWords;
     Addr lineBytes;
-    std::vector<CacheLine> lines;
+    /** Sized once at construction and never resized: the bus reads
+     *  `tag` through a pointer (MBus::attachCache). */
+    std::vector<Addr> tag;          ///< line base, or kNoLine
+    std::vector<LineState> state;
+    std::vector<Word> data;         ///< numLines() x lineWords()
     /** Indexing by shift and mask, not division: it runs on every
      *  access and snoop.  A line count that is not a power of two
      *  falls back to a modulo. */
@@ -252,8 +280,6 @@ class Cache : public MBusClient
     bool engineBusy = false;  ///< head of queue has a bus op in flight
 
     CoherenceObserver *checkObs = nullptr;
-
-    unsigned busIndex = 0;  ///< arbitration priority on the bus
 
     StatGroup statGroup;
 };
@@ -268,31 +294,14 @@ inline std::size_t
 Cache::indexOf(Addr byte_addr) const
 {
     const Addr line = byte_addr >> lineShift;
-    return linesPow2 ? line & (lines.size() - 1) : line % lines.size();
+    return linesPow2 ? line & (tag.size() - 1) : line % tag.size();
 }
 
-inline CacheLine &
-Cache::lineFor(Addr byte_addr)
+inline Word &
+Cache::wordAt(std::size_t index, Addr byte_addr)
 {
-    return lines[indexOf(byte_addr)];
-}
-
-inline const CacheLine &
-Cache::lineFor(Addr byte_addr) const
-{
-    return lines[indexOf(byte_addr)];
-}
-
-inline bool
-Cache::tagMatch(const CacheLine &line, Addr byte_addr) const
-{
-    return line.base == lineBaseOf(byte_addr);
-}
-
-inline Word
-Cache::readWord(const CacheLine &line, Addr byte_addr) const
-{
-    return line.data[(byte_addr - line.base) / bytesPerWord];
+    return data[index * _lineWords +
+                ((byte_addr / bytesPerWord) & (_lineWords - 1))];
 }
 
 inline void
@@ -318,10 +327,10 @@ Cache::cpuAccess(const MemRef &ref, Callback cb)
     // so counting and behaviour are identical on both routes.
     if (ref.addr % bytesPerWord == 0 && !tagBusy() && queue.empty() &&
         !engineBusy && !isWrite(ref.type)) {
-        const CacheLine &line = lineFor(ref.addr);
-        if (line.valid() && tagMatch(line, ref.addr)) {
+        const std::size_t i = indexOf(ref.addr);
+        if (tag[i] == lineBaseOf(ref.addr)) {
             countRef(ref, true);
-            const Word out = readWord(line, ref.addr);
+            const Word out = wordAt(i, ref.addr);
             if (checkObs)
                 checkObs->loadObserved(ref.addr, out, *this, "hit");
             return {AccessOutcome::Hit, out};

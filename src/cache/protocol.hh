@@ -64,16 +64,6 @@ needsWriteback(LineState state)
     return state == LineState::Dirty || state == LineState::SharedDirty;
 }
 
-/** One direct-mapped cache line. */
-struct CacheLine
-{
-    LineState state = LineState::Invalid;
-    Addr base = 0;  ///< byte address of the first word of the line
-    std::array<Word, maxBurstWords> data{};
-
-    bool valid() const { return state != LineState::Invalid; }
-};
-
 /** What to do on a processor write that hits. */
 enum class WriteHitAction : std::uint8_t
 {

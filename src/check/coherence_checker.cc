@@ -297,7 +297,7 @@ CoherenceChecker::describeLine(Addr line_base) const
             os << "not resident";
             continue;
         }
-        const CacheLine &line = cache->lineAt(line_base);
+        const Cache::LineView line = cache->lineAt(line_base);
         os << toString(line.state) << " data=[";
         for (unsigned i = 0; i < cache->lineWords(); ++i)
             os << (i ? " " : "") << obs::hexAddr(line.data[i]);

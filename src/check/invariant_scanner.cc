@@ -48,17 +48,17 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
     std::size_t n_holders = 0;
     for (const Cache *cache : caches) {
         if (cache->holds(base))
-            holder_buf[n_holders++] = {cache, &cache->lineAt(base)};
+            holder_buf[n_holders++] = {cache, cache->lineAt(base)};
     }
     const std::span<const Holder> holders(holder_buf.data(), n_holders);
 
     // I1: state legality.
     for (const Holder &h : holders) {
-        if (!rules.legal.contains(h.line->state)) {
+        if (!rules.legal.contains(h.line.state)) {
             std::ostringstream os;
             os << "I1 illegal state: " << h.cache->name() << " holds "
                << obs::hexAddr(base) << " in state "
-               << toString(h.line->state) << ", which "
+               << toString(h.line.state) << ", which "
                << rules.name << " never produces";
             out.push_back(os.str());
         }
@@ -68,7 +68,7 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
     std::array<const Cache *, maxCaches> owner_buf;
     std::size_t n_owners = 0;
     for (const Holder &h : holders) {
-        if (needsWriteback(h.line->state))
+        if (needsWriteback(h.line.state))
             owner_buf[n_owners++] = h.cache;
     }
     const std::span<const Cache *const> owners(owner_buf.data(), n_owners);
@@ -82,12 +82,12 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
 
     // I3: exclusive states really are exclusive (MShared agreed).
     for (const Holder &h : holders) {
-        if (rules.exclusive.contains(h.line->state) &&
+        if (rules.exclusive.contains(h.line.state) &&
             holders.size() > 1) {
             std::ostringstream os;
             os << "I3 exclusivity: " << h.cache->name() << " holds "
                << obs::hexAddr(base) << " in exclusive state "
-               << toString(h.line->state) << " but " << holders.size()
+               << toString(h.line.state) << " but " << holders.size()
                << " caches hold the line";
             out.push_back(os.str());
         }
@@ -99,7 +99,7 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
         bool have = false;
         Word held = 0;
         for (const Holder &h : holders) {
-            const Word v = h.line->data[w];
+            const Word v = h.line.data[w];
             if (!have) {
                 have = true;
                 held = v;
@@ -166,7 +166,8 @@ InvariantScanner::fullScan(const GoldenMemory &oracle, Cycle now,
 {
     std::vector<Addr> bases;
     for (const Cache *cache : caches) {
-        for (const CacheLine &line : cache->allLines()) {
+        for (std::size_t i = 0; i < cache->numLines(); ++i) {
+            const Cache::LineView line = cache->line(i);
             if (line.valid())
                 bases.push_back(line.base);
         }

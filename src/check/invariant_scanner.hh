@@ -91,7 +91,7 @@ class InvariantScanner
     struct Holder
     {
         const Cache *cache;
-        const CacheLine *line;
+        Cache::LineView line;
     };
 
     bool resident(Addr line_base) const;

@@ -102,18 +102,17 @@ MBus::attach(MBusClient *client)
     return clients.size() - 1;
 }
 
-unsigned
-MBus::attachCache(MBusClient *client, Addr line_bytes, unsigned lines)
+void
+MBus::attachCache(MBusClient *client, Addr line_bytes, unsigned lines,
+                  const Addr *tags)
 {
-    const unsigned index = attach(client);
+    TagFilter &f = filters[attach(client)];
     if (lines == 0 || (lines & (lines - 1)) != 0)
-        return index;
-    TagFilter &f = filters[index];
-    f.filtered = true;
+        return;
+    f.tags = tags;
     while ((Addr{1} << f.lineShift) < line_bytes)
         ++f.lineShift;
     f.indexMask = lines - 1;
-    return index;
 }
 
 void
@@ -286,7 +285,7 @@ void
 MBus::probePhase()
 {
     // Every other client's tag store is busy this cycle, probed or
-    // not; only caches that may hold the line are actually probed.
+    // not; only caches that hold the line are actually probed.
     probeCycle = sim.now();
     probeInitiator = active->initiator;
     for (unsigned i = 0; i < clients.size(); ++i) {

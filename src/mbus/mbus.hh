@@ -82,6 +82,10 @@ const char *toString(MBusOpKind kind);
 /** Longest supported burst (line-size ablation: 32-byte lines). */
 constexpr unsigned maxBurstWords = 8;
 
+/** The tag of an invalid cache line.  No longword-aligned address
+ *  equals it, so it matches no line base. */
+constexpr Addr kNoLine = ~Addr{0};
+
 /** One bus transaction, in flight or completed. */
 struct MBusTransaction
 {
@@ -165,39 +169,23 @@ class MBus : public Clocked
 
     /**
      * Attach a direct-mapped cache of `lines` lines of `line_bytes`
-     * bytes.  The bus keeps a duplicate tag per line (4 bytes each)
-     * and probes the cache only on transactions whose line its
-     * duplicate tag names.  The cache must report every line it
-     * installs through noteInstall(); the duplicate tags are then a
-     * superset of its valid lines, and a stale tag is harmless because
-     * snoopProbe/snoopComplete re-check the real line.  The tags are
-     * allocated at the cache's first install, so building a machine
-     * costs nothing extra.  A line count that is not a power of two
-     * opts out of filtering.
-     * @return the client's priority index.
+     * bytes whose tag array is `tags`: entry i is the base of the
+     * valid line at index i, or kNoLine.  The bus reads it to probe
+     * the cache only on transactions whose line it holds, so, like
+     * the client, the array must outlive the bus's use of it and
+     * never move.  A line count that is not a power of two opts out
+     * of filtering.  Attachment order is priority, as for attach().
      */
-    unsigned attachCache(MBusClient *client, Addr line_bytes,
-                         unsigned lines);
-
-    /** A cache attached with attachCache installed `line_base`. */
-    void
-    noteInstall(unsigned client_index, Addr line_base)
-    {
-        TagFilter &f = filters[client_index];
-        if (!f.filtered)
-            return;
-        if (f.tags.empty())  // an unaligned value is never a line base
-            f.tags.assign(std::size_t{f.indexMask} + 1, ~Addr{0});
-        f.tags[(line_base >> f.lineShift) & f.indexMask] = line_base;
-    }
+    void attachCache(MBusClient *client, Addr line_bytes, unsigned lines,
+                     const Addr *tags);
 
     /**
      * True if the tag store of `client` is taken by a snoop probe in
      * cycle `now`: the bus probed this cycle for a transaction someone
      * else initiated.  This stamp stands for the probe of every
-     * non-initiator, including the caches the duplicate tags let the
-     * bus skip, so the single-ported tag-store contention (the paper's
-     * SP term) does not depend on the filter.
+     * non-initiator, including the caches the bus skips because they
+     * do not hold the line, so the single-ported tag-store contention
+     * (the paper's SP term) does not depend on the filter.
      */
     bool
     probedAt(Cycle now, const MBusClient *client) const
@@ -277,24 +265,22 @@ class MBus : public Clocked
         unsigned attempt = 0;
     };
 
-    /** Duplicate tags of one client. */
+    /** Where to find the tags of one client. */
     struct TagFilter
     {
-        bool filtered = false;    ///< else probed on every transaction
-        std::vector<Addr> tags;   ///< empty until the first install
+        const Addr *tags = nullptr;  ///< null: probed on every txn
         unsigned lineShift = 0;
         Addr indexMask = 0;
     };
 
-    /** May client `i` hold the line of `addr`? */
+    /** May client `i` hold the line of `addr`?  Exact for a cache
+     *  attached with attachCache. */
     bool
     mayHold(unsigned i, Addr addr) const
     {
         const TagFilter &f = filters[i];
-        if (!f.filtered)
+        if (!f.tags)
             return true;
-        if (f.tags.empty())
-            return false;  // has installed nothing yet
         const Addr line = addr >> f.lineShift;
         return f.tags[line & f.indexMask] == line << f.lineShift;
     }

@@ -51,6 +51,8 @@ class EventQueue
 
     bool empty() const { return events.empty(); }
     std::size_t size() const { return events.size(); }
+    /** Events scheduled since construction (host-perf diagnostics). */
+    std::uint64_t scheduled() const { return nextSeq; }
 
     /**
      * Run every event scheduled at or before `now`.

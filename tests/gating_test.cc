@@ -8,8 +8,9 @@
  * point must see exactly what a machine ticking every component every
  * cycle sees: StatSampler rows, the watchdog, fence() and processor
  * offlining.  Each test runs both ways and compares.  The bus's
- * duplicate-tag snoop filter must skip non-holders without changing
- * the tag-store contention they see.
+ * snoop filter reads the caches' own tags: it must probe exactly the
+ * caches that hold the line, without changing the tag-store
+ * contention the others see.
  */
 
 #include <gtest/gtest.h>
@@ -260,4 +261,42 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
             << "cycle " << cycle;
     }
     EXPECT_EQ(bystander.tagBusyRetries.value(), 1u);
+}
+
+TEST(SnoopFilter, EveryProbeFindsAHolder)
+{
+    // Summed over committed transactions, the non-initiator caches
+    // holding the line are exactly the caches the bus probed.  Under
+    // MESI and Berkeley an invalidated line used to leave a stale
+    // duplicate tag that drew a probe; the real tags leave none.
+    for (const ProtocolKind kind :
+         {ProtocolKind::Firefly, ProtocolKind::Dragon,
+          ProtocolKind::WriteThroughInvalidate, ProtocolKind::Berkeley,
+          ProtocolKind::Mesi}) {
+        FireflyConfig cfg = FireflyConfig::microVax(4);
+        cfg.protocol = kind;
+        FireflySystem sys(cfg);
+        sys.attachSyntheticWorkload(SyntheticConfig{});
+        MBus &bus = sys.bus();
+        const std::uint64_t probes_before = bus.snoopCalls();
+        std::uint64_t holders = 0;
+        std::uint64_t txns = 0;
+        // The bus is serial: at a commit, every probe so far belongs
+        // to this or an earlier committed transaction.
+        std::uint64_t probes_at_commit = probes_before;
+        bus.addCommitObserver([&](const MBusTransaction &txn) {
+            ++txns;
+            for (unsigned i = 0; i < sys.processorCount(); ++i) {
+                const Cache &cache = sys.cache(i);
+                if (&cache != txn.initiator && cache.holds(txn.addr))
+                    ++holders;
+            }
+            probes_at_commit = bus.snoopCalls();
+        });
+        sys.simulator().run(50'000);
+        EXPECT_GT(txns, 1000u) << toString(kind);
+        EXPECT_GT(holders, 0u) << toString(kind);
+        EXPECT_EQ(probes_at_commit - probes_before, holders)
+            << toString(kind);
+    }
 }
