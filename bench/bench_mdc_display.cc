@@ -53,26 +53,21 @@ struct Rig
     config()
     {
         Mdc::Config cfg;
-        cfg.queueBase = kQueueBase;
+        cfg.queue.base = kQueueBase;
         cfg.inputBase = kInputBase;
         return cfg;
     }
 
     void
-    enqueue(const MdcCommand &command)
+    enqueue(const WorkQueue::Command &command)
     {
-        const Word producer = memory.read(kQueueBase);
-        const Addr entry = kQueueBase + 8 +
-            (producer % config().queueEntries) * sizeof(MdcCommand);
-        for (unsigned i = 0; i < command.size(); ++i)
-            memory.write(entry + 4 * i, command[i]);
-        memory.write(kQueueBase, producer + 1);
+        mdc.queue().enqueue(memory, command);
     }
 
     void
     drain()
     {
-        while (memory.read(kQueueBase + 4) != memory.read(kQueueBase))
+        while (!mdc.queue().drained(memory))
             sim.run(10000);
     }
 };

@@ -27,9 +27,9 @@
 # exports with FIREFLY_NO_FASTFORWARD=1), that the idle-heavy
 # speedup is still there, that the deterministic work counters (tick
 # calls per cycle, snoop probes per transaction, events scheduled per
-# cycle) have not grown over
-# the committed BENCH_perf.json baseline (strict: they do not depend
-# on the host), and that throughput has not cratered against it
+# cycle, cycles stepped rather than skipped per cycle) have not grown
+# over the committed BENCH_perf.json baseline (strict: they do not
+# depend on the host), and that throughput has not cratered against it
 # (lenient threshold: hosts differ; the file tracks the trajectory).
 set -eu
 
@@ -136,9 +136,16 @@ if [ "$sanitize" = perf ]; then
     python3 - "$perfdir/perf.json" "$repo/BENCH_perf.json" <<'EOF'
 import json, sys
 
+def with_stepped(points):
+    # Stepped cycles per cycle: the share of cycles idle fast-forward
+    # did not skip, derived from the existing export.
+    for p in points:
+        p["stepped_per_cycle"] = 1 - p["ff_skipped_cycles"] / p["sim_cycles"]
+    return points
+
 cur = json.load(open(sys.argv[1]))
 points = {(p["workload"], p["protocol"], p["cpus"]): p
-          for p in cur["points"]}
+          for p in with_stepped(cur["points"])}
 
 # Idle fast-forward must still deliver: >= 3x over the forced-slow
 # path on every idle-heavy point (measured well above 10x in
@@ -159,7 +166,7 @@ try:
 except FileNotFoundError:
     print("no committed BENCH_perf.json; skipping trajectory check")
     sys.exit(0)
-for bp in base["points"]:
+for bp in with_stepped(base["points"]):
     key = (bp["workload"], bp["protocol"], bp["cpus"])
     p = points.get(key)
     if p is None:
@@ -173,18 +180,22 @@ for bp in base["points"]:
     # the committed baseline is a regression (re-record the baseline
     # with scripts/bench_all.sh when a change lowers them).
     for counter in ("tick_calls_per_cycle", "snoop_calls_per_txn",
-                    "events_per_cycle"):
+                    "events_per_cycle", "stepped_per_cycle"):
         if counter in bp and p[counter] > bp[counter] * (1 + 1e-9):
             sys.exit(f"point {key}: {counter} {p[counter]:.4f} exceeds "
                      f"the committed {bp[counter]:.4f}")
 
-# The saturated 7-CPU Firefly point must keep the gating and the
-# snoop filter doing their job (was 8.0 ticks/cycle, 6.0 probes/txn).
+# The saturated 7-CPU Firefly point must keep the gating, the snoop
+# filter and the exact idle jump doing their job (was 8.0
+# ticks/cycle, 6.0 probes/txn, 0.9975 stepped cycles per cycle).
 sat7 = points[("saturated", "Firefly", 7)]
-if sat7["tick_calls_per_cycle"] > 2.5 or sat7["snoop_calls_per_txn"] > 0.5:
+if (sat7["tick_calls_per_cycle"] > 2.5 or
+        sat7["snoop_calls_per_txn"] > 0.5 or
+        sat7["stepped_per_cycle"] > 0.82):
     sys.exit(f"saturated 7-CPU point: {sat7['tick_calls_per_cycle']:.3f} "
              f"ticks/cycle (max 2.5), {sat7['snoop_calls_per_txn']:.3f} "
-             f"snoops/txn (max 0.5)")
+             f"snoops/txn (max 0.5), {sat7['stepped_per_cycle']:.3f} "
+             f"stepped cycles/cycle (max 0.82)")
 print("perf lane: fast/slow identical, idle speedup >= 3x, "
       "work counters within baseline, throughput within baseline "
       "envelope")

@@ -117,29 +117,6 @@ Cache::dirtyFraction() const
     return valid ? static_cast<double>(dirty) / valid : 0.0;
 }
 
-double
-Cache::validFraction() const
-{
-    const auto valid = std::count_if(state.begin(), state.end(),
-        [](LineState s) { return s != LineState::Invalid; });
-    return static_cast<double>(valid) / state.size();
-}
-
-double
-Cache::sharedFraction() const
-{
-    std::size_t valid = 0;
-    std::size_t shared = 0;
-    for (const LineState s : state) {
-        if (s != LineState::Invalid) {
-            ++valid;
-            if (s == LineState::Shared || s == LineState::SharedDirty)
-                ++shared;
-        }
-    }
-    return valid ? static_cast<double>(shared) / valid : 0.0;
-}
-
 void
 Cache::traceLine(Addr line_base, LineState old_state,
                  LineState new_state, const char *cause)

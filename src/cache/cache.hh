@@ -145,10 +145,6 @@ class Cache : public MBusClient
     bool holds(Addr byte_addr) const;
     /** Fraction of valid lines that need write-back (paper's D). */
     double dirtyFraction() const;
-    /** Fraction of lines that are valid. */
-    double validFraction() const;
-    /** Fraction of valid lines in Shared/SharedDirty state. */
-    double sharedFraction() const;
 
     StatGroup &stats() { return statGroup; }
     const StatGroup &stats() const { return statGroup; }

@@ -60,7 +60,6 @@ class GoldenMemory
         entry.value = value;
         entry.when = now;
         prune(entry, now);
-        ++writes;
     }
 
     /** True if `addr` has ever been written through the oracle. */
@@ -135,9 +134,6 @@ class GoldenMemory
             fn(entry.first);
     }
 
-    std::size_t trackedWords() const { return entries.size(); }
-    std::uint64_t writesSerialized() const { return writes; }
-
   private:
     /** A value superseded at `superseded`; admissible briefly. */
     struct Stale
@@ -164,7 +160,6 @@ class GoldenMemory
     const MainMemory &memory;
     unsigned window;
     std::unordered_map<Addr, Entry> entries;
-    std::uint64_t writes = 0;
 };
 
 } // namespace firefly::check

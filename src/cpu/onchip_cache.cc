@@ -81,11 +81,4 @@ OnChipCache::observeBusWrite(Addr addr, unsigned words)
     }
 }
 
-void
-OnChipCache::invalidateAll()
-{
-    for (auto &entry : entries)
-        entry.valid = false;
-}
-
 } // namespace firefly

@@ -62,8 +62,6 @@ class OnChipCache
     /** Bus write observed at `addr`: invalidate and count staleness. */
     void observeBusWrite(Addr addr, unsigned words);
 
-    void invalidateAll();
-
     bool cachesData() const
     {
         return cfg.mode == DataMode::InstructionsAndData;

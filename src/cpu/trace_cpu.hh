@@ -86,7 +86,6 @@ class TraceCpu : public Clocked
      * mid-run; a fenced processor never resumes.
      */
     void fence();
-    bool isFenced() const { return fenced; }
 
     bool halted() const { return _halted; }
     const std::string &name() const { return _name; }

@@ -49,8 +49,6 @@ class WorkerPool
     /** Block until every submitted job has finished. */
     void wait();
 
-    unsigned threadCount() const { return workers.size(); }
-
   private:
     void workerLoop();
 

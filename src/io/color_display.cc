@@ -119,29 +119,21 @@ ColorFrameBuffer::countIndex(const PixelRect &rect_in,
 ColorDisplayController::ColorDisplayController(Simulator &sim,
                                                QBus &qbus,
                                                const Config &config)
-    : sim(sim), qbus(qbus), cfg(config), statGroup("cdc")
+    : qbus(qbus), cfg(config),
+      workQueue(sim, qbus, cfg.queue, "cdc poll", "cdc command finish",
+                std::bind_front(&ColorDisplayController::executeEntry,
+                                this)),
+      statGroup("cdc")
 {
-    if (cfg.queueEntries == 0)
-        fatal("color controller needs a non-empty work queue");
     statGroup.addCounter(&commandsExecuted, "commands",
                          "work-queue commands executed");
     statGroup.addCounter(&pixelsPainted, "pixels", "pixels painted");
-    statGroup.addCounter(&polls, "polls", "work-queue polls");
-    statGroup.addCounter(&busyCycles, "busy_cycles",
+    statGroup.addCounter(&workQueue.polls, "polls", "work-queue polls");
+    statGroup.addCounter(&workQueue.busyCycles, "busy_cycles",
                          "cycles spent executing commands");
 }
 
-void
-ColorDisplayController::start()
-{
-    if (started)
-        return;
-    started = true;
-    sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
-                          [this] { poll(); });
-}
-
-std::array<Word, 8>
+WorkQueue::Command
 ColorDisplayController::encodeFill(unsigned x, unsigned y, unsigned w,
                                    unsigned h, std::uint8_t index)
 {
@@ -149,7 +141,7 @@ ColorDisplayController::encodeFill(unsigned x, unsigned y, unsigned w,
             index, 0, 0};
 }
 
-std::array<Word, 8>
+WorkQueue::Command
 ColorDisplayController::encodeCopyRect(unsigned sx, unsigned sy,
                                        unsigned dx, unsigned dy,
                                        unsigned w, unsigned h)
@@ -158,7 +150,7 @@ ColorDisplayController::encodeCopyRect(unsigned sx, unsigned sy,
             h, 0};
 }
 
-std::array<Word, 8>
+WorkQueue::Command
 ColorDisplayController::encodeLoadColorMap(unsigned first,
                                            unsigned count,
                                            Addr qbus_addr)
@@ -167,7 +159,7 @@ ColorDisplayController::encodeLoadColorMap(unsigned first,
             qbus_addr, 0, 0, 0, 0};
 }
 
-std::array<Word, 8>
+WorkQueue::Command
 ColorDisplayController::encodePutImage(Addr qbus_addr,
                                        unsigned stride_words,
                                        unsigned dx, unsigned dy,
@@ -178,35 +170,7 @@ ColorDisplayController::encodePutImage(Addr qbus_addr,
 }
 
 void
-ColorDisplayController::poll()
-{
-    ++polls;
-    qbus.dmaRead(cfg.queueBase, 2, [this](IoStatus status,
-                                          std::vector<Word> header) {
-        if (status != IoStatus::Ok || header[0] == header[1]) {
-            // Timed-out header read: retry at the poll cadence.
-            sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
-                                  [this] { poll(); }, "cdc poll");
-            return;
-        }
-        const Addr entry_addr =
-            cfg.queueBase + 8 + (header[1] % cfg.queueEntries) * 32;
-        qbus.dmaRead(entry_addr, 8, [this](IoStatus st,
-                                           std::vector<Word> entry) {
-            if (st != IoStatus::Ok) {
-                // Entry unconsumed; the next poll rereads it.
-                sim.events().schedule(
-                    sim.now() + cfg.pollIntervalCycles,
-                    [this] { poll(); }, "cdc poll");
-                return;
-            }
-            executeEntry(std::move(entry));
-        });
-    });
-}
-
-void
-ColorDisplayController::executeEntry(std::vector<Word> entry)
+ColorDisplayController::executeEntry(const WorkQueue::Command &entry)
 {
     ++commandsExecuted;
     Cycle busy = cfg.commandOverheadCycles;
@@ -240,7 +204,7 @@ ColorDisplayController::executeEntry(std::vector<Word> entry)
                      [this, first, count](IoStatus st,
                                           std::vector<Word> map) {
                          if (st != IoStatus::Ok) {
-                             finishCommand(cfg.commandOverheadCycles);
+                             workQueue.finish(cfg.commandOverheadCycles);
                              return;
                          }
                          for (unsigned i = 0; i < count; ++i) {
@@ -249,8 +213,8 @@ ColorDisplayController::executeEntry(std::vector<Word> entry)
                                      (first + i) & 0xff),
                                  map[i]);
                          }
-                         finishCommand(cfg.commandOverheadCycles +
-                                       count);
+                         workQueue.finish(cfg.commandOverheadCycles +
+                                          count);
                      });
         return;
       }
@@ -263,7 +227,7 @@ ColorDisplayController::executeEntry(std::vector<Word> entry)
                      [this, stride, dx, dy, w,
                       h](IoStatus st, std::vector<Word> data) {
                          if (st != IoStatus::Ok) {
-                             finishCommand(cfg.commandOverheadCycles);
+                             workQueue.finish(cfg.commandOverheadCycles);
                              return;
                          }
                          std::uint64_t painted = 0;
@@ -281,7 +245,7 @@ ColorDisplayController::executeEntry(std::vector<Word> entry)
                              }
                          }
                          pixelsPainted += painted;
-                         finishCommand(
+                         workQueue.finish(
                              cfg.commandOverheadCycles +
                              static_cast<Cycle>(painted /
                                                 cfg.pixelsPerCycle));
@@ -293,28 +257,7 @@ ColorDisplayController::executeEntry(std::vector<Word> entry)
         warn("color controller: unknown opcode %u", entry[0]);
         break;
     }
-    finishCommand(busy);
-}
-
-void
-ColorDisplayController::finishCommand(Cycle busy)
-{
-    busyCycles += busy;
-    sim.events().schedule(sim.now() + busy, [this] {
-        qbus.dmaRead(cfg.queueBase, 2, [this](IoStatus status,
-                                              std::vector<Word> header) {
-            if (status != IoStatus::Ok) {
-                // Consumer index stays put; the entry re-executes on
-                // the next poll (at-least-once, as on the hardware).
-                sim.events().schedule(
-                    sim.now() + cfg.pollIntervalCycles,
-                    [this] { poll(); }, "cdc poll");
-                return;
-            }
-            qbus.dmaWrite(cfg.queueBase + 4, {header[1] + 1},
-                          [this](IoStatus) { poll(); });
-        });
-    }, "cdc command finish");
+    workQueue.finish(busy);
 }
 
 } // namespace firefly

@@ -8,10 +8,11 @@
  * single Firefly.  Many SRC researchers now have multiple displays."
  *
  * The color controller follows the MDC's architecture - it polls a
- * command queue in main memory via DMA - but drives an 8-bit-deep
- * 1024x768 frame buffer through a 256-entry color map.  Commands:
- * rectangle fill with a color index, rectangle copy, color-map load,
- * and image upload from main memory (four pixels per longword).
+ * WorkQueue (io/work_queue.hh) in main memory via DMA - but drives
+ * an 8-bit-deep 1024x768 frame buffer through a 256-entry color map.
+ * Commands: rectangle fill with a color index, rectangle copy,
+ * color-map load, and image upload from main memory (four pixels per
+ * longword).
  */
 
 #ifndef FIREFLY_IO_COLOR_DISPLAY_HH
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "io/framebuffer.hh"  // PixelRect
-#include "io/qbus.hh"
+#include "io/work_queue.hh"
 
 namespace firefly
 {
@@ -84,9 +85,7 @@ class ColorDisplayController
   public:
     struct Config
     {
-        Addr queueBase = 0;
-        unsigned queueEntries = 16;
-        Cycle pollIntervalCycles = 2000;
+        WorkQueue::Config queue;
         double pixelsPerCycle = 1.2;  ///< deeper pixels paint slower
         Cycle commandOverheadCycles = 300;
     };
@@ -94,41 +93,36 @@ class ColorDisplayController
     ColorDisplayController(Simulator &sim, QBus &qbus,
                            const Config &config);
 
-    void start();
-
     ColorFrameBuffer &frameBuffer() { return fb; }
+    /** The controller's work queue; queue().start() begins polling. */
+    WorkQueue &queue() { return workQueue; }
 
-    static std::array<Word, 8> encodeFill(unsigned x, unsigned y,
-                                          unsigned w, unsigned h,
-                                          std::uint8_t index);
-    static std::array<Word, 8> encodeCopyRect(unsigned sx, unsigned sy,
-                                              unsigned dx, unsigned dy,
-                                              unsigned w, unsigned h);
-    static std::array<Word, 8> encodeLoadColorMap(unsigned first,
-                                                  unsigned count,
-                                                  Addr qbus_addr);
-    static std::array<Word, 8> encodePutImage(Addr qbus_addr,
-                                              unsigned stride_words,
-                                              unsigned dx, unsigned dy,
-                                              unsigned w, unsigned h);
+    static WorkQueue::Command encodeFill(unsigned x, unsigned y,
+                                         unsigned w, unsigned h,
+                                         std::uint8_t index);
+    static WorkQueue::Command encodeCopyRect(unsigned sx, unsigned sy,
+                                             unsigned dx, unsigned dy,
+                                             unsigned w, unsigned h);
+    static WorkQueue::Command encodeLoadColorMap(unsigned first,
+                                                 unsigned count,
+                                                 Addr qbus_addr);
+    static WorkQueue::Command encodePutImage(Addr qbus_addr,
+                                             unsigned stride_words,
+                                             unsigned dx, unsigned dy,
+                                             unsigned w, unsigned h);
 
     StatGroup &stats() { return statGroup; }
 
     Counter commandsExecuted;
     Counter pixelsPainted;
-    Counter polls;
-    Counter busyCycles;
 
   private:
-    void poll();
-    void executeEntry(std::vector<Word> entry);
-    void finishCommand(Cycle busy);
+    void executeEntry(const WorkQueue::Command &entry);
 
-    Simulator &sim;
     QBus &qbus;
     Config cfg;
     ColorFrameBuffer fb;
-    bool started = false;
+    WorkQueue workQueue;
 
     StatGroup statGroup;
 };

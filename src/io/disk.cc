@@ -212,14 +212,4 @@ DiskController::peekWord(unsigned lba, unsigned word_in_sector) const
                       word_in_sector);
 }
 
-void
-DiskController::pokeWord(unsigned lba, unsigned word_in_sector,
-                         Word value)
-{
-    const unsigned words_per_sector =
-        cfg.geometry.bytesPerSector / bytesPerWord;
-    media.write(static_cast<Addr>(lba) * words_per_sector +
-                word_in_sector, value);
-}
-
 } // namespace firefly

@@ -65,9 +65,8 @@ class DiskController
     void write(unsigned lba, unsigned sectors, Addr qbus_buffer,
                Callback done);
 
-    // --- functional access for tests / seeding filesystem images ----
+    // --- functional access for tests ---------------------------------
     Word peekWord(unsigned lba, unsigned word_in_sector) const;
-    void pokeWord(unsigned lba, unsigned word_in_sector, Word value);
 
     const Config &config() const { return cfg; }
     StatGroup &stats() { return statGroup; }

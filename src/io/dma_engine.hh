@@ -70,8 +70,6 @@ class DmaEngine
 
     bool idle() const { return requests.empty() && !wordInFlight; }
 
-    Cycle cyclesPerWord() const { return pacing; }
-
     /**
      * Attach the fault injector (nullptr detaches).  Requests can
      * then time out: the transfer never starts and the callback fires

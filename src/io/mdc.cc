@@ -69,19 +69,20 @@ constexpr Cycle inputPeriodCycles = 166667;  // 60 Hz in 100 ns cycles
 } // namespace
 
 Mdc::Mdc(Simulator &sim, QBus &qbus, const Config &config)
-    : sim(sim), qbus(qbus), cfg(config), statGroup("mdc")
+    : sim(sim), qbus(qbus), cfg(config),
+      workQueue(sim, qbus, cfg.queue, "mdc poll", "mdc command finish",
+                std::bind_front(&Mdc::executeEntry, this)),
+      statGroup("mdc")
 {
-    if (cfg.queueEntries == 0)
-        fatal("MDC needs a non-empty work queue");
     statGroup.addCounter(&commandsExecuted, "commands",
                          "work-queue commands executed");
     statGroup.addCounter(&pixelsPainted, "pixels", "pixels painted");
     statGroup.addCounter(&charsPainted, "chars",
                          "characters painted from the font cache");
-    statGroup.addCounter(&polls, "polls", "work-queue polls");
+    statGroup.addCounter(&workQueue.polls, "polls", "work-queue polls");
     statGroup.addCounter(&deposits, "deposits",
                          "60 Hz mouse/keyboard deposits");
-    statGroup.addCounter(&busyCycles, "busy_cycles",
+    statGroup.addCounter(&workQueue.busyCycles, "busy_cycles",
                          "cycles spent executing commands");
 }
 
@@ -91,8 +92,7 @@ Mdc::start()
     if (started)
         return;
     started = true;
-    sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
-                          [this] { poll(); });
+    workQueue.start();
     if (cfg.inputDeposits) {
         sim.events().schedule(sim.now() + inputPeriodCycles,
                               [this] { depositInput(); });
@@ -122,7 +122,7 @@ Mdc::loadBuiltinFont()
     }
 }
 
-MdcCommand
+WorkQueue::Command
 Mdc::encodeFill(unsigned x, unsigned y, unsigned w, unsigned h,
                 RasterOp op)
 {
@@ -130,7 +130,7 @@ Mdc::encodeFill(unsigned x, unsigned y, unsigned w, unsigned h,
             static_cast<Word>(op), 0, 0};
 }
 
-MdcCommand
+WorkQueue::Command
 Mdc::encodeCopyRect(unsigned sx, unsigned sy, unsigned dx, unsigned dy,
                     unsigned w, unsigned h, RasterOp op)
 {
@@ -138,7 +138,7 @@ Mdc::encodeCopyRect(unsigned sx, unsigned sy, unsigned dx, unsigned dy,
             h, static_cast<Word>(op)};
 }
 
-MdcCommand
+WorkQueue::Command
 Mdc::encodePaintChars(unsigned x, unsigned y, unsigned count,
                       Addr chars_qbus_addr)
 {
@@ -146,7 +146,7 @@ Mdc::encodePaintChars(unsigned x, unsigned y, unsigned count,
             chars_qbus_addr, 0, 0, 0};
 }
 
-MdcCommand
+WorkQueue::Command
 Mdc::encodeBltFromMemory(Addr src_qbus_addr, unsigned stride_words,
                          unsigned dx, unsigned dy, unsigned w,
                          unsigned h)
@@ -189,43 +189,7 @@ Mdc::depositInput()
 }
 
 void
-Mdc::poll()
-{
-    ++polls;
-    qbus.dmaRead(cfg.queueBase, 2, [this](IoStatus status,
-                                          std::vector<Word> header) {
-        if (status != IoStatus::Ok) {
-            // Queue header unreadable this time: try again at the
-            // normal poll cadence rather than wedging the device.
-            sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
-                                  [this] { poll(); }, "mdc poll");
-            return;
-        }
-        const Word producer = header[0];
-        const Word consumer = header[1];
-        if (producer == consumer) {
-            sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
-                                  [this] { poll(); }, "mdc poll");
-            return;
-        }
-        const Addr entry_addr = cfg.queueBase + 8 +
-            (consumer % cfg.queueEntries) * sizeof(MdcCommand);
-        qbus.dmaRead(entry_addr, 8, [this](IoStatus st,
-                                           std::vector<Word> entry) {
-            if (st != IoStatus::Ok) {
-                // Leave the entry unconsumed; the next poll rereads.
-                sim.events().schedule(
-                    sim.now() + cfg.pollIntervalCycles,
-                    [this] { poll(); }, "mdc poll");
-                return;
-            }
-            executeEntry(std::move(entry));
-        });
-    });
-}
-
-void
-Mdc::executeEntry(std::vector<Word> entry)
+Mdc::executeEntry(const WorkQueue::Command &entry)
 {
     ++commandsExecuted;
     const auto opcode = static_cast<MdcOpcode>(entry[0]);
@@ -233,8 +197,7 @@ Mdc::executeEntry(std::vector<Word> entry)
 
     switch (opcode) {
       case MdcOpcode::Nop:
-        finishCommand(busy);
-        return;
+        break;
 
       case MdcOpcode::Fill: {
         const auto op = static_cast<RasterOp>(entry[5]);
@@ -242,8 +205,7 @@ Mdc::executeEntry(std::vector<Word> entry)
             fb.fill({entry[1], entry[2], entry[3], entry[4]}, op);
         pixelsPainted += pixels;
         busy += static_cast<Cycle>(pixels / cfg.pixelsPerCycle);
-        finishCommand(busy);
-        return;
+        break;
       }
 
       case MdcOpcode::CopyRect: {
@@ -253,8 +215,7 @@ Mdc::executeEntry(std::vector<Word> entry)
                    entry[4], op);
         pixelsPainted += pixels;
         busy += static_cast<Cycle>(pixels / cfg.pixelsPerCycle);
-        finishCommand(busy);
-        return;
+        break;
       }
 
       case MdcOpcode::PaintChars: {
@@ -265,7 +226,7 @@ Mdc::executeEntry(std::vector<Word> entry)
                      [this, x, y, count](IoStatus st,
                                          std::vector<Word> packed) {
                          if (st != IoStatus::Ok) {
-                             finishCommand(cfg.commandOverheadCycles);
+                             workQueue.finish(cfg.commandOverheadCycles);
                              return;
                          }
                          paintCharsFromCodes(packed, x, y, count);
@@ -282,23 +243,26 @@ Mdc::executeEntry(std::vector<Word> entry)
                      [this, stride, w, h, dx, dy](
                          IoStatus st, std::vector<Word> data) {
                          if (st != IoStatus::Ok) {
-                             finishCommand(cfg.commandOverheadCycles);
+                             workQueue.finish(cfg.commandOverheadCycles);
                              return;
                          }
                          const auto pixels = fb.bltFrom(
                              data.data(), stride, {0, 0, w, h}, dx,
                              dy, RasterOp::Copy);
                          pixelsPainted += pixels;
-                         finishCommand(
+                         workQueue.finish(
                              cfg.commandOverheadCycles +
                              static_cast<Cycle>(pixels /
                                                 cfg.pixelsPerCycle));
                      });
         return;
       }
+
+      default:
+        warn("MDC: unknown opcode %u", entry[0]);
+        break;
     }
-    warn("MDC: unknown opcode %u", entry[0]);
-    finishCommand(busy);
+    workQueue.finish(busy);
 }
 
 void
@@ -316,31 +280,7 @@ Mdc::paintCharsFromCodes(const std::vector<Word> &packed, unsigned x,
         busy += cfg.charOverheadCycles +
                 static_cast<Cycle>(pixels / cfg.pixelsPerCycle);
     }
-    finishCommand(busy);
-}
-
-void
-Mdc::finishCommand(Cycle busy)
-{
-    busyCycles += busy;
-    sim.events().schedule(sim.now() + busy, [this] {
-        // Advance the consumer index, then look for more work
-        // immediately (the poll interval only applies when idle).
-        qbus.dmaRead(cfg.queueBase, 2, [this](IoStatus status,
-                                              std::vector<Word> header) {
-            if (status != IoStatus::Ok) {
-                // Consumer index not advanced; the next poll rereads
-                // the same entry (commands must be idempotent under
-                // at-least-once execution, as on the real hardware).
-                sim.events().schedule(
-                    sim.now() + cfg.pollIntervalCycles,
-                    [this] { poll(); }, "mdc poll");
-                return;
-            }
-            qbus.dmaWrite(cfg.queueBase + 4, {header[1] + 1},
-                          [this](IoStatus) { poll(); });
-        });
-    }, "mdc command finish");
+    workQueue.finish(busy);
 }
 
 } // namespace firefly

@@ -20,10 +20,9 @@
 #define FIREFLY_IO_MDC_HH
 
 #include <array>
-#include <functional>
 
 #include "io/framebuffer.hh"
-#include "io/qbus.hh"
+#include "io/work_queue.hh"
 
 namespace firefly
 {
@@ -42,23 +41,16 @@ enum class MdcOpcode : Word
     BltFromMemory = 4,
 };
 
-/** One 8-word command block. */
-using MdcCommand = std::array<Word, 8>;
-
 /** The display controller. */
 class Mdc
 {
   public:
     struct Config
     {
-        /** Work-queue ring in main memory: 2 header words (producer,
-         *  consumer) then `queueEntries` 8-word blocks.  QBus addr. */
-        Addr queueBase = 0;
-        unsigned queueEntries = 16;
+        WorkQueue::Config queue;
         /** Input deposit area (mouseX, mouseY, 4 keyboard words). */
         Addr inputBase = 0;
 
-        Cycle pollIntervalCycles = 2000;      ///< 200 us idle poll
         double pixelsPerCycle = 1.6;          ///< 16 Mpixel/s
         Cycle commandOverheadCycles = 300;    ///< microcode per cmd
         Cycle charOverheadCycles = 400;       ///< per character
@@ -71,6 +63,7 @@ class Mdc
     void start();
 
     FrameBuffer &frameBuffer() { return fb; }
+    WorkQueue &queue() { return workQueue; }
 
     /**
      * Load the built-in 8x16 glyph set into the font cache (the
@@ -84,19 +77,22 @@ class Mdc
     static PixelRect glyphRect(unsigned code);
 
     // --- host-side command encoding --------------------------------------
-    static MdcCommand encodeFill(unsigned x, unsigned y, unsigned w,
-                                 unsigned h, RasterOp op);
-    static MdcCommand encodeCopyRect(unsigned sx, unsigned sy,
-                                     unsigned dx, unsigned dy,
-                                     unsigned w, unsigned h,
-                                     RasterOp op);
-    static MdcCommand encodePaintChars(unsigned x, unsigned y,
-                                       unsigned count,
-                                       Addr chars_qbus_addr);
-    static MdcCommand encodeBltFromMemory(Addr src_qbus_addr,
-                                          unsigned stride_words,
-                                          unsigned dx, unsigned dy,
-                                          unsigned w, unsigned h);
+    static WorkQueue::Command encodeFill(unsigned x, unsigned y,
+                                         unsigned w, unsigned h,
+                                         RasterOp op);
+    static WorkQueue::Command encodeCopyRect(unsigned sx, unsigned sy,
+                                             unsigned dx, unsigned dy,
+                                             unsigned w, unsigned h,
+                                             RasterOp op);
+    static WorkQueue::Command encodePaintChars(unsigned x, unsigned y,
+                                               unsigned count,
+                                               Addr chars_qbus_addr);
+    static WorkQueue::Command encodeBltFromMemory(Addr src_qbus_addr,
+                                                  unsigned stride_words,
+                                                  unsigned dx,
+                                                  unsigned dy,
+                                                  unsigned w,
+                                                  unsigned h);
 
     // --- input devices ----------------------------------------------------
     void setMouse(unsigned x, unsigned y);
@@ -107,14 +103,10 @@ class Mdc
     Counter commandsExecuted;
     Counter pixelsPainted;
     Counter charsPainted;
-    Counter polls;
     Counter deposits;
-    Counter busyCycles;
 
   private:
-    void poll();
-    void executeEntry(std::vector<Word> entry);
-    void finishCommand(Cycle busy_cycles);
+    void executeEntry(const WorkQueue::Command &entry);
     void depositInput();
     void paintCharsFromCodes(const std::vector<Word> &packed,
                              unsigned x, unsigned y, unsigned count);
@@ -123,6 +115,7 @@ class Mdc
     QBus &qbus;
     Config cfg;
     FrameBuffer fb;
+    WorkQueue workQueue;
     bool started = false;
 
     unsigned mouseX = 0, mouseY = 0;

@@ -1,0 +1,106 @@
+#include "io/work_queue.hh"
+
+#include <algorithm>
+#include <utility>
+
+#include "mem/main_memory.hh"
+#include "sim/logging.hh"
+
+namespace firefly
+{
+
+WorkQueue::WorkQueue(Simulator &sim, QBus &qbus, const Config &config,
+                     const char *poll_label, const char *finish_label,
+                     Execute execute)
+    : sim(sim), qbus(qbus), cfg(config), pollLabel(poll_label),
+      finishLabel(finish_label), execute(std::move(execute))
+{
+    if (cfg.entries == 0)
+        fatal("a display work queue needs at least one entry");
+}
+
+Addr
+WorkQueue::blockAddr(Word index) const
+{
+    return cfg.base + 8 + (index % cfg.entries) * sizeof(Command);
+}
+
+void
+WorkQueue::start()
+{
+    if (started)
+        return;
+    started = true;
+    sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
+                          [this] { poll(); });
+}
+
+void
+WorkQueue::pollLater()
+{
+    sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
+                          [this] { poll(); }, pollLabel);
+}
+
+void
+WorkQueue::poll()
+{
+    ++polls;
+    qbus.dmaRead(cfg.base, 2, [this](IoStatus status,
+                                     std::vector<Word> header) {
+        if (status != IoStatus::Ok || header[0] == header[1]) {
+            pollLater();
+            return;
+        }
+        qbus.dmaRead(blockAddr(header[1]), 8,
+                     [this](IoStatus st, std::vector<Word> block) {
+                         if (st != IoStatus::Ok) {
+                             pollLater();  // the next poll rereads it
+                             return;
+                         }
+                         Command command{};
+                         std::copy(block.begin(), block.end(),
+                                   command.begin());
+                         execute(command);
+                     });
+    });
+}
+
+void
+WorkQueue::finish(Cycle busy)
+{
+    busyCycles += busy;
+    sim.events().schedule(sim.now() + busy, [this] {
+        qbus.dmaRead(cfg.base, 2, [this](IoStatus status,
+                                         std::vector<Word> header) {
+            if (status != IoStatus::Ok) {
+                // Consumer not advanced: the command runs again
+                // (at-least-once, as on the real hardware).
+                pollLater();
+                return;
+            }
+            qbus.dmaWrite(cfg.base + 4, {header[1] + 1},
+                          [this](IoStatus) { poll(); });
+        });
+    }, finishLabel);
+}
+
+void
+WorkQueue::enqueue(MainMemory &memory, const Command &command) const
+{
+    const Word producer = memory.read(cfg.base);
+    // peek: the full check adds no memory traffic to the statistics.
+    if (producer - memory.peek(cfg.base + 4) >= cfg.entries)
+        panic("work queue at %#x is full", cfg.base);
+    for (unsigned i = 0; i < command.size(); ++i)
+        memory.write(blockAddr(producer) + 4 * i, command[i]);
+    memory.write(cfg.base, producer + 1);
+}
+
+bool
+WorkQueue::drained(MainMemory &memory) const
+{
+    return memory.read(cfg.base + 4) == memory.read(cfg.base);
+}
+
+} // namespace firefly

@@ -225,7 +225,6 @@ class MBus : public Clocked
     /** Fraction of non-idle bus cycles since construction/reset. */
     double load() const;
     Cycle busyCycles() const { return busyCycleCount.value(); }
-    Cycle totalCycles() const { return totalCycleCount.value(); }
     StatGroup &stats() { return statGroup; }
 
     /**

@@ -31,8 +31,6 @@ class SparseMemory
     Word read(Addr word_addr) const;
     void write(Addr word_addr, Word value);
 
-    Addr sizeWords() const { return _sizeWords; }
-
     /** Number of chunks actually allocated (for tests). */
     std::size_t allocatedChunks() const { return allocated; }
 

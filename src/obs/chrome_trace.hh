@@ -47,8 +47,6 @@ class ChromeTraceSink : public TraceSink
     /** Finalise the JSON array.  Implied by destruction. */
     void close();
 
-    std::uint64_t eventCount() const { return count; }
-
   private:
     unsigned trackId(const std::string &track);
     void writeRecord(const TraceEvent &ev, Cycle shifted);

@@ -18,7 +18,7 @@ void
 Simulator::addClocked(Clocked *c, Phase phase)
 {
     const auto idx = static_cast<std::size_t>(phase);
-    if (idx >= 4)
+    if (idx >= kPhases)
         panic("bad phase %zu", idx);
     phases[idx].push_back(c);
 }
@@ -82,7 +82,7 @@ Simulator::stepOneCycle()
 void
 Simulator::settle()
 {
-    for (int p = 0; p < 4; ++p) {
+    for (std::size_t p = 0; p < kPhases; ++p) {
         const Cycle horizon = settleHorizon(static_cast<Phase>(p));
         for (auto *c : phases[p])
             c->settle(horizon);
@@ -97,26 +97,18 @@ Simulator::fastForward(Cycle when)
     // cycle.  Nothing executes over the skipped span, so nothing can
     // schedule new work inside it - the bound stays valid once
     // computed; components credit the span lazily (Clocked::settle).
-    // A component due now ends the probe immediately (the bus,
-    // scanned first, is busy on most cycles of a saturated run), and
-    // repeated failures back the probe off so a busy machine pays
-    // almost nothing for the idle machinery.
+    // The probe runs after every stepped cycle, so every idle span is
+    // skipped whole.  A component due now ends it at once (the bus,
+    // scanned first, is busy on most cycles of a saturated run).
     Cycle wake = _events.nextEventCycle();
     for (const auto &phase : phases) {
         for (const auto *c : phase) {
             const Cycle due = c->dueCycle();
-            if (due <= _now) {
-                ffRetryAt = _now + ffBackoff;
-                ffBackoff = std::min<Cycle>(ffBackoff * 2, 64);
+            if (due <= _now)
                 return;
-            }
             wake = std::min(wake, due);
         }
     }
-    ffBackoff = 1;
-    ffRetryAt = 0;
-    if (wake <= _now)
-        return;
     Cycle target = std::min(wake, when);
     // Never skip past the watchdog deadline: the wedge must fire at
     // the same cycle it would have fired on the slow path.
@@ -160,10 +152,8 @@ Simulator::runUntil(Cycle when)
             break;
         }
         stepOneCycle();
-        if (ffEnabled && _now < when && _now >= ffRetryAt &&
-            !stopRequested) {
+        if (ffEnabled && _now < when && !stopRequested)
             fastForward(when);
-        }
     }
     // Every statistic is exact whenever a run returns.
     settle();

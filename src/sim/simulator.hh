@@ -7,10 +7,10 @@
  * each cycle is evaluated deterministically:
  *
  *   1. pending events whose time has arrived (device timers, DMA),
- *   2. PhaseBus    - the MBus advances its transaction state machine,
- *   3. PhaseCache  - caches retire bus completions / start requests,
- *   4. PhaseCpu    - processors issue references,
- *   5. PhaseDevice - polled device logic.
+ *   2. Phase::Bus    - the MBus advances its transaction state machine
+ *                      (caches act inside its callbacks),
+ *   3. Phase::Cpu    - processors issue references,
+ *   4. Phase::Device - polled device logic.
  *
  * Determinism matters: two runs with the same configuration and seed
  * produce bit-identical statistics (there is a regression test).
@@ -91,10 +91,12 @@ class Clocked
 enum class Phase
 {
     Bus = 0,
-    Cache,
     Cpu,
     Device,
 };
+
+/** Number of phases. */
+constexpr std::size_t kPhases = 3;
 
 /** The simulation kernel: clock, component list, event queue. */
 class Simulator
@@ -215,21 +217,15 @@ class Simulator
     [[noreturn]] void reportWedge();
 
     Cycle _now = 0;
-    /** Phase whose components are ticking (4 once all have; 0 between
-     *  cycles and while events run). */
+    /** Phase whose components are ticking (kPhases once all have; 0
+     *  between cycles and while events run). */
     int curPhase = 0;
     bool stopRequested = false;
     bool ffEnabled = true;
     Cycle ffSkipped = 0;
     std::uint64_t ticksCalled = 0;
-    /** Quiescence-probe backoff: after a failed probe the next try
-     *  waits ffBackoff cycles (doubling, capped), so saturated runs
-     *  pay ~zero for the idle machinery.  Host-side only - skipping
-     *  or ticking an idle cycle is behaviourally identical. */
-    Cycle ffRetryAt = 0;
-    Cycle ffBackoff = 1;
     EventQueue _events;
-    std::vector<Clocked *> phases[4];
+    std::vector<Clocked *> phases[kPhases];
     std::vector<Clocked *> retired;
 
     Cycle watchdogBound = 0;

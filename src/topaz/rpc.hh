@@ -91,7 +91,6 @@ class RpcEngine
     Cycle lastOutstandingChange = 0;
 
     /** Server model: calls queue and are served one at a time. */
-    unsigned serverQueue = 0;
     bool serverBusy = false;
     std::deque<unsigned> serverPending;
 

@@ -64,7 +64,6 @@ class TopazScheduler
      * At least one CPU must stay online.
      */
     void setOffline(unsigned cpu);
-    bool isOffline(unsigned cpu) const { return offline.at(cpu); }
 
     SchedulerPolicy policy() const { return _policy; }
 

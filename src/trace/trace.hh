@@ -63,7 +63,6 @@ class TraceWriter
     TraceWriter &operator=(const TraceWriter &) = delete;
 
     void append(const TraceRecord &record);
-    std::uint64_t recordCount() const { return count; }
 
     /** Flush and finalise the header.  Implied by destruction. */
     void close();

@@ -33,37 +33,30 @@ struct ColorRig : TestRig
                                                        config())
     {
         qbus.identityMap();
-        cdc.start();
+        cdc.queue().start();
     }
 
     static ColorDisplayController::Config
     config()
     {
         ColorDisplayController::Config cfg;
-        cfg.queueBase = kQueueA;
+        cfg.queue.base = kQueueA;
         return cfg;
     }
 
     void
-    enqueue(Addr queue, const std::array<Word, 8> &command,
-            unsigned entries = 16)
+    enqueue(const WorkQueue::Command &command)
     {
-        const Word producer = memory.read(queue);
-        const Addr entry = queue + 8 + (producer % entries) * 32;
-        for (unsigned i = 0; i < command.size(); ++i)
-            memory.write(entry + 4 * i, command[i]);
-        memory.write(queue, producer + 1);
+        cdc.queue().enqueue(memory, command);
     }
 
     void
-    drain(Addr queue)
+    drain(WorkQueue &queue)
     {
         Cycle deadline = sim.now() + 50'000'000;
-        while (memory.read(queue + 4) != memory.read(queue) &&
-               sim.now() < deadline) {
+        while (!queue.drained(memory) && sim.now() < deadline)
             sim.run(1000);
-        }
-        ASSERT_EQ(memory.read(queue + 4), memory.read(queue));
+        ASSERT_TRUE(queue.drained(memory));
     }
 };
 
@@ -108,9 +101,8 @@ TEST(ColorFrameBuffer, ClipsAtEdges)
 TEST(ColorDisplay, FillThroughWorkQueue)
 {
     ColorRig rig;
-    rig.enqueue(kQueueA,
-                ColorDisplayController::encodeFill(0, 0, 64, 64, 9));
-    rig.drain(kQueueA);
+    rig.enqueue(ColorDisplayController::encodeFill(0, 0, 64, 64, 9));
+    rig.drain(rig.cdc.queue());
     EXPECT_EQ(rig.cdc.frameBuffer().countIndex({0, 0, 64, 64}, 9),
               64u * 64);
     EXPECT_EQ(rig.cdc.commandsExecuted.value(), 1u);
@@ -121,9 +113,9 @@ TEST(ColorDisplay, LoadColorMapFromMemory)
     ColorRig rig;
     rig.memory.write(kDataBase, 0x123456);
     rig.memory.write(kDataBase + 4, 0xabcdef);
-    rig.enqueue(kQueueA, ColorDisplayController::encodeLoadColorMap(
-                             16, 2, kDataBase));
-    rig.drain(kQueueA);
+    rig.enqueue(
+        ColorDisplayController::encodeLoadColorMap(16, 2, kDataBase));
+    rig.drain(rig.cdc.queue());
     EXPECT_EQ(rig.cdc.frameBuffer().color(16), 0x123456u);
     EXPECT_EQ(rig.cdc.frameBuffer().color(17), 0xabcdefu);
 }
@@ -134,9 +126,9 @@ TEST(ColorDisplay, PutImageUploadsPixels)
     // A 4x2 image: indices 1..4 then 5..8, packed 4 per word.
     rig.memory.write(kDataBase, 0x04030201);
     rig.memory.write(kDataBase + 4, 0x08070605);
-    rig.enqueue(kQueueA, ColorDisplayController::encodePutImage(
-                             kDataBase, 1, 200, 100, 4, 2));
-    rig.drain(kQueueA);
+    rig.enqueue(ColorDisplayController::encodePutImage(kDataBase, 1, 200,
+                                                       100, 4, 2));
+    rig.drain(rig.cdc.queue());
     EXPECT_EQ(rig.cdc.frameBuffer().pixel(200, 100), 1u);
     EXPECT_EQ(rig.cdc.frameBuffer().pixel(203, 100), 4u);
     EXPECT_EQ(rig.cdc.frameBuffer().pixel(200, 101), 5u);
@@ -146,13 +138,30 @@ TEST(ColorDisplay, PutImageUploadsPixels)
 TEST(ColorDisplay, CopyRectThroughQueue)
 {
     ColorRig rig;
-    rig.enqueue(kQueueA,
-                ColorDisplayController::encodeFill(0, 0, 8, 8, 3));
-    rig.enqueue(kQueueA, ColorDisplayController::encodeCopyRect(
-                             0, 0, 500, 300, 8, 8));
-    rig.drain(kQueueA);
+    rig.enqueue(ColorDisplayController::encodeFill(0, 0, 8, 8, 3));
+    rig.enqueue(
+        ColorDisplayController::encodeCopyRect(0, 0, 500, 300, 8, 8));
+    rig.drain(rig.cdc.queue());
     EXPECT_EQ(rig.cdc.frameBuffer().countIndex({500, 300, 8, 8}, 3),
               64u);
+}
+
+TEST(ColorDisplay, RingWrapsAcrossDrains)
+{
+    // Three times round the 16-entry ring, each command painting its
+    // own pixel with its own color index.
+    ColorRig rig;
+    const unsigned commands = 3 * ColorRig::config().queue.entries;
+    for (unsigned i = 0; i < commands; ++i) {
+        rig.enqueue(ColorDisplayController::encodeFill(
+            i, 0, 1, 1, static_cast<std::uint8_t>(i + 1)));
+        if (i % 5 == 4)
+            rig.drain(rig.cdc.queue());
+    }
+    rig.drain(rig.cdc.queue());
+    EXPECT_EQ(rig.cdc.commandsExecuted.value(), commands);
+    for (unsigned i = 0; i < commands; ++i)
+        EXPECT_EQ(rig.cdc.frameBuffer().pixel(i, 0), i + 1) << i;
 }
 
 TEST(MultiDisplay, MonochromeAndColorShareOneQBus)
@@ -162,17 +171,16 @@ TEST(MultiDisplay, MonochromeAndColorShareOneQBus)
     // over the same QBus.
     ColorRig rig;
     Mdc::Config mdc_cfg;
-    mdc_cfg.queueBase = kQueueB;
+    mdc_cfg.queue.base = kQueueB;
     mdc_cfg.inputBase = kDataBase + 0x1000;
     Mdc mdc(rig.sim, rig.qbus, mdc_cfg);
     mdc.start();
 
-    rig.enqueue(kQueueA,
-                ColorDisplayController::encodeFill(0, 0, 128, 128, 5));
-    rig.enqueue(kQueueB, Mdc::encodeFill(0, 0, 128, 128,
-                                         RasterOp::Set));
-    rig.drain(kQueueA);
-    rig.drain(kQueueB);
+    rig.enqueue(ColorDisplayController::encodeFill(0, 0, 128, 128, 5));
+    mdc.queue().enqueue(rig.memory,
+                        Mdc::encodeFill(0, 0, 128, 128, RasterOp::Set));
+    rig.drain(rig.cdc.queue());
+    rig.drain(mdc.queue());
 
     EXPECT_EQ(rig.cdc.frameBuffer().countIndex({0, 0, 128, 128}, 5),
               128u * 128);

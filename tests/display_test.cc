@@ -39,22 +39,15 @@ struct MdcRig : TestRig
     makeConfig()
     {
         Mdc::Config cfg;
-        cfg.queueBase = kQueueBase;
+        cfg.queue.base = kQueueBase;
         cfg.inputBase = kInputBase;
         return cfg;
     }
 
-    /** Host-side enqueue: write the command block and bump producer. */
     void
-    enqueue(const MdcCommand &command)
+    enqueue(const WorkQueue::Command &command)
     {
-        const Word producer = memory.read(kQueueBase);
-        const Addr entry = kQueueBase + 8 +
-            (producer % makeConfig().queueEntries) *
-                sizeof(MdcCommand);
-        for (unsigned i = 0; i < command.size(); ++i)
-            memory.write(entry + 4 * i, command[i]);
-        memory.write(kQueueBase, producer + 1);
+        mdc.queue().enqueue(memory, command);
     }
 
     /** Run until the MDC's consumer index catches the producer. */
@@ -62,11 +55,9 @@ struct MdcRig : TestRig
     drain(Cycle limit = 30'000'000)
     {
         const Cycle deadline = sim.now() + limit;
-        while (memory.read(kQueueBase + 4) != memory.read(kQueueBase) &&
-               sim.now() < deadline) {
+        while (!mdc.queue().drained(memory) && sim.now() < deadline)
             sim.run(1000);
-        }
-        ASSERT_EQ(memory.read(kQueueBase + 4), memory.read(kQueueBase))
+        ASSERT_TRUE(mdc.queue().drained(memory))
             << "MDC did not drain the work queue";
     }
 };
@@ -163,9 +154,16 @@ TEST(FrameBuffer, AsciiRendering)
 
 TEST(Mdc, FillCommandThroughWorkQueue)
 {
+    // Enqueue by hand at the documented ring offsets (producer at +0,
+    // consumer at +4, 8-word blocks from +8), so the layout is pinned
+    // independently of WorkQueue::enqueue.
     MdcRig rig;
-    rig.enqueue(Mdc::encodeFill(10, 10, 20, 20, RasterOp::Set));
+    const auto command = Mdc::encodeFill(10, 10, 20, 20, RasterOp::Set);
+    for (unsigned i = 0; i < command.size(); ++i)
+        rig.memory.write(kQueueBase + 8 + 4 * i, command[i]);
+    rig.memory.write(kQueueBase, 1);
     rig.drain();
+    EXPECT_EQ(rig.memory.read(kQueueBase + 4), 1u);
     EXPECT_EQ(rig.mdc.frameBuffer().litPixels({10, 10, 20, 20}), 400u);
     EXPECT_EQ(rig.mdc.commandsExecuted.value(), 1u);
     EXPECT_EQ(rig.mdc.pixelsPainted.value(), 400u);
@@ -179,6 +177,33 @@ TEST(Mdc, CommandsExecuteInOrder)
     rig.drain();
     EXPECT_EQ(rig.mdc.frameBuffer().litPixels({0, 0, 32, 32}),
               32u * 32 - 16 * 16);
+}
+
+TEST(Mdc, RingWrapsAcrossDrains)
+{
+    // Three times round the 16-entry ring: every slot is reused, and
+    // each command still lands exactly once.
+    MdcRig rig;
+    const unsigned commands = 3 * MdcRig::makeConfig().queue.entries;
+    for (unsigned i = 0; i < commands; ++i) {
+        rig.enqueue(Mdc::encodeFill(i, 0, 1, 1, RasterOp::Set));
+        if (i % 5 == 4)
+            rig.drain();
+    }
+    rig.drain();
+    EXPECT_EQ(rig.mdc.commandsExecuted.value(), commands);
+    EXPECT_EQ(rig.mdc.frameBuffer().litPixels({0, 0, 64, 1}), commands);
+}
+
+TEST(MdcDeathTest, EnqueueOnAFullRingPanics)
+{
+    MdcRig rig;
+    const unsigned entries = MdcRig::makeConfig().queue.entries;
+    for (unsigned i = 0; i < entries; ++i)
+        rig.enqueue(Mdc::encodeFill(i, 0, 1, 1, RasterOp::Set));
+    EXPECT_DEATH(
+        rig.enqueue(Mdc::encodeFill(0, 1, 1, 1, RasterOp::Set)),
+        "full");
 }
 
 TEST(Mdc, CopyRectMovesScreenContents)

@@ -41,7 +41,7 @@ TEST(Integration, FullMachineWithAllDevices)
     DiskController disk(sys.simulator(), qbus, "disk");
     EthernetController nic(sys.simulator(), qbus, "net0");
     Mdc::Config mdc_cfg;
-    mdc_cfg.queueBase = kIoBuffers;
+    mdc_cfg.queue.base = kIoBuffers;
     mdc_cfg.inputBase = kIoBuffers + 0x1000;
     Mdc mdc(sys.simulator(), qbus, mdc_cfg);
     mdc.start();

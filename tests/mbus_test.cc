@@ -28,7 +28,6 @@ struct FakeClient : MBusClient
     bool assertShared = false;
     bool supply = false;
     Word supplyValue = 0;
-    bool captureToMemory = false;
 
     int probes = 0;
     int completions = 0;

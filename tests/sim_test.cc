@@ -315,11 +315,11 @@ TEST(Simulator, PhaseOrderWithinCycle)
 {
     Simulator sim;
     std::vector<std::pair<int, Cycle>> log;
-    Recorder cpu(&log, 2), bus(&log, 0), cache(&log, 1);
-    // Register out of order; phases must still run Bus, Cache, Cpu.
-    sim.addClocked(&cpu, Phase::Cpu);
+    Recorder device(&log, 2), bus(&log, 0), cpu(&log, 1);
+    // Register out of order; phases must still run Bus, Cpu, Device.
+    sim.addClocked(&device, Phase::Device);
     sim.addClocked(&bus, Phase::Bus);
-    sim.addClocked(&cache, Phase::Cache);
+    sim.addClocked(&cpu, Phase::Cpu);
     sim.run(2);
     ASSERT_EQ(log.size(), 6u);
     EXPECT_EQ(log[0], (std::pair<int, Cycle>{0, 0}));
@@ -506,6 +506,28 @@ TEST(Simulator, FastForwardJumpsToNextEvent)
     EXPECT_EQ(fired, (std::vector<Cycle>{4000}));
     EXPECT_EQ(sim.now(), 5000u);
     EXPECT_GE(sim.cyclesFastForwarded(), 4000u);
+}
+
+TEST(Simulator, FastForwardSkipsEveryIdleSpanWhole)
+{
+    // Ten rounds of 40 busy cycles then 100 idle ones: the jump is
+    // exact, so every idle cycle is skipped and every busy one ticks,
+    // however long the busy stretch before it.
+    struct Bursty : Clocked
+    {
+        void
+        tick(Cycle now) override
+        {
+            if (now % 140 == 39)
+                setDue(now + 101);
+        }
+    } bursty;
+    Simulator sim;
+    sim.setFastForward(true);
+    sim.addClocked(&bursty, Phase::Device);
+    sim.run(1400);
+    EXPECT_EQ(sim.cyclesFastForwarded(), 1000u);
+    EXPECT_EQ(sim.ticksDispatched(), 400u);
 }
 
 TEST(Simulator, WatchdogWedgesAtTheSameCycleEitherPath)
