@@ -210,17 +210,21 @@ cmake --build "$builddir" -j "$(nproc)"
 if [ "$sanitize" = thread ]; then
     (cd "$builddir" && ctest --output-on-failure -j "$(nproc)" -L tsan)
     # A parallel sweep in a real bench binary must run race-free and
-    # produce the same stats file as the serial loop.
+    # produce the same stats file as the serial loop - for the cache
+    # sweep and for Table 2's two Topaz machines.
     tsandir="$(mktemp -d)"
     trap 'rm -rf "$tsandir"' EXIT
-    "$builddir/bench/bench_line_size" --jobs=1 \
-        --stats-json="$tsandir/serial.json" > /dev/null
-    "$builddir/bench/bench_line_size" --jobs=4 \
-        --stats-json="$tsandir/parallel.json" > /dev/null
-    cmp "$tsandir/serial.json" "$tsandir/parallel.json" || {
-        echo "stats diverge between --jobs=1 and --jobs=4" >&2
-        exit 1
-    }
+    for bench in bench_line_size bench_table2_measured; do
+        "$builddir/bench/$bench" --jobs=1 \
+            --stats-json="$tsandir/$bench.serial.json" > /dev/null
+        "$builddir/bench/$bench" --jobs=4 \
+            --stats-json="$tsandir/$bench.parallel.json" > /dev/null
+        cmp "$tsandir/$bench.serial.json" \
+            "$tsandir/$bench.parallel.json" || {
+            echo "$bench stats diverge between --jobs=1 and --jobs=4" >&2
+            exit 1
+        }
+    done
     # The fuzz corpus shares checker state across sweep workers; it
     # must be race-clean too - with and without fault injection.
     "$builddir/bench/firefly_fuzz" --jobs=4 > /dev/null

@@ -70,7 +70,7 @@ constexpr Cycle inputPeriodCycles = 166667;  // 60 Hz in 100 ns cycles
 
 Mdc::Mdc(Simulator &sim, QBus &qbus, const Config &config)
     : sim(sim), qbus(qbus), cfg(config),
-      workQueue(sim, qbus, cfg.queue, "mdc poll", "mdc command finish",
+      workQueue(sim, qbus, cfg.queue,
                 std::bind_front(&Mdc::executeEntry, this)),
       statGroup("mdc")
 {

@@ -10,10 +10,8 @@ namespace firefly
 {
 
 WorkQueue::WorkQueue(Simulator &sim, QBus &qbus, const Config &config,
-                     const char *poll_label, const char *finish_label,
                      Execute execute)
-    : sim(sim), qbus(qbus), cfg(config), pollLabel(poll_label),
-      finishLabel(finish_label), execute(std::move(execute))
+    : sim(sim), qbus(qbus), cfg(config), execute(std::move(execute))
 {
     if (cfg.entries == 0)
         fatal("a display work queue needs at least one entry");
@@ -39,7 +37,7 @@ void
 WorkQueue::pollLater()
 {
     sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
-                          [this] { poll(); }, pollLabel);
+                          [this] { poll(); }, "mdc poll");
 }
 
 void
@@ -82,7 +80,7 @@ WorkQueue::finish(Cycle busy)
             qbus.dmaWrite(cfg.base + 4, {header[1] + 1},
                           [this](IoStatus) { poll(); });
         });
-    }, finishLabel);
+    }, "mdc command finish");
 }
 
 void

@@ -1,8 +1,9 @@
 /**
  * @file
- * The display work queue: a command ring in main memory that a display
- * controller polls by DMA and any processor fills, which gives every
- * processor symmetric access to the displays.
+ * The display work queue: a command ring in main memory that the MDC
+ * polls by DMA and any processor fills, which gives every processor
+ * symmetric access to the display.  Several MDCs on one QBus each own
+ * a ring of their own.
  *
  * Layout at QBus address `base`: the producer index at +0, the
  * consumer index at +4, then `entries` 8-word command blocks from +8;
@@ -22,7 +23,7 @@ namespace firefly
 
 class MainMemory;
 
-/** One ring: the controller's poll loop and the host's producer. */
+/** One ring: the MDC's poll loop and the host's producer. */
 class WorkQueue
 {
   public:
@@ -38,9 +39,7 @@ class WorkQueue
         Cycle pollIntervalCycles = 2000;  ///< 200 us idle poll
     };
 
-    /** The static labels name the poll and command-finish events. */
     WorkQueue(Simulator &sim, QBus &qbus, const Config &config,
-              const char *poll_label, const char *finish_label,
               Execute execute);
     WorkQueue(const WorkQueue &) = delete;
     WorkQueue &operator=(const WorkQueue &) = delete;
@@ -73,8 +72,6 @@ class WorkQueue
     Simulator &sim;
     QBus &qbus;
     Config cfg;
-    const char *pollLabel;
-    const char *finishLabel;
     Execute execute;
     bool started = false;
 };

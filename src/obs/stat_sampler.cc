@@ -1,6 +1,5 @@
 #include "obs/stat_sampler.hh"
 
-#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace firefly::obs
@@ -77,25 +76,6 @@ StatSampler::writeCsv(std::ostream &os) const
             os << "," << statNumber(ch.values[row]);
         os << "\n";
     }
-}
-
-void
-StatSampler::writeJson(std::ostream &os) const
-{
-    os << "{\"period\":" << _period << ",\"cycles\":[";
-    for (std::size_t i = 0; i < times.size(); ++i)
-        os << (i ? "," : "") << times[i];
-    os << "],\"series\":{";
-    for (std::size_t c = 0; c < channels.size(); ++c) {
-        if (c)
-            os << ",";
-        os << jsonQuote(channels[c].label) << ":[";
-        const auto &values = channels[c].values;
-        for (std::size_t i = 0; i < values.size(); ++i)
-            os << (i ? "," : "") << statNumber(values[i]);
-        os << "]";
-    }
-    os << "}}\n";
 }
 
 } // namespace firefly::obs

@@ -6,9 +6,9 @@
  * paper's Table 2.  The sampler answers "when": registered as a
  * Clocked in Phase::Device, it snapshots selected stats every
  * `period` cycles into an in-memory series, from which CSV (one row
- * per sample, ready for any plotting tool) or JSON (columnar) can be
- * written.  Bus-utilisation-vs-time and miss-rate-vs-time plots fall
- * out directly.
+ * per sample, ready for any plotting tool) can be written.
+ * Bus-utilisation-vs-time and miss-rate-vs-time plots fall out
+ * directly.
  *
  * Channels are either a (StatGroup, stat-name) pair - counters and
  * formulas both work, so "load" and "miss_rate" are one-liners - or
@@ -70,8 +70,6 @@ class StatSampler : public Clocked
 
     /** One row per sample: "cycle,label1,label2,...". */
     void writeCsv(std::ostream &os) const;
-    /** Columnar: {"period":N,"cycles":[...],"series":{label:[...]}}. */
-    void writeJson(std::ostream &os) const;
 
   private:
     struct Channel

@@ -656,7 +656,7 @@ TEST(StatSampler, RecordsLevelsAndDeltas)
     EXPECT_GT(total, 0);
 }
 
-TEST(StatSampler, CsvAndJsonOutputs)
+TEST(StatSampler, CsvOutput)
 {
     FireflySystem sys(FireflyConfig::microVax(1));
     sys.attachSyntheticWorkload(SyntheticConfig{});
@@ -671,15 +671,6 @@ TEST(StatSampler, CsvAndJsonOutputs)
     EXPECT_EQ(text.rfind("cycle,mbus.cycles,load", 0), 0u)
         << "CSV header: " << text.substr(0, 40);
     EXPECT_GT(std::count(text.begin(), text.end(), '\n'), 3);
-
-    std::ostringstream js;
-    sampler.writeJson(js);
-    const Json root = parseJson(js.str());
-    EXPECT_EQ(root.at("period").number, 2000);
-    EXPECT_EQ(root.at("cycles").array.size(),
-              sampler.sampleCount());
-    EXPECT_EQ(root.at("series").at("load").array.size(),
-              sampler.sampleCount());
 }
 
 } // namespace
