@@ -133,34 +133,23 @@ Cache::traceLine(Addr line_base, LineState old_state,
 }
 
 bool
-Cache::tryFastPath(const MemRef &ref, Word &out)
+Cache::trySilentWriteHit(const MemRef &ref)
 {
     const std::size_t i = indexOf(ref.addr);
-    if (tag[i] != lineBaseOf(ref.addr))
+    if (tag[i] != lineBaseOf(ref.addr) ||
+        writeHitAction(state[i]) != WriteHitAction::Silent) {
         return false;
-
-    if (!isWrite(ref.type)) {
-        countRef(ref, true);
-        out = wordAt(i, ref.addr);
-        if (checkObs)
-            checkObs->loadObserved(ref.addr, out, *this, "hit");
-        return true;
     }
-    if (writeHitAction(state[i]) == WriteHitAction::Silent) {
-        countRef(ref, true);
-        wordAt(i, ref.addr) = ref.value;
-        const LineState old = state[i];
-        setLine(i, tag[i], LineState::Dirty);
-        traceLine(tag[i], old, LineState::Dirty, "write-hit");
-        // The line is exclusive (a silent write requires it), so the
-        // local write instant is the global serialization instant.
-        if (checkObs)
-            checkObs->writeSerialized(ref.addr, ref.value, *this,
-                                      "write-hit");
-        out = 0;
-        return true;
-    }
-    return false;
+    countRef(ref, true);
+    wordAt(i, ref.addr) = ref.value;
+    const LineState old = state[i];
+    setLine(i, tag[i], LineState::Dirty);
+    traceLine(tag[i], old, LineState::Dirty, "write-hit");
+    // The line is exclusive (a silent write requires it), so the
+    // local write instant is the global serialization instant.
+    if (checkObs)
+        checkObs->writeSerialized(ref.addr, ref.value, *this, "write-hit");
+    return true;
 }
 
 Cache::AccessResult
@@ -174,10 +163,9 @@ Cache::cpuAccessSlow(const MemRef &ref, Callback cb)
         return {AccessOutcome::RetryTagBusy, 0};
     }
 
-    if (queue.empty() && !engineBusy) {
-        Word out = 0;
-        if (tryFastPath(ref, out))
-            return {AccessOutcome::Hit, out};
+    if (queue.empty() && !engineBusy && isWrite(ref.type) &&
+        trySilentWriteHit(ref)) {
+        return {AccessOutcome::Hit, 0};
     }
 
     queue.push_back(PendingAccess{ref, false, std::move(cb),

@@ -220,8 +220,9 @@ class Cache : public MBusClient
     void traceLine(Addr line_base, LineState old_state,
                    LineState new_state, const char *cause);
 
-    /** Try to satisfy a CPU access without the bus.  True if done. */
-    bool tryFastPath(const MemRef &ref, Word &out);
+    /** Complete a CPU write that hits a line whose protocol writes
+     *  it silently (no bus).  True if done. */
+    bool trySilentWriteHit(const MemRef &ref);
 
     /** Dispatch the head access from Stage::Start (engine must be
      *  idle). */
@@ -319,8 +320,8 @@ inline Cache::AccessResult
 Cache::cpuAccess(const MemRef &ref, Callback cb)
 {
     // The fast path handles exactly the aligned read hit on an idle
-    // engine; the checks mirror cpuAccessSlow's, in the same order,
-    // so counting and behaviour are identical on both routes.
+    // engine with the tag store free, so cpuAccessSlow never sees
+    // one; it handles the silent write hit and everything else.
     if (ref.addr % bytesPerWord == 0 && !tagBusy() && queue.empty() &&
         !engineBusy && !isWrite(ref.type)) {
         const std::size_t i = indexOf(ref.addr);

@@ -27,9 +27,8 @@ CoherenceChecker::CoherenceChecker(Simulator &sim, MBus &bus,
       memory(memory),
       kind(kind),
       cfg(config),
-      golden(memory, config.raceWindowCycles),
+      golden(memory),
       scanner(kind, memory),
-      replay(config.replayDepth),
       statGroup("checker")
 {
     bus.addCommitObserver(
@@ -105,17 +104,29 @@ CoherenceChecker::loadObserved(Addr addr, Word value, const Cache &by,
 }
 
 void
+CoherenceChecker::requireCurrent(Addr addr, Word value,
+                                 const std::string &who)
+{
+    if (value == golden.current(addr))
+        return;
+    std::ostringstream os;
+    os << "serialized load: " << who << " read " << obs::hexAddr(addr)
+       << " = " << obs::hexAddr(value) << " but the oracle says "
+       << obs::hexAddr(golden.current(addr)) << " (serialized @"
+       << golden.writtenAt(addr) << ")";
+    fail(addr, os.str());
+}
+
+void
 CoherenceChecker::busCommit(const MBusTransaction &txn)
 {
     // Record first, so the failing transaction itself shows up in the
     // replay log of any diagnostic it triggers.
-    if (!replay.empty()) {
-        replay[replayNext] = {sim.now(), txn.type, txn.kind, txn.addr,
-                              txn.words, txn.data, txn.mshared,
-                              txn.updatesMemory, txn.initiator};
-        replayNext = (replayNext + 1) % replay.size();
-        replayCount = std::min(replayCount + 1, replay.size());
-    }
+    replay[replayNext] = {sim.now(), txn.type, txn.kind, txn.addr,
+                          txn.words, txn.data, txn.mshared,
+                          txn.updatesMemory, txn.initiator};
+    replayNext = (replayNext + 1) % replay.size();
+    replayCount = std::min(replayCount + 1, replay.size());
 
     if (txn.type != MBusOpType::MWrite)
         return;

@@ -42,6 +42,8 @@
 #ifndef FIREFLY_CHECK_COHERENCE_CHECKER_HH
 #define FIREFLY_CHECK_COHERENCE_CHECKER_HH
 
+#include <array>
+#include <cstddef>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -58,17 +60,16 @@
 namespace firefly::check
 {
 
+/** Bus transactions kept for the per-line replay log. */
+inline constexpr std::size_t kReplayDepth = 16;
+
 /** Tunables; the defaults suit a unit-test-sized machine. */
 struct CheckerConfig
 {
-    /** Bus transactions kept for the per-line replay log. */
-    unsigned replayDepth = 16;
     /** Each N transactions, scan every line that changed since the
      *  last such scan (0 = never; the per-transaction line scan still
      *  runs, and finalCheck() always scans every line). */
     unsigned fullScanPeriod = 256;
-    /** Cycles a superseded value stays an admissible load result. */
-    unsigned raceWindowCycles = 16;
     /** Throw CoherenceViolation instead of panicking. */
     bool throwOnViolation = false;
 };
@@ -97,6 +98,14 @@ class CoherenceChecker : public CoherenceObserver
 
     /** Full invariant scan; call at end of run for a final verdict. */
     void finalCheck();
+
+    /**
+     * Fail unless `value`, which `who` just read from `addr`, is the
+     * oracle's current value exactly.  Only for a driver that issues
+     * one operation at a time, so no write can race the load (see
+     * golden_memory.hh).
+     */
+    void requireCurrent(Addr addr, Word value, const std::string &who);
 
     GoldenMemory &oracle() { return golden; }
     StatGroup &stats() { return statGroup; }
@@ -156,9 +165,9 @@ class CoherenceChecker : public CoherenceObserver
     InvariantScanner scanner;
     std::vector<const Cache *> caches;
 
-    /** Ring of the last cfg.replayDepth transactions: replayCount
+    /** Ring of the last kReplayDepth transactions: replayCount
      *  records, the newest just before replayNext. */
-    std::vector<TxnRecord> replay;
+    std::array<TxnRecord, kReplayDepth> replay{};
     std::size_t replayNext = 0;
     std::size_t replayCount = 0;
 

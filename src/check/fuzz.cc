@@ -123,7 +123,6 @@ runFuzz(const FuzzConfig &cfg)
     }
 
     CheckerConfig checker_cfg;
-    checker_cfg.replayDepth = cfg.replayDepth;
     checker_cfg.fullScanPeriod = cfg.fullScanPeriod;
     checker_cfg.throwOnViolation = true;
     CoherenceChecker checker(sim, bus, memory, cfg.protocol,
@@ -157,7 +156,7 @@ runFuzz(const FuzzConfig &cfg)
     FuzzResult result;
 
     // Issue one operation at a time, running the clock until each
-    // completes; serialized issue is what makes load values
+    // completes; serialized issue is what makes load values exact and
     // protocol-independent for the differential comparison.
     const auto cpuAccess = [&](unsigned cpu, const MemRef &ref) {
         bool done = false;
@@ -181,6 +180,7 @@ runFuzz(const FuzzConfig &cfg)
           case FuzzOp::Kind::Load: {
             const Word v =
                 cpuAccess(op.cpu, {op.addr, RefType::DataRead, 0});
+            checker.requireCurrent(op.addr, v, caches[op.cpu]->name());
             ++result.loads;
             if (cfg.recordLoads)
                 result.loadLog.push_back(v);
@@ -215,6 +215,10 @@ runFuzz(const FuzzConfig &cfg)
             if (status != IoStatus::Ok) {
                 ++injector->deviceFailures;
                 break;
+            }
+            for (unsigned w = 0; w < op.words; ++w) {
+                checker.requireCurrent(op.addr + w * bytesPerWord,
+                                       values[w], "DMA");
             }
             result.dmaReads += op.words;
             if (cfg.recordLoads) {

@@ -18,6 +18,11 @@
  * one at a time, coherent protocols must produce identical logs for
  * the same seed, which is the differential cross-protocol test.
  *
+ * Serialized issue also makes every load exact: besides the checker's
+ * own hooks, each CPU load and every word of each DMA read must equal
+ * the oracle's current value (CoherenceChecker::requireCurrent), with
+ * no race window.
+ *
  * A violation raises CoherenceViolation (runFuzz always configures
  * the checker to throw); the message carries the seed's failing line,
  * states, and replay log.  Reproduce any fuzz failure by re-running
@@ -68,9 +73,8 @@ struct FuzzConfig
     double dmaFrac = 0.1;        ///< P(op is a DMA transfer)
     unsigned dmaBurstMax = 4;    ///< longest DMA burst in words
 
-    // Checker knobs.
+    /** The checker's periodic-scan period (CheckerConfig). */
     unsigned fullScanPeriod = 64;
-    unsigned replayDepth = 16;
 
     /** Record every load value for differential comparison. */
     bool recordLoads = false;
@@ -147,6 +151,8 @@ struct FuzzResult
     std::uint64_t deviceTimeouts = 0;
     std::uint64_t deviceRetries = 0;
     std::uint64_t deviceFailures = 0;
+
+    bool operator==(const FuzzResult &) const = default;
 };
 
 /**

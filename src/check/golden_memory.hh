@@ -16,10 +16,12 @@
  * serialization instant the oracle keys on (a fill's data phase runs
  * before its commit).  Each word therefore keeps the values it held
  * within the last few cycles; a load is admissible if it returns the
- * current value or one superseded no more than `race_window` cycles
- * ago.  The window is a handful of bus cycles - far shorter than any
- * genuine staleness a protocol bug produces, which persists until
- * the line is re-fetched.
+ * current value or one superseded no more than kRaceWindowCycles
+ * cycles ago.  The window is a handful of bus cycles - far shorter
+ * than any genuine staleness a protocol bug produces, which persists
+ * until the line is re-fetched.  A driver that issues one operation
+ * at a time (runFuzz) has no such race and holds each load to
+ * current() exactly.
  */
 
 #ifndef FIREFLY_CHECK_GOLDEN_MEMORY_HH
@@ -36,14 +38,14 @@
 namespace firefly::check
 {
 
+/** Cycles a superseded value stays an admissible load result. */
+inline constexpr unsigned kRaceWindowCycles = 16;
+
 /** Word-granular oracle of globally-visible memory contents. */
 class GoldenMemory
 {
   public:
-    GoldenMemory(const MainMemory &memory, unsigned race_window_cycles)
-        : memory(memory), window(race_window_cycles)
-    {
-    }
+    explicit GoldenMemory(const MainMemory &memory) : memory(memory) {}
 
     /** Record that `value` became the visible content of `addr`. */
     void
@@ -106,7 +108,7 @@ class GoldenMemory
             return true;
         for (const Stale &stale : entry.recent) {
             if (observed == stale.value &&
-                stale.superseded + window >= now) {
+                stale.superseded + kRaceWindowCycles >= now) {
                 return true;
             }
         }
@@ -122,7 +124,8 @@ class GoldenMemory
     inRaceWindow(Cycle now, Addr addr) const
     {
         const auto it = entries.find(addr);
-        return it != entries.end() && it->second.when + window >= now;
+        return it != entries.end() &&
+               it->second.when + kRaceWindowCycles >= now;
     }
 
     /** Call `fn(addr)` for every tracked word, in no set order. */
@@ -153,12 +156,11 @@ class GoldenMemory
     prune(Entry &entry, Cycle now)
     {
         std::erase_if(entry.recent, [&](const Stale &stale) {
-            return stale.superseded + window < now;
+            return stale.superseded + kRaceWindowCycles < now;
         });
     }
 
     const MainMemory &memory;
-    unsigned window;
     std::unordered_map<Addr, Entry> entries;
 };
 

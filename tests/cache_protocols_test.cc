@@ -3,9 +3,10 @@
  * Behavioural tests shared by all five coherence protocols, plus
  * protocol-specific checks for the four baselines (Dragon, WTI,
  * Berkeley, MESI).  The shared tests are parameterized over protocol
- * and line size and assert the properties every protocol must give
- * the software: reads see the most recent write, copies agree, and
- * flushed memory matches the program's history.
+ * and line size, run under the coherence checker (I1-I5 after every
+ * bus transaction), and assert the properties every protocol must
+ * give the software: reads see the most recent write, and flushed
+ * memory matches the program's history.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "test_util.hh"
 
 using namespace firefly;
+using firefly::test::CheckedRig;
 using firefly::test::TestRig;
 
 namespace
@@ -24,27 +26,6 @@ namespace
 
 constexpr Addr kA = 0x2000;
 constexpr Addr kB = 0x2000 + 16 * 1024;  // same index as kA (16 KB)
-
-/** All-valid-copies-agree invariant, protocol independent. */
-void
-expectCopiesAgree(const TestRig &rig, Addr addr)
-{
-    bool have = false;
-    Word value = 0;
-    for (const auto &cache : rig.caches) {
-        if (!cache->holds(addr))
-            continue;
-        const Word w =
-            cache->lineAt(addr).data[(addr - cache->lineAt(addr).base) / 4];
-        if (!have) {
-            value = w;
-            have = true;
-        } else {
-            ASSERT_EQ(w, value) << "caches disagree at 0x" << std::hex
-                                << addr;
-        }
-    }
-}
 
 } // namespace
 
@@ -62,14 +43,14 @@ class ProtocolBehaviour
 
 TEST_P(ProtocolBehaviour, ReadReturnsMemoryValue)
 {
-    TestRig rig(kind(), 3, geometry());
+    CheckedRig rig(kind(), 3, geometry());
     rig.memory.write(kA, 0xfeed);
     EXPECT_EQ(rig.read(0, kA), 0xfeedu);
 }
 
 TEST_P(ProtocolBehaviour, ReadAfterWriteSameCpu)
 {
-    TestRig rig(kind(), 3, geometry());
+    CheckedRig rig(kind(), 3, geometry());
     rig.write(0, kA, 11);
     EXPECT_EQ(rig.read(0, kA), 11u);
     rig.write(0, kA, 12);
@@ -78,7 +59,7 @@ TEST_P(ProtocolBehaviour, ReadAfterWriteSameCpu)
 
 TEST_P(ProtocolBehaviour, ReadAfterWriteOtherCpu)
 {
-    TestRig rig(kind(), 3, geometry());
+    CheckedRig rig(kind(), 3, geometry());
     rig.write(0, kA, 21);
     EXPECT_EQ(rig.read(1, kA), 21u);
     EXPECT_EQ(rig.read(2, kA), 21u);
@@ -86,28 +67,28 @@ TEST_P(ProtocolBehaviour, ReadAfterWriteOtherCpu)
 
 TEST_P(ProtocolBehaviour, WriteOverRemoteDirty)
 {
-    TestRig rig(kind(), 3, geometry());
+    CheckedRig rig(kind(), 3, geometry());
     rig.write(0, kA, 1);
     rig.write(0, kA, 2);  // likely dirty in cache 0
     rig.write(1, kA, 3);
     EXPECT_EQ(rig.read(0, kA), 3u);
     EXPECT_EQ(rig.read(2, kA), 3u);
-    expectCopiesAgree(rig, kA);
+    rig.checker->finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, PingPongWritersConverge)
 {
-    TestRig rig(kind(), 2, geometry());
+    CheckedRig rig(kind(), 2, geometry());
     for (Word i = 0; i < 20; ++i)
         rig.write(i % 2, kA, 100 + i);
     EXPECT_EQ(rig.read(0, kA), 119u);
     EXPECT_EQ(rig.read(1, kA), 119u);
-    expectCopiesAgree(rig, kA);
+    rig.checker->finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, ConflictEvictionPreservesData)
 {
-    TestRig rig(kind(), 2, geometry());
+    CheckedRig rig(kind(), 2, geometry());
     rig.write(0, kA, 31);
     rig.write(0, kB, 32);  // may evict kA (same index)
     rig.write(0, kA, 33);  // may evict kB
@@ -119,7 +100,7 @@ TEST_P(ProtocolBehaviour, ConflictEvictionPreservesData)
 
 TEST_P(ProtocolBehaviour, FlushLeavesMemoryCurrent)
 {
-    TestRig rig(kind(), 3, geometry());
+    CheckedRig rig(kind(), 3, geometry());
     rig.write(0, kA, 41);
     rig.write(1, kA, 42);
     rig.write(1, kA + 8, 43);
@@ -133,7 +114,7 @@ TEST_P(ProtocolBehaviour, FlushLeavesMemoryCurrent)
 
 TEST_P(ProtocolBehaviour, ReadersThenSingleWriter)
 {
-    TestRig rig(kind(), 3, geometry());
+    CheckedRig rig(kind(), 3, geometry());
     rig.memory.write(kA, 7);
     EXPECT_EQ(rig.read(0, kA), 7u);
     EXPECT_EQ(rig.read(1, kA), 7u);
@@ -141,12 +122,12 @@ TEST_P(ProtocolBehaviour, ReadersThenSingleWriter)
     rig.write(1, kA, 8);
     EXPECT_EQ(rig.read(0, kA), 8u);
     EXPECT_EQ(rig.read(2, kA), 8u);
-    expectCopiesAgree(rig, kA);
+    rig.checker->finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, InterleavedAddressesStayIndependent)
 {
-    TestRig rig(kind(), 2, geometry());
+    CheckedRig rig(kind(), 2, geometry());
     for (Word i = 0; i < 8; ++i)
         rig.write(0, kA + 4 * i, 200 + i);
     for (Word i = 0; i < 8; ++i)

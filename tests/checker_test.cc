@@ -222,7 +222,7 @@ TEST(Checker, StaleCopyCaughtOnceRaceWindowCloses)
         rig.sim.run(1);
     const std::uint64_t scans = rig.checker->fullScans.value();
     ASSERT_EQ(rig.checker->txnsObserved.value() % ccfg.fullScanPeriod, 0u);
-    rig.sim.run(2 * ccfg.raceWindowCycles);
+    rig.sim.run(2 * check::kRaceWindowCycles);
     try {
         padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
         FAIL() << "stale copy outlived the race window unnoticed";

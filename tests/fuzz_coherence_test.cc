@@ -2,9 +2,11 @@
  * @file
  * Randomized coherence fuzzing (src/check/fuzz.hh): many seeds, all
  * five protocols, several machine shapes, with the checker throwing
- * on any violation; plus the differential cross-protocol test (same
- * seed, identical load values everywhere) and the "teeth" tests
- * proving a broken protocol is actually caught.
+ * on any violation and every load held to the oracle exactly; the
+ * random protocol sweep over cache counts, line sizes and hot-region
+ * sizes; the differential cross-protocol test (same seed, identical
+ * load values everywhere); and the "teeth" tests proving a broken
+ * protocol is actually caught.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@ using namespace firefly;
 using check::CoherenceViolation;
 using check::FuzzConfig;
 using check::FuzzResult;
+using check::kFuzzShapes;
 using check::runFuzz;
 
 namespace
@@ -64,36 +67,17 @@ TEST(CoherenceFuzz, SixtySeedsAcrossAllProtocolsStayClean)
     }
 }
 
-/** Three machine shapes x five protocols, exercised in parallel. */
+/** The corpus machine shapes x five protocols, in parallel. */
 TEST(CoherenceFuzz, ConfigMatrixStaysClean)
 {
     std::vector<FuzzConfig> configs;
     for (unsigned p = 0; p < std::size(kAllProtocols); ++p) {
-        for (unsigned shape = 0; shape < 3; ++shape) {
+        for (unsigned shape = 0; shape < std::size(kFuzzShapes); ++shape) {
             FuzzConfig cfg;
             cfg.protocol = kAllProtocols[p];
             cfg.seed = harness::pointSeed(kBaseSeed, 100 + p, shape);
             cfg.steps = 1200;
-            switch (shape) {
-              case 0:
-                // Default: 4-byte lines, moderate DMA.
-                break;
-              case 1:
-                // Multi-word lines + DMA bursts: partial-line snoop
-                // merges and victim refreshes get exercised.
-                cfg.lineBytes = 8;
-                cfg.dmaFrac = 0.2;
-                cfg.dmaBurstMax = 4;
-                break;
-              case 2:
-                // Contention: more caches, tiny capacity, heavy
-                // sharing and migration.
-                cfg.nCaches = 4;
-                cfg.cacheBytes = 128;
-                cfg.sharedFrac = 0.85;
-                cfg.migrateFrac = 0.3;
-                break;
-            }
+            kFuzzShapes[shape].apply(cfg);
             configs.push_back(cfg);
         }
     }
@@ -102,6 +86,99 @@ TEST(CoherenceFuzz, ConfigMatrixStaysClean)
     for (const FuzzResult &r : results)
         EXPECT_GT(r.loadsChecked, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// The random protocol sweep: every CPU op lands on one hot region
+// shared by all caches, and the caches are 64 lines, so the larger
+// regions also force constant conflict evictions.  runFuzz holds each
+// load to the oracle exactly and the checker proves I1-I5 after
+// every transaction.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+struct StressParams
+{
+    ProtocolKind kind;
+    unsigned caches;
+    Addr lineBytes;
+    unsigned addresses;  ///< size of the shared hot region in words
+};
+
+std::string
+paramName(const ::testing::TestParamInfo<StressParams> &info)
+{
+    const auto &p = info.param;
+    return std::string(toString(p.kind)) + "_c" +
+           std::to_string(p.caches) + "_l" +
+           std::to_string(p.lineBytes) + "_a" +
+           std::to_string(p.addresses);
+}
+
+/** The fuzz run one sweep row stands for. */
+FuzzConfig
+stressConfig(const StressParams &p)
+{
+    FuzzConfig cfg;
+    cfg.protocol = p.kind;
+    cfg.seed = 0xc0ffee + p.caches + p.lineBytes + p.addresses;
+    cfg.steps = 4000;
+    cfg.nCaches = p.caches;
+    cfg.lineBytes = p.lineBytes;
+    cfg.cacheBytes = 64 * p.lineBytes;
+    cfg.sharedWords = p.addresses;
+    cfg.sharedFrac = 1;
+    cfg.writeFrac = 0.4;
+    cfg.dmaFrac = 0;
+    return cfg;
+}
+
+// gtest names each case with a hex dump of its parameter's bytes,
+// padding included.  A table in static storage has its padding
+// zero-initialized, so those names come out the same on every run;
+// temporaries built inside ::testing::Values() would carry whatever
+// the stack held.
+constexpr StressParams kSweep[] = {
+    {ProtocolKind::Firefly, 2, 4, 32},
+    {ProtocolKind::Firefly, 4, 4, 96},
+    {ProtocolKind::Firefly, 7, 4, 200},
+    {ProtocolKind::Firefly, 4, 16, 96},
+    {ProtocolKind::Dragon, 2, 4, 32},
+    {ProtocolKind::Dragon, 4, 4, 96},
+    {ProtocolKind::Dragon, 4, 16, 96},
+    {ProtocolKind::WriteThroughInvalidate, 4, 4, 96},
+    {ProtocolKind::Berkeley, 2, 4, 32},
+    {ProtocolKind::Berkeley, 4, 4, 96},
+    {ProtocolKind::Berkeley, 4, 16, 96},
+    {ProtocolKind::Mesi, 4, 4, 96},
+    {ProtocolKind::Mesi, 7, 16, 200},
+};
+
+} // namespace
+
+class CoherenceStress : public ::testing::TestWithParam<StressParams>
+{
+};
+
+TEST_P(CoherenceStress, RandomTrafficMatchesOracle)
+{
+    const FuzzResult r = runFuzz(stressConfig(GetParam()));
+    EXPECT_GT(r.loads, 0u);
+    EXPECT_GT(r.stores, 0u);
+}
+
+TEST_P(CoherenceStress, DeterministicGivenSeed)
+{
+    FuzzConfig cfg = stressConfig(GetParam());
+    cfg.recordLoads = true;
+    const FuzzResult first = runFuzz(cfg);
+    ASSERT_FALSE(first.loadLog.empty());
+    EXPECT_TRUE(runFuzz(cfg) == first);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CoherenceStress, ::testing::ValuesIn(kSweep),
+                         paramName);
 
 /**
  * Differential mode: the reference stream is a pure function of the
