@@ -4,7 +4,8 @@
  * cycle-by-cycle structure of MRead and MWrite operations, plus the
  * resulting 10 MB/s aggregate bandwidth.  The timing lines are the
  * bus's flight-recorder phase instants (mbus/mbus.hh), and the run
- * fails unless they match the figure.
+ * fails unless they match the figure.  The traced operations run
+ * under the coherence checker, which aborts on any violation.
  */
 
 #include <cstdio>
@@ -12,11 +13,8 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "cache/cache.hh"
-#include "mbus/mbus.hh"
-#include "mem/main_memory.hh"
+#include "check/rig.hh"
 #include "obs/trace.hh"
-#include "sim/simulator.hh"
 
 using namespace firefly;
 
@@ -45,32 +43,19 @@ struct PhaseLog : obs::TraceSink
     }
 };
 
-/** Two Firefly caches on one bus, with a blocking access helper. */
-struct Rig
+/** Two Firefly caches on one bus, under the checker: `a` is cache 0,
+ *  the one traced. */
+struct Rig : check::CheckedRig
 {
-    Simulator sim;
-    MainMemory memory;
-    MBus bus;
-    Cache a, b;
-
     Rig(const char *a_name, const char *b_name)
-        : bus(sim, memory),
-          a(sim, bus, makeProtocol(ProtocolKind::Firefly), {}, a_name),
-          b(sim, bus, makeProtocol(ProtocolKind::Firefly), {}, b_name)
+        : CheckedRig(ProtocolKind::Firefly, {a_name, b_name})
     {
-        memory.addModule(4 * 1024 * 1024);
     }
 
     void
-    access(Cache &cache, RefType type)
+    access(unsigned cache, RefType type)
     {
-        bool done = false;
-        auto result = cache.cpuAccess({0x1000, type, 0xbeef},
-                                      [&](Word) { done = true; });
-        if (result.outcome == Cache::AccessOutcome::Hit)
-            return;
-        while (!done)
-            sim.run(1);
+        CheckedRig::access(cache, {0x1000, type, 0xbeef});
     }
 
     /** Print the phases of one access by cache `a`, and check that
@@ -81,8 +66,9 @@ struct Rig
         PhaseLog log;
         {
             obs::ScopedTraceSink attach(&log);
-            access(a, type);
+            access(0, type);
         }
+        checker.finalCheck();
         bench::exportStats(bus.stats());
 
         static const char *const order[] = {"arb+addr", "wdata+probe",
@@ -112,7 +98,7 @@ experiment()
     {
         // Make the other cache the only holder: trace a fresh read.
         Rig rig("a", "b");
-        rig.access(rig.b, RefType::DataRead);
+        rig.access(1, RefType::DataRead);
         const auto phases =
             rig.trace("MRead, another cache holds the line (MShared, "
                       "memory inhibited)",
@@ -124,8 +110,8 @@ experiment()
     }
     {
         Rig rig("initiator", "other");
-        rig.access(rig.b, RefType::DataRead);
-        rig.access(rig.a, RefType::DataRead);
+        rig.access(1, RefType::DataRead);
+        rig.access(0, RefType::DataRead);
         rig.trace("MWrite (conditional write-through to a shared line)",
                   RefType::DataWrite);
     }
@@ -133,10 +119,7 @@ experiment()
     // Bandwidth: saturate the bus for a millisecond.
     bench::rule();
     {
-        Simulator sim;
-        MainMemory memory;
-        memory.addModule(4 * 1024 * 1024);
-        MBus bus(sim, memory);
+        check::Rig rig(ProtocolKind::Firefly, 0);
 
         struct Hammer : MBusClient, Clocked
         {
@@ -163,21 +146,21 @@ experiment()
                 }
             }
         } hammer;
-        hammer.bus = &bus;
-        bus.attach(&hammer);
-        sim.addClocked(&hammer, Phase::Cpu);
-        sim.run(10000);  // 1 ms
+        hammer.bus = &rig.bus;
+        rig.bus.attach(&hammer);
+        rig.sim.addClocked(&hammer, Phase::Cpu);
+        rig.sim.run(10000);  // 1 ms
         const double mb_per_s =
-            hammer.done * 4.0 / sim.seconds() / 1e6;
+            hammer.done * 4.0 / rig.sim.seconds() / 1e6;
         char rate[32];
         std::snprintf(rate, sizeof(rate), "%.2f", mb_per_s);
         std::printf("Saturated bus: %llu transfers in %.3f ms -> "
                     "%s MB/s  (paper: \"one four-byte transfer "
                     "every 400 ns ... 10 megabytes per second\")\n",
                     static_cast<unsigned long long>(hammer.done),
-                    sim.seconds() * 1e3, rate);
+                    rig.sim.seconds() * 1e3, rate);
         failures += std::string(rate) != "10.00";
-        std::printf("Bus load: %.3f\n", bus.load());
+        std::printf("Bus load: %.3f\n", rig.bus.load());
     }
 }
 

@@ -11,10 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "cache/cache.hh"
-#include "mbus/mbus.hh"
-#include "mem/main_memory.hh"
-#include "sim/simulator.hh"
+#include "check/rig.hh"
 #include "topaz/rpc.hh"
 
 using namespace firefly;
@@ -32,21 +29,16 @@ struct Point
 Point
 run(unsigned threads, double seconds = 1.0)
 {
-    Simulator sim;
-    MainMemory memory;
-    memory.addModule(4 * 1024 * 1024);
-    MBus bus(sim, memory);
-    Cache io_cache(sim, bus, makeProtocol(ProtocolKind::Firefly), {},
-                   "io-cache");
-    QBus qbus(sim, io_cache, 16 * 1024 * 1024);
+    check::Rig rig(ProtocolKind::Firefly, {"io-cache"});
+    QBus qbus(rig.sim, *rig.caches[0], 16 * 1024 * 1024);
     qbus.identityMap();
-    EthernetController nic(sim, qbus, "net0");
+    EthernetController nic(rig.sim, qbus, "net0");
 
     RpcEngine::Config cfg;
     cfg.threads = threads;
-    RpcEngine rpc(sim, qbus, nic, cfg);
+    RpcEngine rpc(rig.sim, qbus, nic, cfg);
     rpc.start();
-    sim.run(secondsToCycles(seconds));
+    rig.sim.run(secondsToCycles(seconds));
     bench::exportStats(rpc.stats());
     return {rpc.bandwidthMbps(), rpc.averageOutstanding(),
             rpc.callsCompleted.value() / seconds};

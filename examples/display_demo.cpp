@@ -12,11 +12,8 @@
 #include <cstring>
 #include <string>
 
-#include "cache/cache.hh"
+#include "check/rig.hh"
 #include "io/mdc.hh"
-#include "mbus/mbus.hh"
-#include "mem/main_memory.hh"
-#include "sim/simulator.hh"
 
 using namespace firefly;
 
@@ -27,22 +24,17 @@ constexpr Addr kQueueBase = 0x0010'0000;
 constexpr Addr kInputBase = 0x0011'0000;
 constexpr Addr kTextBase = 0x0012'0000;
 
-struct Machine
+/** The I/O processor's cache on the bus, the QBus behind it, and
+ *  the MDC on the QBus. */
+struct Machine : check::Rig
 {
-    Simulator sim;
-    MainMemory memory;
-    MBus bus;
-    Cache ioCache;
     QBus qbus;
     Mdc mdc;
 
     Machine()
-        : bus(sim, memory),
-          ioCache(sim, bus, makeProtocol(ProtocolKind::Firefly), {},
-                  "io-cache"),
-          qbus(sim, ioCache, 16 * 1024 * 1024), mdc(sim, qbus, config())
+        : check::Rig(ProtocolKind::Firefly, {"io-cache"}),
+          qbus(sim, *caches[0], 16 * 1024 * 1024), mdc(sim, qbus, config())
     {
-        memory.addModule(4 * 1024 * 1024);
         qbus.identityMap();
         mdc.loadBuiltinFont();
         mdc.start();

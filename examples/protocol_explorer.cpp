@@ -4,7 +4,8 @@
  * operation by bus operation, for a canonical two-processor sharing
  * scenario.  Useful for teaching the Firefly protocol and comparing
  * it with the baselines.  The narration is the bus's flight-recorder
- * phase instants (mbus/mbus.hh), printed as they happen.
+ * phase instants (mbus/mbus.hh), printed as they happen; the
+ * coherence checker watches the run and aborts on any violation.
  *
  * Usage: protocol_explorer [firefly|dragon|wti|berkeley|mesi]
  */
@@ -13,11 +14,8 @@
 #include <cstring>
 #include <string>
 
-#include "cache/cache.hh"
-#include "mbus/mbus.hh"
-#include "mem/main_memory.hh"
+#include "check/rig.hh"
 #include "obs/trace.hh"
-#include "sim/simulator.hh"
 
 using namespace firefly;
 
@@ -27,60 +25,49 @@ namespace
 /** Prints each MBus phase instant as one narration line. */
 struct PhasePrinter : obs::TraceSink
 {
+    unsigned printed = 0;
+
     void
     event(const obs::TraceEvent &ev) override
     {
         if (ev.kind != obs::EventKind::Instant || ev.args.empty() ||
             ev.args[0].first != "detail")
             return;
+        ++printed;
         std::printf("      [cycle %3llu] %-11s %s\n",
                     static_cast<unsigned long long>(ev.when),
                     ev.name.c_str(), ev.args[0].second.c_str());
     }
 };
 
-struct Explorer
+/** Two caches on one bus, under the coherence checker. */
+struct Explorer : check::CheckedRig
 {
-    Simulator sim;
-    MainMemory memory;
-    MBus bus;
-    Cache a, b;
     PhasePrinter printer;
     obs::ScopedTraceSink attach{&printer};
 
     explicit Explorer(ProtocolKind kind)
-        : bus(sim, memory),
-          a(sim, bus, makeProtocol(kind), {}, "cpu0-cache"),
-          b(sim, bus, makeProtocol(kind), {}, "cpu1-cache")
+        : CheckedRig(kind, {"cpu0-cache", "cpu1-cache"})
     {
-        memory.addModule(4 * 1024 * 1024);
     }
 
     void
-    access(Cache &cache, bool write, Addr addr, Word value)
+    access(unsigned cpu, bool write, Addr addr, Word value)
     {
-        bool done = false;
-        auto result = cache.cpuAccess(
-            {addr, write ? RefType::DataWrite : RefType::DataRead,
-             value},
-            [&](Word) { done = true; });
-        if (result.outcome == Cache::AccessOutcome::Hit) {
+        const unsigned before = printer.printed;
+        CheckedRig::access(
+            cpu, {addr, write ? RefType::DataWrite : RefType::DataRead,
+                  value});
+        if (printer.printed == before)
             std::printf("      (cache hit, no bus traffic)\n");
-            return;
-        }
-        while (!done)
-            sim.run(1);
     }
 
     void
     show(Addr addr)
     {
-        auto state = [&](Cache &cache) {
-            return cache.holds(addr) ? toString(cache.lineAt(addr).state)
-                                     : "Invalid";
-        };
         std::printf("      state: cpu0=%s cpu1=%s memory=0x%x\n\n",
-                    state(a), state(b), memory.read(addr));
+                    toString(state(0, addr)), toString(state(1, addr)),
+                    memory.read(addr));
     }
 };
 
@@ -109,35 +96,36 @@ main(int argc, char **argv)
                 "(0x%x) ===\n\n", toString(kind), addr);
 
     std::printf("1. cpu0 reads (cold miss):\n");
-    ex.access(ex.a, false, addr, 0);
+    ex.access(0, false, addr, 0);
     ex.show(addr);
 
     std::printf("2. cpu0 writes 0x11 (hit):\n");
-    ex.access(ex.a, true, addr, 0x11);
+    ex.access(0, true, addr, 0x11);
     ex.show(addr);
 
     std::printf("3. cpu1 reads (miss; who supplies the data?):\n");
-    ex.access(ex.b, false, addr, 0);
+    ex.access(1, false, addr, 0);
     ex.show(addr);
 
     std::printf("4. cpu0 writes 0x22 while shared (the protocols "
                 "diverge here):\n");
-    ex.access(ex.a, true, addr, 0x22);
+    ex.access(0, true, addr, 0x22);
     ex.show(addr);
 
     std::printf("5. cpu1 reads again (does it cost a bus trip?):\n");
-    ex.access(ex.b, false, addr, 0);
+    ex.access(1, false, addr, 0);
     ex.show(addr);
 
     std::printf("6. cpu1 evicts its copy (conflicting read), then "
                 "cpu0 writes 0x33:\n");
-    ex.access(ex.b, false, addr + 16 * 1024, 0);
-    ex.access(ex.a, true, addr, 0x33);
+    ex.access(1, false, addr + 16 * 1024, 0);
+    ex.access(0, true, addr, 0x33);
     ex.show(addr);
 
     std::printf("7. cpu0 writes 0x44 (is the line private again?):\n");
-    ex.access(ex.a, true, addr, 0x44);
+    ex.access(0, true, addr, 0x44);
     ex.show(addr);
+    ex.checker.finalCheck();
 
     std::printf("Under Firefly, step 4 is a write-through that "
                 "updates cpu1 in place,\nstep 5 is then a free cache "

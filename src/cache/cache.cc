@@ -23,15 +23,17 @@ Cache::Cache(Simulator &sim, MBus &bus, const ProtocolTable &protocol,
         fatal("cache size %u not a multiple of line size %u",
               geom.cacheBytes, geom.lineBytes);
     }
+    const std::size_t lines = geom.cacheBytes / geom.lineBytes;
+    if ((lines & (lines - 1)) != 0)
+        fatal("cache of %zu lines: direct-mapped indexing needs a power "
+              "of two", lines);
     _lineWords = geom.lineBytes / bytesPerWord;
     lineBytes = geom.lineBytes;
-    const std::size_t lines = geom.cacheBytes / geom.lineBytes;
     tag.assign(lines, kNoLine);
     state.assign(lines, LineState::Invalid);
     data.assign(lines * _lineWords, 0);
     while ((Addr{1} << lineShift) < lineBytes)
         ++lineShift;
-    linesPow2 = (lines & (lines - 1)) == 0;
 
     bus.attachCache(this, lineBytes, lines, tag.data());
 

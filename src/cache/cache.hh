@@ -58,7 +58,7 @@ class Cache : public MBusClient
     /** Cache geometry. */
     struct Geometry
     {
-        Addr cacheBytes = 16 * 1024;  ///< total data capacity
+        Addr cacheBytes = 16 * 1024;  ///< capacity: 2^k lines
         Addr lineBytes = 4;           ///< line size (power of two)
     };
 
@@ -268,10 +268,8 @@ class Cache : public MBusClient
     std::vector<LineState> state;
     std::vector<Word> data;         ///< numLines() x lineWords()
     /** Indexing by shift and mask, not division: it runs on every
-     *  access and snoop.  A line count that is not a power of two
-     *  falls back to a modulo. */
+     *  access and snoop. */
     unsigned lineShift = 0;
-    bool linesPow2 = false;
 
     std::deque<PendingAccess> queue;
     bool engineBusy = false;  ///< head of queue has a bus op in flight
@@ -291,7 +289,7 @@ inline std::size_t
 Cache::indexOf(Addr byte_addr) const
 {
     const Addr line = byte_addr >> lineShift;
-    return linesPow2 ? line & (tag.size() - 1) : line % tag.size();
+    return line & (tag.size() - 1);
 }
 
 inline Word &

@@ -4,13 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "cache/cache.hh"
-#include "io/dma_engine.hh"
-#include "mbus/mbus.hh"
-#include "mem/main_memory.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/simulator.hh"
 
 namespace firefly::check
 {
@@ -107,48 +102,40 @@ runFuzz(const FuzzConfig &cfg)
         panic("fuzz: degenerate configuration");
     }
 
-    Simulator sim;
-    MainMemory memory;
-    memory.addModule(4 * 1024 * 1024);
-    MBus bus(sim, memory);
-
-    const Cache::Geometry geom{cfg.cacheBytes, cfg.lineBytes};
-    std::vector<std::unique_ptr<Cache>> caches;
-    const ProtocolTable &protocol = cfg.protocolTable
-                                        ? *cfg.protocolTable
-                                        : makeProtocol(cfg.protocol);
-    for (unsigned i = 0; i < cfg.nCaches; ++i) {
-        caches.push_back(std::make_unique<Cache>(
-            sim, bus, protocol, geom, "cache" + std::to_string(i)));
-    }
-
     CheckerConfig checker_cfg;
     checker_cfg.fullScanPeriod = cfg.fullScanPeriod;
-    checker_cfg.throwOnViolation = true;
-    CoherenceChecker checker(sim, bus, memory, cfg.protocol,
-                             checker_cfg);
-    for (auto &cache : caches)
-        checker.watch(*cache);
-    if (cfg.onBuilt) {
-        FuzzMachine machine{sim, bus, {}, checker};
-        for (const auto &cache : caches)
-            machine.caches.push_back(cache.get());
-        cfg.onBuilt(machine);
-    }
-
-    // Cache 0 plays the I/O processor: DMA flows through it.
-    DmaEngine dma(sim, *caches[0], 16 * 1024 * 1024);
+    CheckedRig rig(cfg.protocol, cfg.nCaches,
+                   {cfg.cacheBytes, cfg.lineBytes}, cfg.protocolTable,
+                   checker_cfg);
+    CoherenceChecker &checker = rig.checker;
+    if (cfg.onBuilt)
+        cfg.onBuilt(rig);
 
     std::unique_ptr<fault::FaultInjector> injector;
     if (cfg.faults.active()) {
         injector = std::make_unique<fault::FaultInjector>(cfg.faults);
-        bus.setFaultInjector(injector.get());
-        memory.setFaultInjector(injector.get());
-        dma.setFaultInjector(injector.get());
+        rig.bus.setFaultInjector(injector.get());
+        rig.memory.setFaultInjector(injector.get());
+        rig.dma->setFaultInjector(injector.get());
         // Throw mode: a wedge under fault injection is a test
         // failure, not a reason to kill the whole process.
-        sim.setWatchdog(cfg.faults.watchdogCycles, true);
+        rig.sim.setWatchdog(fault::kWatchdogCycles, true);
     }
+
+    // Retry a timed-out DMA transfer up to the device retry budget,
+    // then give up gracefully (the op is skipped; every protocol skips
+    // the same ops for a given seed).
+    const auto transfer = [&](const auto &attempt) {
+        for (unsigned n = 1;; ++n) {
+            if (attempt() == IoStatus::Ok)
+                return true;
+            if (!injector || n >= fault::kDeviceRetryBudget)
+                break;
+            ++injector->deviceRetries;
+        }
+        ++injector->deviceFailures;
+        return false;
+    };
 
     Rng rng(cfg.seed);
     const std::vector<FuzzOp> ops = generateOps(cfg, rng);
@@ -158,64 +145,28 @@ runFuzz(const FuzzConfig &cfg)
     // Issue one operation at a time, running the clock until each
     // completes; serialized issue is what makes load values exact and
     // protocol-independent for the differential comparison.
-    const auto cpuAccess = [&](unsigned cpu, const MemRef &ref) {
-        bool done = false;
-        Word data = 0;
-        for (;;) {
-            auto r = caches[cpu]->cpuAccess(
-                ref, [&](Word w) { done = true; data = w; });
-            if (r.outcome == Cache::AccessOutcome::Hit)
-                return r.data;
-            if (r.outcome == Cache::AccessOutcome::Pending)
-                break;
-            sim.run(1);  // tag store busy: retry next cycle
-        }
-        while (!done)
-            sim.run(1);
-        return data;
-    };
-
     for (const FuzzOp &op : ops) {
         switch (op.kind) {
           case FuzzOp::Kind::Load: {
-            const Word v =
-                cpuAccess(op.cpu, {op.addr, RefType::DataRead, 0});
-            checker.requireCurrent(op.addr, v, caches[op.cpu]->name());
+            const Word v = rig.read(op.cpu, op.addr);
+            checker.requireCurrent(op.addr, v, rig.caches[op.cpu]->name());
             ++result.loads;
             if (cfg.recordLoads)
                 result.loadLog.push_back(v);
             break;
           }
           case FuzzOp::Kind::Store:
-            cpuAccess(op.cpu,
-                      {op.addr, RefType::DataWrite, op.data[0]});
+            rig.write(op.cpu, op.addr, op.data[0]);
             ++result.stores;
             break;
           case FuzzOp::Kind::DmaRead: {
-            // Retry timed-out transfers with the injector's budget,
-            // then give up gracefully (the op is skipped; every
-            // protocol skips the same ops for a given seed).
-            IoStatus status = IoStatus::Ok;
             std::vector<Word> values;
-            for (unsigned attempt = 0;; ++attempt) {
-                bool done = false;
-                dma.readWords(op.addr, op.words,
-                              [&](IoStatus st, std::vector<Word> v) {
-                                  done = true;
-                                  status = st;
-                                  values = std::move(v);
-                              });
-                while (!done)
-                    sim.run(1);
-                if (status == IoStatus::Ok || !injector ||
-                    attempt + 1 >= injector->config().deviceRetryBudget)
-                    break;
-                ++injector->deviceRetries;
-            }
-            if (status != IoStatus::Ok) {
-                ++injector->deviceFailures;
+            if (!transfer([&] {
+                    IoStatus status = IoStatus::Ok;
+                    values = rig.dmaRead(op.addr, op.words, &status);
+                    return status;
+                }))
                 break;
-            }
             for (unsigned w = 0; w < op.words; ++w) {
                 checker.requireCurrent(op.addr + w * bytesPerWord,
                                        values[w], "DMA");
@@ -227,36 +178,18 @@ runFuzz(const FuzzConfig &cfg)
             }
             break;
           }
-          case FuzzOp::Kind::DmaWrite: {
-            IoStatus status = IoStatus::Ok;
-            for (unsigned attempt = 0;; ++attempt) {
-                bool done = false;
-                dma.writeWords(op.addr, op.data, [&](IoStatus st) {
-                    done = true;
-                    status = st;
-                });
-                while (!done)
-                    sim.run(1);
-                if (status == IoStatus::Ok || !injector ||
-                    attempt + 1 >= injector->config().deviceRetryBudget)
-                    break;
-                ++injector->deviceRetries;
-            }
-            if (status != IoStatus::Ok) {
-                ++injector->deviceFailures;
-                break;
-            }
-            result.dmaWrites += op.words;
+          case FuzzOp::Kind::DmaWrite:
+            if (transfer([&] { return rig.dmaWrite(op.addr, op.data); }))
+                result.dmaWrites += op.words;
             break;
-          }
         }
     }
 
-    while (!dma.idle())
-        sim.run(1);
+    while (!rig.dma->idle())
+        rig.sim.run(1);
     checker.finalCheck();
 
-    result.cycles = sim.now();
+    result.cycles = rig.sim.now();
     result.loadsChecked = checker.loadsChecked.value();
     result.writesTracked = checker.writesTracked.value();
     result.fullScans = checker.fullScans.value();

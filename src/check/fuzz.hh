@@ -2,9 +2,9 @@
  * @file
  * Randomized coherence fuzzer.
  *
- * runFuzz() builds a small machine - memory, bus, N caches, a DMA
- * engine through cache 0 (the I/O processor position) - attaches a
- * CoherenceChecker, and drives a pseudo-random reference stream of
+ * runFuzz() builds a CheckedRig (check/rig.hh) - memory, bus, N
+ * caches, a DMA engine through cache 0 (the I/O processor position),
+ * the coherence checker - and drives a pseudo-random reference stream of
  * CPU loads/stores and DMA bursts at it.  Tunables steer the stream
  * toward the interesting corners: sharing (several CPUs hitting a
  * common pool of words), migration (writers moving between caches),
@@ -37,20 +37,11 @@
 #include <vector>
 
 #include "cache/protocol.hh"
-#include "check/coherence_checker.hh"
+#include "check/rig.hh"
 #include "fault/fault_injector.hh"
 
 namespace firefly::check
 {
-
-/** The machine runFuzz built, as FuzzConfig::onBuilt sees it. */
-struct FuzzMachine
-{
-    Simulator &sim;
-    MBus &bus;
-    std::vector<const Cache *> caches;
-    CoherenceChecker &checker;
-};
 
 /** Knobs for one fuzz run.  Defaults are a busy 3-CPU machine. */
 struct FuzzConfig
@@ -97,11 +88,11 @@ struct FuzzConfig
     const ProtocolTable *protocolTable = nullptr;
 
     /**
-     * Called once the machine is built and the checker watches every
+     * Called once the rig is built and the checker watches every
      * cache, before the first operation.  Bus observers registered
      * here run after the checker's, so tests can cross-examine it.
      */
-    std::function<void(FuzzMachine &)> onBuilt;
+    std::function<void(CheckedRig &)> onBuilt;
 };
 
 /** A machine shape the fuzz corpus cycles through. */

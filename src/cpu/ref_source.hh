@@ -32,10 +32,6 @@ struct CpuStep
     Kind kind = Kind::Halt;
     MemRef ref{};
     std::uint32_t ticks = 0;
-    /** Override for the ticks a *hit* on this reference occupies the
-     *  processor (0 = the timing model's default).  Used to model
-     *  overlapped instruction prefetches. */
-    std::uint8_t hitCharge = 0;
 
     static CpuStep
     makeRef(const MemRef &r)

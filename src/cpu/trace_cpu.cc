@@ -179,15 +179,11 @@ TraceCpu::issue(Cycle now)
                     source.onRefCompleted(issued, data);
                 });
             switch (result.outcome) {
-              case Cache::AccessOutcome::Hit: {
-                const unsigned charge = pending.hitCharge
-                    ? pending.hitCharge
-                    : timing.hitOccupancyTicks;
-                computeRemaining = charge - 1;
+              case Cache::AccessOutcome::Hit:
+                computeRemaining = timing.hitOccupancyTicks - 1;
                 hasPending = false;
                 source.onRefCompleted(issued, result.data);
                 return;
-              }
               case Cache::AccessOutcome::RetryTagBusy:
                 ++tagRetryTicks;
                 return;  // keep the pending step, retry next tick

@@ -11,9 +11,6 @@ namespace firefly::fault
 FaultInjector::FaultInjector(const FaultConfig &config)
     : cfg(config), plan(config.seed, config.rates), statGroup("faults")
 {
-    if (cfg.parityRetryBudget == 0 || cfg.deviceRetryBudget == 0)
-        fatal("fault retry budgets must allow at least one attempt");
-
     statGroup.addCounter(&parityErrors, "parity_errors",
                          "bus transaction attempts NACKed for parity");
     statGroup.addCounter(&parityRetries, "parity_retries",
@@ -40,8 +37,8 @@ FaultInjector::parityBackoff(unsigned attempt) const
     if (attempt == 0)
         return 0;
     const unsigned shift = std::min(attempt - 1, 30u);
-    return std::min<Cycle>(cfg.parityBackoffBase << shift,
-                           cfg.parityBackoffCap);
+    return std::min<Cycle>(kParityBackoffBase << shift,
+                           kParityBackoffCap);
 }
 
 Cycle

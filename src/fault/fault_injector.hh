@@ -3,7 +3,7 @@
  * The fault-injection subsystem.
  *
  * One FaultInjector per simulated machine owns the FaultPlan, the
- * recovery tuning knobs (retry budgets, backoff), the fault/recovery
+ * device recovery knobs (timeout, backoff), the fault/recovery
  * statistics, and the machine-check path.  Components that can take
  * faults (MBus, MemoryModule, DmaEngine) each hold an optional
  * pointer to the injector; with none attached every fault site is a
@@ -34,6 +34,22 @@
 namespace firefly::fault
 {
 
+// --- recovery constants ----------------------------------------------
+/** MBus parity: attempts (including the first) before a machine
+ *  check. */
+inline constexpr unsigned kParityRetryBudget = 8;
+/** Backoff before parity retry k is min(base << (k-1), cap) cycles. */
+inline constexpr Cycle kParityBackoffBase = 2;
+inline constexpr Cycle kParityBackoffCap = 64;
+/** Device transfer attempts (including the first) before giving up. */
+inline constexpr unsigned kDeviceRetryBudget = 4;
+/** A machine with faults armed aborts if no component makes progress
+ *  for this many cycles (the simulator's wedge watchdog). */
+inline constexpr Cycle kWatchdogCycles = 1'000'000;
+
+static_assert(kParityRetryBudget > 0 && kDeviceRetryBudget > 0,
+              "fault retry budgets must allow at least one attempt");
+
 /** Fault campaign configuration: what fires and how recovery runs. */
 struct FaultConfig
 {
@@ -43,25 +59,12 @@ struct FaultConfig
     FaultRates rates;
     std::uint64_t seed = 1;
 
-    // --- MBus parity recovery ---------------------------------------
-    /** Attempts (including the first) before a machine check. */
-    unsigned parityRetryBudget = 8;
-    /** Backoff before retry k is min(base << (k-1), cap) cycles. */
-    Cycle parityBackoffBase = 2;
-    Cycle parityBackoffCap = 64;
-
     // --- device timeout recovery ------------------------------------
     /** Cycles a timed-out DMA request burns before failing. */
     Cycle deviceTimeoutCycles = 2000;
-    /** Transfer attempts (including the first) before giving up. */
-    unsigned deviceRetryBudget = 4;
+    /** Backoff before device retry k is min(base << (k-1), cap). */
     Cycle deviceBackoffBase = 500;
     Cycle deviceBackoffCap = 8000;
-
-    // --- wedge watchdog ----------------------------------------------
-    /** Abort if no component makes progress for this many cycles
-     *  (0 leaves the simulator's watchdog untouched). */
-    Cycle watchdogCycles = 1'000'000;
 
     /** Throw MachineCheck instead of dying; tests use this to assert
      *  on the diagnostic. */

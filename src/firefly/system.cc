@@ -60,10 +60,8 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
         injector = std::make_unique<fault::FaultInjector>(cfg.faults);
         mbus->setFaultInjector(injector.get());
         mem.setFaultInjector(injector.get());
-        if (cfg.faults.watchdogCycles != 0) {
-            sim.setWatchdog(cfg.faults.watchdogCycles,
-                            cfg.faults.throwOnMachineCheck);
-        }
+        sim.setWatchdog(fault::kWatchdogCycles,
+                        cfg.faults.throwOnMachineCheck);
         injector->setMachineCheckHook(
             [this](const std::string &unit, const std::string &diag) {
                 intc->raiseMachineCheck(unit, diag);

@@ -135,7 +135,7 @@ DiskController::retryOrFail(Request req)
 {
     auto *inj = qbus.engine().faultInjector();
     ++req.attempt;
-    if (inj && req.attempt < inj->config().deviceRetryBudget) {
+    if (inj && req.attempt < fault::kDeviceRetryBudget) {
         ++inj->deviceRetries;
         sim.events().schedule(
             sim.now() + inj->deviceBackoff(req.attempt),

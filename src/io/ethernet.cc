@@ -77,7 +77,7 @@ EthernetController::startTx(TxRequest req)
         if (status != IoStatus::Ok) {
             auto *inj = qbus.engine().faultInjector();
             ++req.attempt;
-            if (inj && req.attempt < inj->config().deviceRetryBudget) {
+            if (inj && req.attempt < fault::kDeviceRetryBudget) {
                 ++inj->deviceRetries;
                 sim.events().schedule(
                     sim.now() + inj->deviceBackoff(req.attempt),

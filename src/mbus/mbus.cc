@@ -107,8 +107,6 @@ MBus::attachCache(MBusClient *client, Addr line_bytes, unsigned lines,
                   const Addr *tags)
 {
     TagFilter &f = filters[attach(client)];
-    if (lines == 0 || (lines & (lines - 1)) != 0)
-        return;
     f.tags = tags;
     while ((Addr{1} << f.lineShift) < line_bytes)
         ++f.lineShift;
@@ -368,14 +366,14 @@ MBus::parityAbort(Cycle now)
                      {"by", txn.initiator->busClientName()},
                      {"attempt", std::to_string(attempt)}});
     }
-    if (attempt >= injector->config().parityRetryBudget) {
+    if (attempt >= fault::kParityRetryBudget) {
         injector->machineCheck(
             statGroup.name(),
             std::string(toString(txn.type)) + " " +
                 obs::hexAddr(txn.addr) + " by " +
                 txn.initiator->busClientName() +
                 ": parity retry budget (" +
-                std::to_string(injector->config().parityRetryBudget) +
+                std::to_string(fault::kParityRetryBudget) +
                 ") exhausted");
     }
     // Re-arm the master's slot: the transaction retries from the

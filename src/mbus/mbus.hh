@@ -173,8 +173,8 @@ class MBus : public Clocked
      * valid line at index i, or kNoLine.  The bus reads it to probe
      * the cache only on transactions whose line it holds, so, like
      * the client, the array must outlive the bus's use of it and
-     * never move.  A line count that is not a power of two opts out
-     * of filtering.  Attachment order is priority, as for attach().
+     * never move.  `lines` is a power of two (Cache's constructor
+     * insists).  Attachment order is priority, as for attach().
      */
     void attachCache(MBusClient *client, Addr line_bytes, unsigned lines,
                      const Addr *tags);

@@ -14,8 +14,7 @@ MemoryModule &
 MainMemory::addModule(Addr size_bytes)
 {
     auto module = std::make_unique<MemoryModule>(
-        "mem" + std::to_string(modules.size()), nextBase, size_bytes,
-        modules.empty());
+        "mem" + std::to_string(modules.size()), nextBase, size_bytes);
     nextBase += size_bytes;
     statGroup.addChild(&module->stats());
     modules.push_back(std::move(module));

@@ -22,7 +22,6 @@ class MainMemory
 
     /**
      * Install a module of `size_bytes` immediately after the last one.
-     * The first module installed is the master.
      * @return the new module.
      */
     MemoryModule &addModule(Addr size_bytes);

@@ -7,9 +7,8 @@
 namespace firefly
 {
 
-MemoryModule::MemoryModule(std::string name, Addr base, Addr size_bytes,
-                           bool master)
-    : _base(base), _sizeBytes(size_bytes), master(master),
+MemoryModule::MemoryModule(std::string name, Addr base, Addr size_bytes)
+    : _base(base), _sizeBytes(size_bytes),
       storage(size_bytes / bytesPerWord), statGroup(std::move(name))
 {
     if (base % bytesPerWord != 0 || size_bytes % bytesPerWord != 0)

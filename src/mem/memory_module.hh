@@ -33,11 +33,8 @@ class MemoryModule
      * @param name        stat name, e.g. "mem0".
      * @param base        byte address of the first location.
      * @param size_bytes  module capacity in bytes.
-     * @param master      true for the master module (drives MBus
-     *                    refresh/init; informational only here).
      */
-    MemoryModule(std::string name, Addr base, Addr size_bytes,
-                 bool master);
+    MemoryModule(std::string name, Addr base, Addr size_bytes);
 
     bool contains(Addr byte_addr) const;
 
@@ -48,7 +45,6 @@ class MemoryModule
 
     Addr base() const { return _base; }
     Addr sizeBytes() const { return _sizeBytes; }
-    bool isMaster() const { return master; }
 
     StatGroup &stats() { return statGroup; }
 
@@ -68,7 +64,6 @@ class MemoryModule
 
     Addr _base;
     Addr _sizeBytes;
-    bool master;
     SparseMemory storage;
 
     StatGroup statGroup;

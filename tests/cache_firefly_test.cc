@@ -10,24 +10,24 @@
 #include <utility>
 #include <vector>
 
-#include "test_util.hh"
+#include "check/rig.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
 
 constexpr Addr kA = 0x1000;
 
-struct FireflyRig : TestRig
+struct FireflyRig : Rig
 {
-    FireflyRig() : TestRig(ProtocolKind::Firefly, 3) {}
+    FireflyRig() : Rig(ProtocolKind::Firefly, 3) {}
 
     double
-    busWrites() const
+    busWrites()
     {
-        return bus->stats().get("writes");
+        return bus.stats().get("writes");
     }
 };
 
@@ -52,17 +52,17 @@ TEST(FireflyProtocol, ReadMissInstallsSharedWhenAnotherCacheHolds)
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     // The data came from cache 0, with memory inhibited.
-    EXPECT_EQ(rig.bus->stats().get("cache_supplied"), 1.0);
+    EXPECT_EQ(rig.bus.stats().get("cache_supplied"), 1.0);
 }
 
 TEST(FireflyProtocol, ReadHitNeedsNoBus)
 {
     FireflyRig rig;
     rig.read(0, kA);
-    const double reads_before = rig.bus->stats().get("reads");
+    const double reads_before = rig.bus.stats().get("reads");
     for (int i = 0; i < 5; ++i)
         rig.read(0, kA);
-    EXPECT_EQ(rig.bus->stats().get("reads"), reads_before);
+    EXPECT_EQ(rig.bus.stats().get("reads"), reads_before);
 }
 
 TEST(FireflyProtocol, WriteHitOnValidGoesDirtySilently)
@@ -105,9 +105,9 @@ TEST(FireflyProtocol, WriteHitOnSharedWritesThroughAndUpdates)
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.caches[0]->wtMshared.value(), 1u);
     // The sharer reads the new value with no further bus traffic.
-    const double reads_before = rig.bus->stats().get("reads");
+    const double reads_before = rig.bus.stats().get("reads");
     EXPECT_EQ(rig.read(1, kA), 99u);
-    EXPECT_EQ(rig.bus->stats().get("reads"), reads_before);
+    EXPECT_EQ(rig.bus.stats().get("reads"), reads_before);
     EXPECT_EQ(rig.caches[1]->updatesReceived.value(), 1u);
 }
 
@@ -140,10 +140,10 @@ TEST(FireflyProtocol, LastSharerReversion)
 TEST(FireflyProtocol, LongwordWriteMissSkipsFillRead)
 {
     FireflyRig rig;
-    const double reads_before = rig.bus->stats().get("reads");
+    const double reads_before = rig.bus.stats().get("reads");
     rig.write(0, kA, 31);
     // No MRead was needed: the write covered the whole 4-byte line.
-    EXPECT_EQ(rig.bus->stats().get("reads"), reads_before);
+    EXPECT_EQ(rig.bus.stats().get("reads"), reads_before);
     EXPECT_EQ(rig.busWrites(), 1.0);
     // Line installed clean; no other holder, so it is Valid.
     EXPECT_EQ(rig.state(0, kA), LineState::Valid);
@@ -264,11 +264,11 @@ TEST(FireflyProtocol, SnoopProbeMakesTagStoreBusy)
             const MemRef ref{kA, RefType::DataRead, 0};
             log.emplace_back(now, cache.cpuAccess(ref, {}).outcome);
         }
-    } cpu0(*rig.caches[0], *rig.bus);
+    } cpu0(*rig.caches[0], rig.bus);
     rig.sim.addClocked(&cpu0, Phase::Cpu);
     rig.read(1, kA);
 
-    EXPECT_EQ(rig.bus->snoopCalls(), 1u);
+    EXPECT_EQ(rig.bus.snoopCalls(), 1u);
     ASSERT_EQ(cpu0.log.size(), 2u);
     EXPECT_EQ(cpu0.log[0].second, Cache::AccessOutcome::RetryTagBusy);
     EXPECT_EQ(cpu0.log[1].first, cpu0.log[0].first + 1);
@@ -316,13 +316,7 @@ TEST(FireflyProtocol, DmaReadThroughCacheSeesDirtyData)
 
     // DMA read through cache 0 (the I/O processor's cache): the bus
     // snoop gets the fresh value from cache 1.
-    Word got = 0;
-    bool done = false;
-    rig.caches[0]->dmaAccess({kA, RefType::DataRead, 0},
-                             [&](Word w) { got = w; done = true; });
-    while (!done)
-        rig.sim.run(1);
-    EXPECT_EQ(got, 6u);
+    EXPECT_EQ(rig.dmaRead(kA, 1), std::vector<Word>{6});
     // DMA misses do not allocate.
     EXPECT_FALSE(rig.caches[0]->holds(kA));
     EXPECT_EQ(rig.caches[0]->dmaReadMisses.value(), 1u);
@@ -334,11 +328,7 @@ TEST(FireflyProtocol, DmaWriteUpdatesSharersAndMemory)
     rig.read(1, kA);
     rig.read(2, kA);
 
-    bool done = false;
-    rig.caches[0]->dmaAccess({kA, RefType::DataWrite, 321},
-                             [&](Word) { done = true; });
-    while (!done)
-        rig.sim.run(1);
+    rig.dmaWrite(kA, {321});
     EXPECT_EQ(rig.memory.read(kA), 321u);
     EXPECT_EQ(rig.read(1, kA), 321u);
     EXPECT_EQ(rig.read(2, kA), 321u);

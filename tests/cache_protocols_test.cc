@@ -12,14 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <tuple>
 #include <vector>
 
-#include "test_util.hh"
+#include "check/rig.hh"
 
 using namespace firefly;
-using firefly::test::CheckedRig;
-using firefly::test::TestRig;
+using firefly::check::CheckedRig;
+using firefly::check::Rig;
 
 namespace
 {
@@ -73,7 +74,7 @@ TEST_P(ProtocolBehaviour, WriteOverRemoteDirty)
     rig.write(1, kA, 3);
     EXPECT_EQ(rig.read(0, kA), 3u);
     EXPECT_EQ(rig.read(2, kA), 3u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, PingPongWritersConverge)
@@ -83,7 +84,7 @@ TEST_P(ProtocolBehaviour, PingPongWritersConverge)
         rig.write(i % 2, kA, 100 + i);
     EXPECT_EQ(rig.read(0, kA), 119u);
     EXPECT_EQ(rig.read(1, kA), 119u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, ConflictEvictionPreservesData)
@@ -122,7 +123,7 @@ TEST_P(ProtocolBehaviour, ReadersThenSingleWriter)
     rig.write(1, kA, 8);
     EXPECT_EQ(rig.read(0, kA), 8u);
     EXPECT_EQ(rig.read(2, kA), 8u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, InterleavedAddressesStayIndependent)
@@ -152,18 +153,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WtiProtocol, EveryWriteGoesToTheBus)
 {
-    TestRig rig(ProtocolKind::WriteThroughInvalidate, 2);
+    Rig rig(ProtocolKind::WriteThroughInvalidate, 2);
     rig.read(0, kA);
     for (Word i = 0; i < 5; ++i)
         rig.write(0, kA, i);
-    EXPECT_EQ(rig.bus->stats().get("writes"), 5.0);
+    EXPECT_EQ(rig.bus.stats().get("writes"), 5.0);
     // Memory is always current under write-through.
     EXPECT_EQ(rig.memory.read(kA), 4u);
 }
 
 TEST(WtiProtocol, ObservedWriteInvalidates)
 {
-    TestRig rig(ProtocolKind::WriteThroughInvalidate, 2);
+    Rig rig(ProtocolKind::WriteThroughInvalidate, 2);
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(0, kA, 9);
@@ -178,7 +179,7 @@ TEST(WtiProtocol, ObservedWriteInvalidates)
 
 TEST(WtiProtocol, NoVictimWritesEver)
 {
-    TestRig rig(ProtocolKind::WriteThroughInvalidate, 1);
+    Rig rig(ProtocolKind::WriteThroughInvalidate, 1);
     rig.write(0, kA, 1);
     rig.write(0, kB, 2);
     rig.read(0, kA);
@@ -188,7 +189,7 @@ TEST(WtiProtocol, NoVictimWritesEver)
 
 TEST(DragonProtocol, UpdateLeavesMemoryStale)
 {
-    TestRig rig(ProtocolKind::Dragon, 2);
+    Rig rig(ProtocolKind::Dragon, 2);
     rig.memory.write(kA, 1);
     rig.read(0, kA);
     rig.read(1, kA);
@@ -202,7 +203,7 @@ TEST(DragonProtocol, UpdateLeavesMemoryStale)
 
 TEST(DragonProtocol, OwnerSuppliesAndWritesBackOnEviction)
 {
-    TestRig rig(ProtocolKind::Dragon, 2);
+    Rig rig(ProtocolKind::Dragon, 2);
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(0, kA, 5);  // cache 0 is Sm owner
@@ -215,7 +216,7 @@ TEST(DragonProtocol, OwnerSuppliesAndWritesBackOnEviction)
 
 TEST(DragonProtocol, WriterOwnershipMigrates)
 {
-    TestRig rig(ProtocolKind::Dragon, 2);
+    Rig rig(ProtocolKind::Dragon, 2);
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(0, kA, 1);
@@ -228,7 +229,7 @@ TEST(DragonProtocol, WriterOwnershipMigrates)
 
 TEST(BerkeleyProtocol, WriteAcquiresOwnershipByInvalidation)
 {
-    TestRig rig(ProtocolKind::Berkeley, 3);
+    Rig rig(ProtocolKind::Berkeley, 3);
     rig.read(0, kA);
     rig.read(1, kA);
     rig.read(2, kA);
@@ -243,7 +244,7 @@ TEST(BerkeleyProtocol, WriteAcquiresOwnershipByInvalidation)
 
 TEST(BerkeleyProtocol, OwnerSuppliesReadersAndBecomesSharedDirty)
 {
-    TestRig rig(ProtocolKind::Berkeley, 2);
+    Rig rig(ProtocolKind::Berkeley, 2);
     rig.write(0, kA, 3);
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
     EXPECT_EQ(rig.read(1, kA), 3u);
@@ -257,7 +258,7 @@ TEST(BerkeleyProtocol, OwnerSuppliesReadersAndBecomesSharedDirty)
 
 TEST(BerkeleyProtocol, FillsInstallUnownedShared)
 {
-    TestRig rig(ProtocolKind::Berkeley, 2);
+    Rig rig(ProtocolKind::Berkeley, 2);
     rig.memory.write(kA, 1);
     rig.read(0, kA);
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
@@ -265,20 +266,20 @@ TEST(BerkeleyProtocol, FillsInstallUnownedShared)
 
 TEST(MesiProtocol, ExclusiveCleanUpgradesSilently)
 {
-    TestRig rig(ProtocolKind::Mesi, 2);
+    Rig rig(ProtocolKind::Mesi, 2);
     rig.read(0, kA);
     EXPECT_EQ(rig.state(0, kA), LineState::Valid);  // E
-    const double writes = rig.bus->stats().get("writes");
-    const double invals = rig.bus->stats().get("invalidates");
+    const double writes = rig.bus.stats().get("writes");
+    const double invals = rig.bus.stats().get("invalidates");
     rig.write(0, kA, 4);
     EXPECT_EQ(rig.state(0, kA), LineState::Dirty);  // M
-    EXPECT_EQ(rig.bus->stats().get("writes"), writes);
-    EXPECT_EQ(rig.bus->stats().get("invalidates"), invals);
+    EXPECT_EQ(rig.bus.stats().get("writes"), writes);
+    EXPECT_EQ(rig.bus.stats().get("invalidates"), invals);
 }
 
 TEST(MesiProtocol, SharedWriteSendsUpgrade)
 {
-    TestRig rig(ProtocolKind::Mesi, 2);
+    Rig rig(ProtocolKind::Mesi, 2);
     rig.read(0, kA);
     rig.read(1, kA);
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
@@ -290,7 +291,7 @@ TEST(MesiProtocol, SharedWriteSendsUpgrade)
 
 TEST(MesiProtocol, SnoopedReadDowngradesModifiedAndCleansMemory)
 {
-    TestRig rig(ProtocolKind::Mesi, 2);
+    Rig rig(ProtocolKind::Mesi, 2);
     rig.write(0, kA, 6);   // M via BusRdX
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
     EXPECT_EQ(rig.read(1, kA), 6u);
@@ -305,7 +306,7 @@ TEST(MesiProtocol, InvalidationCausesCoherenceMissOnSharer)
     // The paper: invalidation protocols "perform poorly when actual
     // sharing occurs, since the invalidated information must be
     // reloaded when the CPU next references it."
-    TestRig rig(ProtocolKind::Mesi, 2);
+    Rig rig(ProtocolKind::Mesi, 2);
     rig.read(0, kA);
     rig.read(1, kA);
     const auto fills_before = rig.caches[1]->fills.value();
@@ -365,7 +366,7 @@ TEST(ProtocolTableDeathTest, ImpossibleEntriesPanic)
     bad_fill.fillState = {LineState::SharedDirty, LineState::SharedDirty};
     EXPECT_DEATH(
         {
-            TestRig rig(ProtocolKind::Firefly, 1, {}, &bad_fill);
+            Rig rig(ProtocolKind::Firefly, 1, {}, &bad_fill);
             rig.read(0, kA);
             rig.write(0, kA, 1);
         },
@@ -377,7 +378,7 @@ TEST(ProtocolTableDeathTest, ImpossibleEntriesPanic)
                             WriteMissAction::ReadOwned};
     EXPECT_DEATH(
         {
-            TestRig rig(ProtocolKind::Firefly, 2, {}, &owned_miss);
+            Rig rig(ProtocolKind::Firefly, 2, {}, &owned_miss);
             rig.read(0, kA);
             rig.write(1, kA, 1);
         },
@@ -391,48 +392,36 @@ TEST(ProtocolTableDeathTest, TransactionNeitherWordNorLinePanics)
     // 2-word fill seen by a cache with 1-word lines is neither.
     EXPECT_DEATH(
         {
-            Simulator sim;
-            MainMemory mem;
-            mem.addModule(1 << 20);
-            MBus bus(sim, mem);
-            const ProtocolTable &firefly =
-                makeProtocol(ProtocolKind::Firefly);
-            Cache narrow(sim, bus, firefly, {16 * 1024, 4}, "narrow");
-            Cache wide(sim, bus, firefly, {16 * 1024, 8}, "wide");
-            for (Cache *c : {&narrow, &wide}) {
-                bool done = false;
-                const auto r = c->cpuAccess({kA, RefType::DataRead, 0},
-                                            [&](Word) { done = true; });
-                while (r.outcome == Cache::AccessOutcome::Pending && !done)
-                    sim.run(1);
-            }
+            Rig rig(ProtocolKind::Firefly, {"narrow"}, {16 * 1024, 4});
+            rig.caches.push_back(std::make_unique<Cache>(
+                rig.sim, rig.bus, makeProtocol(ProtocolKind::Firefly),
+                Cache::Geometry{16 * 1024, 8}, "wide"));
+            rig.read(0, kA);
+            rig.read(1, kA);
         },
         "neither one word nor line");
 }
 
 TEST(CacheGeometry, RejectsBadLineSizes)
 {
-    Simulator sim;
-    MainMemory mem;
-    mem.addModule(1 << 20);
-    MBus bus(sim, mem);
-    EXPECT_EXIT(
-        {
-            Cache c(sim, bus, makeProtocol(ProtocolKind::Firefly),
-                    {16 * 1024, 3}, "bad");
-        },
-        ::testing::ExitedWithCode(1), "line size");
-    EXPECT_EXIT(
-        {
-            Cache c(sim, bus, makeProtocol(ProtocolKind::Firefly),
-                    {16 * 1024, 64}, "bad");
-        },
-        ::testing::ExitedWithCode(1), "line size");
+    Rig rig(ProtocolKind::Firefly, 0);
+    const auto build = [&](Cache::Geometry geom) {
+        Cache c(rig.sim, rig.bus, makeProtocol(ProtocolKind::Firefly),
+                geom, "bad");
+    };
+    EXPECT_EXIT(build({16 * 1024, 3}), ::testing::ExitedWithCode(1),
+                "line size");
+    EXPECT_EXIT(build({16 * 1024, 64}), ::testing::ExitedWithCode(1),
+                "line size");
+    // Direct-mapped indexing masks the line number: three lines will
+    // not do.
+    EXPECT_EXIT(build({12, 4}), ::testing::ExitedWithCode(1),
+                "power of two");
 }
 
 TEST(CacheGeometry, SingleLineCacheStillCoherent)
 {
-    TestRig rig(ProtocolKind::Firefly, 2, {4, 4});  // one-line cache
+    Rig rig(ProtocolKind::Firefly, 2, {4, 4});  // one-line cache
     rig.write(0, kA, 1);
     rig.write(0, kA + 4, 2);  // evicts constantly
     EXPECT_EQ(rig.read(1, kA), 1u);

@@ -15,17 +15,17 @@
 
 #include "broken_protocols.hh"
 #include "check/coherence_checker.hh"
+#include "check/rig.hh"
 #include "cpu/onchip_cache.hh"
 #include "firefly/system.hh"
 #include "obs/trace.hh"
-#include "test_util.hh"
 
 using namespace firefly;
 using check::CheckerConfig;
 using check::CoherenceChecker;
 using check::CoherenceViolation;
-using firefly::test::CheckedRig;
-using firefly::test::TestRig;
+using firefly::check::CheckedRig;
+using firefly::check::Rig;
 
 namespace
 {
@@ -56,11 +56,11 @@ TEST(Checker, CleanSharingRunPassesAndCounts)
             rig.read(c, kB + c * 0x100);
         }
     }
-    rig.checker->finalCheck();
-    EXPECT_GT(rig.checker->loadsChecked.value(), 0u);
-    EXPECT_GT(rig.checker->writesTracked.value(), 0u);
-    EXPECT_GT(rig.checker->txnsObserved.value(), 0u);
-    EXPECT_GT(rig.checker->lineScans.value(), 0u);
+    rig.checker.finalCheck();
+    EXPECT_GT(rig.checker.loadsChecked.value(), 0u);
+    EXPECT_GT(rig.checker.writesTracked.value(), 0u);
+    EXPECT_GT(rig.checker.txnsObserved.value(), 0u);
+    EXPECT_GT(rig.checker.lineScans.value(), 0u);
 }
 
 TEST(Checker, OracleTracksSilentAndBusWrites)
@@ -68,25 +68,25 @@ TEST(Checker, OracleTracksSilentAndBusWrites)
     CheckedRig rig(ProtocolKind::Firefly);
     // Write-through-allocate miss: serialized at the bus commit.
     rig.write(0, kA, 7);
-    EXPECT_TRUE(rig.checker->oracle().tracked(kA));
-    EXPECT_EQ(rig.checker->oracle().current(kA), 7u);
+    EXPECT_TRUE(rig.checker.oracle().tracked(kA));
+    EXPECT_EQ(rig.checker.oracle().current(kA), 7u);
     // Read (Valid), write again: a silent Dirty write, serialized at
     // the local write instant.
     rig.read(0, kB);
     rig.write(0, kB, 9);
-    EXPECT_EQ(rig.checker->oracle().current(kB), 9u);
-    EXPECT_GE(rig.checker->writesTracked.value(), 2u);
-    rig.checker->finalCheck();
+    EXPECT_EQ(rig.checker.oracle().current(kB), 9u);
+    EXPECT_GE(rig.checker.writesTracked.value(), 2u);
+    rig.checker.finalCheck();
 }
 
 TEST(Checker, UntrackedWordsReadFromMemoryBaseline)
 {
     CheckedRig rig(ProtocolKind::Mesi);
     rig.memory.write(kA, 42);
-    EXPECT_FALSE(rig.checker->oracle().tracked(kA));
-    EXPECT_EQ(rig.checker->oracle().current(kA), 42u);
+    EXPECT_FALSE(rig.checker.oracle().tracked(kA));
+    EXPECT_EQ(rig.checker.oracle().current(kA), 42u);
     EXPECT_EQ(rig.read(0, kA), 42u);  // validated against the baseline
-    EXPECT_GT(rig.checker->loadsChecked.value(), 0u);
+    EXPECT_GT(rig.checker.loadsChecked.value(), 0u);
 }
 
 TEST(Checker, PeriodicFullScansRun)
@@ -96,7 +96,7 @@ TEST(Checker, PeriodicFullScansRun)
     CheckedRig rig(ProtocolKind::Berkeley, 2, {}, {}, ccfg);
     for (unsigned i = 0; i < 16; ++i)
         rig.write(i % 2, kA + i * 0x40, i);
-    EXPECT_GT(rig.checker->fullScans.value(), 0u);
+    EXPECT_GT(rig.checker.fullScans.value(), 0u);
 }
 
 TEST(Checker, SkippedMSharedUpdateCaughtWithLineDiagnostic)
@@ -158,8 +158,8 @@ void
 padToPeriodicScan(CheckedRig &rig, unsigned cache, unsigned period)
 {
     do {
-        rig.read(cache, kB + 0x40 * rig.checker->txnsObserved.value());
-    } while (rig.checker->txnsObserved.value() % period != 0);
+        rig.read(cache, kB + 0x40 * rig.checker.txnsObserved.value());
+    } while (rig.checker.txnsObserved.value() % period != 0);
 }
 
 } // namespace
@@ -181,15 +181,15 @@ TEST(Checker, SilentSharedWriteCaughtByPeriodicScan)
     // A periodic scan passes the line, so only the write can put it
     // back in front of the next one.
     padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
-    const std::uint64_t txns = rig.checker->txnsObserved.value();
+    const std::uint64_t txns = rig.checker.txnsObserved.value();
     rig.write(0, kA, 77);
-    ASSERT_EQ(rig.checker->txnsObserved.value(), txns);  // truly silent
+    ASSERT_EQ(rig.checker.txnsObserved.value(), txns);  // truly silent
     try {
         padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
         FAIL() << "silent write to a shared line not caught";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.checker->txnsObserved.value(),
+        EXPECT_EQ(rig.checker.txnsObserved.value(),
                   txns + ccfg.fullScanPeriod);
         EXPECT_NE(what.find("I3 exclusivity: cache0 holds " +
                             obs::hexAddr(kA)),
@@ -211,24 +211,20 @@ TEST(Checker, StaleCopyCaughtOnceRaceWindowCloses)
     CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites,
                    ccfg);
     rig.write(1, kA, 5);  // tracked, so the old value stays admissible
-    while (rig.checker->txnsObserved.value() % ccfg.fullScanPeriod !=
+    while (rig.checker.txnsObserved.value() % ccfg.fullScanPeriod !=
            ccfg.fullScanPeriod - 1) {
-        rig.read(0, kB + 0x1000 + 0x40 * rig.checker->txnsObserved.value());
+        rig.read(0, kB + 0x1000 + 0x40 * rig.checker.txnsObserved.value());
     }
-    bool done = false;
-    rig.caches[0]->dmaAccess({kA, RefType::DataWrite, 9},
-                             [&](Word) { done = true; });
-    while (!done)
-        rig.sim.run(1);
-    const std::uint64_t scans = rig.checker->fullScans.value();
-    ASSERT_EQ(rig.checker->txnsObserved.value() % ccfg.fullScanPeriod, 0u);
+    rig.dmaWrite(kA, {9});
+    const std::uint64_t scans = rig.checker.fullScans.value();
+    ASSERT_EQ(rig.checker.txnsObserved.value() % ccfg.fullScanPeriod, 0u);
     rig.sim.run(2 * check::kRaceWindowCycles);
     try {
         padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
         FAIL() << "stale copy outlived the race window unnoticed";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.checker->fullScans.value(), scans + 1);
+        EXPECT_EQ(rig.checker.fullScans.value(), scans + 1);
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
                   std::string::npos) << what;
     }
@@ -261,7 +257,7 @@ TEST(Checker, OnChipStalenessDetectedWithoutRepair)
     OnChipCache::Config oc;
     oc.mode = OnChipCache::DataMode::InstructionsAndData;
     OnChipCache chip(oc, "onchip0");
-    rig.checker->watch(chip);
+    rig.checker.watch(chip);
 
     rig.memory.write(kA, 1);
     EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));  // install
@@ -280,8 +276,8 @@ TEST(Checker, OnChipRepairPreventsStaleness)
     OnChipCache::Config oc;
     oc.mode = OnChipCache::DataMode::InstructionsAndData;
     OnChipCache chip(oc, "onchip0");
-    rig.checker->watch(chip);
-    rig.bus->addCommitObserver([&chip](const MBusTransaction &txn) {
+    rig.checker.watch(chip);
+    rig.bus.addCommitObserver([&chip](const MBusTransaction &txn) {
         if (txn.type != MBusOpType::MRead)
             chip.observeBusWrite(txn.addr, txn.words);
     });

@@ -9,13 +9,13 @@
 
 #include <vector>
 
+#include "check/rig.hh"
 #include "cpu/onchip_cache.hh"
 #include "cpu/trace_cpu.hh"
 #include "cpu/vax_mix.hh"
-#include "test_util.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
@@ -35,14 +35,14 @@ struct ScriptedSource : RefSource
     }
 };
 
-struct CpuRig : TestRig
+struct CpuRig : Rig
 {
     ScriptedSource source;
     std::unique_ptr<TraceCpu> cpu;
 
     explicit CpuRig(CpuTiming timing = CpuTiming::microVax(),
                     OnChipCache *onchip = nullptr)
-        : TestRig(ProtocolKind::Firefly, 2)
+        : Rig(ProtocolKind::Firefly, 2)
     {
         cpu = std::make_unique<TraceCpu>(sim, *caches[0], source,
                                          timing, "cpu0", onchip);
@@ -187,16 +187,6 @@ TEST(TraceCpu, HaltStopsTicking)
     EXPECT_EQ(rig.cpu->ticksElapsed(), ticks);
 }
 
-TEST(TraceCpu, PrefetchChargeOverridesHitCost)
-{
-    CpuRig rig;
-    auto fetch = CpuStep::makeRef(readRef(0x100));
-    auto prefetch = CpuStep::makeRef(readRef(0x100));
-    prefetch.hitCharge = 1;  // overlapped prefetch: one tick
-    rig.source.steps = {fetch, prefetch, prefetch};
-    EXPECT_EQ(rig.runToHalt(), 6u);  // miss(3) + 1 + 1 + halt(1)
-}
-
 TEST(OnChipCache, FiltersInstructionReads)
 {
     OnChipCache oc({1024, 8, OnChipCache::DataMode::InstructionsOnly},
@@ -260,7 +250,7 @@ TEST(TraceCpu, TagContentionCostsOneTick)
 {
     // Two CPUs on one bus: CPU1 write-throughs constantly; CPU0 sees
     // occasional tag-busy retries.
-    TestRig rig(ProtocolKind::Firefly, 2);
+    Rig rig(ProtocolKind::Firefly, 2);
     ScriptedSource src0, src1;
     // Make CPU1's stream shared-write-heavy: read then many writes
     // (each a write-through because CPU0 shares the line).

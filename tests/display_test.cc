@@ -10,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "check/rig.hh"
 #include "io/mdc.hh"
-#include "test_util.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
@@ -26,13 +26,13 @@ constexpr Addr kCharsBase = 0x0012'0000;
 constexpr Addr kSecondQueueBase = 0x0014'0000;
 constexpr Addr kSecondInputBase = 0x0015'0000;
 
-struct MdcRig : TestRig
+struct MdcRig : Rig
 {
     QBus qbus;
     Mdc mdc;
 
     MdcRig()
-        : TestRig(ProtocolKind::Firefly, 1),
+        : Rig(ProtocolKind::Firefly, 1),
           qbus(sim, *caches[0], kIoLimit),
           mdc(sim, qbus, makeConfig())
     {

@@ -12,52 +12,15 @@
 
 #include <vector>
 
-#include "io/dma_engine.hh"
-#include "test_util.hh"
+#include "check/rig.hh"
 
 using namespace firefly;
-using firefly::test::CheckedRig;
+using firefly::check::CheckedRig;
 
 namespace
 {
 
 constexpr Addr kX = 0x1000;
-
-/** CheckedRig plus a DmaEngine through cache 0 (the I/O position). */
-struct DmaRig : CheckedRig
-{
-    DmaEngine dma;
-
-    explicit DmaRig(ProtocolKind kind, unsigned ncaches = 3,
-                    Cache::Geometry geom = {})
-        : CheckedRig(kind, ncaches, geom),
-          dma(sim, *caches[0], 16 * 1024 * 1024)
-    {
-    }
-
-    void
-    dmaWrite(Addr addr, std::vector<Word> data)
-    {
-        bool done = false;
-        dma.writeWords(addr, std::move(data), [&](IoStatus) { done = true; });
-        while (!done)
-            sim.run(1);
-    }
-
-    std::vector<Word>
-    dmaRead(Addr addr, unsigned count)
-    {
-        bool done = false;
-        std::vector<Word> out;
-        dma.readWords(addr, count, [&](IoStatus, std::vector<Word> v) {
-            done = true;
-            out = std::move(v);
-        });
-        while (!done)
-            sim.run(1);
-        return out;
-    }
-};
 
 } // namespace
 
@@ -71,7 +34,7 @@ class DmaSharedLine : public ::testing::TestWithParam<ProtocolKind>
 
 TEST_P(DmaSharedLine, EngineWriteReachesEverySharerAndTheOracle)
 {
-    DmaRig rig(GetParam());
+    CheckedRig rig(GetParam(), 3);
     rig.memory.write(kX, 5);
     EXPECT_EQ(rig.read(1, kX), 5u);
     EXPECT_EQ(rig.read(2, kX), 5u);
@@ -79,8 +42,8 @@ TEST_P(DmaSharedLine, EngineWriteReachesEverySharerAndTheOracle)
     rig.dmaWrite(kX, {0xAB});
 
     // The oracle serialized the DMA write at its bus commit.
-    EXPECT_TRUE(rig.checker->oracle().tracked(kX));
-    EXPECT_EQ(rig.checker->oracle().current(kX), 0xABu);
+    EXPECT_TRUE(rig.checker.oracle().tracked(kX));
+    EXPECT_EQ(rig.checker.oracle().current(kX), 0xABu);
     EXPECT_EQ(rig.memory.read(kX), 0xABu);
 
     // Update protocols refresh the cached copies in place; the
@@ -100,7 +63,7 @@ TEST_P(DmaSharedLine, EngineWriteReachesEverySharerAndTheOracle)
     // is validated against the oracle).
     EXPECT_EQ(rig.read(1, kX), 0xABu);
     EXPECT_EQ(rig.read(2, kX), 0xABu);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(DmaPartialWrite, MesiDirtyLineMergesInsteadOfLosingData)
 {
-    DmaRig rig(ProtocolKind::Mesi, 3, {256, 8});
+    CheckedRig rig(ProtocolKind::Mesi, 3, {256, 8});
     rig.read(1, kX);
     rig.write(1, kX + 4, 0x11);  // silent E -> M
     ASSERT_EQ(rig.state(1, kX), LineState::Dirty);
@@ -137,13 +100,13 @@ TEST(DmaPartialWrite, MesiDirtyLineMergesInsteadOfLosingData)
     rig.read(1, kX + 256);
     EXPECT_EQ(rig.memory.read(kX), 0x22u);
     EXPECT_EQ(rig.memory.read(kX + 4), 0x11u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 /** Same data-loss hazard in Berkeley's owning states. */
 TEST(DmaPartialWrite, BerkeleySharedDirtyLineMergesInsteadOfLosingData)
 {
-    DmaRig rig(ProtocolKind::Berkeley, 3, {256, 8});
+    CheckedRig rig(ProtocolKind::Berkeley, 3, {256, 8});
     rig.write(1, kX + 4, 0x11);  // ReadOwned -> Dirty
     rig.read(2, kX);             // owner supplies -> SharedDirty
     ASSERT_EQ(rig.state(1, kX), LineState::SharedDirty);
@@ -160,7 +123,7 @@ TEST(DmaPartialWrite, BerkeleySharedDirtyLineMergesInsteadOfLosingData)
     rig.read(1, kX + 256);  // evict: write-back carries both words
     EXPECT_EQ(rig.memory.read(kX), 0x22u);
     EXPECT_EQ(rig.memory.read(kX + 4), 0x11u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 /**
@@ -170,7 +133,7 @@ TEST(DmaPartialWrite, BerkeleySharedDirtyLineMergesInsteadOfLosingData)
  */
 TEST(DmaPartialWrite, IoCacheOwnedLineKeepsDirtyWords)
 {
-    DmaRig rig(ProtocolKind::Berkeley, 3, {256, 8});
+    CheckedRig rig(ProtocolKind::Berkeley, 3, {256, 8});
     rig.write(0, kX + 4, 0x11);  // the I/O cache owns the line
     rig.read(1, kX);             // ... as SharedDirty
     ASSERT_EQ(rig.state(0, kX), LineState::SharedDirty);
@@ -181,7 +144,7 @@ TEST(DmaPartialWrite, IoCacheOwnedLineKeepsDirtyWords)
     EXPECT_EQ(rig.caches[0]->lineAt(kX).data[0], 0x22u);
     EXPECT_EQ(rig.caches[0]->lineAt(kX).data[1], 0x11u);
     EXPECT_EQ(rig.read(0, kX + 4), 0x11u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 /**
@@ -194,7 +157,7 @@ TEST(DmaPartialWrite, IoCacheOwnedLineKeepsDirtyWords)
  */
 TEST(DmaPartialWrite, DragonIoCacheDoesNotMintSecondOwner)
 {
-    DmaRig rig(ProtocolKind::Dragon);
+    CheckedRig rig(ProtocolKind::Dragon, 3);
     rig.write(1, kX, 0x9);  // fill exclusive, silent write -> Dirty
     rig.read(0, kX);        // owner supplies; I/O cache shares
     ASSERT_EQ(rig.state(1, kX), LineState::SharedDirty);
@@ -209,7 +172,7 @@ TEST(DmaPartialWrite, DragonIoCacheDoesNotMintSecondOwner)
     EXPECT_EQ(rig.memory.read(kX), 0x32u);
     EXPECT_EQ(rig.read(0, kX), 0x32u);
     EXPECT_EQ(rig.read(1, kX), 0x32u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 /**
@@ -219,7 +182,7 @@ TEST(DmaPartialWrite, DragonIoCacheDoesNotMintSecondOwner)
  */
 TEST(DmaPartialWrite, DragonPartialWriteLeavesExactlyOneOwner)
 {
-    DmaRig rig(ProtocolKind::Dragon, 3, {256, 8});
+    CheckedRig rig(ProtocolKind::Dragon, 3, {256, 8});
     rig.write(1, kX + 4, 0x11);  // Dirty, word 1 modified
     rig.read(0, kX);             // owner -> SharedDirty, I/O -> Shared
     ASSERT_EQ(rig.state(1, kX), LineState::SharedDirty);
@@ -234,7 +197,7 @@ TEST(DmaPartialWrite, DragonPartialWriteLeavesExactlyOneOwner)
     rig.read(1, kX + 256);  // evict: the owner still carries word 1
     EXPECT_EQ(rig.memory.read(kX), 0x22u);
     EXPECT_EQ(rig.memory.read(kX + 4), 0x11u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 /** DMA reads see dirty data, validated against the oracle. */
@@ -243,13 +206,13 @@ TEST(DmaRead, SeesCpuDirtyDataEverywhere)
     for (const ProtocolKind kind :
          {ProtocolKind::Firefly, ProtocolKind::Dragon,
           ProtocolKind::Berkeley, ProtocolKind::Mesi}) {
-        DmaRig rig(kind);
+        CheckedRig rig(kind, 3);
         rig.read(1, kX);
         rig.write(1, kX, 0x77);
         const auto values = rig.dmaRead(kX, 1);
         ASSERT_EQ(values.size(), 1u);
         EXPECT_EQ(values[0], 0x77u) << toString(kind);
-        rig.checker->finalCheck();
+        rig.checker.finalCheck();
     }
 }
 
@@ -266,7 +229,7 @@ TEST(DmaRead, PartialReadDoesNotLaunderDirtyOwnership)
     for (const ProtocolKind kind :
          {ProtocolKind::Firefly, ProtocolKind::Dragon,
           ProtocolKind::Berkeley, ProtocolKind::Mesi}) {
-        DmaRig rig(kind, 3, {256, 8});
+        CheckedRig rig(kind, 3, {256, 8});
         rig.write(1, kX, 0xAA);
         rig.write(1, kX + 4, 0xBB);
         ASSERT_TRUE(needsWriteback(rig.state(1, kX))) << toString(kind);
@@ -281,14 +244,14 @@ TEST(DmaRead, PartialReadDoesNotLaunderDirtyOwnership)
         rig.read(1, kX + 256);
         EXPECT_EQ(rig.memory.read(kX), 0xAAu) << toString(kind);
         EXPECT_EQ(rig.memory.read(kX + 4), 0xBBu) << toString(kind);
-        rig.checker->finalCheck();
+        rig.checker.finalCheck();
     }
 }
 
 /** A multi-word engine burst across lines CPUs are actively sharing. */
 TEST(DmaBurst, WritesAcrossSharedLinesStayCoherent)
 {
-    DmaRig rig(ProtocolKind::Firefly);
+    CheckedRig rig(ProtocolKind::Firefly, 3);
     for (unsigned w = 0; w < 4; ++w) {
         rig.read(1, kX + w * bytesPerWord);
         rig.read(2, kX + w * bytesPerWord);
@@ -298,7 +261,7 @@ TEST(DmaBurst, WritesAcrossSharedLinesStayCoherent)
         EXPECT_EQ(rig.read(1, kX + w * bytesPerWord), w + 1);
         EXPECT_EQ(rig.read(2, kX + w * bytesPerWord), w + 1);
     }
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 /**
@@ -340,6 +303,6 @@ TEST(DmaSquashedWriteback, NewOwnerKeepsItsLine)
         EXPECT_EQ(rig.memory.read(kX), 0x22u) << "write-back not squashed";
         EXPECT_EQ(rig.state(1, kX), LineState::Dirty) << toString(kind);
         EXPECT_EQ(rig.read(1, kX), 0x33u) << toString(kind);
-        rig.checker->finalCheck();
+        rig.checker.finalCheck();
     }
 }

@@ -21,14 +21,14 @@
 #include <utility>
 #include <vector>
 
+#include "check/rig.hh"
 #include "cpu/trace_cpu.hh"
 #include "firefly/system.hh"
 #include "obs/stat_sampler.hh"
 #include "obs/trace.hh"
-#include "test_util.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
@@ -49,12 +49,12 @@ struct ScriptedSource : RefSource
 };
 
 /** One MicroVAX running a script on a two-cache Firefly bus. */
-struct OneCpu : TestRig
+struct OneCpu : Rig
 {
     ScriptedSource source;
     std::unique_ptr<TraceCpu> cpu;
 
-    explicit OneCpu(bool gated) : TestRig(ProtocolKind::Firefly, 2)
+    explicit OneCpu(bool gated) : Rig(ProtocolKind::Firefly, 2)
     {
         sim.setFastForward(gated);
         cpu = std::make_unique<TraceCpu>(sim, *caches[0], source,
@@ -154,10 +154,10 @@ TEST(Gating, LostCompletionWedgesAtTheSameCycle)
                                               0})};
         rig.sim.setWatchdog(5'000, /*throw_on_wedge=*/true);
         rig.sim.run(21);  // the miss is requested at cycle 20
-        EXPECT_TRUE(rig.bus->busy(rig.caches[0].get()));
+        EXPECT_TRUE(rig.bus.busy(rig.caches[0].get()));
         // Lose the completion: the bus arbitrates once more (cycle
         // 21, progress), then leaves the clock for good.
-        rig.sim.retireClocked(rig.bus.get());
+        rig.sim.retireClocked(&rig.bus);
         try {
             rig.sim.run(100'000);
         } catch (const SimulationWedged &w) {
@@ -215,11 +215,11 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
 {
     constexpr Addr kA = 0x1000;
     constexpr Addr kB = 0x2000;
-    TestRig rig(ProtocolKind::Firefly, 3);
+    Rig rig(ProtocolKind::Firefly, 3);
     Cache &bystander = *rig.caches[2];
     rig.read(0, kA);
     rig.read(2, kB);  // nobody else holds B: no probe at all
-    EXPECT_EQ(rig.bus->snoopCalls(), 0u);
+    EXPECT_EQ(rig.bus.snoopCalls(), 0u);
 
     struct ProbeLog : obs::TraceSink
     {
@@ -252,7 +252,7 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
     rig.sim.addClocked(&poker, Phase::Cpu);
     rig.read(1, kA);
 
-    EXPECT_EQ(rig.bus->snoopCalls(), 1u);  // cache 0 only
+    EXPECT_EQ(rig.bus.snoopCalls(), 1u);  // cache 0 only
     ASSERT_EQ(probes.size(), 1u);
     ASSERT_FALSE(poker.log.empty());
     for (const auto &[cycle, outcome] : poker.log) {

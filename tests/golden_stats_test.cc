@@ -181,16 +181,14 @@ runFuzzCase(const GoldenFuzzCase &c)
     cfg.seed = kFuzzSeed;
     check::kFuzzShapes[c.shape].apply(cfg);
     std::string last;
-    cfg.onBuilt = [&last](check::FuzzMachine &m) {
-        m.bus.addSettleObserver(
-            [&last, bus = &m.bus, caches = m.caches](
-                const MBusTransaction &) {
-                std::ostringstream os;
-                bus->stats().dumpJson(os);
-                for (const Cache *cache : caches)
-                    cache->stats().dumpJson(os);
-                last = os.str();
-            });
+    cfg.onBuilt = [&last](check::CheckedRig &m) {
+        m.bus.addSettleObserver([&last, &m](const MBusTransaction &) {
+            std::ostringstream os;
+            m.bus.stats().dumpJson(os);
+            for (const auto &cache : m.caches)
+                cache->stats().dumpJson(os);
+            last = os.str();
+        });
     };
     const check::FuzzResult result = check::runFuzz(cfg);
     return fnv1a(last + std::to_string(result.cycles));

@@ -26,7 +26,6 @@
 using namespace firefly;
 using check::CoherenceViolation;
 using check::FuzzConfig;
-using check::FuzzMachine;
 using check::InvariantScanner;
 
 namespace
@@ -57,11 +56,11 @@ runShadowed(FuzzConfig cfg)
 {
     Shadowed out;
     std::unique_ptr<InvariantScanner> shadow;
-    cfg.onBuilt = [&](FuzzMachine &m) {
+    cfg.onBuilt = [&](check::CheckedRig &m) {
         shadow = std::make_unique<InvariantScanner>(
             cfg.protocol, m.bus.memorySystem());
-        for (const Cache *cache : m.caches)
-            shadow->addCache(cache);
+        for (const auto &cache : m.caches)
+            shadow->addCache(cache.get());
         // Registered after the checker's observer: runs only if the
         // checker's own scan of this transaction did not throw.
         m.bus.addSettleObserver([&, &sim = m.sim,

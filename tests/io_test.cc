@@ -6,25 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include "check/rig.hh"
 #include "io/disk.hh"
 #include "io/ethernet.hh"
 #include "io/qbus.hh"
-#include "test_util.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
 
 constexpr Addr kIoLimit = 16 * 1024 * 1024;
 
-struct IoRig : TestRig
+struct IoRig : Rig
 {
     QBus qbus;
 
     IoRig()
-        : TestRig(ProtocolKind::Firefly, 2),
+        : Rig(ProtocolKind::Firefly, 2),
           qbus(sim, *caches[0], kIoLimit)
     {
         qbus.identityMap();
@@ -120,7 +120,7 @@ TEST(QBus, MappingTranslates)
 
 TEST(QBusDeathTest, UnmappedPageIsFatal)
 {
-    TestRig base(ProtocolKind::Firefly, 1);
+    Rig base(ProtocolKind::Firefly, 1);
     QBus qbus(base.sim, *base.caches[0], kIoLimit);
     EXPECT_EXIT(qbus.translate(0x10), ::testing::ExitedWithCode(1),
                 "unmapped");

@@ -46,8 +46,7 @@ TEST(SparseMemoryDeathTest, OutOfBoundsPanics)
 
 TEST(MemoryModule, ContainsAndAccess)
 {
-    MemoryModule mod("m", 0x1000, 0x1000, true);
-    EXPECT_TRUE(mod.isMaster());
+    MemoryModule mod("m", 0x1000, 0x1000);
     EXPECT_FALSE(mod.contains(0xfff));
     EXPECT_TRUE(mod.contains(0x1000));
     EXPECT_TRUE(mod.contains(0x1ffc));
@@ -67,8 +66,6 @@ TEST(MainMemory, ModulesStackContiguously)
         mem.addModule(4 * 1024 * 1024);
     EXPECT_EQ(mem.sizeBytes(), 16u * 1024 * 1024);
     EXPECT_EQ(mem.moduleCount(), 4u);
-    EXPECT_TRUE(mem.module(0).isMaster());
-    EXPECT_FALSE(mem.module(1).isMaster());
 }
 
 TEST(MainMemory, DecodeRoutesToRightModule)

@@ -9,10 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include "test_util.hh"
+#include "check/rig.hh"
 
 using namespace firefly;
-using firefly::test::CheckedRig;
+using firefly::check::CheckedRig;
 
 namespace
 {
@@ -36,7 +36,7 @@ TEST(FireflyTransitions, ReadMissOnDirtyLineSharesAndCleansMemory)
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 7u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST(FireflyTransitions, WriteHitSharedWritesThroughAndStaysShared)
@@ -54,7 +54,7 @@ TEST(FireflyTransitions, WriteHitSharedWritesThroughAndStaysShared)
     // The sharer's copy was updated in place: no new fill.
     EXPECT_EQ(rig.read(1, kA), 8u);
     EXPECT_EQ(rig.caches[1]->fills.value(), fills_before);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST(FireflyTransitions, LastSharerRevertsAndWritesGoSilentAgain)
@@ -74,11 +74,11 @@ TEST(FireflyTransitions, LastSharerRevertsAndWritesGoSilentAgain)
     // sharing detection).
     rig.write(0, kA, 9);
     EXPECT_EQ(rig.state(0, kA), LineState::Valid);
-    const double writes_before = rig.bus->stats().get("writes");
+    const double writes_before = rig.bus.stats().get("writes");
     rig.write(0, kA, 10);
     EXPECT_EQ(rig.state(0, kA), LineState::Dirty);
-    EXPECT_EQ(rig.bus->stats().get("writes"), writes_before);
-    rig.checker->finalCheck();
+    EXPECT_EQ(rig.bus.stats().get("writes"), writes_before);
+    rig.checker.finalCheck();
 }
 
 // --- Dragon --------------------------------------------------------------
@@ -96,7 +96,7 @@ TEST(DragonTransitions, ReadMissOnDirtyLineMakesOwnerSharedDirty)
     EXPECT_EQ(rig.state(0, kA), LineState::SharedDirty);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 0u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST(DragonTransitions, WriteHitSharedUpdatesAndMovesOwnership)
@@ -114,7 +114,7 @@ TEST(DragonTransitions, WriteHitSharedUpdatesAndMovesOwnership)
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     EXPECT_EQ(rig.read(0, kA), 8u);
     EXPECT_EQ(rig.memory.read(kA), 0u);  // still never written back
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST(DragonTransitions, UpdateWithNoSharersRevertsToDirty)
@@ -129,7 +129,7 @@ TEST(DragonTransitions, UpdateWithNoSharersRevertsToDirty)
     ASSERT_EQ(rig.state(0, kA), LineState::Invalid);
     rig.write(1, kA, 9);
     EXPECT_EQ(rig.state(1, kA), LineState::Dirty);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 // --- Write-through invalidate --------------------------------------------
@@ -147,7 +147,7 @@ TEST(WtiTransitions, WriteInvalidatesEverySharer)
     EXPECT_EQ(rig.state(0, kA), LineState::Invalid);
     EXPECT_EQ(rig.memory.read(kA), 8u);
     EXPECT_EQ(rig.read(0, kA), 8u);  // re-fetches from memory
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 // --- Berkeley ------------------------------------------------------------
@@ -164,7 +164,7 @@ TEST(BerkeleyTransitions, ReadMissOnDirtyLineLeavesOwnerResponsible)
     EXPECT_EQ(rig.state(0, kA), LineState::SharedDirty);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 0u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST(BerkeleyTransitions, WriteHitSharedInvalidatesAndTakesOwnership)
@@ -179,7 +179,7 @@ TEST(BerkeleyTransitions, WriteHitSharedInvalidatesAndTakesOwnership)
     EXPECT_EQ(rig.state(0, kA), LineState::Invalid);
     EXPECT_EQ(rig.memory.read(kA), 0u);  // ownership moved, no write-back
     EXPECT_EQ(rig.read(0, kA), 8u);      // supplied by the new owner
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 // --- MESI ----------------------------------------------------------------
@@ -197,7 +197,7 @@ TEST(MesiTransitions, ReadMissOnModifiedLineSharesAndCleansMemory)
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 7u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST(MesiTransitions, WriteHitSharedInvalidatesOthers)
@@ -212,7 +212,7 @@ TEST(MesiTransitions, WriteHitSharedInvalidatesOthers)
     EXPECT_EQ(rig.state(1, kA), LineState::Dirty);
     EXPECT_EQ(rig.state(0, kA), LineState::Invalid);
     EXPECT_EQ(rig.memory.read(kA), 7u);  // invalidation carries no data
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 // --- Write-back vs DMA race (every protocol with dirty lines) ------------
@@ -233,7 +233,7 @@ TEST_P(WritebackDmaRace, PartialDmaWriteMergesIntoPendingVictim)
 {
     // 8-byte lines: the DMA write covers word 0 only, so the dirty
     // word 1 must survive the merge into the write-back.
-    test::CheckedRig rig(GetParam(), 2, {256, 8});
+    check::CheckedRig rig(GetParam(), 2, {256, 8});
     const Addr x = 0x100;
     const Addr conflict = x + 256;  // same set, different tag
 
@@ -256,7 +256,7 @@ TEST_P(WritebackDmaRace, PartialDmaWriteMergesIntoPendingVictim)
 
     EXPECT_EQ(rig.memory.read(x), 0x22u);      // the DMA write
     EXPECT_EQ(rig.memory.read(x + 4), 0x11u);  // the dirty word
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 TEST_P(WritebackDmaRace, FullLineDmaWriteIsNotUndoneByVictim)
@@ -264,7 +264,7 @@ TEST_P(WritebackDmaRace, FullLineDmaWriteIsNotUndoneByVictim)
     // 4-byte lines: the DMA write covers the whole line.  Whether the
     // snoop updates or invalidates the victim, the write-back must
     // not roll memory back to the pre-DMA value.
-    test::CheckedRig rig(GetParam(), 2, {256, 4});
+    check::CheckedRig rig(GetParam(), 2, {256, 4});
     const Addr x = 0x100;
     const Addr conflict = x + 256;
 
@@ -284,7 +284,7 @@ TEST_P(WritebackDmaRace, FullLineDmaWriteIsNotUndoneByVictim)
     rig.sim.run(8);
 
     EXPECT_EQ(rig.memory.read(x), 0x22u);
-    rig.checker->finalCheck();
+    rig.checker.finalCheck();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,22 +7,22 @@
 
 #include <gtest/gtest.h>
 
-#include "test_util.hh"
+#include "check/rig.hh"
 #include "topaz/rpc.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
 
-struct RpcRig : TestRig
+struct RpcRig : Rig
 {
     QBus qbus;
     EthernetController nic;
 
     RpcRig()
-        : TestRig(ProtocolKind::Firefly, 1),
+        : Rig(ProtocolKind::Firefly, 1),
           qbus(sim, *caches[0], 16 * 1024 * 1024),
           nic(sim, qbus, "net0")
     {

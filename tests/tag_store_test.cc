@@ -11,10 +11,10 @@
 #include <string>
 
 #include "check/fuzz.hh"
-#include "test_util.hh"
+#include "check/rig.hh"
 
 using namespace firefly;
-using firefly::test::TestRig;
+using firefly::check::Rig;
 
 namespace
 {
@@ -42,12 +42,11 @@ TEST(TagStore, InvalidExactlyWhenTagIsNoLineThroughoutAFuzzRun)
             cfg.seed = 17;
             std::uint64_t lines_checked = 0;
             std::uint64_t invalid_seen = 0;
-            cfg.onBuilt = [&](check::FuzzMachine &m) {
+            cfg.onBuilt = [&](check::CheckedRig &m) {
                 // After every transaction has applied its state
                 // changes, look at every index of every cache.
-                m.bus.addSettleObserver([&, caches = m.caches](
-                                            const MBusTransaction &) {
-                    for (const Cache *cache : caches) {
+                m.bus.addSettleObserver([&](const MBusTransaction &) {
+                    for (const auto &cache : m.caches) {
                         for (Addr a = 0; a < cfg.cacheBytes;
                              a += line_bytes) {
                             const Cache::LineView line = cache->lineAt(a);
@@ -71,7 +70,7 @@ TEST(TagStore, InvalidExactlyWhenTagIsNoLineThroughoutAFuzzRun)
 
 TEST(TagStore, FlushedCacheIsNeverProbedAgain)
 {
-    TestRig rig(ProtocolKind::Firefly, 2);
+    Rig rig(ProtocolKind::Firefly, 2);
     Cache &flushed = *rig.caches[0];
     rig.read(0, kA);
     rig.write(0, kA + 4, 0x11);  // silent write: Dirty
@@ -83,17 +82,17 @@ TEST(TagStore, FlushedCacheIsNeverProbedAgain)
 
     // Traffic from the other cache on the flushed cache's old lines
     // finds no holder to probe.
-    const std::uint64_t probes = rig.bus->snoopCalls();
+    const std::uint64_t probes = rig.bus.snoopCalls();
     EXPECT_EQ(rig.read(1, kA + 4), 0x11u);
     rig.write(1, kA, 0x22);
     rig.read(1, kA + 8);
-    EXPECT_EQ(rig.bus->snoopCalls(), probes);
+    EXPECT_EQ(rig.bus.snoopCalls(), probes);
     EXPECT_EQ(rig.state(1, kA + 4), LineState::Valid);  // no MShared
 }
 
 TEST(TagStore, VictimWriteBackThenFillLeavesOnlyTheNewBase)
 {
-    TestRig rig(ProtocolKind::Firefly, 2);
+    Rig rig(ProtocolKind::Firefly, 2);
     Cache &cache = *rig.caches[0];
     rig.read(0, kA);
     rig.write(0, kA, 0x33);  // silent write: Dirty
@@ -109,9 +108,9 @@ TEST(TagStore, VictimWriteBackThenFillLeavesOnlyTheNewBase)
 
     // The evicted line draws no probe of this cache; the resident one
     // does.
-    const std::uint64_t probes = rig.bus->snoopCalls();
+    const std::uint64_t probes = rig.bus.snoopCalls();
     EXPECT_EQ(rig.read(1, kA), 0x33u);
-    EXPECT_EQ(rig.bus->snoopCalls(), probes);
+    EXPECT_EQ(rig.bus.snoopCalls(), probes);
     rig.read(1, kB);
-    EXPECT_EQ(rig.bus->snoopCalls(), probes + 1);
+    EXPECT_EQ(rig.bus.snoopCalls(), probes + 1);
 }
