@@ -45,7 +45,7 @@ struct Rig : check::Rig
     config()
     {
         Mdc::Config cfg;
-        cfg.queue.base = kQueueBase;
+        cfg.queueBase = kQueueBase;
         cfg.inputBase = kInputBase;
         return cfg;
     }

@@ -34,9 +34,7 @@ run(unsigned threads, double seconds = 1.0)
     qbus.identityMap();
     EthernetController nic(rig.sim, qbus, "net0");
 
-    RpcEngine::Config cfg;
-    cfg.threads = threads;
-    RpcEngine rpc(rig.sim, qbus, nic, cfg);
+    RpcEngine rpc(rig.sim, nic, threads);
     rpc.start();
     rig.sim.run(secondsToCycles(seconds));
     bench::exportStats(rpc.stats());

@@ -16,7 +16,7 @@
  *                        whole run (load it at ui.perfetto.dev)
  *   --debug-flags=A,B    print these trace categories (MBus, Cache,
  *                        Cpu, Dma, Sched, Rpc, Check, Fault) to
- *                        stderr; FIREFLY_DEBUG=A,B adds more
+ *                        stderr
  *   --jobs=N             run independent sweep points on N worker
  *                        threads (default 1 = today's serial loop)
  *
@@ -38,6 +38,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,7 +71,7 @@ struct ObsOptions
     std::string traceOutPath;   ///< --trace-out=FILE
     std::string debugFlags;     ///< --debug-flags=MBus,Cache,...
     unsigned jobs = 1;          ///< --jobs=N
-    /** Text-sink categories: --debug-flags plus FIREFLY_DEBUG. */
+    /** Text-sink categories: --debug-flags split at its commas. */
     std::vector<std::string> textFlags;
 
     /** True if any observability output was requested. */
@@ -298,8 +303,7 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
                  "  --trace-out=FILE    record a Chrome trace-event JSON file\n"
                  "  --debug-flags=A,B   print trace categories to stderr\n"
                  "                      (MBus, Cache, Cpu, Dma, Sched, Rpc,\n"
-                 "                      Check, Fault; FIREFLY_DEBUG=A,B\n"
-                 "                      adds more)\n"
+                 "                      Check, Fault)\n"
                  "  --jobs=N            run sweep points on N worker threads\n",
                  prog);
     for (const ExtraFlag &flag : extras)
@@ -311,7 +315,57 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
 }
 
 /**
- * Parse the shared options and FIREFLY_DEBUG into `opts`, rejecting
+ * Parse all of `text` as an unsigned integer, decimal or 0x-prefixed
+ * hex.  A sign, surrounding space, trailing text or a value past
+ * 2^64 - 1 is rejected (nullopt), so "-1" never wraps to a huge count.
+ */
+inline std::optional<std::uint64_t>
+parseUnsigned(const std::string &text)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
+    if (*end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return n;
+}
+
+/**
+ * Parse all of `text` as a finite non-negative decimal number ("0.05",
+ * "1e-3").  A sign, surrounding space, trailing text, "nan" and "inf"
+ * are rejected (nullopt).
+ */
+inline std::optional<double>
+parseNumber(const std::string &text)
+{
+    if (text.empty() || (!std::isdigit(static_cast<unsigned char>(text[0])) &&
+                         text[0] != '.'))
+        return std::nullopt;
+    char *end = nullptr;
+    const double x = std::strtod(text.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(x))
+        return std::nullopt;
+    return x;
+}
+
+/** A "--name=N" flag that stores a count in `out`: a whole number in
+ *  [1, UINT_MAX] (parseUnsigned), so "-1" or "0" is a usage error. */
+inline ExtraFlag
+countFlag(const char *prefix, const char *help, unsigned &out)
+{
+    return {prefix, help, [&out](const std::string &value) {
+                const auto n = parseUnsigned(value);
+                if (!n || *n == 0 || *n > UINT_MAX)
+                    return false;
+                out = static_cast<unsigned>(*n);
+                return true;
+            }};
+}
+
+/**
+ * Parse the shared options into `opts`, rejecting
  * anything unrecognized.  Returns the exit code to stop with, or
  * nullopt to run the experiment.
  * `extras` registers bench-specific "--name=value" flags.
@@ -350,9 +404,8 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
         } else if (auto v = valueOf(arg, "--debug-flags=")) {
             opts.debugFlags = *v;
         } else if (auto v = valueOf(arg, "--jobs=")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v->c_str(), &end, 10);
-            if (*end != '\0' || n == 0 || n > 1024) {
+            const auto n = parseUnsigned(*v);
+            if (!n || *n == 0 || *n > 1024) {
                 std::fprintf(stderr,
                              "%s: --jobs needs an integer in [1, 1024], "
                              "got '%s'\n",
@@ -360,7 +413,7 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
                 printUsage(argv[0], extras);
                 return 2;
             }
-            opts.jobs = static_cast<unsigned>(n);
+            opts.jobs = static_cast<unsigned>(*n);
         } else {
             bool matched = false;
             for (const ExtraFlag &flag : extras) {
@@ -386,17 +439,14 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
         }
     }
 
-    // FIREFLY_DEBUG adds to --debug-flags.  A name that is no
-    // category would silently print nothing.
-    const char *env = std::getenv("FIREFLY_DEBUG");
-    opts.textFlags =
-        obs::splitFlags(opts.debugFlags + "," + (env ? env : ""));
+    // A name that is no category would silently print nothing.
+    opts.textFlags = obs::splitFlags(opts.debugFlags);
     for (const std::string &flag : opts.textFlags) {
         if (std::find(std::begin(obs::kCategories),
                       std::end(obs::kCategories),
                       flag) == std::end(obs::kCategories)) {
             std::fprintf(stderr, "%s: unknown debug flag '%s' in "
-                         "--debug-flags or FIREFLY_DEBUG\n",
+                         "--debug-flags\n",
                          argv[0], flag.c_str());
             printUsage(argv[0], extras);
             return 2;

@@ -238,22 +238,19 @@ main(int argc, char **argv)
         {"--fault-rate=",
          "sweep only this per-draw fault rate (in [0, 1])",
          [](const std::string &value) {
-             char *end = nullptr;
-             const double rate = std::strtod(value.c_str(), &end);
-             if (*end != '\0' || rate < 0.0 || rate > 1.0)
+             const auto rate = bench::parseNumber(value);
+             if (!rate || *rate > 1.0)
                  return false;
-             gRate = rate;
+             gRate = *rate;
              return true;
          }},
         {"--fault-seed=",
          "seed for the deterministic fault plan (default 1)",
          [](const std::string &value) {
-             char *end = nullptr;
-             const unsigned long long n =
-                 std::strtoull(value.c_str(), &end, 0);
-             if (*end != '\0')
+             const auto n = bench::parseUnsigned(value);
+             if (!n)
                  return false;
-             gSeed = n;
+             gSeed = *n;
              return true;
          }},
     };

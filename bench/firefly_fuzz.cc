@@ -8,15 +8,13 @@
  * diagnostic and replay log.
  *
  * The corpus is fixed-seed (harness::pointSeed off one base), so a
- * failure reproduces exactly: rerun with FIREFLY_FUZZ_BASE_SEED set
- * to the printed base and the same shape/seed indices.
+ * failure reproduces exactly: rerun the printed "reproduce:" line.
  *
- *   FIREFLY_FUZZ_SEEDS=N       seeds per protocol x shape cell (8)
- *   FIREFLY_FUZZ_STEPS=N       references per run (2000)
- *   FIREFLY_FUZZ_BASE_SEED=N   corpus base seed (0xF1EF7)
+ *   --seeds=N        seeds per protocol x shape cell (8)
+ *   --steps=N        references per run (2000)
+ *   --base-seed=N    corpus base seed (0xF1EF7)
  *
- * (Environment variables, because the bench CLI rejects unknown
- * flags; --jobs=N parallelizes the sweep as usual.)
+ * --jobs=N parallelizes the sweep as usual.
  *
  * Fault injection (src/fault/) composes with the corpus:
  *
@@ -53,17 +51,20 @@ constexpr ProtocolKind kProtocols[] = {
     ProtocolKind::WriteThroughInvalidate,
 };
 
+unsigned gSeeds = 8;                  // --seeds=N
+unsigned gSteps = 2000;               // --steps=N
+std::uint64_t gBaseSeed = 0xF1EF7;    // --base-seed=N
 std::optional<double> gFaultRate;     // --fault-rate=F
 std::optional<std::uint64_t> gFaultSeed;  // --fault-seed=N
 
 /** Arm the fault campaign on one corpus point, if requested. */
 void
-applyFaults(FuzzConfig &cfg, std::uint64_t base)
+applyFaults(FuzzConfig &cfg)
 {
     if (!gFaultRate)
         return;
     cfg.faults.enabled = true;
-    cfg.faults.seed = gFaultSeed.value_or(base);
+    cfg.faults.seed = gFaultSeed.value_or(gBaseSeed);
     cfg.faults.rates.busParity = *gFaultRate;
     cfg.faults.rates.eccSingle = *gFaultRate;
     cfg.faults.rates.deviceTimeout = *gFaultRate;
@@ -72,53 +73,33 @@ applyFaults(FuzzConfig &cfg, std::uint64_t base)
     cfg.faults.throwOnMachineCheck = true;
 }
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(value, &end, 0);
-    if (*end != '\0') {
-        std::fprintf(stderr, "%s: not a number: '%s'\n", name, value);
-        std::exit(2);
-    }
-    return n;
-}
-
 void
 experiment()
 {
     bench::banner("FUZZ", "Randomized coherence checking corpus");
 
-    const std::uint64_t base = envU64("FIREFLY_FUZZ_BASE_SEED", 0xF1EF7);
-    const unsigned seeds =
-        static_cast<unsigned>(envU64("FIREFLY_FUZZ_SEEDS", 8));
-    const unsigned steps =
-        static_cast<unsigned>(envU64("FIREFLY_FUZZ_STEPS", 2000));
-
     std::printf("base seed 0x%llx, %u seeds/cell, %u refs/run\n",
-                static_cast<unsigned long long>(base), seeds, steps);
+                static_cast<unsigned long long>(gBaseSeed), gSeeds,
+                gSteps);
     if (gFaultRate) {
         std::printf("fault injection armed: rate %g, fault seed "
                     "0x%llx\n",
                     *gFaultRate,
                     static_cast<unsigned long long>(
-                        gFaultSeed.value_or(base)));
+                        gFaultSeed.value_or(gBaseSeed)));
     }
     std::printf("\n");
 
     std::vector<FuzzConfig> corpus;
     for (unsigned p = 0; p < std::size(kProtocols); ++p) {
         for (unsigned sh = 0; sh < std::size(kFuzzShapes); ++sh) {
-            for (unsigned s = 0; s < seeds; ++s) {
+            for (unsigned s = 0; s < gSeeds; ++s) {
                 FuzzConfig cfg;
                 cfg.protocol = kProtocols[p];
-                cfg.seed = harness::pointSeed(base, p, sh, s);
-                cfg.steps = steps;
+                cfg.seed = harness::pointSeed(gBaseSeed, p, sh, s);
+                cfg.steps = gSteps;
                 kFuzzShapes[sh].apply(cfg);
-                applyFaults(cfg, base);
+                applyFaults(cfg);
                 corpus.push_back(cfg);
             }
         }
@@ -131,10 +112,17 @@ experiment()
     } catch (const std::exception &e) {
         std::fprintf(stderr, "\n%s\n", e.what());
         std::fprintf(stderr,
-                     "\nreproduce: FIREFLY_FUZZ_BASE_SEED=0x%llx "
-                     "FIREFLY_FUZZ_STEPS=%u %s\n",
-                     static_cast<unsigned long long>(base), steps,
-                     "bench/firefly_fuzz");
+                     "\nreproduce: bench/firefly_fuzz --seeds=%u "
+                     "--steps=%u --base-seed=0x%llx",
+                     gSeeds, gSteps,
+                     static_cast<unsigned long long>(gBaseSeed));
+        if (gFaultRate) {
+            std::fprintf(stderr, " --fault-rate=%g --fault-seed=0x%llx",
+                         *gFaultRate,
+                         static_cast<unsigned long long>(
+                             gFaultSeed.value_or(gBaseSeed)));
+        }
+        std::fprintf(stderr, "\n");
         std::exit(1);
     }
 
@@ -164,7 +152,7 @@ experiment()
         for (unsigned sh = 0; sh < std::size(kFuzzShapes); ++sh) {
             std::uint64_t cell_loads = 0, cell_writes = 0;
             std::uint64_t cell_scans = 0, cell_cycles = 0;
-            for (unsigned s = 0; s < seeds; ++s, ++at) {
+            for (unsigned s = 0; s < gSeeds; ++s, ++at) {
                 const FuzzResult &r = results[at];
                 cell_loads += r.loadsChecked;
                 cell_writes += r.writesTracked;
@@ -199,16 +187,16 @@ experiment()
     // the seed, so all five protocols must return identical values
     // for every load.  Protocols differ in cost, never in answers.
     std::printf("\nDifferential cross-protocol pass:\n");
-    const unsigned diff_seeds = seeds < 4 ? seeds : 4;
+    const unsigned diff_seeds = gSeeds < 4 ? gSeeds : 4;
     for (unsigned s = 0; s < diff_seeds; ++s) {
         std::vector<FuzzConfig> points;
         for (const ProtocolKind kind : kProtocols) {
             FuzzConfig cfg;
             cfg.protocol = kind;
-            cfg.seed = harness::pointSeed(base, 900, s);
-            cfg.steps = steps;
+            cfg.seed = harness::pointSeed(gBaseSeed, 900, s);
+            cfg.steps = gSteps;
             cfg.recordLoads = true;
-            applyFaults(cfg, base);
+            applyFaults(cfg);
             points.push_back(cfg);
         }
         const auto runs_out = bench::runSweep(
@@ -237,25 +225,35 @@ int
 main(int argc, char **argv)
 {
     const std::vector<bench::ExtraFlag> flags = {
+        bench::countFlag("--seeds=",
+                         "seeds per protocol x shape cell (default 8)",
+                         gSeeds),
+        bench::countFlag("--steps=",
+                         "references per fuzz run (default 2000)", gSteps),
+        {"--base-seed=", "corpus base seed (default 0xF1EF7)",
+         [](const std::string &value) {
+             const auto n = bench::parseUnsigned(value);
+             if (!n)
+                 return false;
+             gBaseSeed = *n;
+             return true;
+         }},
         {"--fault-rate=",
          "inject parity/ECC/device faults at per-draw rate F",
          [](const std::string &value) {
-             char *end = nullptr;
-             const double rate = std::strtod(value.c_str(), &end);
-             if (*end != '\0' || rate < 0.0 || rate > 1.0)
+             const auto rate = bench::parseNumber(value);
+             if (!rate || *rate > 1.0)
                  return false;
-             gFaultRate = rate;
+             gFaultRate = *rate;
              return true;
          }},
         {"--fault-seed=",
          "seed for the fault plan (default: corpus base seed)",
          [](const std::string &value) {
-             char *end = nullptr;
-             const unsigned long long n =
-                 std::strtoull(value.c_str(), &end, 0);
-             if (*end != '\0')
+             const auto n = bench::parseUnsigned(value);
+             if (!n)
                  return false;
-             gFaultSeed = n;
+             gFaultSeed = *n;
              return true;
          }},
     };

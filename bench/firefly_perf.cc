@@ -287,18 +287,18 @@ main(int argc, char **argv)
          }},
         {"--perf-reps=", "measured repetitions per point (default 3)",
          [](const std::string &v) {
-             const int n = std::atoi(v.c_str());
-             if (n < 1 || n > 100)
+             const auto n = firefly::bench::parseUnsigned(v);
+             if (!n || *n < 1 || *n > 100)
                  return false;
-             firefly::perfReps = static_cast<unsigned>(n);
+             firefly::perfReps = static_cast<unsigned>(*n);
              return true;
          }},
         {"--perf-seconds=", "simulated seconds per point (default 0.05)",
          [](const std::string &v) {
-             const double s = std::atof(v.c_str());
-             if (s <= 0.0 || s > 10.0)
+             const auto s = firefly::bench::parseNumber(v);
+             if (!s || *s <= 0.0 || *s > 10.0)
                  return false;
-             firefly::perfSimSeconds = s;
+             firefly::perfSimSeconds = *s;
              return true;
          }},
     };

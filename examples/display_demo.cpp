@@ -44,7 +44,7 @@ struct Machine : check::Rig
     config()
     {
         Mdc::Config cfg;
-        cfg.queue.base = kQueueBase;
+        cfg.queueBase = kQueueBase;
         cfg.inputBase = kInputBase;
         return cfg;
     }

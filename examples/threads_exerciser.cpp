@@ -93,8 +93,8 @@ main(int argc, char **argv)
     for (unsigned i = 0; i < cpus; ++i)
         sys.cache(i).flushFunctional();
     std::uint64_t total = 0;
-    for (unsigned g = 0; g < params.groups; ++g)
-        total += sys.memory().read(runtime.counterAddr(g));
+    for (unsigned c = 0; c < TopazConfig::counters; ++c)
+        total += sys.memory().read(runtime.counterAddr(c));
     std::printf("\nshared counters: %llu of %llu expected increments "
                 "%s\n",
                 static_cast<unsigned long long>(total),

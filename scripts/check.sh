@@ -57,8 +57,8 @@ if [ "$sanitize" = fuzz ]; then
     # The full fixed-seed corpus, parallel, with a deeper reference
     # stream than the ctest default.  Any violation exits nonzero
     # with the checker's diagnostic and the reproduction seed.
-    FIREFLY_FUZZ_SEEDS=10 FIREFLY_FUZZ_STEPS=4000 \
-        "$builddir/bench/firefly_fuzz" --jobs="$(nproc)"
+    "$builddir/bench/firefly_fuzz" --seeds=10 --steps=4000 \
+        --jobs="$(nproc)"
     echo "check.sh: all green (fuzz)"
     exit 0
 fi
@@ -83,9 +83,8 @@ if [ "$sanitize" = faults ]; then
     }
     # The coherence fuzz corpus with faults armed: injected parity,
     # ECC, and device timeouts must never perturb load values.
-    FIREFLY_FUZZ_SEEDS=4 FIREFLY_FUZZ_STEPS=1500 \
-        "$builddir/bench/firefly_fuzz" --fault-rate=0.01 \
-        --jobs="$(nproc)"
+    "$builddir/bench/firefly_fuzz" --seeds=4 --steps=1500 \
+        --fault-rate=0.01 --jobs="$(nproc)"
     # Fault flags exist only on the fault-aware benches; everything
     # else must reject them as unknown arguments.
     for bench in bench_scaling bench_protocols bench_io_dma; do
@@ -228,9 +227,8 @@ if [ "$sanitize" = thread ]; then
     # The fuzz corpus shares checker state across sweep workers; it
     # must be race-clean too - with and without fault injection.
     "$builddir/bench/firefly_fuzz" --jobs=4 > /dev/null
-    FIREFLY_FUZZ_SEEDS=2 FIREFLY_FUZZ_STEPS=800 \
-        "$builddir/bench/firefly_fuzz" --fault-rate=0.01 --jobs=4 \
-        > /dev/null
+    "$builddir/bench/firefly_fuzz" --seeds=2 --steps=800 \
+        --fault-rate=0.01 --jobs=4 > /dev/null
     echo "check.sh: all green (sanitize=thread)"
     exit 0
 fi
@@ -239,8 +237,8 @@ fi
 # Flight-recorder smoke test: the observed bench run must produce a
 # parseable trace with the MBus phase instants and a stats export
 # (obs_test covers the details; this checks the command-line plumbing
-# in a real binary), and the debug flags must parse the same from the
-# environment as from the command line.
+# in a real binary), and a debug flag that names no trace category
+# must be a usage error.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 "$builddir/bench/bench_scaling" \
@@ -261,15 +259,8 @@ assert any(r["ph"] == "i" and r.get("cat") == "MBus" and
 stats = json.load(open(f"{d}/stats.json"))
 assert stats["name"] == "system"
 EOF
-# Debug flags: FIREFLY_DEBUG and --debug-flags name the same text
-# categories, and a name that is no category is a usage error.
+# Debug flags: a name that is no trace category is a usage error.
 fig4="$builddir/bench/bench_fig4_mbus_timing"
-FIREFLY_DEBUG=MBus "$fig4" > /dev/null 2> "$tmpdir/env.err"
-"$fig4" --debug-flags=MBus > /dev/null 2> "$tmpdir/flag.err"
-cmp "$tmpdir/env.err" "$tmpdir/flag.err" || {
-    echo "FIREFLY_DEBUG=MBus and --debug-flags=MBus differ" >&2
-    exit 1
-}
 status=0
 "$fig4" --debug-flags=Mbus > /dev/null 2>&1 || status=$?
 if [ "$status" -ne 2 ]; then

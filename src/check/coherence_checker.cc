@@ -262,7 +262,7 @@ CoherenceChecker::onChipInstalled(Addr line_base, const OnChipCache &by)
     auto it = onchipLines.find(&by);
     if (it == onchipLines.end())
         return;
-    const unsigned words = by.lineBytes() / bytesPerWord;
+    const unsigned words = OnChipCache::lineBytes / bytesPerWord;
     std::vector<Word> values(words);
     for (unsigned i = 0; i < words; ++i)
         values[i] = golden.current(line_base + i * bytesPerWord);
@@ -275,7 +275,7 @@ CoherenceChecker::onChipHit(const MemRef &ref, const OnChipCache &by)
     auto it = onchipLines.find(&by);
     if (it == onchipLines.end())
         return;
-    const Addr base = ref.addr - ref.addr % by.lineBytes();
+    const Addr base = ref.addr - ref.addr % OnChipCache::lineBytes;
     const auto line = it->second.find(base);
     if (line == it->second.end())
         return;  // installed before the checker attached

@@ -13,10 +13,12 @@ namespace firefly::check
 namespace
 {
 
-/** Address layout: a hot shared pool, then per-CPU private pools. */
+/** Address layout: a hot shared pool, then per-CPU private pools of
+ *  `privateWords` words each. */
 constexpr Addr sharedBase = 0x1000;
 constexpr Addr privateBase = 0x40000;
 constexpr Addr privateStride = 0x8000;
+constexpr unsigned privateWords = 32;
 
 /** One pre-generated operation of the reference stream. */
 struct FuzzOp
@@ -77,7 +79,7 @@ generateOps(const FuzzConfig &cfg, Rng &rng)
                 if (rng.chance(cfg.migrateFrac))
                     owner = rng.below(cfg.nCaches);
                 pool_base = privateBase + owner * privateStride;
-                pool_words = cfg.privateWords;
+                pool_words = privateWords;
             }
             op.addr = pool_base + rng.below(pool_words) * bytesPerWord;
             if (rng.chance(cfg.writeFrac)) {
@@ -97,8 +99,7 @@ generateOps(const FuzzConfig &cfg, Rng &rng)
 FuzzResult
 runFuzz(const FuzzConfig &cfg)
 {
-    if (cfg.nCaches == 0 || cfg.sharedWords == 0 ||
-        cfg.privateWords == 0 || cfg.steps == 0) {
+    if (cfg.nCaches == 0 || cfg.sharedWords == 0 || cfg.steps == 0) {
         panic("fuzz: degenerate configuration");
     }
 

@@ -57,7 +57,6 @@ struct FuzzConfig
 
     // Reference stream shape.
     unsigned sharedWords = 16;   ///< hot pool all CPUs fight over
-    unsigned privateWords = 32;  ///< per-CPU mostly-private pool
     double writeFrac = 0.4;      ///< P(store | CPU op)
     double sharedFrac = 0.6;     ///< P(shared pool | CPU op)
     double migrateFrac = 0.15;   ///< P(another CPU's pool | private)

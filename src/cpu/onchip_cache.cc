@@ -1,19 +1,11 @@
 #include "cpu/onchip_cache.hh"
 
-#include "sim/logging.hh"
-
 namespace firefly
 {
 
-OnChipCache::OnChipCache(const Config &config, std::string name)
-    : cfg(config), statGroup(std::move(name))
+OnChipCache::OnChipCache(DataMode mode, std::string name)
+    : mode(mode), statGroup(std::move(name))
 {
-    if (cfg.lineBytes < 4 || (cfg.lineBytes & (cfg.lineBytes - 1)) != 0)
-        fatal("bad on-chip line size %u", cfg.lineBytes);
-    if (cfg.sizeBytes % cfg.lineBytes != 0)
-        fatal("on-chip size not a multiple of line size");
-    entries.resize(cfg.sizeBytes / cfg.lineBytes);
-
     statGroup.addCounter(&hits, "hits", "accesses served on chip");
     statGroup.addCounter(&misses, "misses",
                          "cacheable accesses sent to the board cache");
@@ -26,13 +18,13 @@ OnChipCache::OnChipCache(const Config &config, std::string name)
 Addr
 OnChipCache::lineBaseOf(Addr addr) const
 {
-    return addr - addr % cfg.lineBytes;
+    return addr - addr % lineBytes;
 }
 
 OnChipCache::Entry &
 OnChipCache::entryFor(Addr addr)
 {
-    return entries[(addr / cfg.lineBytes) % entries.size()];
+    return entries[(addr / lineBytes) % entries.size()];
 }
 
 bool

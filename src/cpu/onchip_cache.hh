@@ -20,8 +20,8 @@
 #ifndef FIREFLY_CPU_ONCHIP_CACHE_HH
 #define FIREFLY_CPU_ONCHIP_CACHE_HH
 
+#include <array>
 #include <string>
-#include <vector>
 
 #include "cache/coherence_observer.hh"
 #include "cache/mem_ref.hh"
@@ -41,14 +41,15 @@ class OnChipCache
         InstructionsAndData,
     };
 
-    struct Config
-    {
-        Addr sizeBytes = 1024;
-        Addr lineBytes = 8;
-        DataMode mode = DataMode::InstructionsOnly;
-    };
+    /** The chip's fixed geometry: 1 KB of 8-byte lines. */
+    static constexpr Addr sizeBytes = 1024;
+    static constexpr Addr lineBytes = 8;
+    static_assert(lineBytes >= 4 && (lineBytes & (lineBytes - 1)) == 0,
+                  "on-chip lines are a power-of-two number of longwords");
+    static_assert(sizeBytes % lineBytes == 0,
+                  "on-chip size is a whole number of lines");
 
-    OnChipCache(const Config &config, std::string name);
+    OnChipCache(DataMode mode, std::string name);
 
     /**
      * Filter an access: true if served on chip (hit); on a cacheable
@@ -64,11 +65,10 @@ class OnChipCache
 
     bool cachesData() const
     {
-        return cfg.mode == DataMode::InstructionsAndData;
+        return mode == DataMode::InstructionsAndData;
     }
 
     const std::string &name() const { return statGroup.name(); }
-    Addr lineBytes() const { return cfg.lineBytes; }
 
     /** Attach a coherence checker (nullptr detaches). */
     void setCoherenceObserver(CoherenceObserver *observer)
@@ -94,8 +94,8 @@ class OnChipCache
     Addr lineBaseOf(Addr addr) const;
     Entry &entryFor(Addr addr);
 
-    Config cfg;
-    std::vector<Entry> entries;
+    DataMode mode;
+    std::array<Entry, sizeBytes / lineBytes> entries{};
     CoherenceObserver *checkObs = nullptr;
     StatGroup statGroup;
 };

@@ -5,17 +5,33 @@
 namespace firefly
 {
 
+namespace
+{
+
+/** Per-instruction branch probability (ends a sequential run). */
+constexpr double kBranchProb = 0.25;
+/** Hot loop length in instructions. */
+constexpr unsigned kLoopWords = 96;
+static_assert(SyntheticConfig::codeBytes > 4 * kLoopWords,
+              "a far branch needs room for a whole hot loop");
+/** Probability a *fresh* data access continues sequentially from the
+ *  previous fresh one (array walks, stack frames - the spatial
+ *  locality footnote 4 says a larger line would have exploited). */
+constexpr double kDataSequentialProb = 0.7;
+
+} // namespace
+
 SyntheticStream::SyntheticStream(const SyntheticConfig &config)
     : cfg(config), rng(config.seed), mixDraw(config.mix),
       readSharedT(Rng::chanceThreshold(config.readSharedFrac)),
       writeSharedT(Rng::chanceThreshold(config.writeSharedFrac)),
       dataReuseT(Rng::chanceThreshold(config.dataReuseProb)),
       writeReuseT(Rng::chanceThreshold(config.writeReuseProb)),
-      sequentialT(Rng::chanceThreshold(config.dataSequentialProb)),
-      branchT(Rng::chanceThreshold(config.branchProb)),
+      sequentialT(Rng::chanceThreshold(kDataSequentialProb)),
+      branchT(Rng::chanceThreshold(kBranchProb)),
       loopBranchT(Rng::chanceThreshold(config.loopBranchFrac))
 {
-    if (cfg.codeBytes < 4 || cfg.privateBytes < 4 || cfg.sharedBytes < 4)
+    if (cfg.privateBytes < 4 || cfg.sharedBytes < 4)
         fatal("synthetic regions must be non-empty");
     pc = cfg.codeBase;
     loopStart = cfg.codeBase;
@@ -41,7 +57,7 @@ SyntheticStream::pickDataAddr(bool is_write)
     // paper's S is "a fraction S = 0.1 of the processor's writes are
     // to shared data"), so check them before the locality model.
     if (rng.chanceScaled(is_write ? writeSharedT : readSharedT))
-        return freshAddr(cfg.sharedBase, cfg.sharedBytes);
+        return freshAddr(sharedBase, cfg.sharedBytes);
 
     // Temporal locality: usually re-touch something recent.
     if (!reuse.empty() &&
@@ -86,11 +102,11 @@ SyntheticStream::startInstruction()
         if (rng.chanceScaled(loopBranchT)) {
             // Loop back within the hot region.
             pc = loopStart +
-                 4 * static_cast<Addr>(rng.below(cfg.loopWords));
+                 4 * static_cast<Addr>(rng.below(kLoopWords));
         } else {
             // Far branch: move the hot loop somewhere cold.
             loopStart = freshAddr(cfg.codeBase,
-                                  cfg.codeBytes - 4 * cfg.loopWords);
+                                  cfg.codeBytes - 4 * kLoopWords);
             loopStart -= loopStart % 4;
             pc = loopStart;
         }

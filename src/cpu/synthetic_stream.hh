@@ -15,11 +15,11 @@
  *   - fraction S of data writes directed at a shared region.
  *
  * The model: the I-stream fetches sequentially and branches with
- * probability `branchProb` per instruction, mostly backwards into a
- * small hot loop region (temporal locality) and occasionally far
- * (cold code).  Data accesses re-reference a recent-address window
- * with probability `dataReuseProb`, otherwise touch a fresh random
- * word of the private (or, for the sharing fraction, shared) region.
+ * probability 0.25 per instruction, mostly backwards into a small hot
+ * loop region (temporal locality) and occasionally far (cold code).
+ * Data accesses re-reference a recent-address window with probability
+ * `dataReuseProb`, otherwise touch a fresh random word of the private
+ * (or, for the sharing fraction, shared) region.
  * Defaults are calibrated by tests/synthetic_test.cc.
  */
 
@@ -44,12 +44,12 @@ struct SyntheticConfig
      *  from the MicroVAX: 11.9 TPI - 2.13 refs * 2 ticks = 7.64. */
     double computeTicksPerInstr = microVaxBaseTpi - 2.13 * hitTicks;
 
-    // Memory layout (byte addresses, longword aligned).
+    // Memory layout (byte addresses, longword aligned); the shared
+    // region starts at SyntheticStream::sharedBase.
     Addr codeBase = 0x0010'0000;
-    Addr codeBytes = 256 * 1024;
+    static constexpr Addr codeBytes = 256 * 1024;
     Addr privateBase = 0x0020'0000;
     Addr privateBytes = 256 * 1024;
-    Addr sharedBase = 0x0008'0000;
     /** Shared region size: small enough to stay resident in every
      *  cache, so writes to it genuinely hit shared lines. */
     Addr sharedBytes = 16 * 1024;
@@ -60,13 +60,9 @@ struct SyntheticConfig
     /** Fraction of all data reads aimed at shared data. */
     double readSharedFrac = 0.05;
 
-    /** Per-instruction branch probability (ends a sequential run). */
-    double branchProb = 0.25;
     /** Branches that stay within the current hot loop; the rest move
      *  the hot loop to cold code (working-set turnover). */
     double loopBranchFrac = 0.998;
-    /** Hot loop length in instructions. */
-    unsigned loopWords = 96;
 
     /** Probability a data read re-references a recent address. */
     double dataReuseProb = 0.95;
@@ -75,11 +71,6 @@ struct SyntheticConfig
      *  clean lines (the longword optimisation), which keeps the
      *  dirty-entry fraction near the paper's D ~ 0.25. */
     double writeReuseProb = 0.55;
-    /** Probability a *fresh* data access continues sequentially from
-     *  the previous fresh one (array walks, stack frames - the
-     *  spatial locality footnote 4 says a larger line would have
-     *  exploited). */
-    double dataSequentialProb = 0.7;
     /** Recent-address window size.  Sized so the data working set
      *  (~16 KB) strains the MicroVAX cache but fits the CVAX's. */
     unsigned reuseWindow = 2048;
@@ -95,6 +86,9 @@ class SyntheticStream : public RefSource
 {
   public:
     explicit SyntheticStream(const SyntheticConfig &config);
+
+    /** Base of the shared region every stream's shared accesses hit. */
+    static constexpr Addr sharedBase = 0x0008'0000;
 
     CpuStep next() override;
     std::uint64_t instructionsCompleted() const override;

@@ -33,12 +33,11 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
 
         if (cfg.version == MachineVersion::Cvax &&
             cfg.onChipCacheEnabled) {
-            OnChipCache::Config oc;
-            oc.mode = cfg.onChipMode;
             onchips.push_back(std::make_unique<OnChipCache>(
-                oc, "onchip" + std::to_string(i)));
+                cfg.onChipMode, "onchip" + std::to_string(i)));
             statGroup.addChild(&onchips.back()->stats());
-            if (oc.mode == OnChipCache::DataMode::InstructionsAndData) {
+            if (cfg.onChipMode ==
+                OnChipCache::DataMode::InstructionsAndData) {
                 // A data-caching on-chip cache does not snoop; watch
                 // bus commits to count (and repair) would-be staleness.
                 OnChipCache *chip = onchips.back().get();

@@ -8,21 +8,26 @@
 namespace firefly
 {
 
-DiskController::DiskController(Simulator &sim, QBus &qbus,
-                               std::string name)
-    : DiskController(sim, qbus, std::move(name), Config{})
+namespace
 {
-}
+
+// The drive's mechanics.
+constexpr double kRpm = 3600.0;
+constexpr double kSeekBaseMs = 4.0;  // head settle
+constexpr double kSeekPerCylinderMs = 0.03;
+constexpr double kTransferKBps = 625.0;  // media rate
+
+constexpr unsigned kWordsPerSector =
+    DiskController::bytesPerSector / bytesPerWord;
+
+} // namespace
 
 DiskController::DiskController(Simulator &sim, QBus &qbus,
-                               std::string name, Config config)
-    : sim(sim), qbus(qbus), cfg(config),
-      media(static_cast<Addr>(cfg.geometry.totalSectors()) *
-            (cfg.geometry.bytesPerSector / bytesPerWord)),
+                               std::string name)
+    : sim(sim), qbus(qbus),
+      media(static_cast<Addr>(totalSectors) * kWordsPerSector),
       statGroup(std::move(name))
 {
-    if (cfg.geometry.bytesPerSector % bytesPerWord != 0)
-        fatal("sector size must be longword aligned");
     statGroup.addCounter(&reads, "reads", "read requests completed");
     statGroup.addCounter(&writes, "writes",
                          "write requests completed");
@@ -37,14 +42,13 @@ DiskController::DiskController(Simulator &sim, QBus &qbus,
 unsigned
 DiskController::cylinderOf(unsigned lba) const
 {
-    return lba /
-           (cfg.geometry.heads * cfg.geometry.sectorsPerTrack);
+    return lba / (heads * sectorsPerTrack);
 }
 
 double
 DiskController::rotationFractionAt(Cycle when) const
 {
-    const double cycles_per_rev = 60.0 / cfg.rpm * 1e7;  // 100ns units
+    const double cycles_per_rev = 60.0 / kRpm * 1e7;  // 100ns units
     const double pos =
         std::fmod(static_cast<double>(when), cycles_per_rev);
     return pos / cycles_per_rev;
@@ -60,14 +64,13 @@ DiskController::mechanicalDelay(const Request &req) const
         : currentCylinder - target;
     double ms = 0.0;
     if (distance > 0)
-        ms += cfg.seekBaseMs + cfg.seekPerCylinderMs * distance;
+        ms += kSeekBaseMs + kSeekPerCylinderMs * distance;
     Cycle delay = static_cast<Cycle>(ms * 1e4);  // ms -> 100ns cycles
 
     // Rotation: wait for the target sector to come under the head.
-    const double cycles_per_rev = 60.0 / cfg.rpm * 1e7;
+    const double cycles_per_rev = 60.0 / kRpm * 1e7;
     const double target_angle =
-        static_cast<double>(req.lba % cfg.geometry.sectorsPerTrack) /
-        cfg.geometry.sectorsPerTrack;
+        static_cast<double>(req.lba % sectorsPerTrack) / sectorsPerTrack;
     const double angle_at_arrival =
         rotationFractionAt(sim.now() + delay);
     double wait = target_angle - angle_at_arrival;
@@ -81,7 +84,7 @@ void
 DiskController::read(unsigned lba, unsigned sectors, Addr qbus_buffer,
                      Callback done)
 {
-    if (lba + sectors > cfg.geometry.totalSectors())
+    if (lba + sectors > totalSectors)
         fatal("disk access beyond media: lba %u + %u", lba, sectors);
     queue.push_back({false, lba, sectors, qbus_buffer,
                      std::move(done), sim.now()});
@@ -93,7 +96,7 @@ void
 DiskController::write(unsigned lba, unsigned sectors, Addr qbus_buffer,
                       Callback done)
 {
-    if (lba + sectors > cfg.geometry.totalSectors())
+    if (lba + sectors > totalSectors)
         fatal("disk access beyond media: lba %u + %u", lba, sectors);
     queue.push_back({true, lba, sectors, qbus_buffer,
                      std::move(done), sim.now()});
@@ -121,9 +124,9 @@ DiskController::pump()
     // Media transfer time (the DMA into memory overlaps it; the
     // controller is buffered, so we charge max(media, DMA) ~ media).
     const double bytes =
-        static_cast<double>(req.sectors) * cfg.geometry.bytesPerSector;
+        static_cast<double>(req.sectors) * bytesPerSector;
     const Cycle media_time =
-        static_cast<Cycle>(bytes / (cfg.transferKBps * 1024.0) * 1e7);
+        static_cast<Cycle>(bytes / (kTransferKBps * 1024.0) * 1e7);
 
     sim.events().schedule(sim.now() + mech + media_time,
                           [this, req]() mutable { transfer(req); },
@@ -156,11 +159,8 @@ DiskController::retryOrFail(Request req)
 void
 DiskController::transfer(Request req)
 {
-    const unsigned words_per_sector =
-        cfg.geometry.bytesPerSector / bytesPerWord;
-    const unsigned total_words = req.sectors * words_per_sector;
-    const Addr media_word =
-        static_cast<Addr>(req.lba) * words_per_sector;
+    const unsigned total_words = req.sectors * kWordsPerSector;
+    const Addr media_word = static_cast<Addr>(req.lba) * kWordsPerSector;
 
     if (req.isWrite) {
         // DMA the data out of memory, then commit to the media.
@@ -206,9 +206,7 @@ DiskController::transfer(Request req)
 Word
 DiskController::peekWord(unsigned lba, unsigned word_in_sector) const
 {
-    const unsigned words_per_sector =
-        cfg.geometry.bytesPerSector / bytesPerWord;
-    return media.read(static_cast<Addr>(lba) * words_per_sector +
+    return media.read(static_cast<Addr>(lba) * kWordsPerSector +
                       word_in_sector);
 }
 

@@ -26,36 +26,21 @@ namespace firefly
 class DiskController
 {
   public:
-    struct Geometry
-    {
-        unsigned cylinders = 1024;
-        unsigned heads = 8;
-        unsigned sectorsPerTrack = 17;
-        unsigned bytesPerSector = 512;
-
-        unsigned
-        totalSectors() const
-        {
-            return cylinders * heads * sectorsPerTrack;
-        }
-    };
-
-    struct Config
-    {
-        Geometry geometry{};
-        double rpm = 3600.0;
-        double seekBaseMs = 4.0;     ///< head settle
-        double seekPerCylinderMs = 0.03;
-        double transferKBps = 625.0; ///< media rate
-    };
+    /** The drive's geometry. */
+    static constexpr unsigned cylinders = 1024;
+    static constexpr unsigned heads = 8;
+    static constexpr unsigned sectorsPerTrack = 17;
+    static constexpr unsigned bytesPerSector = 512;
+    static constexpr unsigned totalSectors =
+        cylinders * heads * sectorsPerTrack;
+    static_assert(bytesPerSector % bytesPerWord == 0,
+                  "sector size must be longword aligned");
 
     /** Completion callback: Ok, or TimedOut after the DMA engine's
      *  retry budget is exhausted (the request fails gracefully). */
     using Callback = std::function<void(IoStatus)>;
 
     DiskController(Simulator &sim, QBus &qbus, std::string name);
-    DiskController(Simulator &sim, QBus &qbus, std::string name,
-                   Config config);
 
     /** Queue a read of `sectors` sectors at `lba` into memory. */
     void read(unsigned lba, unsigned sectors, Addr qbus_buffer,
@@ -68,7 +53,6 @@ class DiskController
     // --- functional access for tests ---------------------------------
     Word peekWord(unsigned lba, unsigned word_in_sector) const;
 
-    const Config &config() const { return cfg; }
     StatGroup &stats() { return statGroup; }
 
     Counter reads, writes, sectorsMoved;
@@ -98,7 +82,6 @@ class DiskController
 
     Simulator &sim;
     QBus &qbus;
-    Config cfg;
     SparseMemory media;
     unsigned currentCylinder = 0;
     bool busy = false;

@@ -6,19 +6,20 @@
 namespace firefly
 {
 
-EthernetController::EthernetController(Simulator &sim, QBus &qbus,
-                                       std::string name)
-    : EthernetController(sim, qbus, std::move(name), Config{})
+namespace
 {
-}
+
+constexpr double kLineMbps = 10.0;  // wire rate
+static_assert(kLineMbps > 0, "Ethernet line rate must be positive");
+constexpr Cycle kSetupCycles = 60;  // CSR pokes to start a transfer
+constexpr unsigned kInterFrameGapBits = 96;
+
+} // namespace
 
 EthernetController::EthernetController(Simulator &sim, QBus &qbus,
-                                       std::string name, Config config)
-    : sim(sim), qbus(qbus), cfg(config), name(std::move(name)),
-      statGroup(this->name)
+                                       std::string name)
+    : sim(sim), qbus(qbus), name(std::move(name)), statGroup(this->name)
 {
-    if (cfg.lineMbps <= 0)
-        fatal("Ethernet line rate must be positive");
     statGroup.addCounter(&txPackets, "tx_packets",
                          "packets transmitted");
     statGroup.addCounter(&txBytes, "tx_bytes", "bytes transmitted");
@@ -32,8 +33,8 @@ Cycle
 EthernetController::wireCycles(unsigned bytes) const
 {
     // bits / (Mbit/s) = microseconds; 10 cycles per microsecond.
-    const double bits = 8.0 * bytes + cfg.interFrameGapBits;
-    return static_cast<Cycle>(bits / cfg.lineMbps * 10.0) + 1;
+    const double bits = 8.0 * bytes + kInterFrameGapBits;
+    return static_cast<Cycle>(bits / kLineMbps * 10.0) + 1;
 }
 
 void
@@ -59,7 +60,7 @@ EthernetController::pumpTx()
     txQueue.pop_front();
 
     sim.events().schedule(
-        sim.now() + cfg.setupCycles,
+        sim.now() + kSetupCycles,
         [this, req = std::move(req)]() mutable {
             startTx(std::move(req));
         },

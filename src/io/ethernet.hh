@@ -31,20 +31,11 @@ namespace firefly
 class EthernetController
 {
   public:
-    struct Config
-    {
-        double lineMbps = 10.0;     ///< wire rate
-        Cycle setupCycles = 60;     ///< CSR pokes to start a transfer
-        unsigned interFrameGapBits = 96;
-    };
-
     /** Receive notification: physical buffer address and length. */
     using RxHandler = std::function<void(Addr qbus_addr,
                                          unsigned bytes)>;
 
     EthernetController(Simulator &sim, QBus &qbus, std::string name);
-    EthernetController(Simulator &sim, QBus &qbus, std::string name,
-                       Config config);
 
     /**
      * Transmit `bytes` starting at the QBus address.  The packet is
@@ -97,7 +88,6 @@ class EthernetController
 
     Simulator &sim;
     QBus &qbus;
-    Config cfg;
     std::string name;
     EthernetController *peer = nullptr;
     RxHandler rxHandler;

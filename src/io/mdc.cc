@@ -65,12 +65,15 @@ const unsigned char font5x7[95][5] = {
 };
 
 constexpr Cycle inputPeriodCycles = 166667;  // 60 Hz in 100 ns cycles
+constexpr double pixelsPerCycle = 1.6;       // 16 Mpixel/s
+constexpr Cycle commandOverheadCycles = 300; // microcode per command
+constexpr Cycle charOverheadCycles = 400;    // per character
 
 } // namespace
 
 Mdc::Mdc(Simulator &sim, QBus &qbus, const Config &config)
     : sim(sim), qbus(qbus), cfg(config),
-      workQueue(sim, qbus, cfg.queue,
+      workQueue(sim, qbus, cfg.queueBase,
                 std::bind_front(&Mdc::executeEntry, this)),
       statGroup("mdc")
 {
@@ -93,10 +96,8 @@ Mdc::start()
         return;
     started = true;
     workQueue.start();
-    if (cfg.inputDeposits) {
-        sim.events().schedule(sim.now() + inputPeriodCycles,
-                              [this] { depositInput(); });
-    }
+    sim.events().schedule(sim.now() + inputPeriodCycles,
+                          [this] { depositInput(); });
 }
 
 PixelRect
@@ -193,7 +194,7 @@ Mdc::executeEntry(const WorkQueue::Command &entry)
 {
     ++commandsExecuted;
     const auto opcode = static_cast<MdcOpcode>(entry[0]);
-    Cycle busy = cfg.commandOverheadCycles;
+    Cycle busy = commandOverheadCycles;
 
     switch (opcode) {
       case MdcOpcode::Nop:
@@ -204,7 +205,7 @@ Mdc::executeEntry(const WorkQueue::Command &entry)
         const auto pixels =
             fb.fill({entry[1], entry[2], entry[3], entry[4]}, op);
         pixelsPainted += pixels;
-        busy += static_cast<Cycle>(pixels / cfg.pixelsPerCycle);
+        busy += static_cast<Cycle>(pixels / pixelsPerCycle);
         break;
       }
 
@@ -214,7 +215,7 @@ Mdc::executeEntry(const WorkQueue::Command &entry)
             fb.blt({entry[1], entry[2], entry[5], entry[6]}, entry[3],
                    entry[4], op);
         pixelsPainted += pixels;
-        busy += static_cast<Cycle>(pixels / cfg.pixelsPerCycle);
+        busy += static_cast<Cycle>(pixels / pixelsPerCycle);
         break;
       }
 
@@ -226,7 +227,7 @@ Mdc::executeEntry(const WorkQueue::Command &entry)
                      [this, x, y, count](IoStatus st,
                                          std::vector<Word> packed) {
                          if (st != IoStatus::Ok) {
-                             workQueue.finish(cfg.commandOverheadCycles);
+                             workQueue.finish(commandOverheadCycles);
                              return;
                          }
                          paintCharsFromCodes(packed, x, y, count);
@@ -243,7 +244,7 @@ Mdc::executeEntry(const WorkQueue::Command &entry)
                      [this, stride, w, h, dx, dy](
                          IoStatus st, std::vector<Word> data) {
                          if (st != IoStatus::Ok) {
-                             workQueue.finish(cfg.commandOverheadCycles);
+                             workQueue.finish(commandOverheadCycles);
                              return;
                          }
                          const auto pixels = fb.bltFrom(
@@ -251,9 +252,9 @@ Mdc::executeEntry(const WorkQueue::Command &entry)
                              dy, RasterOp::Copy);
                          pixelsPainted += pixels;
                          workQueue.finish(
-                             cfg.commandOverheadCycles +
+                             commandOverheadCycles +
                              static_cast<Cycle>(pixels /
-                                                cfg.pixelsPerCycle));
+                                                pixelsPerCycle));
                      });
         return;
       }
@@ -269,7 +270,7 @@ void
 Mdc::paintCharsFromCodes(const std::vector<Word> &packed, unsigned x,
                          unsigned y, unsigned count)
 {
-    Cycle busy = cfg.commandOverheadCycles;
+    Cycle busy = commandOverheadCycles;
     for (unsigned i = 0; i < count; ++i) {
         const Word word = packed[i / 4];
         const unsigned code = (word >> (8 * (i % 4))) & 0xff;
@@ -277,8 +278,8 @@ Mdc::paintCharsFromCodes(const std::vector<Word> &packed, unsigned x,
             fb.blt(glyphRect(code), x + 8 * i, y, RasterOp::Copy);
         pixelsPainted += pixels;
         ++charsPainted;
-        busy += cfg.charOverheadCycles +
-                static_cast<Cycle>(pixels / cfg.pixelsPerCycle);
+        busy += charOverheadCycles +
+                static_cast<Cycle>(pixels / pixelsPerCycle);
     }
     workQueue.finish(busy);
 }

@@ -47,14 +47,9 @@ class Mdc
   public:
     struct Config
     {
-        WorkQueue::Config queue;
+        Addr queueBase = 0;  ///< QBus address of the command ring
         /** Input deposit area (mouseX, mouseY, 4 keyboard words). */
         Addr inputBase = 0;
-
-        double pixelsPerCycle = 1.6;          ///< 16 Mpixel/s
-        Cycle commandOverheadCycles = 300;    ///< microcode per cmd
-        Cycle charOverheadCycles = 400;       ///< per character
-        bool inputDeposits = true;            ///< 60 Hz mouse/kbd
     };
 
     Mdc(Simulator &sim, QBus &qbus, const Config &config);

@@ -9,18 +9,23 @@
 namespace firefly
 {
 
-WorkQueue::WorkQueue(Simulator &sim, QBus &qbus, const Config &config,
-                     Execute execute)
-    : sim(sim), qbus(qbus), cfg(config), execute(std::move(execute))
+namespace
 {
-    if (cfg.entries == 0)
-        fatal("a display work queue needs at least one entry");
+
+constexpr Cycle kPollIntervalCycles = 2000;  // 200 us idle poll
+
+} // namespace
+
+WorkQueue::WorkQueue(Simulator &sim, QBus &qbus, Addr base,
+                     Execute execute)
+    : sim(sim), qbus(qbus), base(base), execute(std::move(execute))
+{
 }
 
 Addr
 WorkQueue::blockAddr(Word index) const
 {
-    return cfg.base + 8 + (index % cfg.entries) * sizeof(Command);
+    return base + 8 + (index % entries) * sizeof(Command);
 }
 
 void
@@ -29,14 +34,14 @@ WorkQueue::start()
     if (started)
         return;
     started = true;
-    sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
+    sim.events().schedule(sim.now() + kPollIntervalCycles,
                           [this] { poll(); });
 }
 
 void
 WorkQueue::pollLater()
 {
-    sim.events().schedule(sim.now() + cfg.pollIntervalCycles,
+    sim.events().schedule(sim.now() + kPollIntervalCycles,
                           [this] { poll(); }, "mdc poll");
 }
 
@@ -44,7 +49,7 @@ void
 WorkQueue::poll()
 {
     ++polls;
-    qbus.dmaRead(cfg.base, 2, [this](IoStatus status,
+    qbus.dmaRead(base, 2, [this](IoStatus status,
                                      std::vector<Word> header) {
         if (status != IoStatus::Ok || header[0] == header[1]) {
             pollLater();
@@ -69,7 +74,7 @@ WorkQueue::finish(Cycle busy)
 {
     busyCycles += busy;
     sim.events().schedule(sim.now() + busy, [this] {
-        qbus.dmaRead(cfg.base, 2, [this](IoStatus status,
+        qbus.dmaRead(base, 2, [this](IoStatus status,
                                          std::vector<Word> header) {
             if (status != IoStatus::Ok) {
                 // Consumer not advanced: the command runs again
@@ -77,7 +82,7 @@ WorkQueue::finish(Cycle busy)
                 pollLater();
                 return;
             }
-            qbus.dmaWrite(cfg.base + 4, {header[1] + 1},
+            qbus.dmaWrite(base + 4, {header[1] + 1},
                           [this](IoStatus) { poll(); });
         });
     }, "mdc command finish");
@@ -86,19 +91,19 @@ WorkQueue::finish(Cycle busy)
 void
 WorkQueue::enqueue(MainMemory &memory, const Command &command) const
 {
-    const Word producer = memory.read(cfg.base);
+    const Word producer = memory.read(base);
     // peek: the full check adds no memory traffic to the statistics.
-    if (producer - memory.peek(cfg.base + 4) >= cfg.entries)
-        panic("work queue at %#x is full", cfg.base);
+    if (producer - memory.peek(base + 4) >= entries)
+        panic("work queue at %#x is full", base);
     for (unsigned i = 0; i < command.size(); ++i)
         memory.write(blockAddr(producer) + 4 * i, command[i]);
-    memory.write(cfg.base, producer + 1);
+    memory.write(base, producer + 1);
 }
 
 bool
 WorkQueue::drained(MainMemory &memory) const
 {
-    return memory.read(cfg.base + 4) == memory.read(cfg.base);
+    return memory.read(base + 4) == memory.read(base);
 }
 
 } // namespace firefly

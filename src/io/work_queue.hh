@@ -7,7 +7,8 @@
  *
  * Layout at QBus address `base`: the producer index at +0, the
  * consumer index at +4, then `entries` 8-word command blocks from +8;
- * command i lives in block i % entries.
+ * command i lives in block i % entries.  An idle controller polls
+ * every 200 us.
  */
 
 #ifndef FIREFLY_IO_WORK_QUEUE_HH
@@ -32,15 +33,12 @@ class WorkQueue
     /** Runs one command, then calls finish() (perhaps after DMA). */
     using Execute = std::function<void(const Command &)>;
 
-    struct Config
-    {
-        Addr base = 0;                    ///< QBus address of the ring
-        unsigned entries = 16;            ///< command blocks
-        Cycle pollIntervalCycles = 2000;  ///< 200 us idle poll
-    };
+    /** Command blocks in the ring. */
+    static constexpr unsigned entries = 16;
+    static_assert(entries > 0, "a work queue needs at least one entry");
 
-    WorkQueue(Simulator &sim, QBus &qbus, const Config &config,
-              Execute execute);
+    /** A ring at QBus address `base`. */
+    WorkQueue(Simulator &sim, QBus &qbus, Addr base, Execute execute);
     WorkQueue(const WorkQueue &) = delete;
     WorkQueue &operator=(const WorkQueue &) = delete;
 
@@ -71,7 +69,7 @@ class WorkQueue
 
     Simulator &sim;
     QBus &qbus;
-    Config cfg;
+    Addr base;
     Execute execute;
     bool started = false;
 };

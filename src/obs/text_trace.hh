@@ -3,8 +3,8 @@
  * Human-readable text sink, filtered by category.
  *
  * The sink is built with the categories to print (the flags a bench
- * takes from --debug-flags and FIREFLY_DEBUG, see bench/bench_util.hh)
- * and drops every other event.  Output looks like
+ * takes from --debug-flags, see bench/bench_util.hh) and drops every
+ * other event.  Output looks like
  *
  *     [Cache] 1204 cache0: line 0x1f40 Shared->Dirty (write-hit)
  *

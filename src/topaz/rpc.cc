@@ -6,11 +6,26 @@
 namespace firefly
 {
 
-RpcEngine::RpcEngine(Simulator &sim, QBus &qbus,
-                     EthernetController &nic, Config config)
-    : sim(sim), qbus(qbus), nic(nic), cfg(config), statGroup("rpc")
+namespace
 {
-    if (cfg.threads == 0)
+
+constexpr unsigned kRequestBytes = 1500;
+constexpr unsigned kReplyBytes = 96;
+
+/** Client software per call: marshal, dispatch, unmarshal. */
+constexpr Cycle kClientOverheadCycles = 14000;  // 1.4 ms
+/** Server occupancy per call (serialised; the bottleneck). */
+constexpr Cycle kServerBusyCycles = 26000;      // 2.6 ms
+/** Fixed network-stack latency at the server. */
+constexpr Cycle kServerLatencyCycles = 2000;    // 0.2 ms
+
+} // namespace
+
+RpcEngine::RpcEngine(Simulator &sim, EthernetController &nic,
+                     unsigned threads)
+    : sim(sim), nic(nic), threads(threads), statGroup("rpc")
+{
+    if (threads == 0)
         fatal("RPC engine needs at least one call slot");
     statGroup.addCounter(&callsCompleted, "calls", "RPCs completed");
     statGroup.addCounter(&bytesTransferred, "bytes",
@@ -25,13 +40,13 @@ RpcEngine::RpcEngine(Simulator &sim, QBus &qbus,
 Addr
 RpcEngine::txBuffer(unsigned slot) const
 {
-    return cfg.bufferBase + slot * 4096;
+    return bufferBase + slot * 4096;
 }
 
 Addr
 RpcEngine::rxBuffer(unsigned slot) const
 {
-    return cfg.bufferBase + slot * 4096 + 2048;
+    return bufferBase + slot * 4096 + 2048;
 }
 
 void
@@ -40,7 +55,7 @@ RpcEngine::start()
     running = true;
     startCycle = sim.now();
     lastOutstandingChange = sim.now();
-    for (unsigned slot = 0; slot < cfg.threads; ++slot)
+    for (unsigned slot = 0; slot < threads; ++slot)
         issueCall(slot);
 }
 
@@ -60,14 +75,14 @@ RpcEngine::issueCall(unsigned slot)
     if (auto *ts = obs::traceSink()) {
         ts->begin(sim.now(), obs::kCatRpc,
                   "rpc.slot" + std::to_string(slot), "call",
-                  {{"bytes", std::to_string(cfg.requestBytes)}});
+                  {{"bytes", std::to_string(kRequestBytes)}});
     }
 
     // Client software: marshal the arguments, then hand the packet
     // to the controller (the DEQNA DMAs it out of main memory).
     sim.events().schedule(
-        sim.now() + cfg.clientOverheadCycles / 2, [this, slot] {
-            nic.transmit(txBuffer(slot), cfg.requestBytes,
+        sim.now() + kClientOverheadCycles / 2, [this, slot] {
+            nic.transmit(txBuffer(slot), kRequestBytes,
                          [this, slot](IoStatus status) {
                              if (status != IoStatus::Ok) {
                                  abandonCall(slot);
@@ -98,7 +113,7 @@ RpcEngine::abandonCall(unsigned slot)
 void
 RpcEngine::serverAccept(unsigned slot)
 {
-    sim.events().schedule(sim.now() + cfg.serverLatencyCycles,
+    sim.events().schedule(sim.now() + kServerLatencyCycles,
                           [this, slot] {
                               serverPending.push_back(slot);
                               if (!serverBusy)
@@ -110,15 +125,14 @@ void
 RpcEngine::serverDone(unsigned slot)
 {
     serverBusy = true;
-    sim.events().schedule(sim.now() + cfg.serverBusyCycles, [this,
-                                                             slot] {
+    sim.events().schedule(sim.now() + kServerBusyCycles, [this, slot] {
         serverPending.pop_front();
         // Reply comes back over the wire into the client's posted
         // receive buffer (a real DMA into simulated memory).
         nic.addReceiveBuffer(rxBuffer(slot), 2048);
         nic.injectFromWire(
-            std::vector<Word>((cfg.replyBytes + 3) / 4, 0xaa55aa55),
-            cfg.replyBytes);
+            std::vector<Word>((kReplyBytes + 3) / 4, 0xaa55aa55),
+            kReplyBytes);
         replyDelivered(slot);
         if (!serverPending.empty())
             serverDone(serverPending.front());
@@ -132,13 +146,13 @@ RpcEngine::replyDelivered(unsigned slot)
 {
     // Client unmarshal + thread wakeup, then reuse the slot.
     sim.events().schedule(
-        sim.now() + cfg.clientOverheadCycles / 2, [this, slot] {
+        sim.now() + kClientOverheadCycles / 2, [this, slot] {
             ++callsCompleted;
             if (auto *ts = obs::traceSink()) {
                 ts->end(sim.now(), obs::kCatRpc,
                         "rpc.slot" + std::to_string(slot));
             }
-            bytesTransferred += cfg.requestBytes;
+            bytesTransferred += kRequestBytes;
             outstandingIntegral +=
                 static_cast<double>(outstanding) *
                 (sim.now() - lastOutstandingChange);

@@ -31,27 +31,13 @@ namespace firefly
 class RpcEngine
 {
   public:
-    struct Config
-    {
-        /** Concurrent outstanding calls (the paper's "threads"). */
-        unsigned threads = 3;
-        unsigned requestBytes = 1500;
-        unsigned replyBytes = 96;
+    /** QBus address of the first per-call buffer (tx then rx, each
+     *  rounded to 2 KB). */
+    static constexpr Addr bufferBase = 0x0020'0000;
 
-        /** Client software per call: marshal, dispatch, unmarshal. */
-        Cycle clientOverheadCycles = 14000;  // 1.4 ms
-        /** Server occupancy per call (serialised; the bottleneck). */
-        Cycle serverBusyCycles = 26000;      // 2.6 ms
-        /** Fixed network-stack latency at the server. */
-        Cycle serverLatencyCycles = 2000;    // 0.2 ms
-
-        /** QBus address of the first per-call buffer (tx then rx,
-         *  each rounded to 2 KB). */
-        Addr bufferBase = 0x0020'0000;
-    };
-
-    RpcEngine(Simulator &sim, QBus &qbus, EthernetController &nic,
-              Config config);
+    /** An engine with `threads` concurrent outstanding calls (the
+     *  paper's "threads"). */
+    RpcEngine(Simulator &sim, EthernetController &nic, unsigned threads);
 
     /** Launch all call slots; they loop until stop(). */
     void start();
@@ -80,9 +66,8 @@ class RpcEngine
     Addr rxBuffer(unsigned slot) const;
 
     Simulator &sim;
-    QBus &qbus;
     EthernetController &nic;
-    Config cfg;
+    unsigned threads;
 
     bool running = false;
     Cycle startCycle = 0;

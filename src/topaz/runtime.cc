@@ -61,7 +61,7 @@ class TopazPort : public RefSource
 };
 
 TopazRuntime::TopazRuntime(const TopazConfig &config)
-    : cfg(config), arena(config.arenaBase, config.arenaBytes),
+    : cfg(config), arena(arenaBase, arenaBytes),
       scheduler(config.cpus, config.policy), rng(config.seed),
       statGroup("topaz")
 {
@@ -74,13 +74,13 @@ TopazRuntime::TopazRuntime(const TopazConfig &config)
         readyQueueAddr.push_back(
             arena.allocate(16 * 4, "ready-queue" + std::to_string(i)));
     }
-    for (unsigned i = 0; i < cfg.mutexes; ++i)
+    for (unsigned i = 0; i < mutexCount; ++i)
         mutexes.push_back({arena.allocate(4, "mutex"), -1, {}});
-    for (unsigned i = 0; i < cfg.conditions; ++i)
+    for (unsigned i = 0; i < conditionCount; ++i)
         conditions.push_back({arena.allocate(4, "condition"), {}});
-    counterBase = arena.allocate(cfg.counters * 4, "counters");
+    counterBase = arena.allocate(TopazConfig::counters * 4, "counters");
     sharedHeapBase =
-        arena.allocate(cfg.sharedHeapWords * 4, "shared-heap");
+        arena.allocate(sharedHeapWords * 4, "shared-heap");
 
     currentThread.assign(cfg.cpus, -1);
     for (unsigned i = 0; i < cfg.cpus; ++i)
@@ -138,8 +138,8 @@ TopazRuntime::addThread(unsigned program_id)
         std::max<std::uint64_t>(1, programs[program_id].iterations);
     thread->tcb = arena.allocate(32 * 4, "tcb");
     thread->stackBase =
-        arena.allocate(cfg.threadStackWords * 4, "stack");
-    thread->codeBase = arena.allocate(cfg.threadCodeWords * 4, "code");
+        arena.allocate(threadStackWords * 4, "stack");
+    thread->codeBase = arena.allocate(threadCodeWords * 4, "code");
     thread->rng = Rng(cfg.seed + 31 * thread->id + 7);
     thread->lastCpu = nextForkCpu % cfg.cpus;
     nextForkCpu++;
@@ -184,7 +184,7 @@ TopazRuntime::offlineCpu(unsigned cpu)
 Addr
 TopazRuntime::counterAddr(unsigned index) const
 {
-    if (index >= cfg.counters)
+    if (index >= TopazConfig::counters)
         panic("counter index %u out of range", index);
     return counterBase + 4 * index;
 }
@@ -192,7 +192,7 @@ TopazRuntime::counterAddr(unsigned index) const
 Addr
 TopazRuntime::heapWordAddr(unsigned word) const
 {
-    return sharedHeapBase + 4 * (word % cfg.sharedHeapWords);
+    return sharedHeapBase + 4 * (word % sharedHeapWords);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,24 +237,24 @@ TopazRuntime::emitUserInstructions(unsigned cpu, Thread &thread,
         for (unsigned f = 0; f < refs.instrReads; ++f) {
             emitRef(cpu, {thread.codeBase + 4 * thread.codePtr,
                           RefType::InstrRead, 0});
-            thread.codePtr = (thread.codePtr + 1) % cfg.threadCodeWords;
+            thread.codePtr = (thread.codePtr + 1) % threadCodeWords;
         }
         // Private accesses mix a hot frame (the top of the stack)
         // with colder spills across the whole stack; the cold misses
         // displace stale copies left in other caches by migration,
         // which is what bounds how long conditional write-through
         // keeps firing on private data.
-        const Addr hot_words = std::min<Addr>(cfg.threadStackWords, 64);
+        const Addr hot_words = std::min<Addr>(threadStackWords, 64);
         for (unsigned r = 0; r < refs.dataReads; ++r) {
             Addr addr;
             if (thread.rng.chance(0.05)) {
                 addr = heapWordAddr(
-                    thread.rng.below(cfg.sharedHeapWords));
+                    thread.rng.below(sharedHeapWords));
             } else if (thread.rng.chance(0.80)) {
                 addr = thread.stackBase + 4 * thread.rng.below(hot_words);
             } else {
                 addr = thread.stackBase +
-                       4 * thread.rng.below(cfg.threadStackWords);
+                       4 * thread.rng.below(threadStackWords);
             }
             emitRef(cpu, {addr, RefType::DataRead, 0});
         }
@@ -262,12 +262,12 @@ TopazRuntime::emitUserInstructions(unsigned cpu, Thread &thread,
             Addr addr;
             if (thread.rng.chance(0.06)) {
                 addr = heapWordAddr(
-                    thread.rng.below(cfg.sharedHeapWords));
+                    thread.rng.below(sharedHeapWords));
             } else if (thread.rng.chance(0.40)) {
                 addr = thread.stackBase + 4 * thread.rng.below(hot_words);
             } else {
                 addr = thread.stackBase +
-                       4 * thread.rng.below(cfg.threadStackWords);
+                       4 * thread.rng.below(threadStackWords);
             }
             emitRef(cpu, {addr, RefType::DataWrite, writeSeq++});
         }
@@ -368,7 +368,7 @@ TopazRuntime::dispatch(unsigned cpu)
     thread.everRan = true;
     thread.lastCpu = cpu;
     thread.state = ThreadState::Running;
-    thread.sliceLeft = cfg.sliceInstructions;
+    thread.sliceLeft = sliceInstructions;
     currentThread[cpu] = id;
     ++runningCount;
     ++contextSwitches;
@@ -513,7 +513,7 @@ TopazRuntime::interpret(unsigned cpu, Thread &thread)
         const auto chunk =
             static_cast<unsigned>(std::min<std::uint64_t>(
                 thread.opProgress, 16));
-        emitTouch(cpu, thread, sharedHeapBase, cfg.sharedHeapWords,
+        emitTouch(cpu, thread, sharedHeapBase, sharedHeapWords,
                   chunk);
         thread.opProgress -= chunk;
         if (thread.opProgress == 0)
@@ -527,7 +527,7 @@ TopazRuntime::interpret(unsigned cpu, Thread &thread)
         const auto chunk =
             static_cast<unsigned>(std::min<std::uint64_t>(
                 thread.opProgress, 16));
-        emitTouch(cpu, thread, thread.stackBase, cfg.threadStackWords,
+        emitTouch(cpu, thread, thread.stackBase, threadStackWords,
                   chunk);
         thread.opProgress -= chunk;
         if (thread.opProgress == 0)

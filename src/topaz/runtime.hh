@@ -48,19 +48,8 @@ struct TopazConfig
     unsigned cpus = 1;
     SchedulerPolicy policy = SchedulerPolicy::Affinity;
 
-    /** Simulated-memory range for all runtime structures. */
-    Addr arenaBase = 0x0040'0000;
-    Addr arenaBytes = 8 * 1024 * 1024;
-
-    unsigned mutexes = 8;
-    unsigned conditions = 8;
-    unsigned counters = 8;
-    Addr sharedHeapWords = 1024;
-    Addr threadStackWords = 2048;
-    Addr threadCodeWords = 128;
-
-    /** Forced yield after this many user instructions (time slice). */
-    std::uint64_t sliceInstructions = 2000;
+    /** Lock-protected shared counters (TopazRuntime::counterAddr). */
+    static constexpr unsigned counters = 8;
 
     std::uint64_t seed = 1;
 };
@@ -102,6 +91,12 @@ class TopazRuntime
 
     const TopazConfig &config() const { return cfg; }
     StatGroup &stats() { return statGroup; }
+
+    /** Mutexes and conditions the runtime provides (op indices). */
+    static constexpr unsigned mutexCount = 8;
+    static constexpr unsigned conditionCount = 8;
+    /** Forced yield after this many user instructions (time slice). */
+    static constexpr std::uint64_t sliceInstructions = 2000;
 
     // Statistics, public for benches.
     Counter contextSwitches;
@@ -199,7 +194,13 @@ class TopazRuntime
     TopazScheduler scheduler;
     Rng rng;
 
-    // Simulated-memory layout.
+    // Simulated-memory layout: every runtime structure lives in the
+    // arena's range.
+    static constexpr Addr arenaBase = 0x0040'0000;
+    static constexpr Addr arenaBytes = 8 * 1024 * 1024;
+    static constexpr Addr sharedHeapWords = 1024;
+    static constexpr Addr threadStackWords = 2048;
+    static constexpr Addr threadCodeWords = 128;
     Addr nubCodeBase = 0;
     static constexpr Addr nubCodeWords = 512;
     std::vector<Addr> nubPtr;          ///< per-CPU Nub fetch pointer

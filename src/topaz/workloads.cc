@@ -5,34 +5,46 @@
 namespace firefly
 {
 
+namespace
+{
+
+/** The exerciser's per-iteration work and its mutex/condition groups. */
+constexpr unsigned kComputeInstructions = 150;
+constexpr unsigned kSharedTouches = 2;
+constexpr unsigned kPrivateTouches = 10;
+constexpr unsigned kGroups = 4;
+static_assert(kGroups <= TopazRuntime::mutexCount &&
+                  kGroups <= TopazRuntime::conditionCount &&
+                  kGroups <= TopazConfig::counters,
+              "every exerciser group needs a mutex, condition and counter");
+
+/** Private data each compilation job touches per half. */
+constexpr unsigned kJobPrivateTouches = 64;
+
+} // namespace
+
 std::uint64_t
 buildThreadsExerciser(TopazRuntime &runtime,
                       const ExerciserParams &params)
 {
-    const auto &cfg = runtime.config();
-    if (params.groups == 0 || params.threads == 0)
-        fatal("exerciser needs threads and groups");
-    if (params.groups > cfg.mutexes || params.groups > cfg.conditions ||
-        params.groups > cfg.counters) {
-        fatal("exerciser needs %u mutexes/conditions/counters",
-              params.groups);
-    }
+    if (params.threads == 0)
+        fatal("exerciser needs threads");
 
     for (unsigned t = 0; t < params.threads; ++t) {
-        const unsigned group = t % params.groups;
+        const unsigned group = t % kGroups;
         BehaviorProgram prog;
         prog.name = "exerciser-" + std::to_string(t);
         prog.iterations = params.iterations;
         prog.body = {
             BehaviorOp::lockAcquire(group),
             BehaviorOp::incrementCounter(group),
-            BehaviorOp::touchShared(params.sharedTouches),
+            BehaviorOp::touchShared(kSharedTouches),
             BehaviorOp::signal(group),
             BehaviorOp::wait(group, group),
             BehaviorOp::lockRelease(group),
             BehaviorOp::yield(),
-            BehaviorOp::compute(params.computeInstructions),
-            BehaviorOp::touchPrivate(params.privateTouches),
+            BehaviorOp::compute(kComputeInstructions),
+            BehaviorOp::touchPrivate(kPrivateTouches),
         };
         const unsigned prog_id = runtime.registerProgram(prog);
         runtime.addThread(prog_id);
@@ -57,10 +69,10 @@ buildParallelMake(TopazRuntime &runtime,
     job.body = {
         BehaviorOp::compute(
             static_cast<std::uint32_t>(params.jobInstructions / 2)),
-        BehaviorOp::touchPrivate(params.jobPrivateTouches),
+        BehaviorOp::touchPrivate(kJobPrivateTouches),
         BehaviorOp::compute(
             static_cast<std::uint32_t>(params.jobInstructions / 2)),
-        BehaviorOp::touchPrivate(params.jobPrivateTouches),
+        BehaviorOp::touchPrivate(kJobPrivateTouches),
     };
     const unsigned job_id = runtime.registerProgram(job);
 
@@ -74,42 +86,6 @@ buildParallelMake(TopazRuntime &runtime,
     make.body.push_back(BehaviorOp::joinAll());
     const unsigned make_id = runtime.registerProgram(make);
     runtime.addThread(make_id);
-}
-
-void
-buildPipeline(TopazRuntime &runtime, const PipelineParams &params)
-{
-    const auto &cfg = runtime.config();
-    if (params.stages < 2)
-        fatal("pipeline needs at least two stages");
-    if (params.stages > cfg.mutexes)
-        fatal("pipeline needs %u mutexes", params.stages);
-
-    // Stage i takes items from buffer i (guarded by mutex i) and
-    // deposits into buffer i+1.  Signals announce deposits; the
-    // workload is deliberately wait-free (signals with no waiter are
-    // lost, which is fine - this models the data movement of an
-    // awk|grep|sed pipe, not its flow control).
-    for (unsigned s = 0; s < params.stages; ++s) {
-        BehaviorProgram stage;
-        stage.name = "stage-" + std::to_string(s);
-        stage.iterations = params.items;
-        if (s > 0) {
-            stage.body.push_back(BehaviorOp::lockAcquire(s - 1));
-            stage.body.push_back(BehaviorOp::touchShared(2));
-            stage.body.push_back(BehaviorOp::lockRelease(s - 1));
-        }
-        stage.body.push_back(BehaviorOp::compute(params.workPerItem));
-        if (s + 1 < params.stages) {
-            stage.body.push_back(BehaviorOp::lockAcquire(s));
-            stage.body.push_back(BehaviorOp::touchShared(2));
-            stage.body.push_back(
-                BehaviorOp::signal(s % cfg.conditions));
-            stage.body.push_back(BehaviorOp::lockRelease(s));
-        }
-        stage.body.push_back(BehaviorOp::yield());
-        runtime.addThread(runtime.registerProgram(stage));
-    }
 }
 
 } // namespace firefly

@@ -11,10 +11,6 @@
  *  - The parallel make of Section 6: a coordinator forks independent
  *    compilation jobs and joins them - coarse-grained parallelism
  *    with almost no sharing.
- *
- *  - A pipeline workload (Section 2's awk | grep | sed example):
- *    stages coupled through shared buffers guarded by mutex/condition
- *    pairs.
  */
 
 #ifndef FIREFLY_TOPAZ_WORKLOADS_HH
@@ -30,21 +26,15 @@ struct ExerciserParams
 {
     unsigned threads = 12;
     std::uint64_t iterations = 150;
-    /** User instructions computed per iteration. */
-    unsigned computeInstructions = 150;
-    unsigned sharedTouches = 2;
-    unsigned privateTouches = 10;
-    /** Distinct mutex/condition groups threads are spread over. */
-    unsigned groups = 4;
 };
 
 /**
- * Build the Threads exerciser: `threads` workers spread over
- * `groups` mutex/condition pairs.  Each iteration locks, bumps a
+ * Build the Threads exerciser: `threads` workers spread over four
+ * mutex/condition groups.  Each iteration locks, bumps the group's
  * lock-protected shared counter (a real read-modify-write through
  * the coherent memory), touches shared and private data, signals and
  * waits on the group condition (deliberate blocking/rescheduling),
- * yields, and computes.
+ * yields, and computes 150 instructions.
  *
  * @return the expected final sum of the shared counters, so callers
  *         can check end-to-end mutual exclusion + coherence.
@@ -58,7 +48,6 @@ struct ParallelMakeParams
     unsigned jobs = 8;
     /** Instructions per compilation job. */
     std::uint64_t jobInstructions = 4000;
-    unsigned jobPrivateTouches = 64;
 };
 
 /**
@@ -68,20 +57,6 @@ struct ParallelMakeParams
  */
 void buildParallelMake(TopazRuntime &runtime,
                        const ParallelMakeParams &params);
-
-/** Parameters for the pipeline workload. */
-struct PipelineParams
-{
-    unsigned stages = 3;
-    std::uint64_t items = 200;
-    unsigned workPerItem = 40;
-};
-
-/**
- * Build a pipeline of `stages` threads passing items through shared
- * buffers (producer/consumer with mutex+condition per link).
- */
-void buildPipeline(TopazRuntime &runtime, const PipelineParams &params);
 
 } // namespace firefly
 

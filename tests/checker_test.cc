@@ -254,9 +254,7 @@ TEST(Checker, OnChipStalenessDetectedWithoutRepair)
     // bus-write repair observer serves stale data after a foreign
     // write; the checker's install-time snapshot catches the hit.
     CheckedRig rig(ProtocolKind::Firefly, 2);
-    OnChipCache::Config oc;
-    oc.mode = OnChipCache::DataMode::InstructionsAndData;
-    OnChipCache chip(oc, "onchip0");
+    OnChipCache chip(OnChipCache::DataMode::InstructionsAndData, "onchip0");
     rig.checker.watch(chip);
 
     rig.memory.write(kA, 1);
@@ -273,9 +271,7 @@ TEST(Checker, OnChipRepairPreventsStaleness)
     // wires for InstructionsAndData mode: the write drops the entry, the
     // next access misses and reinstalls, and nothing is stale.
     CheckedRig rig(ProtocolKind::Firefly, 2);
-    OnChipCache::Config oc;
-    oc.mode = OnChipCache::DataMode::InstructionsAndData;
-    OnChipCache chip(oc, "onchip0");
+    OnChipCache chip(OnChipCache::DataMode::InstructionsAndData, "onchip0");
     rig.checker.watch(chip);
     rig.bus.addCommitObserver([&chip](const MBusTransaction &txn) {
         if (txn.type != MBusOpType::MRead)

@@ -189,8 +189,7 @@ TEST(TraceCpu, HaltStopsTicking)
 
 TEST(OnChipCache, FiltersInstructionReads)
 {
-    OnChipCache oc({1024, 8, OnChipCache::DataMode::InstructionsOnly},
-                   "oc");
+    OnChipCache oc(OnChipCache::DataMode::InstructionsOnly, "oc");
     const MemRef iref{0x100, RefType::InstrRead, 0};
     EXPECT_FALSE(oc.access(iref));  // cold miss installs
     EXPECT_TRUE(oc.access(iref));   // now on chip
@@ -201,8 +200,7 @@ TEST(OnChipCache, FiltersInstructionReads)
 
 TEST(OnChipCache, InstructionsOnlyModeIgnoresData)
 {
-    OnChipCache oc({1024, 8, OnChipCache::DataMode::InstructionsOnly},
-                   "oc");
+    OnChipCache oc(OnChipCache::DataMode::InstructionsOnly, "oc");
     const MemRef dref{0x200, RefType::DataRead, 0};
     EXPECT_FALSE(oc.access(dref));
     EXPECT_FALSE(oc.access(dref));  // never cached
@@ -211,8 +209,7 @@ TEST(OnChipCache, InstructionsOnlyModeIgnoresData)
 
 TEST(OnChipCache, DataModeCachesDataAndCountsStaleness)
 {
-    OnChipCache oc({1024, 8, OnChipCache::DataMode::InstructionsAndData},
-                   "oc");
+    OnChipCache oc(OnChipCache::DataMode::InstructionsAndData, "oc");
     const MemRef dref{0x200, RefType::DataRead, 0};
     EXPECT_FALSE(oc.access(dref));
     EXPECT_TRUE(oc.access(dref));
@@ -225,8 +222,7 @@ TEST(OnChipCache, DataModeCachesDataAndCountsStaleness)
 
 TEST(OnChipCache, LocalWritesInvalidate)
 {
-    OnChipCache oc({1024, 8, OnChipCache::DataMode::InstructionsAndData},
-                   "oc");
+    OnChipCache oc(OnChipCache::DataMode::InstructionsAndData, "oc");
     oc.access({0x300, RefType::DataRead, 0});
     EXPECT_TRUE(oc.access({0x300, RefType::DataRead, 0}));
     EXPECT_FALSE(oc.access({0x300, RefType::DataWrite, 1}));
@@ -235,8 +231,7 @@ TEST(OnChipCache, LocalWritesInvalidate)
 
 TEST(TraceCpu, OnChipCacheShortensInstructionFetch)
 {
-    OnChipCache oc({1024, 8, OnChipCache::DataMode::InstructionsOnly},
-                   "oc");
+    OnChipCache oc(OnChipCache::DataMode::InstructionsOnly, "oc");
     CpuRig rig(CpuTiming::cvax(), &oc);
     const MemRef iref{0x100, RefType::InstrRead, 0};
     rig.source.steps = {CpuStep::makeRef(iref),   // board miss (6)

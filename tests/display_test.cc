@@ -44,7 +44,7 @@ struct MdcRig : Rig
     makeConfig()
     {
         Mdc::Config cfg;
-        cfg.queue.base = kQueueBase;
+        cfg.queueBase = kQueueBase;
         cfg.inputBase = kInputBase;
         return cfg;
     }
@@ -191,7 +191,7 @@ TEST(Mdc, RingWrapsAcrossDrains)
     // Three times round the 16-entry ring: every slot is reused, and
     // each command still lands exactly once.
     MdcRig rig;
-    const unsigned commands = 3 * MdcRig::makeConfig().queue.entries;
+    const unsigned commands = 3 * WorkQueue::entries;
     for (unsigned i = 0; i < commands; ++i) {
         rig.enqueue(Mdc::encodeFill(i, 0, 1, 1, RasterOp::Set));
         if (i % 5 == 4)
@@ -205,7 +205,7 @@ TEST(Mdc, RingWrapsAcrossDrains)
 TEST(MdcDeathTest, EnqueueOnAFullRingPanics)
 {
     MdcRig rig;
-    const unsigned entries = MdcRig::makeConfig().queue.entries;
+    const unsigned entries = WorkQueue::entries;
     for (unsigned i = 0; i < entries; ++i)
         rig.enqueue(Mdc::encodeFill(i, 0, 1, 1, RasterOp::Set));
     EXPECT_DEATH(
@@ -309,7 +309,7 @@ TEST(MultiDisplay, TwoMdcsShareOneQBus)
     // over the same QBus.
     MdcRig rig;
     Mdc::Config second_cfg;
-    second_cfg.queue.base = kSecondQueueBase;
+    second_cfg.queueBase = kSecondQueueBase;
     second_cfg.inputBase = kSecondInputBase;
     Mdc second(rig.sim, rig.qbus, second_cfg);
     second.start();

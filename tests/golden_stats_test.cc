@@ -21,6 +21,13 @@
  * stand at the last bus transaction's settle point (only cache hits
  * follow it), together with the run's cycle count.
  *
+ * A third set pins the Topaz runtime and the I/O devices: a short
+ * five-CPU Threads exerciser run to completion, and a run with
+ * Ethernet and disk DMA through the I/O cache plus one MDC fill.  Each
+ * hashes the machine's stat tree together with the runtime's or the
+ * devices' own groups, so the runtime's memory layout and time slice
+ * and the devices' timing are pinned along with the machine.
+ *
  * A deliberate change to what the simulator computes (a timing fix, a
  * new statistic) changes these digests too; re-record them then, and
  * say why in the change.
@@ -36,6 +43,10 @@
 
 #include "check/fuzz.hh"
 #include "firefly/system.hh"
+#include "io/disk.hh"
+#include "io/ethernet.hh"
+#include "io/mdc.hh"
+#include "topaz/workloads.hh"
 
 using namespace firefly;
 
@@ -224,3 +235,95 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenFuzzCase> &info) {
         return fuzzCaseName(info.param);
     });
+
+namespace
+{
+
+std::string
+statsJson(StatGroup &group)
+{
+    std::ostringstream os;
+    group.dumpJson(os);
+    return os.str();
+}
+
+} // namespace
+
+TEST(GoldenWorkloads, TopazExerciserDigestMatchesRecorded)
+{
+    // Recorded with this configuration.
+    constexpr std::uint64_t kDigest = 0x5fb3f16d9619109eULL;
+    constexpr unsigned kCpus = 5;
+    FireflySystem sys(FireflyConfig::microVax(kCpus));
+    TopazConfig tc;
+    tc.cpus = kCpus;
+    tc.seed = 0x7a2;
+    TopazRuntime runtime(tc);
+    ExerciserParams params;
+    params.threads = 8;
+    params.iterations = 20;
+    buildThreadsExerciser(runtime, params);
+    std::vector<RefSource *> sources;
+    for (unsigned i = 0; i < kCpus; ++i)
+        sources.push_back(&runtime.port(i));
+    sys.attachSources(sources);
+    sys.runToCompletion(50'000'000);
+    ASSERT_TRUE(runtime.done());
+
+    const std::uint64_t digest =
+        fnv1a(statsJson(sys.stats()) + statsJson(runtime.stats()));
+    EXPECT_EQ(digest, kDigest) << std::hex << "0x" << digest;
+}
+
+TEST(GoldenWorkloads, IoDevicesDigestMatchesRecorded)
+{
+    // Recorded with this configuration: two processors on a short
+    // synthetic burst, while two back-to-back Ethernet controllers,
+    // a disk and the MDC move data through the I/O cache.
+    constexpr std::uint64_t kDigest = 0x39bdf299a0737496ULL;
+    constexpr Addr kBuffers = 0x0030'0000;
+    FireflySystem sys(FireflyConfig::microVax(2));
+    SyntheticConfig sc;
+    sc.instructionLimit = 20'000;
+    sys.attachSyntheticWorkload(sc);
+    Simulator &sim = sys.simulator();
+    QBus qbus(sim, sys.ioCache(), sys.config().ioAddressLimit());
+    qbus.identityMap();
+
+    EthernetController net0(sim, qbus, "net0");
+    EthernetController net1(sim, qbus, "net1");
+    net0.connectTo(&net1);
+    for (unsigned i = 0; i < 4; ++i) {
+        sys.memory().write(kBuffers + 4 * i, 0x1234'0000 + i);
+        net1.addReceiveBuffer(kBuffers + 0x1000 + i * 2048, 2048);
+    }
+    net0.transmit(kBuffers, 1500, [](IoStatus) {});
+    net0.transmit(kBuffers, 64, [](IoStatus) {});
+    net0.addReceiveBuffer(kBuffers + 0x4000, 2048);
+    net0.injectFromWire(std::vector<Word>(250, 0x5a5a'0001), 1000);
+
+    DiskController disk(sim, qbus, "disk0");
+    disk.write(100, 8, kBuffers, [&](IoStatus) {
+        disk.read(9000, 4, kBuffers + 0x8000, [](IoStatus) {});
+    });
+
+    Mdc::Config mdc_cfg;
+    mdc_cfg.queueBase = kBuffers + 0x10000;
+    mdc_cfg.inputBase = kBuffers + 0x11000;
+    Mdc mdc(sim, qbus, mdc_cfg);
+    mdc.start();
+    mdc.queue().enqueue(sys.memory(),
+                        Mdc::encodeFill(16, 32, 200, 100, RasterOp::Set));
+
+    sim.run(1'000'000);
+    ASSERT_EQ(mdc.commandsExecuted.value(), 1u);
+    ASSERT_EQ(disk.reads.value(), 1u);
+    ASSERT_EQ(net1.rxPackets.value(), 2u);
+
+    const std::uint64_t digest = fnv1a(
+        statsJson(sys.stats()) + statsJson(qbus.stats()) +
+        statsJson(qbus.engine().stats()) + statsJson(net0.stats()) +
+        statsJson(net1.stats()) + statsJson(disk.stats()) +
+        statsJson(mdc.stats()) + std::to_string(sim.now()));
+    EXPECT_EQ(digest, kDigest) << std::hex << "0x" << digest;
+}

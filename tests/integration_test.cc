@@ -41,7 +41,7 @@ TEST(Integration, FullMachineWithAllDevices)
     DiskController disk(sys.simulator(), qbus, "disk");
     EthernetController nic(sys.simulator(), qbus, "net0");
     Mdc::Config mdc_cfg;
-    mdc_cfg.queue.base = kIoBuffers;
+    mdc_cfg.queueBase = kIoBuffers;
     mdc_cfg.inputBase = kIoBuffers + 0x1000;
     Mdc mdc(sys.simulator(), qbus, mdc_cfg);
     mdc.start();
@@ -108,8 +108,8 @@ TEST(Integration, LockedCountersExactUnderDmaInterference)
     for (unsigned i = 0; i < 3; ++i)
         sys.cache(i).flushFunctional();
     std::uint64_t total = 0;
-    for (unsigned g = 0; g < params.groups; ++g)
-        total += sys.memory().read(runtime.counterAddr(g));
+    for (unsigned c = 0; c < TopazConfig::counters; ++c)
+        total += sys.memory().read(runtime.counterAddr(c));
     EXPECT_EQ(total, expected);
     EXPECT_EQ(runtime.deadlockBreaks.value(), 0u);
     EXPECT_GT(qbus.engine().wordsWritten.value(), 1000u);
@@ -210,24 +210,4 @@ TEST(Integration, WorkloadBeyondMemoryIsFatal)
     workload.privateBytes = 8 * 1024 * 1024;  // 5 CPUs won't fit 16MB
     EXPECT_EXIT(sys.attachSyntheticWorkload(workload),
                 ::testing::ExitedWithCode(1), "exceeds memory");
-}
-
-TEST(Integration, PipelineAndMakeTogether)
-{
-    // Two different workload structures sharing one machine's
-    // runtime: a pipeline and a parallel make coexist.
-    FireflySystem sys(FireflyConfig::microVax(4));
-    TopazConfig tc;
-    tc.cpus = 4;
-    TopazRuntime runtime(tc);
-    buildPipeline(runtime, {3, 40, 30});
-    buildParallelMake(runtime, {4, 2000, 16});
-    std::vector<RefSource *> sources;
-    for (unsigned i = 0; i < 4; ++i)
-        sources.push_back(&runtime.port(i));
-    sys.attachSources(sources);
-    sys.runToCompletion(100'000'000);
-    EXPECT_TRUE(sys.allHalted());
-    EXPECT_EQ(runtime.deadlockBreaks.value(), 0u);
-    EXPECT_EQ(runtime.forks.value(), 4u);
 }

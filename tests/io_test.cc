@@ -217,7 +217,6 @@ TEST(Disk, SeeksCostTime)
 {
     IoRig rig;
     DiskController disk(rig.sim, rig.qbus, "disk");
-    const auto &geom = disk.config().geometry;
 
     bool done = false;
     disk.read(0, 1, 0xa000, [&](IoStatus) { done = true; });
@@ -226,7 +225,8 @@ TEST(Disk, SeeksCostTime)
 
     done = false;
     // Far cylinder: geometry-maximal seek.
-    disk.read((geom.cylinders - 1) * geom.heads * geom.sectorsPerTrack,
+    disk.read((DiskController::cylinders - 1) * DiskController::heads *
+                  DiskController::sectorsPerTrack,
               1, 0xa000, [&](IoStatus) { done = true; });
     rig.runUntil(done);
     const Cycle far_elapsed = rig.sim.now() - near_time;

@@ -577,7 +577,7 @@ TEST(TextTrace, FiltersOnDebugFlags)
     EXPECT_EQ(text.find("cache0"), std::string::npos);
 }
 
-// The flag list a text sink is built with.  FIREFLY_DEBUG is read by
+// The flag list a text sink is built with.  --debug-flags is read by
 // the bench option parse; its cases are in bench_options_test.cc.
 
 TEST(LoggingFlags, DefaultsToAllOff)

@@ -32,9 +32,7 @@ struct RpcRig : Rig
     double
     run(unsigned threads, double seconds = 0.5)
     {
-        RpcEngine::Config cfg;
-        cfg.threads = threads;
-        RpcEngine rpc(sim, qbus, nic, cfg);
+        RpcEngine rpc(sim, nic, threads);
         rpc.start();
         sim.run(secondsToCycles(seconds));
         EXPECT_GT(rpc.callsCompleted.value(), 0u);
@@ -47,9 +45,7 @@ struct RpcRig : Rig
 TEST(Rpc, SingleThreadCompletesCalls)
 {
     RpcRig rig;
-    RpcEngine::Config cfg;
-    cfg.threads = 1;
-    RpcEngine rpc(rig.sim, rig.qbus, rig.nic, cfg);
+    RpcEngine rpc(rig.sim, rig.nic, 1);
     rpc.start();
     rig.sim.run(secondsToCycles(0.1));
     EXPECT_GT(rpc.callsCompleted.value(), 10u);
@@ -81,22 +77,18 @@ TEST(Rpc, ThreeThreadsNearPaperBandwidth)
 TEST(Rpc, RepliesLandInMemory)
 {
     RpcRig rig;
-    RpcEngine::Config cfg;
-    cfg.threads = 1;
-    RpcEngine rpc(rig.sim, rig.qbus, rig.nic, cfg);
+    RpcEngine rpc(rig.sim, rig.nic, 1);
     rpc.start();
     rig.sim.run(secondsToCycles(0.05));
     rpc.stop();
     // The reply pattern was DMAed into the rx buffer.
-    EXPECT_EQ(rig.memory.read(cfg.bufferBase + 2048), 0xaa55aa55u);
+    EXPECT_EQ(rig.memory.read(RpcEngine::bufferBase + 2048), 0xaa55aa55u);
 }
 
 TEST(Rpc, WireTrafficIsAccounted)
 {
     RpcRig rig;
-    RpcEngine::Config cfg;
-    cfg.threads = 2;
-    RpcEngine rpc(rig.sim, rig.qbus, rig.nic, cfg);
+    RpcEngine rpc(rig.sim, rig.nic, 2);
     rpc.start();
     rig.sim.run(secondsToCycles(0.2));
     rpc.stop();

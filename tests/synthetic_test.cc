@@ -84,8 +84,8 @@ TEST(SyntheticStream, AddressesStayInRegions)
         } else {
             const bool in_private = a >= cfg.privateBase &&
                 a < cfg.privateBase + cfg.privateBytes;
-            const bool in_shared = a >= cfg.sharedBase &&
-                a < cfg.sharedBase + cfg.sharedBytes;
+            const bool in_shared = a >= SyntheticStream::sharedBase &&
+                a < SyntheticStream::sharedBase + cfg.sharedBytes;
             ASSERT_TRUE(in_private || in_shared);
         }
     }
@@ -103,8 +103,8 @@ TEST(SyntheticStream, SharedWriteFractionMatchesS)
             step.ref.type != RefType::DataWrite)
             continue;
         ++writes;
-        if (step.ref.addr >= cfg.sharedBase &&
-            step.ref.addr < cfg.sharedBase + cfg.sharedBytes)
+        if (step.ref.addr >= SyntheticStream::sharedBase &&
+            step.ref.addr < SyntheticStream::sharedBase + cfg.sharedBytes)
             ++shared_writes;
     }
     ASSERT_GT(writes, 0u);

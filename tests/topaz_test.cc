@@ -191,15 +191,14 @@ TEST(TopazRuntime, ExerciserCountersExactUnderLoad)
     ExerciserParams params;
     params.threads = 8;
     params.iterations = 40;
-    params.groups = 4;
     const auto expected = buildThreadsExerciser(rig.runtime, params);
     rig.start();
     rig.runToCompletion();
     ASSERT_TRUE(rig.runtime.done());
 
     std::uint64_t total = 0;
-    for (unsigned g = 0; g < params.groups; ++g)
-        total += rig.counterValue(g);
+    for (unsigned c = 0; c < TopazConfig::counters; ++c)
+        total += rig.counterValue(c);
     EXPECT_EQ(total, expected);
     EXPECT_EQ(rig.runtime.deadlockBreaks.value(), 0u);
 
@@ -252,19 +251,6 @@ TEST(TopazRuntime, GlobalPolicyMigratesMoreThanAffinity)
     EXPECT_LT(affinity, global);
 }
 
-TEST(TopazRuntime, PipelineCompletes)
-{
-    TopazRig rig(3);
-    PipelineParams params;
-    params.stages = 3;
-    params.items = 60;
-    buildPipeline(rig.runtime, params);
-    rig.start();
-    rig.runToCompletion();
-    EXPECT_TRUE(rig.runtime.done());
-    EXPECT_EQ(rig.runtime.deadlockBreaks.value(), 0u);
-}
-
 TEST(TopazRuntime, DeterministicGivenSeed)
 {
     auto run = [] {
@@ -285,15 +271,15 @@ TEST(TopazRuntime, DeterministicGivenSeed)
 
 TEST(TopazRuntime, SliceForcesYieldOnLongCompute)
 {
-    TopazConfig cfg;
-    cfg.sliceInstructions = 100;
-    TopazRig rig(1, cfg);
-    // Two compute-only threads on one CPU: without slicing, the
-    // first would run to completion before the second starts.
+    TopazRig rig(1);
+    // Two compute-only threads on one CPU, each twenty time slices
+    // long: without slicing, the first would run to completion before
+    // the second starts.
     for (int t = 0; t < 2; ++t) {
         BehaviorProgram prog;
         prog.iterations = 1;
-        prog.body = {BehaviorOp::compute(2000)};
+        prog.body = {BehaviorOp::compute(static_cast<std::uint32_t>(
+            20 * TopazRuntime::sliceInstructions))};
         rig.runtime.addThread(rig.runtime.registerProgram(prog));
     }
     rig.start();
