@@ -45,7 +45,7 @@ run(MachineVersion version, unsigned cpus,
         cfg.onChipCacheEnabled = onchip_enabled;
         cfg.onChipMode = mode;
     }
-    FireflySystem sys(cfg);
+    FireflySystem sys(bench::checkedConfig(cfg));
 
     SyntheticConfig workload;
     if (version == MachineVersion::Cvax) {

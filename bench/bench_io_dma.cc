@@ -33,7 +33,8 @@ struct Result
 Result
 run(bool saturate_io, unsigned cpus = 4, double seconds = 0.1)
 {
-    FireflySystem sys(FireflyConfig::microVax(cpus));
+    FireflySystem sys(
+        bench::checkedConfig(FireflyConfig::microVax(cpus)));
     sys.attachSyntheticWorkload(SyntheticConfig{});
 
     QBus qbus(sys.simulator(), sys.ioCache(),
@@ -99,7 +100,8 @@ experiment()
     // A fully loaded QBus alone on an otherwise idle machine: the
     // cleanest version of the 30% claim.
     {
-        FireflySystem sys(FireflyConfig::microVax(1));
+        FireflySystem sys(
+            bench::checkedConfig(FireflyConfig::microVax(1)));
         QBus qbus(sys.simulator(), sys.ioCache(),
                   sys.config().ioAddressLimit());
         qbus.identityMap();

@@ -38,7 +38,7 @@ run(Addr line_bytes, unsigned cpus, double seconds = 0.1)
 {
     auto cfg = FireflyConfig::microVax(cpus);
     cfg.cacheGeometry = {16 * 1024, line_bytes};
-    FireflySystem sys(cfg);
+    FireflySystem sys(bench::checkedConfig(cfg));
     sys.attachSyntheticWorkload(SyntheticConfig{});
     sys.run(seconds);
     bench::exportStats(sys.stats());

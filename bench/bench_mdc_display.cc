@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hh"
 #include "check/rig.hh"
@@ -29,6 +30,8 @@ constexpr Addr kCharsBase = 0x0012'0000;
  *  the MDC on the QBus. */
 struct Rig : check::Rig
 {
+    std::unique_ptr<check::CoherenceChecker> checker =
+        bench::rigChecker(*this, ProtocolKind::Firefly);
     QBus qbus;
     Mdc mdc;
 

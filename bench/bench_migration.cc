@@ -40,7 +40,7 @@ run(SchedulerPolicy policy, ProtocolKind protocol)
 {
     auto cfg = FireflyConfig::microVax(4);
     cfg.protocol = protocol;
-    FireflySystem sys(cfg);
+    FireflySystem sys(bench::checkedConfig(cfg));
 
     TopazConfig tc;
     tc.cpus = 4;

@@ -40,7 +40,7 @@ run(ProtocolKind kind, unsigned cpus, double shared_write_frac,
 {
     auto cfg = FireflyConfig::microVax(cpus);
     cfg.protocol = kind;
-    FireflySystem sys(cfg);
+    FireflySystem sys(bench::checkedConfig(cfg));
     SyntheticConfig workload;
     workload.writeSharedFrac = shared_write_frac;
     workload.readSharedFrac = shared_write_frac / 2;

@@ -30,6 +30,7 @@ Point
 run(unsigned threads, double seconds = 1.0)
 {
     check::Rig rig(ProtocolKind::Firefly, {"io-cache"});
+    const auto checker = bench::rigChecker(rig, ProtocolKind::Firefly);
     QBus qbus(rig.sim, *rig.caches[0], 16 * 1024 * 1024);
     qbus.identityMap();
     EthernetController nic(rig.sim, qbus, "net0");

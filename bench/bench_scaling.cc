@@ -40,7 +40,8 @@ simulate(unsigned np, double seconds = 0.12)
     // sink for the sweep's duration.
     obs::ScopedTraceSink mute(nullptr);
 
-    FireflySystem sys(FireflyConfig::microVax(np));
+    FireflySystem sys(
+        bench::checkedConfig(FireflyConfig::microVax(np)));
     sys.attachSyntheticWorkload(SyntheticConfig{});
     sys.run(seconds);
 
@@ -71,7 +72,8 @@ void
 observedRun()
 {
     const unsigned cpus = 5;
-    FireflySystem sys(FireflyConfig::microVax(cpus));
+    FireflySystem sys(
+        bench::checkedConfig(FireflyConfig::microVax(cpus)));
     TopazConfig tc;
     tc.cpus = cpus;
     TopazRuntime runtime(tc);

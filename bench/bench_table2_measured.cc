@@ -49,7 +49,8 @@ struct Table2Column
 Table2Column
 runExerciser(unsigned cpus)
 {
-    FireflySystem sys(FireflyConfig::microVax(cpus));
+    FireflySystem sys(
+        bench::checkedConfig(FireflyConfig::microVax(cpus)));
     TopazConfig tc;
     tc.cpus = cpus;
     TopazRuntime runtime(tc);

@@ -19,6 +19,10 @@
  *                        stderr
  *   --jobs=N             run independent sweep points on N worker
  *                        threads (default 1 = today's serial loop)
+ *   --check              run every simulated machine under the
+ *                        coherence checker (checkedConfig, rigChecker);
+ *                        a violation aborts with its diagnostic, and
+ *                        the printed numbers do not change
  *
  * Unrecognized arguments are an error (usage + nonzero exit), so a
  * typo like "--trace-out foo", an empty "--stats-json=" or an unknown
@@ -54,6 +58,8 @@
 #include <string>
 #include <vector>
 
+#include "check/rig.hh"
+#include "firefly/config.hh"
 #include "harness/sweep.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/text_trace.hh"
@@ -71,6 +77,7 @@ struct ObsOptions
     std::string traceOutPath;   ///< --trace-out=FILE
     std::string debugFlags;     ///< --debug-flags=MBus,Cache,...
     unsigned jobs = 1;          ///< --jobs=N
+    bool check = false;         ///< --check
     /** Text-sink categories: --debug-flags split at its commas. */
     std::vector<std::string> textFlags;
 
@@ -262,6 +269,35 @@ class Observation
     std::optional<obs::ScopedTraceSink> scoped;
 };
 
+/** `cfg`, with the coherence checker on if --check was given.  Every
+ *  bench that builds a FireflySystem passes its config through here,
+ *  or turns the checker on itself (firefly_faults). */
+inline FireflyConfig
+checkedConfig(FireflyConfig cfg)
+{
+    if (obsOptions().check)
+        cfg.coherenceCheck = true;
+    return cfg;
+}
+
+/**
+ * With --check, a coherence checker watching every cache of `rig`
+ * (checkedConfig's counterpart for a bench built on a bare
+ * check::Rig); like the system's, it panics on a violation.  nullptr
+ * without --check.
+ */
+inline std::unique_ptr<check::CoherenceChecker>
+rigChecker(check::Rig &rig, ProtocolKind kind)
+{
+    if (!obsOptions().check)
+        return nullptr;
+    auto checker = std::make_unique<check::CoherenceChecker>(
+        rig.sim, rig.bus, rig.memory, kind);
+    for (auto &cache : rig.caches)
+        checker->watch(*cache);
+    return checker;
+}
+
 /** Print the experiment banner. */
 inline void
 banner(const std::string &id, const std::string &title)
@@ -304,7 +340,8 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
                  "  --debug-flags=A,B   print trace categories to stderr\n"
                  "                      (MBus, Cache, Cpu, Dma, Sched, Rpc,\n"
                  "                      Check, Fault)\n"
-                 "  --jobs=N            run sweep points on N worker threads\n",
+                 "  --jobs=N            run sweep points on N worker threads\n"
+                 "  --check             run under the coherence checker\n",
                  prog);
     for (const ExtraFlag &flag : extras)
         std::fprintf(stderr, "  %-19s %s\n", flag.prefix, flag.help);
@@ -350,17 +387,27 @@ parseNumber(const std::string &text)
     return x;
 }
 
-/** A "--name=N" flag that stores a count in `out`: a whole number in
- *  [1, UINT_MAX] (parseUnsigned), so "-1" or "0" is a usage error. */
+/** Parse all of `text` as a count in [1, max] (parseUnsigned), so
+ *  "-1", "0", "4x" or an empty value is nullopt. */
+inline std::optional<unsigned>
+parseCount(const std::string &text, unsigned max = UINT_MAX)
+{
+    const auto n = parseUnsigned(text);
+    if (!n || *n == 0 || *n > max)
+        return std::nullopt;
+    return static_cast<unsigned>(*n);
+}
+
+/** A "--name=N" flag that stores a count in `out` (parseCount), so
+ *  "-1" or "0" is a usage error. */
 inline ExtraFlag
 countFlag(const char *prefix, const char *help, unsigned &out)
 {
     return {prefix, help, [&out](const std::string &value) {
-                const auto n = parseUnsigned(value);
-                if (!n || *n == 0 || *n > UINT_MAX)
-                    return false;
-                out = static_cast<unsigned>(*n);
-                return true;
+                const auto n = parseCount(value);
+                if (n)
+                    out = *n;
+                return n.has_value();
             }};
 }
 
@@ -397,6 +444,8 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
                    std::strcmp(arg, "-h") == 0) {
             printUsage(argv[0], extras);
             return 0;
+        } else if (std::strcmp(arg, "--check") == 0) {
+            opts.check = true;
         } else if (auto v = valueOf(arg, "--stats-json=")) {
             opts.statsJsonPath = *v;
         } else if (auto v = valueOf(arg, "--trace-out=")) {
@@ -404,8 +453,8 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
         } else if (auto v = valueOf(arg, "--debug-flags=")) {
             opts.debugFlags = *v;
         } else if (auto v = valueOf(arg, "--jobs=")) {
-            const auto n = parseUnsigned(*v);
-            if (!n || *n == 0 || *n > 1024) {
+            const auto n = parseCount(*v, 1024);
+            if (!n) {
                 std::fprintf(stderr,
                              "%s: --jobs needs an integer in [1, 1024], "
                              "got '%s'\n",
@@ -413,7 +462,7 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
                 printUsage(argv[0], extras);
                 return 2;
             }
-            opts.jobs = static_cast<unsigned>(*n);
+            opts.jobs = *n;
         } else {
             bool matched = false;
             for (const ExtraFlag &flag : extras) {

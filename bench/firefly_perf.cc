@@ -112,7 +112,7 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
 {
     FireflyConfig cfg = FireflyConfig::microVax(pt.cpus);
     cfg.protocol = pt.proto;
-    FireflySystem sys(cfg);
+    FireflySystem sys(bench::checkedConfig(cfg));
 
     SyntheticConfig sc;
     double simSeconds = perfSimSeconds;

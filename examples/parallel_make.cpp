@@ -11,9 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "bench_util.hh"
 #include "firefly/system.hh"
 #include "topaz/workloads.hh"
 
@@ -21,6 +21,9 @@ using namespace firefly;
 
 namespace
 {
+
+/** Most compilation jobs the command line accepts. */
+constexpr unsigned kMaxJobs = 1024;
 
 double
 buildTime(unsigned cpus, unsigned jobs)
@@ -48,7 +51,18 @@ buildTime(unsigned cpus, unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = argc > 1 ? std::atoi(argv[1]) : 8;
+    unsigned jobs = 8;
+    if (argc > 1) {
+        const auto n = argc == 2 ? bench::parseCount(argv[1], kMaxJobs)
+                                 : std::nullopt;
+        if (!n) {
+            std::fprintf(stderr,
+                         "usage: %s [jobs]\n  jobs: 1-%u (default 8)\n",
+                         argv[0], kMaxJobs);
+            return 2;
+        }
+        jobs = *n;
+    }
 
     std::printf("parallel make: %u compilation jobs\n\n", jobs);
     std::printf("%6s %14s %10s %12s\n", "CPUs", "build time (ms)",

@@ -9,9 +9,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "bench_util.hh"
 #include "firefly/system.hh"
 
 using namespace firefly;
@@ -22,10 +22,18 @@ main(int argc, char **argv)
     unsigned processors = 5;
     bool topology_only = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--topology") == 0)
+        if (std::strcmp(argv[i], "--topology") == 0) {
             topology_only = true;
-        else
-            processors = std::atoi(argv[i]);
+        } else if (auto n = bench::parseCount(
+                       argv[i], FireflyConfig::maxProcessors)) {
+            processors = *n;
+        } else {
+            std::fprintf(stderr,
+                         "usage: %s [processors] [--topology]\n"
+                         "  processors: 1-%u (default 5)\n",
+                         argv[0], FireflyConfig::maxProcessors);
+            return 2;
+        }
     }
 
     // 1. Configure and build the machine (paper Figure 1).

@@ -11,10 +11,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "bench_util.hh"
 #include "firefly/system.hh"
 #include "topaz/workloads.hh"
 
@@ -22,6 +22,9 @@ using namespace firefly;
 
 namespace
 {
+
+/** Most worker threads the command line accepts. */
+constexpr unsigned kMaxThreads = 1024;
 
 void
 printStructure()
@@ -61,10 +64,22 @@ main(int argc, char **argv)
             policy = SchedulerPolicy::Global;
         } else if (std::strcmp(argv[i], "affinity") == 0) {
             policy = SchedulerPolicy::Affinity;
-        } else if (i == 1) {
-            cpus = std::atoi(argv[i]);
+        } else if (auto n = bench::parseCount(
+                       argv[i], i == 1 ? FireflyConfig::maxProcessors
+                                       : kMaxThreads)) {
+            if (i == 1)
+                cpus = *n;
+            else
+                threads = *n;
         } else {
-            threads = std::atoi(argv[i]);
+            std::fprintf(stderr,
+                         "usage: %s [cpus] [threads] [affinity|global]\n"
+                         "       %s --structure\n"
+                         "  cpus: 1-%u (default 4), threads: 1-%u "
+                         "(default 12)\n",
+                         argv[0], argv[0], FireflyConfig::maxProcessors,
+                         kMaxThreads);
+            return 2;
         }
     }
 

@@ -5,7 +5,8 @@
 # BENCH_sweeps.json - the start of the perf trajectory.  Then time
 # all twelve paper benches run one after another, at --jobs=1 and at
 # --jobs=N (the cost of regenerating every paper table and figure),
-# and add that as the "paper_tables" row.  Finally run the
+# and add that as the "paper_tables" row; then the same under the
+# coherence checker, as the "paper_tables_checked" row.  Finally run the
 # host-throughput bench (firefly_perf) and record its grid in
 # BENCH_perf.json - the baseline scripts/check.sh perf compares
 # against.
@@ -65,22 +66,27 @@ for bench in $sweeps; do
         >> "$tmpdir/rows"
 done
 
-# One row for the whole set of paper benches, each pass in one go.
+# One row for the whole set of paper benches, each pass in one go,
+# and one for the same set under the coherence checker (--check).
 run_papers() {
     for bench in $papers; do
         bin="$builddir/bench/$bench"
         [ -x "$bin" ] || { echo "missing $bin (build first)" >&2; exit 1; }
-        "$bin" --jobs="$1" > /dev/null
+        "$bin" "$@" > /dev/null
     done
 }
-echo "== paper tables --jobs=1"
-t0=$(now_ns)
-run_papers 1
-t1=$(now_ns)
-echo "== paper tables --jobs=$jobs"
-run_papers "$jobs"
-t2=$(now_ns)
-echo "paper_tables $((t1 - t0)) $((t2 - t1)) na" >> "$tmpdir/rows"
+for row in paper_tables paper_tables_checked; do
+    check=""
+    [ "$row" = paper_tables ] || check="--check"
+    echo "== $row --jobs=1"
+    t0=$(now_ns)
+    run_papers --jobs=1 $check
+    t1=$(now_ns)
+    echo "== $row --jobs=$jobs"
+    run_papers --jobs="$jobs" $check
+    t2=$(now_ns)
+    echo "$row $((t1 - t0)) $((t2 - t1)) na" >> "$tmpdir/rows"
+done
 
 python3 - "$tmpdir/rows" "$jobs" "$out" <<'EOF'
 import json, os, sys, time

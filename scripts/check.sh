@@ -2,7 +2,7 @@
 # One-command verification: configure, build, and run the test suite,
 # then smoke-test the flight recorder end to end.
 #
-#   scripts/check.sh                 # plain RelWithDebInfo build
+#   scripts/check.sh                 # plain RelWithDebInfo build, -Werror
 #   scripts/check.sh address         # AddressSanitizer build
 #   scripts/check.sh undefined       # UBSan build
 #   scripts/check.sh thread          # ThreadSanitizer build
@@ -15,9 +15,10 @@
 # "tsan" (sweep harness, observability - everything the
 # parallel harness threads through) so new threading stays race-clean
 # without paying TSan's ~10x slowdown on the whole cycle-level suite.
-# The fuzz variant runs the "checker"-labelled tests plus the
-# fixed-seed firefly_fuzz corpus (5 protocols x 3 machine shapes)
-# under AddressSanitizer; see DESIGN.md section 9.  The faults
+# The fuzz variant runs the "checker"-labelled tests, the
+# fixed-seed firefly_fuzz corpus (5 protocols x 3 machine shapes) and
+# all twelve paper benches with --check under AddressSanitizer; see
+# DESIGN.md section 9.  The faults
 # variant runs the "faults"-labelled tests, the firefly_faults
 # availability experiment (with a --jobs determinism check), and the
 # fuzz corpus with fault injection armed, all under ASan with the
@@ -59,6 +60,14 @@ if [ "$sanitize" = fuzz ]; then
     # with the checker's diagnostic and the reproduction seed.
     "$builddir/bench/firefly_fuzz" --seeds=10 --steps=4000 \
         --jobs="$(nproc)"
+    # Every paper bench at full size under the checker: a violation
+    # aborts the bench with its diagnostic.
+    for bench in bench_fig3_states bench_fig4_mbus_timing \
+            bench_table1_estimated bench_table2_measured bench_protocols \
+            bench_scaling bench_line_size bench_migration \
+            bench_cvax_upgrade bench_io_dma bench_mdc_display bench_rpc; do
+        "$builddir/bench/$bench" --check --jobs="$(nproc)" > /dev/null
+    done
     echo "check.sh: all green (fuzz)"
     exit 0
 fi
@@ -203,7 +212,10 @@ EOF
     exit 0
 fi
 
-cmake -B "$builddir" -S "$repo" \
+# The plain lane treats every compiler warning as an error.
+werror=-Werror
+[ -z "$sanitize" ] || werror=
+cmake -B "$builddir" -S "$repo" -DCMAKE_CXX_FLAGS="$werror" \
     ${sanitize:+-DFIREFLY_SANITIZE="$sanitize"}
 cmake --build "$builddir" -j "$(nproc)"
 if [ "$sanitize" = thread ]; then

@@ -61,7 +61,8 @@ CoherenceChecker::watch(Cache &cache)
 void
 CoherenceChecker::watch(OnChipCache &onchip)
 {
-    onchipLines.try_emplace(&onchip);
+    if (!snapshotsOf(onchip))
+        onchipLines.push_back({&onchip, {}});
     onchip.setCoherenceObserver(this);
 }
 
@@ -85,7 +86,7 @@ CoherenceChecker::writeSerialized(Addr addr, Word value, const Cache &by,
     // carries change the oracle (and a cached copy) with no settle on
     // this line's behalf - a broken protocol's stale copies elsewhere
     // are only found if the line is re-checked.
-    markDirty(addr, 1);
+    markDirty(addr, addr);
 }
 
 void
@@ -166,14 +167,13 @@ CoherenceChecker::busCommit(const MBusTransaction &txn)
 // --- invariant scans -----------------------------------------------------
 
 void
-CoherenceChecker::markDirty(Addr addr, unsigned words)
+CoherenceChecker::markDirty(Addr first, Addr last_addr)
 {
     if (!cfg.fullScanPeriod)
         return;  // no periodic scan would ever drain the set
     const Addr line_bytes = scanner.lineBytes();
-    const Addr last = lineBaseOf(addr + (std::max(words, 1u) - 1) *
-                                            bytesPerWord);
-    for (Addr base = lineBaseOf(addr);; base += line_bytes) {
+    const Addr last = lineBaseOf(last_addr);
+    for (Addr base = lineBaseOf(first);; base += line_bytes) {
         if (dirtyLines.empty() || dirtyLines.back() != base)
             dirtyLines.push_back(base);
         if (base == last)
@@ -199,28 +199,44 @@ CoherenceChecker::scanDirtyLines(std::vector<std::string> &violations)
     // - except I4's race window, under which a copy holding a
     // superseded value turns inadmissible by the clock alone.  Lines
     // with a word still inside the window stay for the next scan.
-    const unsigned words = scanner.lineBytes() / bytesPerWord;
     std::erase_if(dirtyLines, [&](Addr base) {
-        for (unsigned w = 0; w < words; ++w) {
-            if (golden.inRaceWindow(now, base + w * bytesPerWord))
-                return false;
-        }
-        return true;
+        return !lineInRaceWindow(base, now);
     });
+}
+
+bool
+CoherenceChecker::lineInRaceWindow(Addr base, Cycle now) const
+{
+    const unsigned words = scanner.lineBytes() / bytesPerWord;
+    for (unsigned w = 0; w < words; ++w) {
+        if (golden.inRaceWindow(now, base + w * bytesPerWord))
+            return true;
+    }
+    return false;
 }
 
 void
 CoherenceChecker::busSettled(const MBusTransaction &txn)
 {
     ++txnsObserved;
+    const Cycle now = sim.now();
+    std::vector<std::string> violations;
+    scanner.checkLine(txn.addr, golden, now, violations);
+    ++lineScans;
+
     // Fills, snoop transitions, victim write-backs, DMA and every
     // memory write (memory only changes through the bus) all land on
-    // the lines the transaction spans.
-    markDirty(txn.addr, txn.words);
-
-    std::vector<std::string> violations;
-    scanner.checkLine(txn.addr, golden, sim.now(), violations);
-    ++lineScans;
+    // the lines the transaction spans; the periodic scan re-checks
+    // them.  The first line was just checked: if it passed with no
+    // word in the race window, its verdict is fixed until a feed
+    // marks it again (as scanDirtyLines argues), so it is not queued.
+    const Addr first = lineBaseOf(txn.addr);
+    const Addr last_word =
+        txn.addr + (std::max(txn.words, 1u) - 1) * bytesPerWord;
+    if (!violations.empty() || lineInRaceWindow(first, now))
+        markDirty(first, first);
+    if (lineBaseOf(last_word) != first)
+        markDirty(first + scanner.lineBytes(), last_word);
 
     if (violations.empty() && cfg.fullScanPeriod &&
         txnsObserved.value() % cfg.fullScanPeriod == 0) {
@@ -256,33 +272,42 @@ CoherenceChecker::finalCheck()
 
 // --- on-chip cache snapshots ---------------------------------------------
 
+CoherenceChecker::OnChipSnapshots *
+CoherenceChecker::snapshotsOf(const OnChipCache &by)
+{
+    for (OnChipSnapshots &snapshots : onchipLines) {
+        if (snapshots.cache == &by)
+            return &snapshots;
+    }
+    return nullptr;
+}
+
 void
 CoherenceChecker::onChipInstalled(Addr line_base, const OnChipCache &by)
 {
-    auto it = onchipLines.find(&by);
-    if (it == onchipLines.end())
+    OnChipSnapshots *snapshots = snapshotsOf(by);
+    if (!snapshots)
         return;
-    const unsigned words = OnChipCache::lineBytes / bytesPerWord;
-    std::vector<Word> values(words);
-    for (unsigned i = 0; i < words; ++i)
-        values[i] = golden.current(line_base + i * bytesPerWord);
-    it->second[line_base] = std::move(values);
+    OnChipSnapshot &line = snapshots->lines[OnChipCache::indexOf(line_base)];
+    line.valid = true;
+    line.base = line_base;
+    for (unsigned i = 0; i < line.words.size(); ++i)
+        line.words[i] = golden.current(line_base + i * bytesPerWord);
 }
 
 void
 CoherenceChecker::onChipHit(const MemRef &ref, const OnChipCache &by)
 {
-    auto it = onchipLines.find(&by);
-    if (it == onchipLines.end())
+    OnChipSnapshots *snapshots = snapshotsOf(by);
+    if (!snapshots)
         return;
     const Addr base = ref.addr - ref.addr % OnChipCache::lineBytes;
-    const auto line = it->second.find(base);
-    if (line == it->second.end())
+    const OnChipSnapshot &line = snapshots->lines[OnChipCache::indexOf(base)];
+    if (!line.valid || line.base != base)
         return;  // installed before the checker attached
     ++onChipChecks;
     const Addr word_addr = ref.addr - ref.addr % bytesPerWord;
-    const unsigned index = (word_addr - base) / bytesPerWord;
-    const Word held = line->second[index];
+    const Word held = line.words[(word_addr - base) / bytesPerWord];
     if (golden.admissible(sim.now(), word_addr, held))
         return;
     std::ostringstream os;

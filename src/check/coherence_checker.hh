@@ -44,10 +44,8 @@
 
 #include <array>
 #include <cstddef>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -144,12 +142,15 @@ class CoherenceChecker : public CoherenceObserver
     void busCommit(const MBusTransaction &txn);
     void busSettled(const MBusTransaction &txn);
 
-    /** Add the lines spanning `words` words at `addr` to the set the
-     *  next periodic scan checks. */
-    void markDirty(Addr addr, unsigned words);
+    /** Add the lines from the one holding `first` to the one holding
+     *  `last_addr` to the set the next periodic scan checks. */
+    void markDirty(Addr first, Addr last_addr);
     /** The periodic scan: check the dirty lines, then forget those
      *  whose verdict cannot change until they are touched again. */
     void scanDirtyLines(std::vector<std::string> &violations);
+    /** True while some word of the line at `base` is in the oracle's
+     *  race window: a check it passed can still turn by the clock. */
+    bool lineInRaceWindow(Addr base, Cycle now) const;
 
     Addr lineBaseOf(Addr addr) const;
     std::string describeLine(Addr line_base) const;
@@ -176,21 +177,41 @@ class CoherenceChecker : public CoherenceObserver
      * value may have changed since the last periodic scan (unsorted,
      * and one entry per mark until the scan sorts and dedupes it, so
      * it grows with one period's traffic).  Fed by every settled bus
-     * transaction, by writeSerialized, and by the race window (see
-     * scanDirtyLines).  Nothing else can break an invariant on a line
-     * that passed: a clean eviction on fill only removes a non-owning
-     * holder, which adds no state, owner, holder or value and leaves
-     * I5's owner set alone; and FireflySystem::offlineProcessor's
-     * flushFunctional writes back only lines that are in the set or
-     * passed unchanged - whose owner held the oracle value, so memory
-     * holds it once the line is uncached, as checkLine's I5 rule
-     * requires.  DESIGN.md section 9 has the full argument.
+     * transaction (bar the line its settle check just passed with no
+     * word in the race window), by writeSerialized, and by the race
+     * window (see scanDirtyLines).  Nothing else can break an
+     * invariant on a line that passed: a clean eviction on fill only
+     * removes a non-owning holder, which adds no state, owner, holder
+     * or value and leaves I5's owner set alone; and
+     * FireflySystem::offlineProcessor's flushFunctional writes back
+     * only lines that are in the set or passed unchanged - whose
+     * owner held the oracle value, so memory holds it once the line
+     * is uncached, as checkLine's I5 rule requires.  DESIGN.md
+     * section 9 has the full argument.
      */
     std::vector<Addr> dirtyLines;
 
+    /** The oracle's view of one on-chip line when it was installed. */
+    struct OnChipSnapshot
+    {
+        bool valid = false;
+        Addr base = 0;
+        std::array<Word, OnChipCache::lineBytes / bytesPerWord> words{};
+    };
+
+    /** One snapshot per entry of a watched (direct-mapped) on-chip
+     *  cache, indexed as the cache indexes its entries. */
+    struct OnChipSnapshots
+    {
+        const OnChipCache *cache;
+        std::array<OnChipSnapshot, OnChipCache::numEntries> lines;
+    };
+
+    /** The snapshots of `by`, or nullptr if it is not watched. */
+    OnChipSnapshots *snapshotsOf(const OnChipCache &by);
+
     /** Oracle snapshots backing the tags-only on-chip caches. */
-    std::map<const OnChipCache *,
-             std::unordered_map<Addr, std::vector<Word>>> onchipLines;
+    std::vector<OnChipSnapshots> onchipLines;
 
     StatGroup statGroup;
 };

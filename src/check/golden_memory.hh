@@ -14,25 +14,38 @@
  * Load validation uses admissible(), not plain equality, because the
  * simulator binds some load values a cycle or two before the
  * serialization instant the oracle keys on (a fill's data phase runs
- * before its commit).  Each word therefore keeps the values it held
- * within the last few cycles; a load is admissible if it returns the
- * current value or one superseded no more than kRaceWindowCycles
- * cycles ago.  The window is a handful of bus cycles - far shorter
- * than any genuine staleness a protocol bug produces, which persists
- * until the line is re-fetched.  A driver that issues one operation
- * at a time (runFuzz) has no such race and holds each load to
- * current() exactly.
+ * before its commit).  The oracle therefore remembers the values
+ * words held within the last few cycles; a load is admissible if it
+ * returns the current value or one superseded no more than
+ * kRaceWindowCycles cycles ago.  The window is a handful of bus
+ * cycles - far shorter than any genuine staleness a protocol bug
+ * produces, which persists until the line is re-fetched.  A driver
+ * that issues one operation at a time (runFuzz) has no such race and
+ * holds each load to current() exactly.
+ *
+ * Layout (DESIGN.md section 9): the tracked words live in one flat
+ * open-addressed table of {addr, value, when} slots - linear probing,
+ * a power-of-two size kept at most half full, a non-word-aligned
+ * address marking an empty slot - so a tracked word costs no heap
+ * node of its own.  The superseded values live in one time-ordered
+ * ring of {addr, value, superseded} records for the whole oracle,
+ * dropped from the front once they leave the race window.  Both are
+ * allocated on the first serialize(), never at construction.  Every
+ * caller passes a `now` that never decreases from one call to the
+ * next (the simulator's clock), which is what lets admissible() stop
+ * at the first expired record and serialize() expire from the front.
  */
 
 #ifndef FIREFLY_CHECK_GOLDEN_MEMORY_HH
 #define FIREFLY_CHECK_GOLDEN_MEMORY_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/main_memory.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace firefly::check
@@ -51,46 +64,50 @@ class GoldenMemory
     void
     serialize(Cycle now, Addr addr, Word value)
     {
-        auto [it, inserted] = entries.try_emplace(addr);
-        Entry &entry = it->second;
-        if (inserted) {
+        if (addr % bytesPerWord != 0)
+            panic("oracle: unaligned serialize of 0x%x", addr);
+        if ((used + 1) * 2 > slots.size())
+            grow();
+        Slot &slot = probe(addr);
+        if (slot.addr == kEmpty) {
             // First write: the old visible value was memory's.
-            entry.recent.push_back({memory.peek(addr), now});
-        } else if (entry.value != value) {
-            entry.recent.push_back({entry.value, now});
+            slot.addr = addr;
+            ++used;
+            pushStale({addr, memory.peek(addr), now});
+        } else if (slot.value != value) {
+            pushStale({addr, slot.value, now});
         }
-        entry.value = value;
-        entry.when = now;
-        prune(entry, now);
+        slot.value = value;
+        slot.when = now;
+        expire(now);
     }
 
     /** True if `addr` has ever been written through the oracle. */
-    bool tracked(Addr addr) const { return entries.count(addr) != 0; }
+    bool tracked(Addr addr) const { return find(addr) != nullptr; }
 
     /** True if `addr` is tracked and memory does not hold its
      *  visible value (one lookup: the scans ask this of every word). */
     bool
     memoryStale(Addr addr) const
     {
-        const auto it = entries.find(addr);
-        return it != entries.end() && memory.peek(addr) != it->second.value;
+        const Slot *slot = find(addr);
+        return slot && memory.peek(addr) != slot->value;
     }
 
     /** The visible value: last serialized write, else memory. */
     Word
     current(Addr addr) const
     {
-        const auto it = entries.find(addr);
-        return it != entries.end() ? it->second.value
-                                   : memory.peek(addr);
+        const Slot *slot = find(addr);
+        return slot ? slot->value : memory.peek(addr);
     }
 
     /** Cycle of the last serialized write (0 if untracked). */
     Cycle
     writtenAt(Addr addr) const
     {
-        const auto it = entries.find(addr);
-        return it != entries.end() ? it->second.when : 0;
+        const Slot *slot = find(addr);
+        return slot ? slot->when : 0;
     }
 
     /**
@@ -100,17 +117,19 @@ class GoldenMemory
     bool
     admissible(Cycle now, Addr addr, Word observed) const
     {
-        const auto it = entries.find(addr);
-        if (it == entries.end())
+        const Slot *slot = find(addr);
+        if (!slot)
             return observed == memory.peek(addr);
-        const Entry &entry = it->second;
-        if (observed == entry.value)
+        if (observed == slot->value)
             return true;
-        for (const Stale &stale : entry.recent) {
-            if (observed == stale.value &&
-                stale.superseded + kRaceWindowCycles >= now) {
+        // Newest first; the records are in superseded order, so the
+        // first expired one ends the search.
+        for (std::size_t n = ringCount; n-- > 0;) {
+            const Stale &stale = ring[(ringHead + n) & (ring.size() - 1)];
+            if (stale.superseded + kRaceWindowCycles < now)
+                break;
+            if (stale.addr == addr && stale.value == observed)
                 return true;
-            }
         }
         return false;
     }
@@ -123,9 +142,8 @@ class GoldenMemory
     bool
     inRaceWindow(Cycle now, Addr addr) const
     {
-        const auto it = entries.find(addr);
-        return it != entries.end() &&
-               it->second.when + kRaceWindowCycles >= now;
+        const Slot *slot = find(addr);
+        return slot && slot->when + kRaceWindowCycles >= now;
     }
 
     /** Call `fn(addr)` for every tracked word, in no set order. */
@@ -133,35 +151,120 @@ class GoldenMemory
     void
     forEachTracked(Fn &&fn) const
     {
-        for (const auto &entry : entries)
-            fn(entry.first);
+        for (const Slot &slot : slots) {
+            if (slot.addr != kEmpty)
+                fn(slot.addr);
+        }
     }
 
   private:
-    /** A value superseded at `superseded`; admissible briefly. */
+    /** Marks an empty slot: no tracked word has this address. */
+    static constexpr Addr kEmpty = 1;
+    static constexpr std::size_t kInitialSlots = 256;
+    static constexpr std::size_t kInitialRing = 64;
+
+    /** A tracked word. */
+    struct Slot
+    {
+        Addr addr = kEmpty;
+        Word value = 0;
+        Cycle when = 0;
+    };
+
+    /** `value`, held by `addr` until `superseded`; admissible briefly. */
     struct Stale
     {
+        Addr addr;
         Word value;
         Cycle superseded;
     };
 
-    struct Entry
+    std::size_t
+    home(Addr addr) const
     {
-        Word value = 0;
-        Cycle when = 0;
-        std::vector<Stale> recent;
-    };
+        // Fibonacci hashing of the word index, top bits as the slot.
+        const std::uint64_t h =
+            (std::uint64_t{addr / bytesPerWord} * 0x9E3779B97F4A7C15ull);
+        return static_cast<std::size_t>(h >> shift);
+    }
+
+    /** `addr`'s slot, or the empty slot where it would go. */
+    Slot &
+    probe(Addr addr)
+    {
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t i = home(addr);; i = (i + 1) & mask) {
+            if (slots[i].addr == addr || slots[i].addr == kEmpty)
+                return slots[i];
+        }
+    }
+
+    const Slot *
+    find(Addr addr) const
+    {
+        if (slots.empty())
+            return nullptr;
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t i = home(addr);; i = (i + 1) & mask) {
+            if (slots[i].addr == kEmpty)
+                return nullptr;
+            if (slots[i].addr == addr)
+                return &slots[i];
+        }
+    }
+
+    /** Double the table (or allocate its first slots) and rehash. */
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots.empty() ? kInitialSlots
+                                            : slots.size() * 2);
+        old.swap(slots);
+        shift = 64 - std::countr_zero(slots.size());
+        for (const Slot &slot : old) {
+            if (slot.addr != kEmpty)
+                probe(slot.addr) = slot;
+        }
+    }
 
     void
-    prune(Entry &entry, Cycle now)
+    pushStale(const Stale &stale)
     {
-        std::erase_if(entry.recent, [&](const Stale &stale) {
-            return stale.superseded + kRaceWindowCycles < now;
-        });
+        if (ringCount == ring.size()) {
+            // Full: unroll into a ring twice the size.  No cap - a
+            // value still inside the window is never dropped.
+            std::vector<Stale> bigger(ring.empty() ? kInitialRing
+                                                   : ring.size() * 2);
+            for (std::size_t n = 0; n < ringCount; ++n)
+                bigger[n] = ring[(ringHead + n) & (ring.size() - 1)];
+            ring.swap(bigger);
+            ringHead = 0;
+        }
+        ring[(ringHead + ringCount) & (ring.size() - 1)] = stale;
+        ++ringCount;
+    }
+
+    /** Drop the records no load at `now` or later can admit. */
+    void
+    expire(Cycle now)
+    {
+        while (ringCount &&
+               ring[ringHead].superseded + kRaceWindowCycles < now) {
+            ringHead = (ringHead + 1) & (ring.size() - 1);
+            --ringCount;
+        }
     }
 
     const MainMemory &memory;
-    std::unordered_map<Addr, Entry> entries;
+    /** Open-addressed, linear probing, at most half full. */
+    std::vector<Slot> slots;
+    std::size_t used = 0;
+    /** 64 - log2(slots.size()): home()'s shift. */
+    unsigned shift = 64;
+    /** Superseded values in superseded order, oldest at ringHead. */
+    std::vector<Stale> ring;
+    std::size_t ringHead = 0;
+    std::size_t ringCount = 0;
 };
 
 } // namespace firefly::check

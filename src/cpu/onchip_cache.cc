@@ -24,7 +24,7 @@ OnChipCache::lineBaseOf(Addr addr) const
 OnChipCache::Entry &
 OnChipCache::entryFor(Addr addr)
 {
-    return entries[(addr / lineBytes) % entries.size()];
+    return entries[indexOf(addr)];
 }
 
 bool

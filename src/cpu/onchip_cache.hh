@@ -21,6 +21,7 @@
 #define FIREFLY_CPU_ONCHIP_CACHE_HH
 
 #include <array>
+#include <cstddef>
 #include <string>
 
 #include "cache/coherence_observer.hh"
@@ -48,6 +49,14 @@ class OnChipCache
                   "on-chip lines are a power-of-two number of longwords");
     static_assert(sizeBytes % lineBytes == 0,
                   "on-chip size is a whole number of lines");
+    /** Direct-mapped: `addr`'s line can only live in entry
+     *  indexOf(addr) of numEntries. */
+    static constexpr std::size_t numEntries = sizeBytes / lineBytes;
+    static constexpr std::size_t
+    indexOf(Addr addr)
+    {
+        return (addr / lineBytes) % numEntries;
+    }
 
     OnChipCache(DataMode mode, std::string name);
 
@@ -95,7 +104,7 @@ class OnChipCache
     Entry &entryFor(Addr addr);
 
     DataMode mode;
-    std::array<Entry, sizeBytes / lineBytes> entries{};
+    std::array<Entry, numEntries> entries{};
     CoherenceObserver *checkObs = nullptr;
     StatGroup statGroup;
 };

@@ -35,8 +35,9 @@ FireflyConfig::effectiveGeometry() const
 void
 FireflyConfig::validate() const
 {
-    if (processors < 1 || processors > 16)
-        fatal("Firefly needs 1-16 processors, got %u", processors);
+    if (processors < 1 || processors > maxProcessors)
+        fatal("Firefly needs 1-%u processors, got %u", maxProcessors,
+              processors);
     if (processors > 7) {
         warn("%u processors exceeds anything SRC built (the bus "
              "saturates near nine)", processors);

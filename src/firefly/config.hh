@@ -42,9 +42,12 @@ struct FireflyConfig
 {
     MachineVersion version = MachineVersion::MicroVax;
 
+    /** Most processors validate() accepts (for scaling experiments). */
+    static constexpr unsigned maxProcessors = 16;
+
     /** Processor count including the primary (I/O) processor.  The
      *  standard machine shipped with five; SRC built a few sevens;
-     *  the model allows up to 16 for scaling experiments. */
+     *  the model allows up to maxProcessors. */
     unsigned processors = 5;
 
     /** Installed memory; rounded up to whole modules. */

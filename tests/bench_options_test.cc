@@ -5,7 +5,8 @@
  * no category is a usage error.  Numeric flag values (--jobs, the
  * fuzz corpus size, the fault seed, the perf repetitions) parse whole
  * or not at all: a sign or trailing text is a usage error, caught
- * before any bench runs with the bad value.
+ * before any bench runs with the bad value.  --check turns the
+ * coherence checker on in the machines a bench builds.
  */
 
 #include <gtest/gtest.h>
@@ -102,6 +103,48 @@ TEST(NumericFlags, NumberParsesWholeOrNothing)
                             "inf", "1e400"}) {
         EXPECT_EQ(bench::parseNumber(bad), std::nullopt) << bad;
     }
+}
+
+TEST(NumericFlags, CountParsesWithinItsBounds)
+{
+    // The examples' positional counts: processors up to what
+    // FireflyConfig::validate accepts.
+    const unsigned max = FireflyConfig::maxProcessors;
+    EXPECT_EQ(bench::parseCount("1", max), 1u);
+    EXPECT_EQ(bench::parseCount("16", max), 16u);
+    EXPECT_EQ(bench::parseCount("4294967295"), 4294967295u);
+    for (const char *bad : {"", "0", "-1", "4x", "17", " 4"})
+        EXPECT_EQ(bench::parseCount(bad, max), std::nullopt) << bad;
+    EXPECT_EQ(bench::parseCount("4294967296"), std::nullopt);
+}
+
+TEST(CheckFlag, TurnsTheCheckerOnInEveryBuiltMachine)
+{
+    bench::ObsOptions opts;
+    EXPECT_EQ(parse(opts, {}), std::nullopt);
+    EXPECT_FALSE(opts.check);
+    EXPECT_EQ(parse(opts, {"--check"}), std::nullopt);
+    EXPECT_TRUE(opts.check);
+    bench::ObsOptions takes_no_value;
+    EXPECT_EQ(parse(takes_no_value, {"--check=1"}), 2);
+
+    bench::ObsOptions &global = bench::obsOptions();
+    const bool saved = global.check;
+    global.check = false;
+    EXPECT_FALSE(bench::checkedConfig(FireflyConfig::microVax(2))
+                     .coherenceCheck);
+    check::Rig rig(ProtocolKind::Firefly);
+    EXPECT_EQ(bench::rigChecker(rig, ProtocolKind::Firefly), nullptr);
+    global.check = true;
+    EXPECT_TRUE(bench::checkedConfig(FireflyConfig::microVax(2))
+                    .coherenceCheck);
+    const auto checker = bench::rigChecker(rig, ProtocolKind::Firefly);
+    ASSERT_NE(checker, nullptr);
+    global.check = saved;
+    rig.write(0, 0x100, 7);
+    EXPECT_EQ(rig.read(1, 0x100), 7u);
+    EXPECT_GT(checker->loadsChecked.value(), 0u);
+    EXPECT_GT(checker->txnsObserved.value(), 0u);
 }
 
 TEST(NumericFlags, BadValuesAreUsageErrors)

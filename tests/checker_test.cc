@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "broken_protocols.hh"
 #include "check/coherence_checker.hh"
@@ -24,6 +26,8 @@ using namespace firefly;
 using check::CheckerConfig;
 using check::CoherenceChecker;
 using check::CoherenceViolation;
+using check::GoldenMemory;
+using check::kRaceWindowCycles;
 using firefly::check::CheckedRig;
 using firefly::check::Rig;
 
@@ -45,6 +49,144 @@ struct RecordingSink : obs::TraceSink
 };
 
 } // namespace
+
+// --- the oracle on its own -------------------------------------------------
+
+namespace
+{
+
+/** A 4 MB memory for an oracle to fall back on. */
+struct OracleRig
+{
+    MainMemory memory;
+    GoldenMemory oracle{memory};
+
+    OracleRig() { memory.addModule(4 * 1024 * 1024); }
+};
+
+} // namespace
+
+TEST(Oracle, BaselineAdmissibleForExactlyTheRaceWindow)
+{
+    OracleRig r;
+    r.memory.write(kA, 5);
+    EXPECT_FALSE(r.oracle.tracked(kA));
+    EXPECT_TRUE(r.oracle.admissible(90, kA, 5));
+    EXPECT_FALSE(r.oracle.admissible(90, kA, 7));
+
+    r.oracle.serialize(100, kA, 7);
+    EXPECT_TRUE(r.oracle.tracked(kA));
+    EXPECT_EQ(r.oracle.current(kA), 7u);
+    EXPECT_EQ(r.oracle.writtenAt(kA), 100u);
+    // Memory's value was visible until cycle 100: a load may still
+    // return it for kRaceWindowCycles cycles, and not one cycle more
+    // (another word's write on the window's last cycle expires
+    // nothing that is still admissible).
+    EXPECT_TRUE(r.oracle.admissible(100, kA, 5));
+    r.oracle.serialize(100 + kRaceWindowCycles, kB, 1);
+    EXPECT_TRUE(r.oracle.inRaceWindow(100 + kRaceWindowCycles, kA));
+    EXPECT_TRUE(r.oracle.admissible(100 + kRaceWindowCycles, kA, 5));
+    EXPECT_FALSE(r.oracle.inRaceWindow(101 + kRaceWindowCycles, kA));
+    EXPECT_FALSE(r.oracle.admissible(101 + kRaceWindowCycles, kA, 5));
+    EXPECT_TRUE(r.oracle.admissible(101 + kRaceWindowCycles, kA, 7));
+}
+
+TEST(Oracle, ValuesWrittenBackAndForthAdmittedOnlyInTheWindow)
+{
+    OracleRig r;
+    r.oracle.serialize(10, kA, 0xA);
+    r.oracle.serialize(12, kA, 0xB);
+    r.oracle.serialize(14, kA, 0xA);
+    EXPECT_EQ(r.oracle.current(kA), 0xAu);
+    EXPECT_TRUE(r.oracle.admissible(20, kA, 0xA));
+    EXPECT_TRUE(r.oracle.admissible(20, kA, 0xB));
+    EXPECT_TRUE(r.oracle.admissible(20, kA, 0));  // memory's, until 10
+    EXPECT_FALSE(r.oracle.admissible(20, kA, 0xC));
+
+    const Cycle after = 14 + kRaceWindowCycles + 1;
+    EXPECT_TRUE(r.oracle.admissible(after, kA, 0xA));
+    EXPECT_FALSE(r.oracle.admissible(after, kA, 0xB));
+    EXPECT_FALSE(r.oracle.admissible(after, kA, 0));
+}
+
+TEST(Oracle, WordsWrittenInOneCycleKeepSeparateHistories)
+{
+    OracleRig r;
+    r.memory.write(kA, 0xAA);
+    r.memory.write(kB, 0xBB);
+    r.oracle.serialize(10, kA, 1);
+    r.oracle.serialize(10, kB, 2);
+    EXPECT_TRUE(r.oracle.admissible(10, kA, 0xAA));
+    EXPECT_TRUE(r.oracle.admissible(10, kB, 0xBB));
+    // Neither word admits the other's current or superseded value.
+    EXPECT_FALSE(r.oracle.admissible(10, kA, 2));
+    EXPECT_FALSE(r.oracle.admissible(10, kA, 0xBB));
+    EXPECT_FALSE(r.oracle.admissible(10, kB, 1));
+    EXPECT_FALSE(r.oracle.admissible(10, kB, 0xAA));
+}
+
+TEST(Oracle, EveryValueInsideTheWindowStaysAdmissible)
+{
+    // Ten writes a cycle for 20 cycles, then 200 a cycle: the old
+    // records expire from the front while the burst wraps round and
+    // grows the record ring.  No record may be dropped while a load
+    // could still return it, and none kept admissible after.
+    OracleRig r;
+    std::vector<Cycle> written;
+    for (Cycle c = 0; c < 30; ++c) {
+        for (unsigned n = 0; n < (c < 20 ? 10u : 200u); ++n) {
+            const Addr a = written.size() * bytesPerWord;
+            r.memory.write(a, 1000 + written.size());
+            r.oracle.serialize(c, a, written.size());
+            written.push_back(c);
+        }
+    }
+    const Cycle now = 29;
+    for (std::size_t i = 0; i < written.size(); ++i) {
+        EXPECT_EQ(r.oracle.admissible(now, i * bytesPerWord, 1000 + i),
+                  written[i] + kRaceWindowCycles >= now) << i;
+    }
+}
+
+TEST(Oracle, GrowingTheTableKeepsEveryWord)
+{
+    // Enough words for many doublings of the table, spread over
+    // addresses whose low bits collide.
+    OracleRig r;
+    constexpr unsigned kWords = 20000;
+    const auto addr = [](unsigned i) -> Addr {
+        return (i % 64) * 0x10000 + (i / 64) * 0x40;
+    };
+    for (unsigned i = 0; i < kWords; ++i)
+        r.oracle.serialize(i, addr(i), i * 3 + 1);
+    for (unsigned i = 0; i < kWords; i += 2)
+        r.oracle.serialize(kWords + i, addr(i), i * 5 + 2);
+    for (unsigned i = 0; i < kWords; ++i) {
+        ASSERT_TRUE(r.oracle.tracked(addr(i))) << i;
+        const bool rewritten = i % 2 == 0;
+        EXPECT_EQ(r.oracle.current(addr(i)),
+                  rewritten ? i * 5 + 2 : i * 3 + 1) << i;
+        EXPECT_EQ(r.oracle.writtenAt(addr(i)),
+                  rewritten ? kWords + i : i) << i;
+        EXPECT_FALSE(r.oracle.tracked(addr(i) + bytesPerWord)) << i;
+    }
+}
+
+TEST(Oracle, ForEachTrackedVisitsEachWordOnce)
+{
+    OracleRig r;
+    std::vector<Addr> expected;
+    for (unsigned i = 0; i < 1000; ++i) {
+        const Addr a = 0x8000 + i * 0x24;
+        expected.push_back(a);
+        r.oracle.serialize(i, a, i);
+        r.oracle.serialize(i, a, i + 1);  // a second write, same word
+    }
+    std::vector<Addr> seen;
+    r.oracle.forEachTracked([&](Addr a) { seen.push_back(a); });
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, expected);
+}
 
 TEST(Checker, CleanSharingRunPassesAndCounts)
 {
@@ -285,6 +427,30 @@ TEST(Checker, OnChipRepairPreventsStaleness)
     EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));  // miss
     EXPECT_EQ(chip.staleIncidents.value(), 1u);
     EXPECT_TRUE(chip.access({kA, RefType::DataRead, 0}));   // clean hit
+}
+
+TEST(Checker, OnChipSnapshotsShadowTheDirectMappedEntries)
+{
+    CheckedRig rig(ProtocolKind::Firefly, 2);
+    OnChipCache chip(OnChipCache::DataMode::InstructionsAndData, "onchip0");
+    const Addr conflict = kA + OnChipCache::sizeBytes;  // same entry
+
+    // Installed before the checker attached: hits go unchecked.
+    EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));
+    rig.checker.watch(chip);
+    EXPECT_TRUE(chip.access({kA, RefType::DataRead, 0}));
+    EXPECT_EQ(rig.checker.onChipChecks.value(), 0u);
+
+    // A conflicting install replaces the entry and its snapshot; the
+    // reinstalled line is snapshotted afresh, after the foreign write.
+    EXPECT_FALSE(chip.access({conflict, RefType::DataRead, 0}));
+    EXPECT_TRUE(chip.access({conflict, RefType::DataRead, 0}));
+    EXPECT_EQ(rig.checker.onChipChecks.value(), 1u);
+    rig.write(1, kA, 99);
+    rig.sim.run(64);
+    EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));
+    EXPECT_NO_THROW(chip.access({kA, RefType::DataRead, 0}));
+    EXPECT_EQ(rig.checker.onChipChecks.value(), 2u);
 }
 
 TEST(Checker, SystemLevelCheckedRunStaysClean)

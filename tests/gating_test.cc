@@ -138,8 +138,9 @@ TEST(Gating, LongComputeBurstIsWatchdogProgress)
         EXPECT_TRUE(rig.cpu->halted());
         EXPECT_EQ(rig.cpu->computeTickCount.value(), 50'000u);
         EXPECT_EQ(rig.cpu->tickCount.value(), 50'001u);  // + halt
-        if (gated)
+        if (gated) {
             EXPECT_GT(rig.sim.cyclesFastForwarded(), 90'000u);
+        }
         results.push_back(rig.counts());
     }
     EXPECT_EQ(results[0], results[1]);

@@ -422,8 +422,9 @@ TEST(ChromeTrace, WellFormedRecords)
         const std::string &ph = rec.at("ph").string;
         ASSERT_TRUE(ph == "B" || ph == "E" || ph == "i" || ph == "M")
             << "unexpected phase " << ph;
-        if (ph == "B" || ph == "i")
+        if (ph == "B" || ph == "i") {
             ASSERT_TRUE(rec.has("name"));
+        }
     }
 }
 
@@ -461,9 +462,10 @@ TEST(ChromeTrace, NondecreasingTimestampsPerTrack)
         const double tid = rec.at("tid").number;
         const double ts = rec.at("ts").number;
         auto it = last_ts.find(tid);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             ASSERT_GE(ts, it->second) << "ts went backwards on tid "
                                       << tid;
+        }
         last_ts[tid] = ts;
     }
 }
@@ -491,8 +493,9 @@ TEST(ChromeTrace, ConcatenatesSequentialRuns)
             continue;
         const double tid = rec.at("tid").number;
         auto it = last_ts.find(tid);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             ASSERT_GE(rec.at("ts").number, it->second);
+        }
         last_ts[tid] = rec.at("ts").number;
     }
 }
