@@ -23,6 +23,11 @@
  *                        coherence checker (checkedConfig, rigChecker);
  *                        a violation aborts with its diagnostic, and
  *                        the printed numbers do not change
+ *   --no-fast-forward    tick every component of every machine built
+ *                        from a FireflyConfig (checkedConfig) every
+ *                        cycle: the reference path for due-cycle
+ *                        gating and idle fast-forward, with identical
+ *                        results
  *
  * Unrecognized arguments are an error (usage + nonzero exit), so a
  * typo like "--trace-out foo", an empty "--stats-json=" or an unknown
@@ -78,6 +83,7 @@ struct ObsOptions
     std::string debugFlags;     ///< --debug-flags=MBus,Cache,...
     unsigned jobs = 1;          ///< --jobs=N
     bool check = false;         ///< --check
+    bool noFastForward = false; ///< --no-fast-forward
     /** Text-sink categories: --debug-flags split at its commas. */
     std::vector<std::string> textFlags;
 
@@ -269,14 +275,17 @@ class Observation
     std::optional<obs::ScopedTraceSink> scoped;
 };
 
-/** `cfg`, with the coherence checker on if --check was given.  Every
- *  bench that builds a FireflySystem passes its config through here,
- *  or turns the checker on itself (firefly_faults). */
+/** `cfg`, with the coherence checker on if --check was given and
+ *  fast-forward off if --no-fast-forward was.  Every bench that
+ *  builds a FireflySystem passes its config through here, or turns
+ *  the checker on itself (firefly_faults). */
 inline FireflyConfig
 checkedConfig(FireflyConfig cfg)
 {
     if (obsOptions().check)
         cfg.coherenceCheck = true;
+    if (obsOptions().noFastForward)
+        cfg.fastForward = false;
     return cfg;
 }
 
@@ -341,7 +350,9 @@ printUsage(const char *prog, const std::vector<ExtraFlag> &extras = {})
                  "                      (MBus, Cache, Cpu, Dma, Sched, Rpc,\n"
                  "                      Check, Fault)\n"
                  "  --jobs=N            run sweep points on N worker threads\n"
-                 "  --check             run under the coherence checker\n",
+                 "  --check             run under the coherence checker\n"
+                 "  --no-fast-forward   tick every component every cycle\n"
+                 "                      (same results, the reference path)\n",
                  prog);
     for (const ExtraFlag &flag : extras)
         std::fprintf(stderr, "  %-19s %s\n", flag.prefix, flag.help);
@@ -446,6 +457,8 @@ parseOptions(ObsOptions &opts, int argc, char **argv,
             return 0;
         } else if (std::strcmp(arg, "--check") == 0) {
             opts.check = true;
+        } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
+            opts.noFastForward = true;
         } else if (auto v = valueOf(arg, "--stats-json=")) {
             opts.statsJsonPath = *v;
         } else if (auto v = valueOf(arg, "--trace-out=")) {

@@ -22,6 +22,9 @@
  *               the horizon instead of ticking ~half a million empty
  *               cycles.
  *
+ * A third, `checked`, is the saturated machine under the coherence
+ * checker: the cost of a checked run.
+ *
  * Each point runs twice, fast-forward on and (forcibly) off, and
  * reports the ratio; behaviour and statistics are bit-identical
  * between the two (scripts/check.sh perf byte-compares the exports).
@@ -30,7 +33,9 @@
  * probes per bus transaction (the bus probes only the caches whose
  * tags hold the line) and events scheduled per simulated cycle, all
  * from the gated run; check.sh perf holds them to the committed
- * baseline exactly.  Each point also reports its bus load.
+ * baseline exactly.  A checked point adds a fourth, lines the checker
+ * checks per bus transaction (CoherenceChecker::lineChecks).  Each
+ * point also reports its bus load.
  * Wall clock is std::chrono::steady_clock; every point gets a warmup
  * run plus `--perf-reps` measured repetitions, best-of reported
  * (minimum wall time - host noise only ever slows a run down).
@@ -57,7 +62,7 @@ std::string perfJsonPath;
 
 struct Point
 {
-    const char *workload;  ///< "saturated" or "idle"
+    const char *workload;  ///< "saturated", "idle" or "checked"
     ProtocolKind proto;
     unsigned cpus;
 };
@@ -72,6 +77,8 @@ struct Measure
     std::uint64_t snoops = 0;      ///< snoopProbe calls
     std::uint64_t txns = 0;        ///< bus transactions
     std::uint64_t events = 0;      ///< EventQueue::schedule calls
+    bool checked = false;          ///< ran under the coherence checker
+    std::uint64_t lineChecks = 0;  ///< CoherenceChecker::lineChecks
     double busLoad = 0.0;
 
     double
@@ -103,6 +110,12 @@ struct Measure
     {
         return simCycles ? static_cast<double>(events) / simCycles : 0.0;
     }
+
+    double
+    lineChecksPerTxn() const
+    {
+        return txns ? static_cast<double>(lineChecks) / txns : 0.0;
+    }
 };
 
 /** One full simulation of the point; returns wall time and totals.
@@ -112,6 +125,7 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
 {
     FireflyConfig cfg = FireflyConfig::microVax(pt.cpus);
     cfg.protocol = pt.proto;
+    cfg.coherenceCheck = std::string(pt.workload) == "checked";
     FireflySystem sys(bench::checkedConfig(cfg));
 
     SyntheticConfig sc;
@@ -125,9 +139,9 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
         simSeconds *= 10.0;
     }
     sys.attachSyntheticWorkload(sc);
-    // FIREFLY_NO_FASTFORWARD forces the reference path on the "fast"
-    // runs too, so the headline --stats-json can be compared across
-    // the two paths (scripts/check.sh perf).
+    // --no-fast-forward forces the reference path on the "fast" runs
+    // too, so the headline --stats-json can be compared across the
+    // two paths (scripts/check.sh perf).
     sys.simulator().setFastForward(
         fast_forward && sys.simulator().fastForwardEnabled());
 
@@ -143,6 +157,10 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
     m.ticks = sys.simulator().ticksDispatched();
     m.snoops = sys.bus().snoopCalls();
     m.events = sys.simulator().events().scheduled();
+    if (const check::CoherenceChecker *checker = sys.checker()) {
+        m.checked = true;
+        m.lineChecks = checker->lineChecks();
+    }
     m.busLoad = sys.busLoad();
     const StatGroup &bus = sys.bus().stats();
     m.txns = static_cast<std::uint64_t>(
@@ -190,6 +208,7 @@ experiment()
         {"saturated", ProtocolKind::Firefly, 7},
         {"saturated", ProtocolKind::Dragon, 7},
         {"saturated", ProtocolKind::Mesi, 7},
+        {"checked", ProtocolKind::Firefly, 7},
     };
 
     std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s | %9s %9s "
@@ -228,6 +247,11 @@ experiment()
             skipFrac, slow.cyclesPerSec() / 1e6, speedup,
             fast.ticksPerCycle(), fast.snoopsPerTxn(),
             fast.eventsPerCycle(), fast.busLoad);
+        if (fast.checked) {
+            std::printf("%24s | checker: %.3f line checks per "
+                        "transaction\n",
+                        "", fast.lineChecksPerTxn());
+        }
 
         if (!first)
             json += ",";
@@ -254,6 +278,10 @@ experiment()
                 statNumber(fast.snoopsPerTxn());
         json += ",\"events_per_cycle\":" +
                 statNumber(fast.eventsPerCycle());
+        if (fast.checked) {
+            json += ",\"line_checks_per_txn\":" +
+                    statNumber(fast.lineChecksPerTxn());
+        }
         json += ",\"bus_load\":" + statNumber(fast.busLoad);
         json += "}";
     }

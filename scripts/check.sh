@@ -3,6 +3,7 @@
 # then smoke-test the flight recorder end to end.
 #
 #   scripts/check.sh                 # plain RelWithDebInfo build, -Werror
+#                                    # (and a Release build, -Werror)
 #   scripts/check.sh address         # AddressSanitizer build
 #   scripts/check.sh undefined       # UBSan build
 #   scripts/check.sh thread          # ThreadSanitizer build
@@ -25,10 +26,11 @@
 # coherence checker on; see DESIGN.md section 10.  The perf variant
 # guards the host-performance work (DESIGN.md section 11): it proves
 # idle fast-forward changes nothing observable (byte-identical stats
-# exports with FIREFLY_NO_FASTFORWARD=1), that the idle-heavy
+# exports with --no-fast-forward), that the idle-heavy
 # speedup is still there, that the deterministic work counters (tick
 # calls per cycle, snoop probes per transaction, events scheduled per
-# cycle, cycles stepped rather than skipped per cycle) have not grown
+# cycle, cycles stepped rather than skipped per cycle, and lines the
+# coherence checker checks per transaction) have not grown
 # over the committed BENCH_perf.json baseline (strict: they do not
 # depend on the host), and that throughput has not cratered against it
 # (lenient threshold: hosts differ; the file tracks the trajectory).
@@ -119,8 +121,7 @@ if [ "$sanitize" = perf ]; then
     "$builddir/bench/firefly_perf" --perf-reps=1 --perf-seconds=0.01 \
         --stats-json="$perfdir/perf.fast.json" \
         --perf-json="$perfdir/perf.fast.perf.json" > /dev/null
-    FIREFLY_NO_FASTFORWARD=1 \
-        "$builddir/bench/firefly_perf" --perf-reps=1 \
+    "$builddir/bench/firefly_perf" --no-fast-forward --perf-reps=1 \
         --perf-seconds=0.01 \
         --stats-json="$perfdir/perf.slow.json" > /dev/null
     cmp "$perfdir/perf.fast.json" "$perfdir/perf.slow.json" || {
@@ -129,7 +130,7 @@ if [ "$sanitize" = perf ]; then
     }
     "$builddir/bench/bench_io_dma" \
         --stats-json="$perfdir/dma.fast.json" > /dev/null
-    FIREFLY_NO_FASTFORWARD=1 "$builddir/bench/bench_io_dma" \
+    "$builddir/bench/bench_io_dma" --no-fast-forward \
         --stats-json="$perfdir/dma.slow.json" > /dev/null
     cmp "$perfdir/dma.fast.json" "$perfdir/dma.slow.json" || {
         echo "bench_io_dma stats diverge with fast-forward off" >&2
@@ -188,7 +189,8 @@ for bp in with_stepped(base["points"]):
     # the committed baseline is a regression (re-record the baseline
     # with scripts/bench_all.sh when a change lowers them).
     for counter in ("tick_calls_per_cycle", "snoop_calls_per_txn",
-                    "events_per_cycle", "stepped_per_cycle"):
+                    "events_per_cycle", "stepped_per_cycle",
+                    "line_checks_per_txn"):
         if counter in bp and p[counter] > bp[counter] * (1 + 1e-9):
             sys.exit(f"point {key}: {counter} {p[counter]:.4f} exceeds "
                      f"the committed {bp[counter]:.4f}")
@@ -245,6 +247,13 @@ if [ "$sanitize" = thread ]; then
     exit 0
 fi
 (cd "$builddir" && ctest --output-on-failure -j "$(nproc)")
+if [ -z "$sanitize" ]; then
+    # The optimiser's warnings (GCC's -Wrestrict, say) show only in an
+    # optimised build, so the plain lane compiles Release too.
+    cmake -B "$repo/build-release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-Werror
+    cmake --build "$repo/build-release" -j "$(nproc)"
+fi
 
 # Flight-recorder smoke test: the observed bench run must produce a
 # parseable trace with the MBus phase instants and a stats export

@@ -91,12 +91,6 @@ Cache::Cache(Simulator &sim, MBus &bus, const ProtocolTable &protocol,
         [this] { return dirtyFraction(); });
 }
 
-bool
-Cache::holds(Addr byte_addr) const
-{
-    return tag[indexOf(byte_addr)] == lineBaseOf(byte_addr);
-}
-
 void
 Cache::setLine(std::size_t index, Addr base, LineState s)
 {

@@ -292,6 +292,12 @@ Cache::indexOf(Addr byte_addr) const
     return line & (tag.size() - 1);
 }
 
+inline bool
+Cache::holds(Addr byte_addr) const
+{
+    return tag[indexOf(byte_addr)] == lineBaseOf(byte_addr);
+}
+
 inline Word &
 Cache::wordAt(std::size_t index, Addr byte_addr)
 {

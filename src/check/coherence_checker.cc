@@ -66,12 +66,6 @@ CoherenceChecker::watch(OnChipCache &onchip)
     onchip.setCoherenceObserver(this);
 }
 
-Addr
-CoherenceChecker::lineBaseOf(Addr addr) const
-{
-    return addr - addr % scanner.lineBytes();
-}
-
 // --- serialization points -----------------------------------------------
 
 void
@@ -172,8 +166,8 @@ CoherenceChecker::markDirty(Addr first, Addr last_addr)
     if (!cfg.fullScanPeriod)
         return;  // no periodic scan would ever drain the set
     const Addr line_bytes = scanner.lineBytes();
-    const Addr last = lineBaseOf(last_addr);
-    for (Addr base = lineBaseOf(first);; base += line_bytes) {
+    const Addr last = scanner.lineBase(last_addr);
+    for (Addr base = scanner.lineBase(first);; base += line_bytes) {
         if (dirtyLines.empty() || dirtyLines.back() != base)
             dirtyLines.push_back(base);
         if (base == last)
@@ -189,53 +183,43 @@ CoherenceChecker::scanDirtyLines(std::vector<std::string> &violations)
     std::sort(dirtyLines.begin(), dirtyLines.end());
     dirtyLines.erase(std::unique(dirtyLines.begin(), dirtyLines.end()),
                      dirtyLines.end());
-    const Cycle now = sim.now();
-    scanner.checkLines(dirtyLines, golden, now, violations);
+    nLineChecks += dirtyLines.size();
+    openLines.clear();
+    scanner.checkLines(dirtyLines, golden, sim.now(), violations,
+                       &openLines);
     if (!violations.empty())
         return;
 
     // Every check is a function of cache states, cached data, memory
     // and the oracle, which only change through the dirty-line feeds
     // - except I4's race window, under which a copy holding a
-    // superseded value turns inadmissible by the clock alone.  Lines
-    // with a word still inside the window stay for the next scan.
-    std::erase_if(dirtyLines, [&](Addr base) {
-        return !lineInRaceWindow(base, now);
-    });
-}
-
-bool
-CoherenceChecker::lineInRaceWindow(Addr base, Cycle now) const
-{
-    const unsigned words = scanner.lineBytes() / bytesPerWord;
-    for (unsigned w = 0; w < words; ++w) {
-        if (golden.inRaceWindow(now, base + w * bytesPerWord))
-            return true;
-    }
-    return false;
+    // superseded value turns inadmissible by the clock alone.  Only
+    // the lines with such a copy stay for the next scan.
+    dirtyLines.swap(openLines);
 }
 
 void
 CoherenceChecker::busSettled(const MBusTransaction &txn)
 {
     ++txnsObserved;
-    const Cycle now = sim.now();
     std::vector<std::string> violations;
-    scanner.checkLine(txn.addr, golden, now, violations);
+    const bool exact =
+        scanner.checkLine(txn.addr, golden, sim.now(), violations);
     ++lineScans;
+    ++nLineChecks;
 
     // Fills, snoop transitions, victim write-backs, DMA and every
     // memory write (memory only changes through the bus) all land on
     // the lines the transaction spans; the periodic scan re-checks
-    // them.  The first line was just checked: if it passed with no
-    // word in the race window, its verdict is fixed until a feed
+    // them.  The first line was just checked: if it passed with every
+    // copy equal to current(), its verdict is fixed until a feed
     // marks it again (as scanDirtyLines argues), so it is not queued.
-    const Addr first = lineBaseOf(txn.addr);
+    const Addr first = scanner.lineBase(txn.addr);
     const Addr last_word =
         txn.addr + (std::max(txn.words, 1u) - 1) * bytesPerWord;
-    if (!violations.empty() || lineInRaceWindow(first, now))
+    if (!violations.empty() || !exact)
         markDirty(first, first);
-    if (lineBaseOf(last_word) != first)
+    if (scanner.lineBase(last_word) != first)
         markDirty(first + scanner.lineBytes(), last_word);
 
     if (violations.empty() && cfg.fullScanPeriod &&
@@ -392,7 +376,7 @@ CoherenceChecker::replayFor(Addr line_base) const
 void
 CoherenceChecker::fail(Addr addr, const std::string &what)
 {
-    const Addr base = lineBaseOf(addr);
+    const Addr base = scanner.lineBase(addr);
     std::ostringstream os;
     os << "coherence violation [" << toString(kind) << "] @"
        << sim.now() << " line " << obs::hexAddr(base) << ": " << what

@@ -108,6 +108,11 @@ class CoherenceChecker : public CoherenceObserver
     GoldenMemory &oracle() { return golden; }
     StatGroup &stats() { return statGroup; }
 
+    /** Lines checked so far, by the settle checks and the periodic
+     *  scans (host-perf diagnostics, not a registered stat, so a
+     *  checked run's export does not depend on the scan rule). */
+    std::uint64_t lineChecks() const { return nLineChecks; }
+
     // --- CoherenceObserver ----------------------------------------------
     void writeSerialized(Addr addr, Word value, const Cache &by,
                          const char *how) override;
@@ -146,13 +151,9 @@ class CoherenceChecker : public CoherenceObserver
      *  `last_addr` to the set the next periodic scan checks. */
     void markDirty(Addr first, Addr last_addr);
     /** The periodic scan: check the dirty lines, then forget those
-     *  whose verdict cannot change until they are touched again. */
+     *  whose verdict cannot change until they are touched again
+     *  (every copy held current(); see InvariantScanner::checkLine). */
     void scanDirtyLines(std::vector<std::string> &violations);
-    /** True while some word of the line at `base` is in the oracle's
-     *  race window: a check it passed can still turn by the clock. */
-    bool lineInRaceWindow(Addr base, Cycle now) const;
-
-    Addr lineBaseOf(Addr addr) const;
     std::string describeLine(Addr line_base) const;
     std::string replayFor(Addr line_base) const;
     [[noreturn]] void fail(Addr addr, const std::string &what);
@@ -177,9 +178,10 @@ class CoherenceChecker : public CoherenceObserver
      * value may have changed since the last periodic scan (unsorted,
      * and one entry per mark until the scan sorts and dedupes it, so
      * it grows with one period's traffic).  Fed by every settled bus
-     * transaction (bar the line its settle check just passed with no
-     * word in the race window), by writeSerialized, and by the race
-     * window (see scanDirtyLines).  Nothing else can break an
+     * transaction (bar the line its settle check just passed with
+     * every copy equal to current()), by writeSerialized, and by the
+     * race window: a scanned line stays while a copy holds a
+     * superseded value (see scanDirtyLines).  Nothing else can break an
      * invariant on a line that passed: a clean eviction on fill only
      * removes a non-owning holder, which adds no state, owner, holder
      * or value and leaves I5's owner set alone; and
@@ -190,6 +192,10 @@ class CoherenceChecker : public CoherenceObserver
      * section 9 has the full argument.
      */
     std::vector<Addr> dirtyLines;
+    /** scanDirtyLines' buffer for the lines that stay; swapped with
+     *  dirtyLines, so neither reallocates once grown. */
+    std::vector<Addr> openLines;
+    std::uint64_t nLineChecks = 0;
 
     /** The oracle's view of one on-chip line when it was installed. */
     struct OnChipSnapshot

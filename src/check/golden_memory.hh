@@ -85,13 +85,25 @@ class GoldenMemory
     /** True if `addr` has ever been written through the oracle. */
     bool tracked(Addr addr) const { return find(addr) != nullptr; }
 
-    /** True if `addr` is tracked and memory does not hold its
-     *  visible value (one lookup: the scans ask this of every word). */
-    bool
-    memoryStale(Addr addr) const
+    /** One word as the scans see it (see word()). */
+    struct WordState
+    {
+        Word current;      ///< the visible value, as current() gives it
+        bool tracked;      ///< written through the oracle
+        bool memoryStale;  ///< memory does not hold `current`
+    };
+
+    /** `addr`'s visible value, whether it is tracked and whether
+     *  memory is stale, from one table lookup and one memory peek
+     *  (the scans ask this of every word they check). */
+    WordState
+    word(Addr addr) const
     {
         const Slot *slot = find(addr);
-        return slot && memory.peek(addr) != slot->value;
+        const Word in_memory = memory.peek(addr);
+        if (!slot)
+            return {in_memory, false, false};
+        return {slot->value, true, in_memory != slot->value};
     }
 
     /** The visible value: last serialized write, else memory. */
@@ -120,31 +132,19 @@ class GoldenMemory
         const Slot *slot = find(addr);
         if (!slot)
             return observed == memory.peek(addr);
-        if (observed == slot->value)
-            return true;
-        // Newest first; the records are in superseded order, so the
-        // first expired one ends the search.
-        for (std::size_t n = ringCount; n-- > 0;) {
-            const Stale &stale = ring[(ringHead + n) & (ring.size() - 1)];
-            if (stale.superseded + kRaceWindowCycles < now)
-                break;
-            if (stale.addr == addr && stale.value == observed)
-                return true;
-        }
-        return false;
+        return observed == slot->value ||
+               recentlySuperseded(now, addr, observed);
     }
 
     /**
-     * True while a value `addr` held before its last write may still
-     * be admissible (see admissible()): the verdict on a cached copy
-     * of `addr` can change at `now` or later with no further event.
+     * Did `addr` hold `observed` until a write no more than
+     * kRaceWindowCycles before `now`?  admissible()'s ring search,
+     * for a caller that already knows `observed` is not current.
+     * Out of line: it runs only for a value that is not current, and
+     * keeping it out leaves admissible() small enough to inline into
+     * the load hook.
      */
-    bool
-    inRaceWindow(Cycle now, Addr addr) const
-    {
-        const Slot *slot = find(addr);
-        return slot && slot->when + kRaceWindowCycles >= now;
-    }
+    bool recentlySuperseded(Cycle now, Addr addr, Word observed) const;
 
     /** Call `fn(addr)` for every tracked word, in no set order. */
     template <typename Fn>

@@ -16,42 +16,46 @@ InvariantScanner::addCache(const Cache *cache)
 {
     if (caches.size() == maxCaches)
         panic("invariant scanner: more than %zu caches", maxCaches);
+    const Addr line_bytes = cache->lineWords() * bytesPerWord;
+    if (caches.empty())
+        _lineBytes = line_bytes;
+    else if (line_bytes != _lineBytes)
+        panic("invariant scanner: %s has %u-byte lines, not %u",
+              cache->name().c_str(), line_bytes, _lineBytes);
     caches.push_back(cache);
 }
 
-Addr
-InvariantScanner::lineBytes() const
+std::size_t
+InvariantScanner::holdersOf(Addr base, Holders &buf) const
 {
-    return caches.empty() ? bytesPerWord
-                          : caches.front()->lineWords() * bytesPerWord;
+    std::size_t n = 0;
+    for (const Cache *cache : caches) {
+        if (cache->holds(base))
+            buf[n++] = {cache, cache->lineAt(base)};
+    }
+    return n;
 }
 
 bool
-InvariantScanner::resident(Addr line_base) const
-{
-    return std::any_of(caches.begin(), caches.end(),
-                       [&](const Cache *c) { return c->holds(line_base); });
-}
-
-void
 InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
                             Cycle now, std::vector<std::string> &out) const
 {
     if (caches.empty())
-        return;
-    const unsigned words = caches.front()->lineWords();
-    const Addr base = addr - addr % lineBytes();
-
+        return true;
+    const Addr base = lineBase(addr);
     // Fixed inline storage: a scan runs after every bus transaction,
     // so it must not touch the heap unless it has something to say.
-    std::array<Holder, maxCaches> holder_buf;
-    std::size_t n_holders = 0;
-    for (const Cache *cache : caches) {
-        if (cache->holds(base))
-            holder_buf[n_holders++] = {cache, cache->lineAt(base)};
-    }
-    const std::span<const Holder> holders(holder_buf.data(), n_holders);
+    Holders holder_buf;
+    const std::size_t n_holders = holdersOf(base, holder_buf);
+    return checkHeld(base, {holder_buf.data(), n_holders}, oracle, now,
+                     out);
+}
 
+bool
+InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
+                            const GoldenMemory &oracle, Cycle now,
+                            std::vector<std::string> &out) const
+{
     // I1: state legality.
     for (const Holder &h : holders) {
         if (!rules.legal.contains(h.line.state)) {
@@ -93,17 +97,21 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
         }
     }
 
-    // I4/I5: word-level data checks.
+    // I4/I5: word-level data checks, one oracle lookup per word.  A
+    // copy that is not current() is checked against the race window,
+    // and leaves the verdict open to the clock.
+    bool exact = true;
+    const unsigned words = _lineBytes / bytesPerWord;
     for (unsigned w = 0; w < words; ++w) {
         const Addr a = base + w * bytesPerWord;
-        bool have = false;
-        Word held = 0;
-        for (const Holder &h : holders) {
-            const Word v = h.line.data[w];
-            if (!have) {
-                have = true;
-                held = v;
-            } else if (v != held) {
+        const GoldenMemory::WordState word = oracle.word(a);
+        if (!holders.empty()) {
+            const Word held = holders.front().line.data[w];
+            for (const Holder &h : holders.subspan(1)) {
+                const Word v = h.line.data[w];
+                if (v == held)
+                    continue;
+                exact = false;
                 std::ostringstream os;
                 os << "I4 copies disagree at " << obs::hexAddr(a)
                    << ": " << holders.front().cache->name() << "="
@@ -111,48 +119,62 @@ InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
                    << "=" << obs::hexAddr(v);
                 out.push_back(os.str());
             }
+            if (held != word.current) {
+                exact = false;
+                if (!word.tracked ||
+                    !oracle.recentlySuperseded(now, a, held)) {
+                    std::ostringstream os;
+                    os << "I4 cached value at " << obs::hexAddr(a)
+                       << " is " << obs::hexAddr(held)
+                       << " but the oracle says "
+                       << obs::hexAddr(word.current) << " (serialized @"
+                       << oracle.writtenAt(a) << ")";
+                    out.push_back(os.str());
+                }
+            }
         }
-        if (have && !oracle.admissible(now, a, held)) {
-            std::ostringstream os;
-            os << "I4 cached value at " << obs::hexAddr(a) << " is "
-               << obs::hexAddr(held) << " but the oracle says "
-               << obs::hexAddr(oracle.current(a))
-               << " (serialized @" << oracle.writtenAt(a) << ")";
-            out.push_back(os.str());
-        }
-        if (owners.empty() && oracle.memoryStale(a)) {
+        if (owners.empty() && word.memoryStale) {
             std::ostringstream os;
             os << "I5 no owner for " << obs::hexAddr(a)
                << " yet memory holds " << obs::hexAddr(memory.peek(a))
-               << ", oracle " << obs::hexAddr(oracle.current(a))
+               << ", oracle " << obs::hexAddr(word.current)
                << " (serialized @" << oracle.writtenAt(a) << ")";
             out.push_back(os.str());
         }
     }
+    return exact;
 }
 
 void
 InvariantScanner::checkLines(const std::vector<Addr> &bases,
                              const GoldenMemory &oracle, Cycle now,
-                             std::vector<std::string> &out) const
+                             std::vector<std::string> &out,
+                             std::vector<Addr> *open) const
 {
     // Tracked words nobody caches: memory must hold the value.  Their
     // reports follow every resident line's, as in a full scan.
     std::vector<std::string> uncached;
-    const unsigned words = lineBytes() / bytesPerWord;
+    const unsigned words = _lineBytes / bytesPerWord;
+    Holders holder_buf;
     for (const Addr base : bases) {
-        if (resident(base)) {
-            checkLine(base, oracle, now, out);
+        const std::size_t n_holders = holdersOf(base, holder_buf);
+        if (n_holders) {
+            if (!checkHeld(base, {holder_buf.data(), n_holders}, oracle,
+                           now, out) &&
+                open) {
+                open->push_back(base);
+            }
             continue;
         }
         for (unsigned w = 0; w < words; ++w) {
             const Addr a = base + w * bytesPerWord;
-            if (!oracle.memoryStale(a))
+            const GoldenMemory::WordState word = oracle.word(a);
+            if (!word.memoryStale)
                 continue;
             std::ostringstream os;
             os << "I5 uncached word " << obs::hexAddr(a)
                << ": memory holds " << obs::hexAddr(memory.peek(a))
-               << ", oracle " << obs::hexAddr(oracle.current(a))
+               << ", oracle " << obs::hexAddr(word.current)
                << " (serialized @" << oracle.writtenAt(a) << ")";
             uncached.push_back(os.str());
         }
@@ -172,9 +194,8 @@ InvariantScanner::fullScan(const GoldenMemory &oracle, Cycle now,
                 bases.push_back(line.base);
         }
     }
-    const Addr line_bytes = lineBytes();
     oracle.forEachTracked(
-        [&](Addr addr) { bases.push_back(addr - addr % line_bytes); });
+        [&](Addr addr) { bases.push_back(lineBase(addr)); });
     std::sort(bases.begin(), bases.end());
     bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
     checkLines(bases, oracle, now, out);

@@ -32,7 +32,9 @@
 #ifndef FIREFLY_CHECK_INVARIANT_SCANNER_HH
 #define FIREFLY_CHECK_INVARIANT_SCANNER_HH
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,16 +59,25 @@ class InvariantScanner
     {
     }
 
+    /** Watch `cache`; every watched cache has the same line size. */
     void addCache(const Cache *cache);
 
     /** Bytes per cache line (one word before any cache is added). */
-    Addr lineBytes() const;
+    Addr lineBytes() const { return _lineBytes; }
+
+    /** Base of the line containing `addr`. */
+    Addr lineBase(Addr addr) const { return addr & ~(_lineBytes - 1); }
 
     /**
      * Check every invariant for the line containing `addr`;
      * violations are appended to `out` as one description each.
+     * Returns true if the verdict is clock-independent: every cached
+     * copy of every word of the line equals the oracle's current()
+     * value, so no superseded value that the race window still admits
+     * is held anywhere and the verdict can change only when the
+     * line's states, data, memory or oracle value do.
      */
-    void checkLine(Addr addr, const GoldenMemory &oracle, Cycle now,
+    bool checkLine(Addr addr, const GoldenMemory &oracle, Cycle now,
                    std::vector<std::string> &out) const;
 
     /**
@@ -74,11 +85,14 @@ class InvariantScanner
      * duplicates): checkLine for each line some cache holds, then
      * memory-vs-oracle for the tracked words of the others.  Reports
      * exactly what fullScan reports about those lines, in the same
-     * order.
+     * order.  If `open` is given, the bases of the lines whose
+     * verdict is not clock-independent (see checkLine) are appended
+     * to it, in order.
      */
     void checkLines(const std::vector<Addr> &bases,
                     const GoldenMemory &oracle, Cycle now,
-                    std::vector<std::string> &out) const;
+                    std::vector<std::string> &out,
+                    std::vector<Addr> *open = nullptr) const;
 
     /**
      * Check every valid line in every cache, plus memory-vs-oracle
@@ -93,12 +107,21 @@ class InvariantScanner
         const Cache *cache;
         Cache::LineView line;
     };
+    using Holders = std::array<Holder, maxCaches>;
 
-    bool resident(Addr line_base) const;
+    /** Fill `buf` with the caches holding the line at `base`, in
+     *  watch order; returns how many. */
+    std::size_t holdersOf(Addr base, Holders &buf) const;
+    /** checkLine for the line at `base`, whose holders are known. */
+    bool checkHeld(Addr base, std::span<const Holder> holders,
+                   const GoldenMemory &oracle, Cycle now,
+                   std::vector<std::string> &out) const;
 
     const ProtocolTable &rules;
     const MainMemory &memory;
     std::vector<const Cache *> caches;
+    /** A power of two: lineBase() masks. */
+    Addr _lineBytes = bytesPerWord;
 };
 
 } // namespace firefly::check

@@ -75,6 +75,12 @@ struct FireflyConfig
      *  off by default. */
     bool coherenceCheck = false;
 
+    /** Due-cycle gating and idle fast-forward
+     *  (Simulator::setFastForward).  Off, every component ticks every
+     *  cycle: the reference path, with identical statistics.  The
+     *  benches' --no-fast-forward turns it off. */
+    bool fastForward = true;
+
     /** Fault-injection campaign (src/fault/).  Inactive by default;
      *  when active the system owns a FaultInjector wired into the
      *  bus, memory, and the event-queue watchdog. */

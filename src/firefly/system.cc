@@ -21,6 +21,7 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
         installed += module;
     }
 
+    sim.setFastForward(cfg.fastForward);
     mbus = std::make_unique<MBus>(sim, mem);
     intc = std::make_unique<InterruptController>(sim);
 

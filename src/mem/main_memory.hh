@@ -7,6 +7,7 @@
 #define FIREFLY_MEM_MAIN_MEMORY_HH
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/memory_module.hh"
@@ -30,7 +31,7 @@ class MainMemory
     Addr sizeBytes() const { return nextBase; }
 
     /** True if the byte address decodes to an installed module. */
-    bool contains(Addr byte_addr) const;
+    bool contains(Addr byte_addr) const { return byte_addr < nextBase; }
 
     Word read(Addr byte_addr);
     void write(Addr byte_addr, Word value);
@@ -40,7 +41,11 @@ class MainMemory
      * every bus transaction; counting those reads would perturb the
      * module statistics the benches report.
      */
-    Word peek(Addr byte_addr) const;
+    Word
+    peek(Addr byte_addr) const
+    {
+        return decode(byte_addr).peek(byte_addr);
+    }
 
     unsigned moduleCount() const { return modules.size(); }
     MemoryModule &module(unsigned i) { return *modules.at(i); }
@@ -57,8 +62,23 @@ class MainMemory
     StatGroup &stats() { return statGroup; }
 
   private:
-    MemoryModule &decode(Addr byte_addr);
-    const MemoryModule &decode(Addr byte_addr) const;
+    const MemoryModule &
+    decode(Addr byte_addr) const
+    {
+        for (const auto &module : modules) {
+            if (module->contains(byte_addr))
+                return *module;
+        }
+        noModule(byte_addr);
+    }
+    MemoryModule &
+    decode(Addr byte_addr)
+    {
+        return const_cast<MemoryModule &>(
+            std::as_const(*this).decode(byte_addr));
+    }
+    /** decode()'s panic, out of line so the lookup inlines. */
+    [[noreturn]] void noModule(Addr byte_addr) const;
 
     std::vector<std::unique_ptr<MemoryModule>> modules;
     Addr nextBase = 0;

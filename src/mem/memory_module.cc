@@ -19,18 +19,10 @@ MemoryModule::MemoryModule(std::string name, Addr base, Addr size_bytes)
                          "longword writes captured by this module");
 }
 
-bool
-MemoryModule::contains(Addr byte_addr) const
+void
+MemoryModule::outside(Addr byte_addr) const
 {
-    return byte_addr >= _base && byte_addr - _base < _sizeBytes;
-}
-
-Addr
-MemoryModule::toWordIndex(Addr byte_addr) const
-{
-    if (!contains(byte_addr))
-        panic("address 0x%x outside module at 0x%x", byte_addr, _base);
-    return (byte_addr - _base) / bytesPerWord;
+    panic("address 0x%x outside module at 0x%x", byte_addr, _base);
 }
 
 Word
@@ -69,12 +61,6 @@ MemoryModule::write(Addr byte_addr, Word value)
 {
     ++writeCount;
     storage.write(toWordIndex(byte_addr), value);
-}
-
-Word
-MemoryModule::peek(Addr byte_addr) const
-{
-    return storage.read(toWordIndex(byte_addr));
 }
 
 } // namespace firefly

@@ -36,12 +36,20 @@ class MemoryModule
      */
     MemoryModule(std::string name, Addr base, Addr size_bytes);
 
-    bool contains(Addr byte_addr) const;
+    bool
+    contains(Addr byte_addr) const
+    {
+        return byte_addr >= _base && byte_addr - _base < _sizeBytes;
+    }
 
     Word read(Addr byte_addr);
     void write(Addr byte_addr, Word value);
     /** Functional read that does not count as module traffic. */
-    Word peek(Addr byte_addr) const;
+    Word
+    peek(Addr byte_addr) const
+    {
+        return storage.read(toWordIndex(byte_addr));
+    }
 
     Addr base() const { return _base; }
     Addr sizeBytes() const { return _sizeBytes; }
@@ -58,7 +66,15 @@ class MemoryModule
     void setFaultInjector(fault::FaultInjector *inj) { injector = inj; }
 
   private:
-    Addr toWordIndex(Addr byte_addr) const;
+    Addr
+    toWordIndex(Addr byte_addr) const
+    {
+        if (!contains(byte_addr))
+            outside(byte_addr);
+        return (byte_addr - _base) / bytesPerWord;
+    }
+    /** toWordIndex()'s panic, out of line so peek() inlines. */
+    [[noreturn]] void outside(Addr byte_addr) const;
 
     fault::FaultInjector *injector = nullptr;
 

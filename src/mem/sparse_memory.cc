@@ -15,20 +15,10 @@ SparseMemory::SparseMemory(Addr size_words)
 }
 
 void
-SparseMemory::checkBounds(Addr word_addr) const
+SparseMemory::outOfBounds(Addr word_addr) const
 {
-    if (word_addr >= _sizeWords) {
-        panic("memory access beyond end: word 0x%x of 0x%x",
-              word_addr, _sizeWords);
-    }
-}
-
-Word
-SparseMemory::read(Addr word_addr) const
-{
-    checkBounds(word_addr);
-    const Word *chunk = chunks[word_addr / chunkWords].get();
-    return chunk ? chunk[word_addr % chunkWords] : 0;
+    panic("memory access beyond end: word 0x%x of 0x%x", word_addr,
+          _sizeWords);
 }
 
 void

@@ -28,7 +28,14 @@ class SparseMemory
     /** @param size_words capacity; accesses beyond it panic. */
     explicit SparseMemory(Addr size_words);
 
-    Word read(Addr word_addr) const;
+    Word
+    read(Addr word_addr) const
+    {
+        checkBounds(word_addr);
+        const Word *chunk = chunks[word_addr / chunkWords].get();
+        return chunk ? chunk[word_addr % chunkWords] : 0;
+    }
+
     void write(Addr word_addr, Word value);
 
     /** Number of chunks actually allocated (for tests). */
@@ -37,7 +44,14 @@ class SparseMemory
   private:
     static constexpr Addr chunkWords = 16384; // 64 KB chunks
 
-    void checkBounds(Addr word_addr) const;
+    void
+    checkBounds(Addr word_addr) const
+    {
+        if (word_addr >= _sizeWords)
+            outOfBounds(word_addr);
+    }
+    /** checkBounds()'s panic, out of line so read() inlines. */
+    [[noreturn]] void outOfBounds(Addr word_addr) const;
 
     Addr _sizeWords;
     std::vector<std::unique_ptr<Word[]>> chunks;  ///< null: all zero

@@ -32,7 +32,12 @@ jsonEscape(const std::string &s)
 std::string
 jsonQuote(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    // Appended, not concatenated: GCC 12's -Wrestrict misfires on
+    // `"\"" + std::string&&` in an optimised build.
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 } // namespace firefly

@@ -1,18 +1,12 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 
 namespace firefly
 {
-
-Simulator::Simulator()
-{
-    ffEnabled = std::getenv("FIREFLY_NO_FASTFORWARD") == nullptr;
-}
 
 void
 Simulator::addClocked(Clocked *c, Phase phase)

@@ -102,7 +102,7 @@ constexpr std::size_t kPhases = 3;
 class Simulator
 {
   public:
-    Simulator();
+    Simulator() = default;
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
@@ -142,13 +142,14 @@ class Simulator
 
     /**
      * Enable or disable due-cycle gating and idle fast-forward (on by
-     * default unless the FIREFLY_NO_FASTFORWARD environment variable
-     * is set).  With it on, a component ticks only from its due cycle
-     * on, and whenever nothing is due runUntil jumps time straight to
-     * the earliest due cycle or event (or the run horizon).  With it
-     * off every component ticks every cycle.  Simulated behaviour and
-     * statistics are bit-identical either way; the switch exists so
-     * tests and the perf lane can compare the two paths.
+     * default; FireflyConfig::fastForward and the benches'
+     * --no-fast-forward turn it off).  With it on, a component ticks
+     * only from its due cycle on, and whenever nothing is due
+     * runUntil jumps time straight to the earliest due cycle or event
+     * (or the run horizon).  With it off every component ticks every
+     * cycle.  Simulated behaviour and statistics are bit-identical
+     * either way; the switch exists so tests and the perf lane can
+     * compare the two paths.
      */
     void setFastForward(bool enabled) { ffEnabled = enabled; }
     bool fastForwardEnabled() const { return ffEnabled; }

@@ -84,9 +84,7 @@ TEST(Oracle, BaselineAdmissibleForExactlyTheRaceWindow)
     // nothing that is still admissible).
     EXPECT_TRUE(r.oracle.admissible(100, kA, 5));
     r.oracle.serialize(100 + kRaceWindowCycles, kB, 1);
-    EXPECT_TRUE(r.oracle.inRaceWindow(100 + kRaceWindowCycles, kA));
     EXPECT_TRUE(r.oracle.admissible(100 + kRaceWindowCycles, kA, 5));
-    EXPECT_FALSE(r.oracle.inRaceWindow(101 + kRaceWindowCycles, kA));
     EXPECT_FALSE(r.oracle.admissible(101 + kRaceWindowCycles, kA, 5));
     EXPECT_TRUE(r.oracle.admissible(101 + kRaceWindowCycles, kA, 7));
 }
@@ -367,6 +365,69 @@ TEST(Checker, StaleCopyCaughtOnceRaceWindowCloses)
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
         EXPECT_EQ(rig.checker.fullScans.value(), scans + 1);
+        EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
+                  std::string::npos) << what;
+    }
+}
+
+TEST(Checker, CurrentSettledLineNotCheckedAgainByTheScan)
+{
+    // A write-through to a line both caches share updates both copies
+    // at its commit.  The word is inside the race window when the
+    // write settles, but every copy holds current(), so the settle
+    // check's verdict cannot change by the clock: the periodic scan
+    // that follows checks no line at all (every check in the span is
+    // a settle check).
+    CheckerConfig ccfg;
+    ccfg.fullScanPeriod = 4;
+    CheckedRig rig(ProtocolKind::Firefly, 2, {}, nullptr, ccfg);
+    rig.read(0, kA);
+    rig.read(1, kA);
+    padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+    const std::uint64_t txns = rig.checker.txnsObserved.value();
+    const std::uint64_t checks = rig.checker.lineChecks();
+    const std::uint64_t scans = rig.checker.fullScans.value();
+
+    rig.write(0, kA, 77);
+    ASSERT_EQ(rig.checker.txnsObserved.value(), txns + 1);
+    ASSERT_EQ(rig.state(1, kA), LineState::Shared);
+    EXPECT_EQ(rig.checker.oracle().current(kA), 77u);
+    EXPECT_GE(rig.checker.oracle().writtenAt(kA) + kRaceWindowCycles,
+              rig.sim.now());
+    padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+
+    EXPECT_EQ(rig.checker.fullScans.value(), scans + 1);
+    EXPECT_EQ(rig.checker.lineChecks() - checks,
+              rig.checker.txnsObserved.value() - txns);
+}
+
+TEST(Checker, SupersededCopyRecheckedUntilTheWindowCloses)
+{
+    // cache1, deaf to bus writes, keeps a value a DMA write
+    // superseded.  With a scan after every transaction, each scan
+    // inside the race window re-checks that line (and only it: the
+    // fresh fills in between hold current()) and keeps it queued; the
+    // first scan after the window catches the stale copy.
+    CheckerConfig ccfg;
+    ccfg.fullScanPeriod = 1;
+    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites,
+                   ccfg);
+    rig.write(1, kA, 5);
+    rig.dmaWrite(kA, {9});
+    const Cycle written = rig.checker.oracle().writtenAt(kA);
+    unsigned passed = 0;
+    try {
+        for (unsigned n = 0; n < 64; ++n, ++passed) {
+            const std::uint64_t checks = rig.checker.lineChecks();
+            rig.read(0, kB + 0x40 * n);
+            // One settle check on the fill, one scan check on kA.
+            ASSERT_EQ(rig.checker.lineChecks() - checks, 2u) << n;
+        }
+        FAIL() << "stale copy outlived the race window unnoticed";
+    } catch (const CoherenceViolation &v) {
+        const std::string what = v.what();
+        EXPECT_GT(passed, 0u);
+        EXPECT_GT(rig.sim.now(), written + kRaceWindowCycles);
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
                   std::string::npos) << what;
     }

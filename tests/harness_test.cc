@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -306,7 +305,7 @@ TEST(FastForwardDeterminism, FuzzCorpusWithFaultsAgrees)
 {
     // The fuzz machine (own Simulator, DMA events, fault injection,
     // throwing watchdog) must behave identically with the fast path
-    // forced off via the environment switch the perf lane uses.
+    // forced off, as the perf lane's --no-fast-forward does.
     check::FuzzConfig cfg;
     cfg.seed = 0xFA57;
     cfg.steps = 1200;
@@ -317,9 +316,8 @@ TEST(FastForwardDeterminism, FuzzCorpusWithFaultsAgrees)
     cfg.faults.rates.deviceTimeout = 0.005;
 
     const auto fast = check::runFuzz(cfg);
-    ::setenv("FIREFLY_NO_FASTFORWARD", "1", 1);
+    cfg.onBuilt = [](check::CheckedRig &m) { m.sim.setFastForward(false); };
     const auto slow = check::runFuzz(cfg);
-    ::unsetenv("FIREFLY_NO_FASTFORWARD");
 
     EXPECT_EQ(fast.loadLog, slow.loadLog);
     EXPECT_EQ(fast.cycles, slow.cycles);
