@@ -158,6 +158,7 @@ experiment()
 
     for (const auto &t : transitions) {
         Rig rig(ProtocolKind::Firefly, {"c0", "c1"});
+        rig.sim.setFastForward(!bench::obsOptions().noFastForward);
         t.prepare(rig);
         t.act(rig);
         rig.checker.finalCheck();

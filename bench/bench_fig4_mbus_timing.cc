@@ -3,9 +3,10 @@
  * Experiment F4: regenerate paper Figure 4, "MBus Timing" - the
  * cycle-by-cycle structure of MRead and MWrite operations, plus the
  * resulting 10 MB/s aggregate bandwidth.  The timing lines are the
- * bus's flight-recorder phase instants (mbus/mbus.hh), and the run
- * fails unless they match the figure.  The traced operations run
- * under the coherence checker, which aborts on any violation.
+ * bus's flight-recorder transaction slices, rendered per cycle by
+ * MBusPhaseLog (mbus/mbus.hh), and the run fails unless they match
+ * the figure.  The traced operations run under the coherence
+ * checker, which aborts on any violation.
  */
 
 #include <cstdio>
@@ -24,25 +25,6 @@ namespace
 /** Checks that disagreed with the paper's figure. */
 int failures = 0;
 
-/** Keeps the MBus phase instants and forwards every event to the
- *  sink attached before it, so --trace-out and --debug-flags still
- *  see the traced operations. */
-struct PhaseLog : obs::TraceSink
-{
-    obs::TraceSink *next = obs::traceSink();
-    std::vector<obs::TraceEvent> phases;
-
-    void
-    event(const obs::TraceEvent &ev) override
-    {
-        if (ev.kind == obs::EventKind::Instant && !ev.args.empty() &&
-            ev.args[0].first == "detail")
-            phases.push_back(ev);
-        if (next)
-            next->event(ev);
-    }
-};
-
 /** Two Firefly caches on one bus, under the checker: `a` is cache 0,
  *  the one traced. */
 struct Rig : check::CheckedRig
@@ -50,6 +32,7 @@ struct Rig : check::CheckedRig
     Rig(const char *a_name, const char *b_name)
         : CheckedRig(ProtocolKind::Firefly, {a_name, b_name})
     {
+        sim.setFastForward(!bench::obsOptions().noFastForward);
     }
 
     void
@@ -59,11 +42,11 @@ struct Rig : check::CheckedRig
     }
 
     /** Print the phases of one access by cache `a`, and check that
-     *  they are Figure 4's four, on consecutive cycles. */
-    std::vector<obs::TraceEvent>
+     *  they are Figure 4's four. */
+    std::vector<MBusPhase>
     trace(const char *title, RefType type)
     {
-        PhaseLog log;
+        MBusPhaseLog log;
         {
             obs::ScopedTraceSink attach(&log);
             access(0, type);
@@ -71,18 +54,13 @@ struct Rig : check::CheckedRig
         checker.finalCheck();
         bench::exportStats(bus.stats());
 
-        static const char *const order[] = {"arb+addr", "wdata+probe",
-                                            "mshared", "data"};
         failures += log.phases.size() != 4;
         std::printf("\n%s:\n", title);
-        for (std::size_t i = 0; i < log.phases.size(); ++i) {
-            const obs::TraceEvent &p = log.phases[i];
+        for (const MBusPhase &p : log.phases) {
             std::printf("  cycle %2llu (%3llu ns)  %-12s %s\n",
                         static_cast<unsigned long long>(p.when),
                         static_cast<unsigned long long>(p.when * 100),
-                        p.name.c_str(), p.args[0].second.c_str());
-            failures += i < 4 && (p.name != order[i] ||
-                                  p.when != log.phases[0].when + i);
+                        p.name.c_str(), p.detail.c_str());
         }
         return log.phases;
     }
@@ -104,9 +82,8 @@ experiment()
                       "memory inhibited)",
                       RefType::DataRead);
         failures += phases.size() != 4 ||
-                    phases[2].args[0].second != "MShared asserted" ||
-                    phases[3].args[0].second !=
-                        "cache supplies, memory inhibited";
+                    phases[2].detail != "MShared asserted" ||
+                    phases[3].detail != "cache supplies, memory inhibited";
     }
     {
         Rig rig("initiator", "other");
@@ -120,6 +97,7 @@ experiment()
     bench::rule();
     {
         check::Rig rig(ProtocolKind::Firefly, 0);
+        rig.sim.setFastForward(!bench::obsOptions().noFastForward);
 
         struct Hammer : MBusClient, Clocked
         {

@@ -39,6 +39,7 @@ struct Rig : check::Rig
         : check::Rig(ProtocolKind::Firefly, {"io-cache"}),
           qbus(sim, *caches[0], 16 * 1024 * 1024), mdc(sim, qbus, config())
     {
+        sim.setFastForward(!bench::obsOptions().noFastForward);
         qbus.identityMap();
         mdc.loadBuiltinFont();
         mdc.start();

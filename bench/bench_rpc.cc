@@ -31,6 +31,7 @@ run(unsigned threads, double seconds = 1.0)
 {
     check::Rig rig(ProtocolKind::Firefly, {"io-cache"});
     const auto checker = bench::rigChecker(rig, ProtocolKind::Firefly);
+    rig.sim.setFastForward(!bench::obsOptions().noFastForward);
     QBus qbus(rig.sim, *rig.caches[0], 16 * 1024 * 1024);
     qbus.identityMap();
     EthernetController nic(rig.sim, qbus, "net0");

@@ -23,11 +23,12 @@
  *                        coherence checker (checkedConfig, rigChecker);
  *                        a violation aborts with its diagnostic, and
  *                        the printed numbers do not change
- *   --no-fast-forward    tick every component of every machine built
- *                        from a FireflyConfig (checkedConfig) every
- *                        cycle: the reference path for due-cycle
- *                        gating and idle fast-forward, with identical
- *                        results
+ *   --no-fast-forward    tick every component of every simulated
+ *                        machine every cycle (checkedConfig for a
+ *                        FireflySystem; the rig-built benches turn
+ *                        it off on their check::Rig's Simulator):
+ *                        the reference path for due-cycle gating and
+ *                        idle fast-forward, with identical results
  *
  * Unrecognized arguments are an error (usage + nonzero exit), so a
  * typo like "--trace-out foo", an empty "--stats-json=" or an unknown

@@ -4,14 +4,14 @@
  * operation by bus operation, for a canonical two-processor sharing
  * scenario.  Useful for teaching the Firefly protocol and comparing
  * it with the baselines.  The narration is the bus's flight-recorder
- * phase instants (mbus/mbus.hh), printed as they happen; the
- * coherence checker watches the run and aborts on any violation.
+ * transaction slices, rendered per cycle by MBusPhaseLog
+ * (mbus/mbus.hh); the coherence checker watches the run and aborts
+ * on any violation.
  *
  * Usage: protocol_explorer [firefly|dragon|wti|berkeley|mesi]
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "check/rig.hh"
@@ -22,43 +22,31 @@ using namespace firefly;
 namespace
 {
 
-/** Prints each MBus phase instant as one narration line. */
-struct PhasePrinter : obs::TraceSink
-{
-    unsigned printed = 0;
-
-    void
-    event(const obs::TraceEvent &ev) override
-    {
-        if (ev.kind != obs::EventKind::Instant || ev.args.empty() ||
-            ev.args[0].first != "detail")
-            return;
-        ++printed;
-        std::printf("      [cycle %3llu] %-11s %s\n",
-                    static_cast<unsigned long long>(ev.when),
-                    ev.name.c_str(), ev.args[0].second.c_str());
-    }
-};
-
 /** Two caches on one bus, under the coherence checker. */
 struct Explorer : check::CheckedRig
 {
-    PhasePrinter printer;
-    obs::ScopedTraceSink attach{&printer};
+    MBusPhaseLog log;
+    obs::ScopedTraceSink attach{&log};
 
     explicit Explorer(ProtocolKind kind)
         : CheckedRig(kind, {"cpu0-cache", "cpu1-cache"})
     {
     }
 
+    /** Issue one access and narrate each bus cycle it took. */
     void
     access(unsigned cpu, bool write, Addr addr, Word value)
     {
-        const unsigned before = printer.printed;
+        log.phases.clear();
         CheckedRig::access(
             cpu, {addr, write ? RefType::DataWrite : RefType::DataRead,
                   value});
-        if (printer.printed == before)
+        for (const MBusPhase &p : log.phases) {
+            std::printf("      [cycle %3llu] %-11s %s\n",
+                        static_cast<unsigned long long>(p.when),
+                        p.name.c_str(), p.detail.c_str());
+        }
+        if (log.phases.empty())
             std::printf("      (cache hit, no bus traffic)\n");
     }
 
@@ -77,17 +65,16 @@ int
 main(int argc, char **argv)
 {
     ProtocolKind kind = ProtocolKind::Firefly;
-    if (argc > 1) {
-        const std::string name = argv[1];
-        if (name == "dragon") kind = ProtocolKind::Dragon;
-        else if (name == "wti") kind = ProtocolKind::WriteThroughInvalidate;
-        else if (name == "berkeley") kind = ProtocolKind::Berkeley;
-        else if (name == "mesi") kind = ProtocolKind::Mesi;
-        else if (name != "firefly") {
-            std::fprintf(stderr, "unknown protocol '%s'\n",
-                         name.c_str());
-            return 1;
-        }
+    const std::string name = argc > 1 ? argv[1] : "firefly";
+    if (name == "dragon") kind = ProtocolKind::Dragon;
+    else if (name == "wti") kind = ProtocolKind::WriteThroughInvalidate;
+    else if (name == "berkeley") kind = ProtocolKind::Berkeley;
+    else if (name == "mesi") kind = ProtocolKind::Mesi;
+    if (argc > 2 || (kind == ProtocolKind::Firefly && name != "firefly")) {
+        std::fprintf(stderr,
+                     "usage: %s [firefly|dragon|wti|berkeley|mesi]\n",
+                     argv[0]);
+        return 2;
     }
 
     Explorer ex(kind);

@@ -26,7 +26,8 @@
 # coherence checker on; see DESIGN.md section 10.  The perf variant
 # guards the host-performance work (DESIGN.md section 11): it proves
 # idle fast-forward changes nothing observable (byte-identical stats
-# exports with --no-fast-forward), that the idle-heavy
+# exports, and for the rig-built Figure 4 and MDC benches stdout too,
+# with --no-fast-forward), that the idle-heavy
 # speedup is still there, that the deterministic work counters (tick
 # calls per cycle, snoop probes per transaction, events scheduled per
 # cycle, cycles stepped rather than skipped per cycle, and lines the
@@ -136,6 +137,22 @@ if [ "$sanitize" = perf ]; then
         echo "bench_io_dma stats diverge with fast-forward off" >&2
         exit 1
     }
+    # The rig-built benches turn it off on their check::Rig too.
+    for bench in bench_fig4_mbus_timing bench_mdc_display; do
+        for mode in fast slow; do
+            flag=
+            [ "$mode" = slow ] && flag=--no-fast-forward
+            "$builddir/bench/$bench" $flag \
+                --stats-json="$perfdir/$bench.$mode.json" \
+                > "$perfdir/$bench.$mode.out"
+        done
+        for ext in out json; do
+            cmp "$perfdir/$bench.fast.$ext" "$perfdir/$bench.slow.$ext" || {
+                echo "$bench $ext diverges with fast-forward off" >&2
+                exit 1
+            }
+        done
+    done
 
     # 2. The point of the machinery: a real measurement run, checked
     #    for the idle-heavy speedup and (leniently - hosts vary) for
@@ -256,7 +273,7 @@ if [ -z "$sanitize" ]; then
 fi
 
 # Flight-recorder smoke test: the observed bench run must produce a
-# parseable trace with the MBus phase instants and a stats export
+# parseable trace with the MBus transaction slices and a stats export
 # (obs_test covers the details; this checks the command-line plumbing
 # in a real binary), and a debug flag that names no trace category
 # must be a usage error.
@@ -274,9 +291,14 @@ d = sys.argv[1]
 trace = json.load(open(f"{d}/trace.json"))
 cats = {r.get("cat") for r in trace if r["ph"] != "M"}
 assert {"MBus", "Cache", "Cpu", "Sched"} <= cats, cats
-# The bus phases of paper Figure 4 are flight-recorder instants.
-assert any(r["ph"] == "i" and r.get("cat") == "MBus" and
-           r["name"] == "wdata+probe" for r in trace), "no MBus phases"
+# Each bus transaction is one MBus slice whose args say what paper
+# Figure 4's phases did.
+assert any(r["ph"] == "B" and r.get("cat") == "MBus" and
+           {"addr", "kind", "by", "words", "wait"} <= r["args"].keys()
+           for r in trace), "no MBus transaction slices"
+assert any(r["ph"] == "E" and r.get("cat") == "MBus" and
+           {"mshared", "supplied"} <= r.get("args", {}).keys()
+           for r in trace), "no MBus slice ends with probe results"
 stats = json.load(open(f"{d}/stats.json"))
 assert stats["name"] == "system"
 EOF

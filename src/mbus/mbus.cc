@@ -1,5 +1,7 @@
 #include "mbus/mbus.hh"
 
+#include <cstring>
+
 #include "fault/fault_injector.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -200,27 +202,24 @@ MBus::tick(Cycle now)
                 continue;
             active = pending[i]->txn;
             activeAttempt = pending[i]->attempt;
-            arbWaitHist.sample(
-                static_cast<double>(now - pending[i]->requested));
+            const Cycle requested = pending[i]->requested;
+            arbWaitHist.sample(static_cast<double>(now - requested));
             pending[i].reset();
             phaseCycle = 0;
             suppliers.clear();
             ++busyCycleCount;
             sim.noteProgress();
             if (auto *ts = obs::traceSink()) {
-                // The whole transaction renders as one slice on the
-                // bus track, grant (address cycle) to completion.
-                const std::string op =
-                    std::string(toString(active->type)) + " " +
-                    obs::hexAddr(active->addr);
-                const std::string by = active->initiator->busClientName();
-                ts->begin(now, obs::kCatMBus, statGroup.name(), op,
-                          {{"kind", toString(active->kind)}, {"by", by}});
-                ts->instant(now, obs::kCatMBus, statGroup.name(),
-                            "arb+addr",
-                            {{"detail", op + " (" +
-                                            toString(active->kind) +
-                                            ") by " + by}});
+                // The whole transaction is one slice on the bus
+                // track, grant (address cycle) to completion, named
+                // for its operation.
+                ts->begin(now, obs::kCatMBus, statGroup.name(),
+                          toString(active->type),
+                          {{"addr", obs::hexAddr(active->addr)},
+                           {"kind", toString(active->kind)},
+                           {"by", active->initiator->busClientName()},
+                           {"words", std::to_string(active->words)},
+                           {"wait", std::to_string(now - requested)}});
             }
             return;
         }
@@ -232,29 +231,13 @@ MBus::tick(Cycle now)
     ++phaseCycle;
     sim.noteProgress();
 
+    // Phase 2, the MShared cycle, has no work: the probe already
+    // gathered the wired-OR.
     if (phaseCycle == 1) {
         if (active->type == MBusOpType::MWrite)
             active->initiator->refreshWriteData(*active);
         probePhase();
-        if (auto *ts = obs::traceSink()) {
-            ts->instant(now, obs::kCatMBus, statGroup.name(),
-                        "wdata+probe",
-                        {{"detail", active->type == MBusOpType::MWrite
-                                        ? "write data driven"
-                                        : "tag probe"}});
-        }
-    } else if (phaseCycle == 2) {
-        if (auto *ts = obs::traceSink()) {
-            ts->instant(now, obs::kCatMBus, statGroup.name(), "mshared",
-                        {{"detail", active->mshared ? "MShared asserted"
-                                                    : "MShared clear"}});
-            if (active->mshared) {
-                ts->instant(now, obs::kCatMBus, statGroup.name(),
-                            "MShared",
-                            {{"addr", obs::hexAddr(active->addr)}});
-            }
-        }
-    } else {
+    } else if (phaseCycle >= 3) {
         const unsigned burst = phaseCycle - 3;
         if (burst == 0 && injector &&
             injector->faultPlan().busParityError()) {
@@ -266,12 +249,6 @@ MBus::tick(Cycle now)
             return;
         }
         dataPhase(burst);
-        if (auto *ts = obs::traceSink()) {
-            ts->instant(now, obs::kCatMBus, statGroup.name(), "data",
-                        {{"detail", active->suppliedByCache
-                                        ? "cache supplies, memory inhibited"
-                                        : "memory drives/captures"}});
-        }
         if (burst + 1 == active->words) {
             completeTransaction();
             setDue(idleDue(now + 1));
@@ -325,12 +302,12 @@ MBus::dataPhase(unsigned burst_index)
                 }
             }
             txn.data[burst_index] = value;
-            // The memory always captures a cache supply.  For the
-            // Firefly protocol a dirty supplier relies on this to
-            // become clean-shared; for clean sharers it is a no-op.
-            // Protocols that keep ownership (Berkeley, Dragon) set
-            // updatesMemory=false on their fills... but fills are
-            // reads; they signal capture policy via txn.updatesMemory.
+            // The initiator sets txn.updatesMemory from
+            // ProtocolTable::fillsUpdateMemory: memory captures a
+            // cache supply only under a protocol whose shared copies
+            // are always clean (Firefly: a dirty supplier becomes
+            // clean-shared).  Protocols that keep an owner (Berkeley,
+            // Dragon) leave memory stale.
             if (txn.updatesMemory)
                 memory.write(addr, value);
         } else {
@@ -417,12 +394,9 @@ MBus::completeTransaction()
     }
 
     if (auto *ts = obs::traceSink()) {
-        ts->end(sim.now(), obs::kCatMBus, statGroup.name());
-        if (txn.suppliedByCache) {
-            ts->instant(sim.now(), obs::kCatMBus, statGroup.name(),
-                        "cache-supplied",
-                        {{"addr", obs::hexAddr(txn.addr)}});
-        }
+        ts->end(sim.now(), obs::kCatMBus, statGroup.name(),
+                {{"mshared", txn.mshared ? "1" : "0"},
+                 {"supplied", txn.suppliedByCache ? "1" : "0"}});
     }
 
     ++opCount[static_cast<int>(txn.type)];
@@ -446,6 +420,37 @@ MBus::completeTransaction()
 
     for (const auto &observer : settleObservers)
         observer(txn);
+}
+
+void
+MBusPhaseLog::event(const obs::TraceEvent &ev)
+{
+    if (next)
+        next->event(ev);
+    if (std::strcmp(ev.category, obs::kCatMBus) != 0)
+        return;
+    if (ev.kind == obs::EventKind::Begin)
+        open = ev;
+    // A slice a parity NACK cut short ends without args.
+    if (ev.kind != obs::EventKind::End || ev.args.empty())
+        return;
+
+    const Cycle grant = open.when;
+    phases.push_back({grant, "arb+addr",
+                      open.name + " " + open.arg("addr") + " (" +
+                          open.arg("kind") + ") by " + open.arg("by")});
+    phases.push_back({grant + 1, "wdata+probe",
+                      open.name == toString(MBusOpType::MWrite)
+                          ? "write data driven"
+                          : "tag probe"});
+    phases.push_back({grant + 2, "mshared",
+                      ev.arg("mshared") == "1" ? "MShared asserted"
+                                               : "MShared clear"});
+    const char *data = ev.arg("supplied") == "1"
+                           ? "cache supplies, memory inhibited"
+                           : "memory drives/captures";
+    for (Cycle cycle = grant + 3; cycle <= ev.when; ++cycle)
+        phases.push_back({cycle, "data", data});
 }
 
 double

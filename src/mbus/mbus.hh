@@ -13,11 +13,13 @@
  *            inhibited (but captures a dirty supply, keeping memory
  *            consistent with clean-shared copies)
  *
- * With a flight-recorder sink attached (obs/trace.hh) every busy bus
- * cycle emits one MBus instant on the bus track, named for its phase:
- * "arb+addr", "wdata+probe", "mshared", "data" (once per burst word)
- * or "parity" (a data cycle NACKed by an injected fault).  Its one
- * arg, "detail", is the text Figure 4 prints for that cycle.
+ * With a flight-recorder sink attached (obs/trace.hh) each granted
+ * transaction is one MBus slice, named for its operation, from grant
+ * to last data cycle: its begin args say what was asked for ("addr",
+ * "kind", "by", "words", the arbitration "wait"), its end args what
+ * the probe found ("mshared", "supplied").  A parity-NACKed attempt
+ * ends after a "parity" instant, with no args.  MBusPhaseLog renders
+ * the slices as Figure 4's per-cycle lines.
  *
  * One transfer completes every 400 ns, i.e. 10 MB/s peak with 4-byte
  * transfers.  Arbitration is fixed priority (the paper notes this
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "mem/main_memory.hh"
+#include "obs/trace.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -328,6 +331,36 @@ class MBus : public Clocked
     Counter msharedCount;
     Counter cacheSupplyCount;
     Histogram arbWaitHist;
+};
+
+/** One line of Figure 4: a bus cycle and what the bus did in it. */
+struct MBusPhase
+{
+    Cycle when = 0;
+    std::string name;    ///< "arb+addr", "wdata+probe", "mshared", "data"
+    std::string detail;  ///< the text Figure 4 prints for the cycle
+
+    bool operator==(const MBusPhase &) const = default;
+};
+
+/**
+ * The one place the phase layout lives: a sink that renders each
+ * completed MBus slice as Figure 4's lines (arb+addr at the grant
+ * cycle g, wdata+probe at g+1, mshared at g+2, one data line per
+ * cycle from g+3 to the slice's end) and forwards every event to the
+ * sink attached before it.  A slice a parity NACK cut short renders
+ * as no lines; its retry is a slice of its own.
+ */
+class MBusPhaseLog : public obs::TraceSink
+{
+  public:
+    std::vector<MBusPhase> phases;
+
+    void event(const obs::TraceEvent &ev) override;
+
+  private:
+    obs::TraceSink *next = obs::traceSink();
+    obs::TraceEvent open;  ///< begin of the slice in flight
 };
 
 } // namespace firefly

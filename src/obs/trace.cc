@@ -17,10 +17,10 @@ TraceSink::begin(Cycle when, const char *category, std::string track,
 
 void
 TraceSink::end(Cycle when, const char *category, std::string track,
-               std::string name)
+               TraceEvent::Args args)
 {
-    event({when, EventKind::End, category, std::move(track),
-           std::move(name), {}});
+    event({when, EventKind::End, category, std::move(track), {},
+           std::move(args)});
 }
 
 void

@@ -7,7 +7,8 @@
  * emission sites are written as
  *
  *     if (auto *ts = obs::traceSink())
- *         ts->instant(sim.now(), obs::kCatMBus, "mbus", "MShared");
+ *         ts->instant(sim.now(), obs::kCatMBus, "mbus", "request",
+ *                     {{"by", txn.initiator->busClientName()}});
  *
  * so that with no sink attached the whole site compiles to a single
  * inlined null-check and none of the event's strings are ever built.
@@ -79,6 +80,17 @@ struct TraceEvent
     std::string track;           ///< one timeline per component
     std::string name;            ///< what happened
     Args args;                   ///< key/value detail
+
+    /** The value of arg `key`, or "" if the event has none. */
+    std::string
+    arg(const std::string &key) const
+    {
+        for (const auto &[k, value] : args) {
+            if (k == key)
+                return value;
+        }
+        return {};
+    }
 };
 
 /** Where events go.  Implementations must not mutate simulator state. */
@@ -94,7 +106,7 @@ class TraceSink
     void begin(Cycle when, const char *category, std::string track,
                std::string name, TraceEvent::Args args = {});
     void end(Cycle when, const char *category, std::string track,
-             std::string name = {});
+             TraceEvent::Args args = {});
     void instant(Cycle when, const char *category, std::string track,
                  std::string name, TraceEvent::Args args = {});
 };

@@ -222,19 +222,8 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
     rig.read(2, kB);  // nobody else holds B: no probe at all
     EXPECT_EQ(rig.bus.snoopCalls(), 0u);
 
-    struct ProbeLog : obs::TraceSink
-    {
-        std::vector<Cycle> probes;
-        void
-        event(const obs::TraceEvent &ev) override
-        {
-            if (ev.kind == obs::EventKind::Instant &&
-                ev.name == "wdata+probe")
-                probes.push_back(ev.when);
-        }
-    } probe_log;
-    obs::ScopedTraceSink attach(&probe_log);
-    const std::vector<Cycle> &probes = probe_log.probes;
+    MBusPhaseLog log;
+    obs::ScopedTraceSink attach(&log);
     // The bystander's processor re-reads its own line every cycle
     // while cache 1 misses on A, which only cache 0 holds.
     struct Poker : Clocked
@@ -253,6 +242,11 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
     rig.sim.addClocked(&poker, Phase::Cpu);
     rig.read(1, kA);
 
+    std::vector<Cycle> probes;
+    for (const MBusPhase &phase : log.phases) {
+        if (phase.name == "wdata+probe")
+            probes.push_back(phase.when);
+    }
     EXPECT_EQ(rig.bus.snoopCalls(), 1u);  // cache 0 only
     ASSERT_EQ(probes.size(), 1u);
     ASSERT_FALSE(poker.log.empty());

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fault/fault_injector.hh"
 #include "mbus/interrupts.hh"
 #include "mbus/mbus.hh"
 #include "mem/main_memory.hh"
@@ -65,6 +68,26 @@ struct FakeClient : MBusClient
         lastDone = txn;
         if (sim)
             doneCycle = sim->now();
+    }
+};
+
+/** Keeps every flight-recorder event. */
+struct EventLog : obs::TraceSink
+{
+    std::vector<obs::TraceEvent> events;
+
+    void event(const obs::TraceEvent &ev) override { events.push_back(ev); }
+
+    /** The MBus slice begins or ends, in order. */
+    std::vector<obs::TraceEvent>
+    slices(obs::EventKind kind) const
+    {
+        std::vector<obs::TraceEvent> out;
+        for (const auto &ev : events) {
+            if (ev.kind == kind)
+                out.push_back(ev);
+        }
+        return out;
     }
 };
 
@@ -305,26 +328,106 @@ TEST(MBusDeathTest, DoubleRequestPanics)
 
 TEST(MBus, FlightRecorderSeesFourPhases)
 {
-    // Each cycle of a transaction is one MBus phase instant whose
-    // "detail" arg is the text Figure 4 prints.
-    struct PhaseLog : obs::TraceSink
-    {
-        std::vector<std::pair<Cycle, std::string>> phases;
-        void
-        event(const obs::TraceEvent &ev) override
-        {
-            if (ev.kind == obs::EventKind::Instant &&
-                ev.args.size() == 1 && ev.args[0].first == "detail")
-                phases.emplace_back(ev.when, ev.name);
-        }
-    } log;
+    // Each transaction is one slice; MBusPhaseLog renders it as the
+    // lines Figure 4 prints, one per bus cycle.
+    MBusPhaseLog log;
     obs::ScopedTraceSink attach(&log);
     BusRig rig;
     rig.bus.request(rig.makeRead(rig.a, 0x100));
     rig.sim.run(4);
-    const std::vector<std::pair<Cycle, std::string>> expected = {
-        {0, "arb+addr"}, {1, "wdata+probe"}, {2, "mshared"}, {3, "data"}};
+    const std::vector<MBusPhase> expected = {
+        {0, "arb+addr", "MRead 0x100 (fill) by a"},
+        {1, "wdata+probe", "tag probe"},
+        {2, "mshared", "MShared clear"},
+        {3, "data", "memory drives/captures"}};
     EXPECT_EQ(log.phases, expected);
+}
+
+TEST(MBus, BurstRendersOneDataLinePerWord)
+{
+    // The line-size ablation's 4-word burst: data at grant+3..grant+6.
+    EventLog events;
+    obs::ScopedTraceSink record(&events);
+    MBusPhaseLog log;
+    obs::ScopedTraceSink attach(&log);
+    BusRig rig;
+    rig.b.assertShared = rig.b.supply = true;
+    MBusTransaction txn = rig.makeRead(rig.a, 0x100);
+    txn.words = 4;
+    rig.bus.request(txn);
+    rig.sim.run(7);
+    EXPECT_EQ(rig.a.doneCycle, 6u);
+
+    const std::vector<MBusPhase> expected = {
+        {0, "arb+addr", "MRead 0x100 (fill) by a"},
+        {1, "wdata+probe", "tag probe"},
+        {2, "mshared", "MShared asserted"},
+        {3, "data", "cache supplies, memory inhibited"},
+        {4, "data", "cache supplies, memory inhibited"},
+        {5, "data", "cache supplies, memory inhibited"},
+        {6, "data", "cache supplies, memory inhibited"}};
+    EXPECT_EQ(log.phases, expected);
+    const auto begins = events.slices(obs::EventKind::Begin);
+    ASSERT_EQ(begins.size(), 1u);
+    EXPECT_EQ(begins[0].arg("words"), "4");
+    EXPECT_EQ(begins[0].arg("wait"), "0");
+    const auto ends = events.slices(obs::EventKind::End);
+    ASSERT_EQ(ends.size(), 1u);
+    EXPECT_EQ(ends[0].when, 6u);
+    EXPECT_EQ(ends[0].arg("mshared"), "1");
+    EXPECT_EQ(ends[0].arg("supplied"), "1");
+}
+
+TEST(MBus, ParityNackedAttemptIsNoTransaction)
+{
+    // A plan whose first parity draw fires and whose second does not:
+    // the first attempt is NACKed, the retry completes.
+    fault::FaultConfig cfg;
+    cfg.rates.busParity = 0.5;
+    for (;; ++cfg.seed) {
+        fault::FaultPlan plan(cfg.seed, cfg.rates);
+        if (plan.busParityError() && !plan.busParityError())
+            break;
+    }
+    fault::FaultInjector injector(cfg);
+
+    EventLog events;
+    obs::ScopedTraceSink record(&events);
+    MBusPhaseLog log;
+    obs::ScopedTraceSink attach(&log);
+    BusRig rig;
+    rig.bus.setFaultInjector(&injector);
+    rig.bus.request(rig.makeRead(rig.a, 0x100));
+    rig.sim.run(20);
+    ASSERT_EQ(rig.a.doneCount, 1);
+    EXPECT_EQ(injector.parityErrors.value(), 1u);
+
+    // The NACKed attempt ends its slice with the parity instant and
+    // no args; its retry is a slice of its own.
+    const auto begins = events.slices(obs::EventKind::Begin);
+    const auto ends = events.slices(obs::EventKind::End);
+    ASSERT_EQ(begins.size(), 2u);
+    ASSERT_EQ(ends.size(), 2u);
+    EXPECT_EQ(ends[0].when, 3u);
+    EXPECT_TRUE(ends[0].args.empty());
+    const auto nacked_end =
+        std::find_if(events.events.begin(), events.events.end(),
+                     [](const obs::TraceEvent &ev) {
+                         return ev.kind == obs::EventKind::End;
+                     });
+    ASSERT_NE(nacked_end, events.events.begin());
+    EXPECT_EQ(std::prev(nacked_end)->name, "parity");
+    EXPECT_EQ(std::prev(nacked_end)->when, 3u);
+
+    // Only the retry renders, at its own grant cycle.
+    const Cycle grant = begins[1].when;
+    EXPECT_GT(grant, 3u);
+    EXPECT_EQ(ends[1].when, grant + 3);
+    ASSERT_EQ(log.phases.size(), 4u);
+    EXPECT_EQ(log.phases[0].when, grant);
+    EXPECT_EQ(log.phases[0].name, "arb+addr");
+    EXPECT_EQ(log.phases[3].when, grant + 3);
+    EXPECT_EQ(log.phases[3].name, "data");
 }
 
 TEST(Interrupts, DirectedDelivery)

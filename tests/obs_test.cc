@@ -452,6 +452,42 @@ TEST(ChromeTrace, CoversTheSubsystems)
     }
 }
 
+TEST(ChromeTrace, MBusSlicesCarryTheTransaction)
+{
+    // One slice per bus transaction, named for its operation: the
+    // begin says what was asked for, the end what the probe found.  Between slices the bus
+    // emits only its request instants.
+    const Json root = parseJson(tracedRun());
+    int begins = 0, ends = 0;
+    for (const Json &rec : root.array) {
+        const std::string &ph = rec.at("ph").string;
+        if (ph == "M" || rec.at("cat").string != "MBus")
+            continue;
+        if (ph == "i") {
+            EXPECT_EQ(rec.at("name").string, "request");
+            continue;
+        }
+        ASSERT_TRUE(rec.has("args"));
+        const Json &args = rec.at("args");
+        if (ph == "B") {
+            ++begins;
+            const std::string &op = rec.at("name").string;
+            EXPECT_TRUE(op == "MRead" || op == "MWrite" ||
+                        op == "MReadOwned" || op == "MInvalidate")
+                << op;
+            for (const char *key :
+                 {"addr", "kind", "by", "words", "wait"})
+                ASSERT_TRUE(args.has(key)) << key;
+        } else {
+            ++ends;
+            ASSERT_TRUE(args.has("mshared"));
+            ASSERT_TRUE(args.has("supplied"));
+        }
+    }
+    EXPECT_GT(begins, 0);
+    EXPECT_EQ(begins, ends);
+}
+
 TEST(ChromeTrace, NondecreasingTimestampsPerTrack)
 {
     const Json root = parseJson(tracedRun());
