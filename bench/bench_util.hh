@@ -47,7 +47,6 @@
 #define FIREFLY_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -62,6 +61,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/rig.hh"
@@ -108,58 +108,20 @@ namespace detail
 {
 
 /**
- * Deterministic --stats-json arbitration.  "Last export wins" is
- * only well defined when the export order is; under --jobs N the
- * completion order is whatever the scheduler produced.  So every
- * export carries a sequence number equal to its position in the
- * *serial* execution order - plain exports draw from a global
- * counter, sweep points are pre-assigned base+index by runSweep() -
- * and the highest sequence seen is buffered and written out once at
- * the end of runBenchMain().  jobs=1 and jobs=N therefore produce
- * byte-identical files.
+ * This thread's last exportStats() JSON.  A sweep point hands its
+ * thread's slot back with its result, and runSweep() folds the slots
+ * into the calling thread's in input order, so the slot
+ * runBenchMain() writes out holds the last export in serial order
+ * however many threads ran the sweeps.
  */
-inline std::atomic<std::uint64_t> exportSeqCounter{0};
-inline thread_local std::uint64_t pinnedExportSeq = 0;
-inline thread_local bool exportSeqPinned = false;
-
-struct ExportBuffer
-{
-    std::mutex mutex;
-    bool pending = false;        // guarded by mutex
-    std::uint64_t seq = 0;       // guarded by mutex
-    std::string json;            // guarded by mutex
-};
-
-inline ExportBuffer &
-exportBuffer()
-{
-    static ExportBuffer buffer;
-    return buffer;
-}
-
-/** Pins this thread's export sequence for one sweep point. */
-class ScopedExportSeq
-{
-  public:
-    explicit ScopedExportSeq(std::uint64_t seq)
-    {
-        pinnedExportSeq = seq;
-        exportSeqPinned = true;
-    }
-
-    ~ScopedExportSeq() { exportSeqPinned = false; }
-
-    ScopedExportSeq(const ScopedExportSeq &) = delete;
-    ScopedExportSeq &operator=(const ScopedExportSeq &) = delete;
-};
+inline thread_local std::optional<std::string> exportedJson;
 
 /** Write the winning export to the --stats-json file, if any. */
 inline void
 flushExportedStats()
 {
-    ExportBuffer &buffer = exportBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    if (!buffer.pending)
+    const auto json = std::exchange(exportedJson, std::nullopt);
+    if (!json)
         return;
     const std::string &path = obsOptions().statsJsonPath;
     std::ofstream os(path);
@@ -168,7 +130,7 @@ flushExportedStats()
                      path.c_str());
         return;
     }
-    os << buffer.json;
+    os << *json;
 }
 
 } // namespace detail
@@ -178,7 +140,7 @@ flushExportedStats()
  * when the option was not given.  Benches call this on the system
  * whose numbers headline the experiment; if several systems are
  * simulated the one last in serial execution order lands in the file
- * (see detail::ExportBuffer), written when runBenchMain() finishes.
+ * (see detail::exportedJson), written when runBenchMain() finishes.
  */
 inline void
 exportStats(const StatGroup &root)
@@ -187,17 +149,7 @@ exportStats(const StatGroup &root)
         return;
     std::ostringstream os;
     root.dumpJson(os);
-    const std::uint64_t seq = detail::exportSeqPinned
-        ? detail::pinnedExportSeq
-        : detail::exportSeqCounter.fetch_add(1);
-
-    detail::ExportBuffer &buffer = detail::exportBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    if (!buffer.pending || seq >= buffer.seq) {
-        buffer.pending = true;
-        buffer.seq = seq;
-        buffer.json = os.str();
-    }
+    detail::exportedJson = os.str();
 }
 
 /**
@@ -224,23 +176,34 @@ effectiveJobs()
 
 /**
  * Run a sweep of independent experiment points, --jobs at a time,
- * results in input order (harness::runSweep).  Also pre-assigns each
- * point's exportStats() sequence number so the headline stats file
- * is independent of --jobs.
+ * results in input order (harness::runSweep).  Each point hands back
+ * the export it made, if any, on the thread that ran it; folding
+ * them in input order onto this thread's export makes the headline
+ * stats file independent of --jobs.
  */
 template <typename Config, typename Fn>
 auto
 runSweep(const std::vector<Config> &configs, Fn fn)
 {
-    const std::uint64_t base =
-        detail::exportSeqCounter.fetch_add(configs.size());
-    return harness::runSweep(
+    auto last = std::exchange(detail::exportedJson, std::nullopt);
+    auto points = harness::runSweep(
         configs,
-        [&](const Config &config, std::size_t index) {
-            detail::ScopedExportSeq seq(base + index);
-            return harness::detail::invokePoint(fn, config, index);
+        [&fn](const Config &config) {
+            auto result = fn(config);
+            return std::pair(std::move(result),
+                             std::exchange(detail::exportedJson,
+                                           std::nullopt));
         },
         effectiveJobs());
+    std::vector<decltype(fn(configs[0]))> results;
+    results.reserve(points.size());
+    for (auto &[result, json] : points) {
+        if (json)
+            last = std::move(json);
+        results.push_back(std::move(result));
+    }
+    detail::exportedJson = std::move(last);
+    return results;
 }
 
 /**

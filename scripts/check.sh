@@ -241,10 +241,13 @@ if [ "$sanitize" = thread ]; then
     (cd "$builddir" && ctest --output-on-failure -j "$(nproc)" -L tsan)
     # A parallel sweep in a real bench binary must run race-free and
     # produce the same stats file as the serial loop - for the cache
-    # sweep and for Table 2's two Topaz machines.
+    # sweep, for Table 2's two Topaz machines, and for the CVAX
+    # upgrade's two sweeps, whose export is the second one's last
+    # point.
     tsandir="$(mktemp -d)"
     trap 'rm -rf "$tsandir"' EXIT
-    for bench in bench_line_size bench_table2_measured; do
+    for bench in bench_line_size bench_table2_measured \
+            bench_cvax_upgrade; do
         "$builddir/bench/$bench" --jobs=1 \
             --stats-json="$tsandir/$bench.serial.json" > /dev/null
         "$builddir/bench/$bench" --jobs=4 \

@@ -79,7 +79,6 @@ class FireflySystem
     unsigned processorCount() const { return caches.size(); }
     Cache &cache(unsigned i) { return *caches.at(i); }
     TraceCpu &cpu(unsigned i) { return *cpus.at(i); }
-    bool hasCpus() const { return !cpus.empty(); }
     /** The primary processor's cache: the DMA path into the machine. */
     Cache &ioCache() { return *caches.at(0); }
     OnChipCache *onChip(unsigned i) { return onchips.at(i).get(); }

@@ -5,9 +5,9 @@
  * Every design-space experiment in bench/ is a loop over independent
  * configurations - protocol x NP x sharing fraction, line sizes,
  * scheduler policies - each point building and running its own
- * FireflySystem.  runSweep() executes those points on a WorkerPool
- * and returns the results *in input order*, whatever order the
- * scheduler ran them in.
+ * FireflySystem.  runSweep() runs those points on plain threads that
+ * claim point indices from one atomic counter, and returns the
+ * results *in input order*, whatever order the threads ran them in.
  *
  * The determinism contract: a sweep's results depend only on each
  * point's configuration, never on execution order or the number of
@@ -19,40 +19,23 @@
  * the plain serial loop on the calling thread, byte-identical to the
  * pre-harness behaviour.
  *
- * Exceptions thrown by a point's callback are captured on the worker
- * and rethrown on the calling thread after the sweep drains, lowest
- * point index first (again: independent of scheduling).
+ * Exceptions thrown by a point's callback are captured on its thread
+ * and rethrown on the calling thread after every thread has joined,
+ * lowest point index first (again: independent of scheduling).
  */
 
 #ifndef FIREFLY_HARNESS_SWEEP_HH
 #define FIREFLY_HARNESS_SWEEP_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
-#include <type_traits>
+#include <thread>
 #include <vector>
-
-#include "harness/worker_pool.hh"
 
 namespace firefly::harness
 {
-
-namespace detail
-{
-
-/** Call fn(config, index) if it takes the index, else fn(config). */
-template <typename Fn, typename Config>
-auto
-invokePoint(Fn &fn, const Config &config, std::size_t index)
-{
-    if constexpr (std::is_invocable_v<Fn &, const Config &, std::size_t>)
-        return fn(config, index);
-    else
-        return fn(config);
-}
-
-} // namespace detail
 
 /**
  * Derive a sweep point's seed from its configuration.
@@ -79,40 +62,41 @@ pointSeed(std::uint64_t base, std::uint64_t salt, Salts... rest)
 }
 
 /**
- * Run fn over every config, `jobs` at a time, returning the results
- * in input order.  fn is invoked as fn(config) or, if it accepts
- * one, fn(config, index).  The result type must be default
- * constructible (sweep results are plain aggregates of measurements).
+ * Run fn(config) over every config on min(jobs, configs) threads,
+ * returning the results in input order.  The result type must be
+ * default constructible (sweep results are plain aggregates of
+ * measurements).
  */
 template <typename Config, typename Fn>
 auto
 runSweep(const std::vector<Config> &configs, Fn fn, unsigned jobs = 1)
-    -> std::vector<decltype(detail::invokePoint(fn, configs[0], 0))>
+    -> std::vector<decltype(fn(configs[0]))>
 {
-    using Result = decltype(detail::invokePoint(fn, configs[0], 0));
-    std::vector<Result> results(configs.size());
+    std::vector<decltype(fn(configs[0]))> results(configs.size());
 
     if (jobs <= 1 || configs.size() <= 1) {
         for (std::size_t i = 0; i < configs.size(); ++i)
-            results[i] = detail::invokePoint(fn, configs[i], i);
+            results[i] = fn(configs[i]);
         return results;
     }
 
     std::vector<std::exception_ptr> errors(configs.size());
-    {
-        WorkerPool pool(std::min<std::size_t>(jobs, configs.size()));
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            pool.submit([&, i] {
-                try {
-                    results[i] =
-                        detail::invokePoint(fn, configs[i], i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t i = next++; i < configs.size(); i = next++) {
+            try {
+                results[i] = fn(configs[i]);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-        pool.wait();
-    }
+    };
+    std::vector<std::thread> threads(
+        std::min<std::size_t>(jobs, configs.size()));
+    for (auto &thread : threads)
+        thread = std::thread(work);
+    for (auto &thread : threads)
+        thread.join();
     for (auto &error : errors) {
         if (error)
             std::rethrow_exception(error);

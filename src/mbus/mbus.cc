@@ -137,13 +137,6 @@ MBus::request(const MBusTransaction &txn)
             // come, else at the next one.
             if (dueCycle() > sim.now())
                 setDue(sim.now());
-            if (auto *ts = obs::traceSink()) {
-                ts->instant(sim.now(), obs::kCatMBus,
-                            statGroup.name(), "request",
-                            {{"op", toString(txn.type)},
-                             {"addr", obs::hexAddr(txn.addr)},
-                             {"by", txn.initiator->busClientName()}});
-            }
             return;
         }
     }
@@ -333,8 +326,6 @@ MBus::parityAbort(Cycle now)
     ++injector->parityErrors;
     const unsigned attempt = activeAttempt + 1;
     if (auto *ts = obs::traceSink()) {
-        ts->instant(now, obs::kCatMBus, statGroup.name(), "parity",
-                    {{"detail", "data parity error, transaction NACKed"}});
         ts->end(now, obs::kCatMBus, statGroup.name());
         ts->instant(now, obs::kCatFault, statGroup.name(),
                     "parity-nack",

@@ -18,8 +18,10 @@
  * to last data cycle: its begin args say what was asked for ("addr",
  * "kind", "by", "words", the arbitration "wait"), its end args what
  * the probe found ("mshared", "supplied").  A parity-NACKed attempt
- * ends after a "parity" instant, with no args.  MBusPhaseLog renders
- * the slices as Figure 4's per-cycle lines.
+ * ends with no args, followed by the Fault category's "parity-nack"
+ * instant.  The slices are all the bus emits: a request's cycle is
+ * its slice's begin less its "wait".  MBusPhaseLog renders the
+ * slices as Figure 4's per-cycle lines.
  *
  * One transfer completes every 400 ns, i.e. 10 MB/s peak with 4-byte
  * transfers.  Arbitration is fixed priority (the paper notes this

@@ -7,7 +7,7 @@
  * emission sites are written as
  *
  *     if (auto *ts = obs::traceSink())
- *         ts->instant(sim.now(), obs::kCatMBus, "mbus", "request",
+ *         ts->instant(now, obs::kCatFault, "mbus", "parity-nack",
  *                     {{"by", txn.initiator->busClientName()}});
  *
  * so that with no sink attached the whole site compiles to a single

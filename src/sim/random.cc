@@ -1,7 +1,5 @@
 #include "sim/random.hh"
 
-#include <cmath>
-
 #include "sim/logging.hh"
 
 namespace firefly
@@ -67,18 +65,6 @@ Rng::uniform()
 {
     // 53 high bits -> double in [0, 1).
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::geometric(double p)
-{
-    if (p <= 0.0 || p > 1.0)
-        panic("Rng::geometric needs p in (0, 1]");
-    if (p == 1.0)
-        return 1;
-    const double u = uniform();
-    const double n = std::ceil(std::log1p(-u) / std::log1p(-p));
-    return n < 1.0 ? 1 : static_cast<std::uint64_t>(n);
 }
 
 } // namespace firefly

@@ -86,9 +86,6 @@ class Rng
         return (next() >> 11) < threshold;
     }
 
-    /** Geometrically distributed count >= 1 with mean 1/p. */
-    std::uint64_t geometric(double p);
-
   private:
     static constexpr std::uint64_t kChanceOne = std::uint64_t{1} << 53;
 

@@ -137,16 +137,9 @@ Simulator::run(Cycle cycles)
 void
 Simulator::runUntil(Cycle when)
 {
-    // The stop request is consumed only when it is observed here, so
-    // one issued between run() calls stops the next run instead of
-    // being silently cleared on entry.
     while (_now < when) {
-        if (stopRequested) {
-            stopRequested = false;
-            break;
-        }
         stepOneCycle();
-        if (ffEnabled && _now < when && !stopRequested)
+        if (ffEnabled && _now < when)
             fastForward(when);
     }
     // Every statistic is exact whenever a run returns.

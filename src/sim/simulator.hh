@@ -126,19 +126,11 @@ class Simulator
      */
     void retireClocked(Clocked *c);
 
-    /** Run for `cycles` more cycles (or until requestStop). */
+    /** Run for `cycles` more cycles. */
     void run(Cycle cycles);
 
-    /** Run until the absolute cycle `when` (or until requestStop). */
+    /** Run until the absolute cycle `when`. */
     void runUntil(Cycle when);
-
-    /**
-     * Ask the main loop to stop after the current cycle.  The request
-     * latches: issued between run() calls (or on a run's final
-     * cycle), it stops the next run() immediately instead of being
-     * silently dropped.
-     */
-    void requestStop() { stopRequested = true; }
 
     /**
      * Enable or disable due-cycle gating and idle fast-forward (on by
@@ -221,7 +213,6 @@ class Simulator
     /** Phase whose components are ticking (kPhases once all have; 0
      *  between cycles and while events run). */
     int curPhase = 0;
-    bool stopRequested = false;
     bool ffEnabled = true;
     Cycle ffSkipped = 0;
     std::uint64_t ticksCalled = 0;

@@ -6,17 +6,26 @@
  * fuzz corpus size, the fault seed, the perf repetitions) parse whole
  * or not at all: a sign or trailing text is a usage error, caught
  * before any bench runs with the bad value.  --check turns the
- * coherence checker on in the machines a bench builds.
+ * coherence checker on in the machines a bench builds.  The
+ * --stats-json file holds the last export in serial order, however
+ * many --jobs ran the sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <initializer_list>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_util.hh"
 
@@ -169,6 +178,89 @@ TEST(NumericFlags, BadValuesAreUsageErrors)
         bench::ObsOptions jobs;
         EXPECT_EQ(parse(jobs, {bad}), 2) << bad;
     }
+}
+
+/** A one-counter stat tree holding `n`: which export it is. */
+struct PointStats
+{
+    explicit PointStats(unsigned n)
+    {
+        group.addCounter(&value, "value", "which export this is");
+        value += n;
+    }
+
+    StatGroup group{"point"};
+    Counter value;
+};
+
+std::string
+pointJson(unsigned n)
+{
+    std::ostringstream os;
+    PointStats(n).group.dumpJson(os);
+    return os.str();
+}
+
+void
+exportPoint(unsigned n)
+{
+    bench::exportStats(PointStats(n).group);
+}
+
+/** Run `experiment` through runBenchMain with --stats-json and
+ *  --jobs=4; returns the file it wrote. */
+std::string
+exportedBy(void (*experiment)())
+{
+    const std::string path = ::testing::TempDir() + "stats_export_" +
+                             std::to_string(::getpid()) + ".json";
+    std::remove(path.c_str());
+    std::vector<std::string> storage{"bench", "--stats-json=" + path,
+                                     "--jobs=4"};
+    std::vector<char *> argv;
+    for (std::string &arg : storage)
+        argv.push_back(arg.data());
+    EXPECT_EQ(bench::runBenchMain(static_cast<int>(argv.size()),
+                                  argv.data(), experiment),
+              0);
+    bench::obsOptions() = bench::ObsOptions{};
+    std::ifstream is(path);
+    std::ostringstream json;
+    json << is.rdbuf();
+    std::remove(path.c_str());
+    return json.str();
+}
+
+const std::vector<unsigned> kPoints = {0, 1, 2, 3};
+
+TEST(StatsExport, LastExportInSerialOrderWins)
+{
+    // Four points on four workers, finishing in reverse order: the
+    // file holds the last point in input order.
+    EXPECT_EQ(exportedBy([] {
+                  bench::runSweep(kPoints, [](unsigned n) {
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(10 * (4 - n)));
+                      exportPoint(n);
+                      return n;
+                  });
+              }),
+              pointJson(3));
+    // A sweep whose points export nothing keeps the export before it.
+    EXPECT_EQ(exportedBy([] {
+                  exportPoint(100);
+                  bench::runSweep(kPoints, [](unsigned n) { return n; });
+              }),
+              pointJson(100));
+    // A serial export after a sweep wins over the sweep's.
+    EXPECT_EQ(exportedBy([] {
+                  bench::runSweep(kPoints, [](unsigned n) {
+                      exportPoint(n);
+                      return n;
+                  });
+                  exportPoint(200);
+              }),
+              pointJson(200));
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep harness (src/harness/) and the
- * thread-cleanliness it relies on: the worker pool, runSweep's
- * ordering and exception contract, per-point seed derivation, the
+ * thread-cleanliness it relies on: runSweep's threads, ordering and
+ * exception contract, per-point seed derivation, the
  * thread_local observability context, and the headline guarantee -
  * a sweep's results are byte-identical however many workers ran it.
  */
@@ -16,12 +16,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/fuzz.hh"
 #include "firefly/system.hh"
 #include "harness/sweep.hh"
-#include "harness/worker_pool.hh"
 #include "obs/text_trace.hh"
 #include "obs/trace.hh"
 
@@ -29,51 +29,6 @@ using namespace firefly;
 
 namespace
 {
-
-TEST(WorkerPool, RunsEverySubmittedJob)
-{
-    harness::WorkerPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(WorkerPool, WaitIsReusable)
-{
-    harness::WorkerPool pool(2);
-    std::atomic<int> ran{0};
-    for (int round = 1; round <= 3; ++round) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&ran] { ++ran; });
-        pool.wait();
-        EXPECT_EQ(ran.load(), 10 * round);
-    }
-}
-
-TEST(WorkerPool, DestructionDrainsTheQueue)
-{
-    std::atomic<int> ran{0};
-    {
-        harness::WorkerPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&ran] {
-                std::this_thread::sleep_for(std::chrono::microseconds(100));
-                ++ran;
-            });
-    }
-    EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(WorkerPool, JobsRunOffTheCallingThread)
-{
-    harness::WorkerPool pool(1);
-    std::thread::id worker_id;
-    pool.submit([&worker_id] { worker_id = std::this_thread::get_id(); });
-    pool.wait();
-    EXPECT_NE(worker_id, std::this_thread::get_id());
-}
 
 TEST(RunSweep, ResultsInInputOrder)
 {
@@ -125,17 +80,6 @@ TEST(RunSweep, EmptySweep)
     const auto results = harness::runSweep(
         std::vector<int>{}, [](int c) { return c; }, 4);
     EXPECT_TRUE(results.empty());
-}
-
-TEST(RunSweep, CallbackMayTakeTheIndex)
-{
-    const auto results = harness::runSweep(
-        std::vector<int>{5, 6, 7},
-        [](int c, std::size_t i) {
-            return c * 100 + static_cast<int>(i);
-        },
-        2);
-    EXPECT_EQ(results, (std::vector<int>{500, 601, 702}));
 }
 
 TEST(RunSweep, ExceptionPropagatesToCaller)
@@ -192,17 +136,22 @@ TEST(PointSeed, DeterministicAndSaltSensitive)
 TEST(ObsContext, WorkersStartWithNoSink)
 {
     // The sink context is thread_local: attaching on the test thread
-    // must leave harness workers unobserved (the zero-cost path).
+    // must leave the sweep's threads unobserved (the zero-cost path).
     std::ostringstream os;
     obs::TextTraceSink sink({}, os);
     obs::ScopedTraceSink scoped(&sink);
     ASSERT_EQ(obs::traceSink(), &sink);
 
-    obs::TraceSink *seen_by_worker = &sink;
-    harness::WorkerPool pool(1);
-    pool.submit([&seen_by_worker] { seen_by_worker = obs::traceSink(); });
-    pool.wait();
-    EXPECT_EQ(seen_by_worker, nullptr);
+    const auto seen = harness::runSweep(
+        std::vector<int>{0, 1},
+        [](int) {
+            return std::pair(std::this_thread::get_id(), obs::traceSink());
+        },
+        2);
+    for (const auto &[thread, seen_sink] : seen) {
+        EXPECT_NE(thread, std::this_thread::get_id());
+        EXPECT_EQ(seen_sink, nullptr);
+    }
 }
 
 TEST(ObsContext, PerThreadSinksAndTimestampsAreIsolated)

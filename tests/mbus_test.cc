@@ -402,8 +402,8 @@ TEST(MBus, ParityNackedAttemptIsNoTransaction)
     ASSERT_EQ(rig.a.doneCount, 1);
     EXPECT_EQ(injector.parityErrors.value(), 1u);
 
-    // The NACKed attempt ends its slice with the parity instant and
-    // no args; its retry is a slice of its own.
+    // The NACKed attempt ends its slice with no args, and the Fault
+    // category's parity-nack follows; its retry is a slice of its own.
     const auto begins = events.slices(obs::EventKind::Begin);
     const auto ends = events.slices(obs::EventKind::End);
     ASSERT_EQ(begins.size(), 2u);
@@ -415,9 +415,10 @@ TEST(MBus, ParityNackedAttemptIsNoTransaction)
                      [](const obs::TraceEvent &ev) {
                          return ev.kind == obs::EventKind::End;
                      });
-    ASSERT_NE(nacked_end, events.events.begin());
-    EXPECT_EQ(std::prev(nacked_end)->name, "parity");
-    EXPECT_EQ(std::prev(nacked_end)->when, 3u);
+    ASSERT_NE(std::next(nacked_end), events.events.end());
+    EXPECT_EQ(std::next(nacked_end)->name, "parity-nack");
+    EXPECT_EQ(std::next(nacked_end)->when, 3u);
+    EXPECT_EQ(std::next(nacked_end)->arg("attempt"), "1");
 
     // Only the retry renders, at its own grant cycle.
     const Cycle grant = begins[1].when;

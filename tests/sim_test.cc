@@ -160,16 +160,6 @@ TEST(Rng, IntegerChanceMatchesDoubleForm)
     }
 }
 
-TEST(Rng, GeometricMean)
-{
-    Rng rng(13);
-    double sum = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(0.25));
-    EXPECT_NEAR(sum / n, 4.0, 0.15);
-}
-
 TEST(EventQueue, RunsInTimeOrder)
 {
     EventQueue q;
@@ -354,60 +344,6 @@ TEST(Simulator, RunAdvancesClock)
     sim.runUntil(40);
     EXPECT_EQ(sim.now(), 40u);
     EXPECT_DOUBLE_EQ(sim.seconds(), 40 * 100e-9);
-}
-
-TEST(Simulator, RequestStopHaltsLoop)
-{
-    Simulator sim;
-    struct Stopper : Clocked
-    {
-        Simulator *sim;
-        explicit Stopper(Simulator *s) : sim(s) {}
-        void
-        tick(Cycle now) override
-        {
-            if (now == 9)
-                sim->requestStop();
-        }
-    } stopper(&sim);
-    sim.addClocked(&stopper, Phase::Cpu);
-    sim.run(1000);
-    EXPECT_EQ(sim.now(), 10u);
-}
-
-TEST(Simulator, RequestStopLatchesBetweenRuns)
-{
-    // Regression: runUntil used to clear stopRequested on entry, so a
-    // stop issued between runs (or on a run's final cycle) was
-    // silently dropped.  The request must latch until a run observes
-    // and consumes it.
-    Simulator sim;
-    sim.requestStop();
-    sim.run(50);
-    EXPECT_EQ(sim.now(), 0u);  // consumed immediately: zero cycles ran
-    sim.run(50);
-    EXPECT_EQ(sim.now(), 50u);  // and consumed exactly once
-
-    // A stop landing on the final cycle of a run still stops the next.
-    Simulator sim2;
-    struct Stopper : Clocked
-    {
-        Simulator *sim;
-        explicit Stopper(Simulator *s) : sim(s) {}
-        void
-        tick(Cycle now) override
-        {
-            if (now == 9)
-                sim->requestStop();
-        }
-    } stopper(&sim2);
-    sim2.addClocked(&stopper, Phase::Cpu);
-    sim2.run(10);  // ends at its horizon with the stop still pending
-    EXPECT_EQ(sim2.now(), 10u);
-    sim2.run(10);
-    EXPECT_EQ(sim2.now(), 10u);  // latched stop consumed, 0 cycles ran
-    sim2.run(10);
-    EXPECT_EQ(sim2.now(), 20u);
 }
 
 TEST(EventQueueDeathTest, SchedulingBeforeProcessedTimePanics)

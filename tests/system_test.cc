@@ -49,7 +49,6 @@ TEST(FireflySystem, BuildsStandardMachine)
     EXPECT_EQ(sys.memory().sizeBytes(), 16u * 1024 * 1024);
     EXPECT_EQ(sys.memory().moduleCount(), 4u);
     EXPECT_EQ(sys.cache(0).numLines(), 4096u);
-    EXPECT_FALSE(sys.hasCpus());
 }
 
 TEST(FireflySystem, CvaxMachineHasBiggerCachesAndMemory)
