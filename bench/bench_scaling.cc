@@ -7,13 +7,13 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "analytic/queueing_model.hh"
 #include "bench_util.hh"
 #include "firefly/system.hh"
-#include "obs/stat_sampler.hh"
+#include "obs/trace.hh"
+#include "sim/logging.hh"
 #include "topaz/runtime.hh"
 #include "topaz/workloads.hh"
 
@@ -87,28 +87,45 @@ observedRun()
         sources.push_back(&runtime.port(i));
     sys.attachSources(sources);
 
-    // Bus-utilisation- and miss-rate-vs-time, sampled every 10k
-    // cycles (1 ms simulated).
-    obs::StatSampler sampler(sys.simulator(), 10'000);
-    sampler.addStat(sys.bus().stats(), "busy_cycles",
-                    obs::StatSampler::Mode::Delta, "bus.busy");
-    sampler.addStat(sys.cache(0).stats(), "fills",
-                    obs::StatSampler::Mode::Delta, "cache0.fills");
-    sampler.addStat(sys.cache(0).stats(), "miss_rate");
-
-    sys.runToCompletion(20'000'000);
+    // FireflySystem::runToCompletion's loop, sampling bus
+    // utilisation and miss rate every 10k cycles (1 ms simulated)
+    // into the trace as counters: bus busy cycles and cache 0 fills
+    // in the window that ends at the sample, and cache 0's miss rate
+    // so far.
+    constexpr Cycle kSamplePeriod = 10'000;
+    constexpr Cycle kMaxCycles = 20'000'000;
+    Simulator &sim = sys.simulator();
+    const StatGroup &bus = sys.bus().stats();
+    const StatGroup &cache0 = sys.cache(0).stats();
+    double busy = 0;
+    double fills = 0;
+    std::size_t samples = 0;
+    while (!sys.allHalted() && sim.now() < kMaxCycles) {
+        if (sim.now() % kSamplePeriod == 0) {
+            ++samples;
+            if (auto *ts = obs::traceSink()) {
+                const double b = bus.get("busy_cycles");
+                const double f = cache0.get("fills");
+                ts->counter(sim.now(), obs::kCatMBus, bus.name(),
+                            "bus.busy", b - busy);
+                ts->counter(sim.now(), obs::kCatCache, cache0.name(),
+                            "cache0.fills", f - fills);
+                ts->counter(sim.now(), obs::kCatCache, cache0.name(),
+                            "cache0.miss_rate", cache0.get("miss_rate"));
+                busy = b;
+                fills = f;
+            }
+        }
+        sim.run(1000);
+    }
+    if (!sys.allHalted())
+        warn("runToCompletion hit the cycle limit");
 
     std::printf("\nObserved run (5 CPUs, Threads exerciser): "
                 "%.3f ms simulated, bus load %.2f, %zu samples\n",
-                sys.seconds() * 1e3, sys.busLoad(),
-                sampler.sampleCount());
+                sys.seconds() * 1e3, sys.busLoad(), samples);
 
     bench::exportStats(sys.stats());
-    const std::string &json = bench::obsOptions().statsJsonPath;
-    if (!json.empty()) {
-        std::ofstream csv(json + ".timeseries.csv");
-        sampler.writeCsv(csv);
-    }
 }
 
 void

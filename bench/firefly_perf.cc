@@ -34,8 +34,11 @@
  * tags hold the line) and events scheduled per simulated cycle, all
  * from the gated run; check.sh perf holds them to the committed
  * baseline exactly.  A checked point adds a fourth, lines the checker
- * checks per bus transaction (CoherenceChecker::lineChecks).  Each
- * point also reports its bus load.
+ * checks per bus transaction (CoherenceChecker::lineChecks).  Every
+ * point also counts heap allocations per thousand CPU references
+ * during the simulated span, through the operator new replacement in
+ * heap_count.cc (built into this binary only), and reports its bus
+ * load.
  * Wall clock is std::chrono::steady_clock; every point gets a warmup
  * run plus `--perf-reps` measured repetitions, best-of reported
  * (minimum wall time - host noise only ever slows a run down).
@@ -43,6 +46,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -50,6 +54,9 @@
 #include "bench_util.hh"
 #include "firefly/system.hh"
 #include "sim/stats.hh"
+
+/** Calls of the global operator new so far (heap_count.cc). */
+std::uint64_t heapAllocations();
 
 namespace firefly
 {
@@ -79,6 +86,7 @@ struct Measure
     std::uint64_t events = 0;      ///< EventQueue::schedule calls
     bool checked = false;          ///< ran under the coherence checker
     std::uint64_t lineChecks = 0;  ///< CoherenceChecker::lineChecks
+    std::uint64_t allocs = 0;      ///< operator new calls in run()
     double busLoad = 0.0;
 
     double
@@ -116,6 +124,12 @@ struct Measure
     {
         return txns ? static_cast<double>(lineChecks) / txns : 0.0;
     }
+
+    double
+    allocsPerKref() const
+    {
+        return refs ? 1000.0 * allocs / refs : 0.0;
+    }
 };
 
 /** One full simulation of the point; returns wall time and totals.
@@ -145,11 +159,13 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
     sys.simulator().setFastForward(
         fast_forward && sys.simulator().fastForwardEnabled());
 
+    const std::uint64_t allocs0 = heapAllocations();
     const auto t0 = std::chrono::steady_clock::now();
     sys.run(simSeconds);
     const auto t1 = std::chrono::steady_clock::now();
 
     Measure m;
+    m.allocs = heapAllocations() - allocs0;
     m.wallSec = std::chrono::duration<double>(t1 - t0).count();
     m.simCycles = sys.simulator().now();
     m.refs = sys.totalCpuRefs();
@@ -212,10 +228,10 @@ experiment()
     };
 
     std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s | %9s %9s "
-                "%9s %6s\n",
+                "%9s %11s %6s\n",
                 "workload", "protocol", "np", "Mcycles/s", "Mrefs/s",
                 "ff-skip%", "slow Mcyc/s", "speedup", "ticks/cyc",
-                "snoop/txn", "evts/cyc", "load");
+                "snoop/txn", "evts/cyc", "allocs/kref", "load");
     bench::rule();
 
     std::string json;
@@ -241,12 +257,12 @@ experiment()
 
         std::printf(
             "%-9s %-8s %3u | %12.2f %12.2f %8.1f%% | %12.2f %7.2fx | "
-            "%9.3f %9.3f %9.4f %6.3f\n",
+            "%9.3f %9.3f %9.4f %11.3f %6.3f\n",
             pt.workload, toString(pt.proto), pt.cpus,
             fast.cyclesPerSec() / 1e6, fast.refsPerSec() / 1e6,
             skipFrac, slow.cyclesPerSec() / 1e6, speedup,
             fast.ticksPerCycle(), fast.snoopsPerTxn(),
-            fast.eventsPerCycle(), fast.busLoad);
+            fast.eventsPerCycle(), fast.allocsPerKref(), fast.busLoad);
         if (fast.checked) {
             std::printf("%24s | checker: %.3f line checks per "
                         "transaction\n",
@@ -278,6 +294,8 @@ experiment()
                 statNumber(fast.snoopsPerTxn());
         json += ",\"events_per_cycle\":" +
                 statNumber(fast.eventsPerCycle());
+        json += ",\"heap_allocs_per_kref\":" +
+                statNumber(fast.allocsPerKref());
         if (fast.checked) {
             json += ",\"line_checks_per_txn\":" +
                     statNumber(fast.lineChecksPerTxn());

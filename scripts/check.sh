@@ -30,8 +30,9 @@
 # with --no-fast-forward), that the idle-heavy
 # speedup is still there, that the deterministic work counters (tick
 # calls per cycle, snoop probes per transaction, events scheduled per
-# cycle, cycles stepped rather than skipped per cycle, and lines the
-# coherence checker checks per transaction) have not grown
+# cycle, cycles stepped rather than skipped per cycle, lines the
+# coherence checker checks per transaction, and heap allocations per
+# thousand references) have not grown
 # over the committed BENCH_perf.json baseline (strict: they do not
 # depend on the host), and that throughput has not cratered against it
 # (lenient threshold: hosts differ; the file tracks the trajectory).
@@ -207,7 +208,7 @@ for bp in with_stepped(base["points"]):
     # with scripts/bench_all.sh when a change lowers them).
     for counter in ("tick_calls_per_cycle", "snoop_calls_per_txn",
                     "events_per_cycle", "stepped_per_cycle",
-                    "line_checks_per_txn"):
+                    "line_checks_per_txn", "heap_allocs_per_kref"):
         if counter in bp and p[counter] > bp[counter] * (1 + 1e-9):
             sys.exit(f"point {key}: {counter} {p[counter]:.4f} exceeds "
                      f"the committed {bp[counter]:.4f}")
@@ -276,22 +277,35 @@ if [ -z "$sanitize" ]; then
 fi
 
 # Flight-recorder smoke test: the observed bench run must produce a
-# parseable trace with the MBus transaction slices and a stats export
-# (obs_test covers the details; this checks the command-line plumbing
-# in a real binary), and a debug flag that names no trace category
-# must be a usage error.
+# parseable trace with the MBus transaction slices and its sampled
+# counters, and a stats export (obs_test covers the details; this
+# checks the command-line plumbing in a real binary), and a debug flag
+# that names no trace category must be a usage error.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 "$builddir/bench/bench_scaling" \
     --trace-out="$tmpdir/trace.json" \
-    --stats-json="$tmpdir/stats.json" > /dev/null
-for f in trace.json stats.json stats.json.timeseries.csv; do
+    --stats-json="$tmpdir/stats.json" > "$tmpdir/stdout"
+for f in trace.json stats.json; do
     test -s "$tmpdir/$f" || { echo "missing $f" >&2; exit 1; }
 done
 python3 - "$tmpdir" <<'EOF'
-import json, sys
+import json, os, re, sys
 d = sys.argv[1]
 trace = json.load(open(f"{d}/trace.json"))
+# The time series is trace counters on the bus's and cache 0's tracks,
+# one bus.busy record per sample the run reports, not a side file.
+counters = [r for r in trace if r["ph"] == "C"]
+tracks = {r["tid"]: r["args"]["name"] for r in trace if r["ph"] == "M"}
+assert {(r["cat"], tracks[r["tid"]]) for r in counters} == {
+    ("MBus", "mbus"), ("Cache", "cache0")}, counters[:3]
+assert all(isinstance(v, (int, float)) for r in counters
+           for v in r["args"].values()), "non-numeric counter args"
+samples = int(re.search(r"(\d+) samples", open(f"{d}/stdout").read())[1])
+busy = sum(r["name"] == "bus.busy" for r in counters)
+assert samples == busy > 0, (samples, busy)
+files = sorted(os.listdir(d))
+assert files == ["stats.json", "stdout", "trace.json"], f"side files: {files}"
 cats = {r.get("cat") for r in trace if r["ph"] != "M"}
 assert {"MBus", "Cache", "Cpu", "Sched"} <= cats, cats
 # Each bus transaction is one MBus slice whose args say what paper

@@ -61,8 +61,6 @@ FaultInjector::machineCheck(const std::string &unit,
                     "machine-check",
                     {{"unit", unit}, {"diag", diagnostic}});
     }
-    if (mcHook)
-        mcHook(unit, diagnostic);
     if (cfg.throwOnMachineCheck)
         throw MachineCheck(unit, diagnostic);
     fatal("machine check [%s]: %s", unit.c_str(), diagnostic.c_str());

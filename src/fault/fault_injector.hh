@@ -15,16 +15,15 @@
  * and recovery is visible in the flight recorder under the "Fault"
  * category.  Unrecoverable faults - a double-bit ECC error, a retry
  * budget exhausted - funnel through machineCheck(): the diagnostic is
- * deterministic, the machine-check interrupt hook fires (wired to
- * mbus/interrupts by FireflySystem), and the run ends with either a
- * MachineCheck exception (tests) or a fatal diagnostic, never a hang
- * or silent corruption.
+ * deterministic, it is counted and recorded as a "machine-check"
+ * flight-recorder event, and the run ends with either a MachineCheck
+ * exception (tests) or a fatal diagnostic, never a hang or silent
+ * corruption.
  */
 
 #ifndef FIREFLY_FAULT_FAULT_INJECTOR_HH
 #define FIREFLY_FAULT_FAULT_INJECTOR_HH
 
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -103,21 +102,9 @@ class FaultInjector
     Cycle deviceBackoff(unsigned attempt) const;
 
     /**
-     * Delivered synchronously before the run dies; FireflySystem
-     * wires this to InterruptController::raiseMachineCheck.
-     */
-    using MachineCheckHook =
-        std::function<void(const std::string &unit,
-                           const std::string &diagnostic)>;
-    void setMachineCheckHook(MachineCheckHook hook)
-    {
-        mcHook = std::move(hook);
-    }
-
-    /**
-     * An unrecoverable fault: emit the flight-recorder event, deliver
-     * the machine-check interrupt, then throw MachineCheck (if
-     * configured) or die with the deterministic diagnostic.
+     * An unrecoverable fault: count it, emit the flight-recorder
+     * event, then throw MachineCheck (if configured) or die with the
+     * deterministic diagnostic.
      */
     [[noreturn]] void machineCheck(const std::string &unit,
                                    const std::string &diagnostic);
@@ -138,7 +125,6 @@ class FaultInjector
   private:
     FaultConfig cfg;
     FaultPlan plan;
-    MachineCheckHook mcHook;
     StatGroup statGroup;
 };
 

@@ -23,7 +23,6 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
 
     sim.setFastForward(cfg.fastForward);
     mbus = std::make_unique<MBus>(sim, mem);
-    intc = std::make_unique<InterruptController>(sim);
 
     const Cache::Geometry geom = cfg.effectiveGeometry();
     for (unsigned i = 0; i < cfg.processors; ++i) {
@@ -54,7 +53,6 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
     }
     statGroup.addChild(&mbus->stats());
     statGroup.addChild(&mem.stats());
-    statGroup.addChild(&intc->stats());
 
     if (cfg.faults.active()) {
         injector = std::make_unique<fault::FaultInjector>(cfg.faults);
@@ -62,10 +60,6 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
         mem.setFaultInjector(injector.get());
         sim.setWatchdog(fault::kWatchdogCycles,
                         cfg.faults.throwOnMachineCheck);
-        injector->setMachineCheckHook(
-            [this](const std::string &unit, const std::string &diag) {
-                intc->raiseMachineCheck(unit, diag);
-            });
         statGroup.addChild(&injector->stats());
     }
 

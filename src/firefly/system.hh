@@ -1,9 +1,8 @@
 /**
  * @file
  * A complete simulated Firefly (paper Figure 1): processors with
- * snoopy caches on the MBus, storage modules, interprocessor
- * interrupts, and an attachment point for the QBus I/O world on the
- * primary processor's cache.
+ * snoopy caches on the MBus, storage modules, and an attachment
+ * point for the QBus I/O world on the primary processor's cache.
  *
  * Workloads attach after construction: either the synthetic VAX
  * stream (one per processor, with per-processor private regions and
@@ -23,7 +22,6 @@
 #include "cpu/synthetic_stream.hh"
 #include "cpu/trace_cpu.hh"
 #include "firefly/config.hh"
-#include "mbus/interrupts.hh"
 #include "mbus/mbus.hh"
 #include "mem/main_memory.hh"
 #include "sim/simulator.hh"
@@ -75,7 +73,6 @@ class FireflySystem
     Simulator &simulator() { return sim; }
     MainMemory &memory() { return mem; }
     MBus &bus() { return *mbus; }
-    InterruptController &interrupts() { return *intc; }
     unsigned processorCount() const { return caches.size(); }
     Cache &cache(unsigned i) { return *caches.at(i); }
     TraceCpu &cpu(unsigned i) { return *cpus.at(i); }
@@ -104,7 +101,6 @@ class FireflySystem
     Simulator sim;
     MainMemory mem;
     std::unique_ptr<MBus> mbus;
-    std::unique_ptr<InterruptController> intc;
     std::vector<std::unique_ptr<Cache>> caches;
     std::vector<std::unique_ptr<OnChipCache>> onchips;
     std::vector<std::unique_ptr<SyntheticStream>> ownedStreams;

@@ -79,13 +79,18 @@ MBus::MBus(Simulator &sim, MainMemory &memory, std::string name)
     };
     for (int i = 0; i < 4; ++i)
         statGroup.addCounter(&opCount[i], op_names[i], op_descs[i]);
+    // An ownership acquisition is always an MInvalidate, which
+    // `invalidates` already counts, so that kind has no stat of its
+    // own.
     static const char *kind_names[7] = {
         "fills", "victim_writes", "write_throughs", "updates",
-        "ownership_ops", "dma_reads", "dma_writes"
+        nullptr, "dma_reads", "dma_writes"
     };
     for (int i = 0; i < 7; ++i) {
-        statGroup.addCounter(&kindCount[i], kind_names[i],
-                             "transactions by initiator purpose");
+        if (kind_names[i]) {
+            statGroup.addCounter(&kindCount[i], kind_names[i],
+                                 "transactions by initiator purpose");
+        }
     }
     statGroup.addCounter(&msharedCount, "mshared_asserted",
                          "transactions that observed MShared");

@@ -95,8 +95,12 @@ ChromeTraceSink::writeRecord(const TraceEvent &ev, Cycle shifted)
             if (!first)
                 *out << ",";
             first = false;
-            *out << "\"" << jsonEscape(key) << "\":\""
-                 << jsonEscape(value) << "\"";
+            *out << "\"" << jsonEscape(key) << "\":";
+            // A counter's values are numbers; every other arg is text.
+            if (ev.kind == EventKind::Counter)
+                *out << value;
+            else
+                *out << "\"" << jsonEscape(value) << "\"";
         }
         *out << "}";
     }

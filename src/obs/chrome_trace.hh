@@ -6,7 +6,8 @@
  * JSON array format: open the file at https://ui.perfetto.dev (or
  * chrome://tracing) and every component's track - one per CPU, cache,
  * the bus, each device - renders as its own timeline with duration
- * slices (B/E pairs) and instant markers.
+ * slices (B/E pairs), instant markers and counters (C, whose args
+ * are written as JSON numbers).
  *
  * Timestamps: the trace-event "ts" field is microseconds; one MBus
  * cycle is 100 ns, so ts = cycle / 10.  Events must be written in

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "sim/stats.hh"
+
 namespace firefly::obs
 {
 
@@ -29,6 +31,14 @@ TraceSink::instant(Cycle when, const char *category, std::string track,
 {
     event({when, EventKind::Instant, category, std::move(track),
            std::move(name), std::move(args)});
+}
+
+void
+TraceSink::counter(Cycle when, const char *category, std::string track,
+                   std::string name, double value)
+{
+    event({when, EventKind::Counter, category, std::move(track),
+           std::move(name), {{"value", statNumber(value)}}});
 }
 
 void

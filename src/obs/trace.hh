@@ -67,6 +67,7 @@ enum class EventKind : char
     Begin = 'B',    ///< start of a duration slice on a track
     End = 'E',      ///< end of the innermost open slice on a track
     Instant = 'i',  ///< a point event
+    Counter = 'C',  ///< a sampled value; every arg value is a number
 };
 
 /** One structured event. */
@@ -109,6 +110,9 @@ class TraceSink
              TraceEvent::Args args = {});
     void instant(Cycle when, const char *category, std::string track,
                  std::string name, TraceEvent::Args args = {});
+    /** One sample of counter `name`, as its arg "value". */
+    void counter(Cycle when, const char *category, std::string track,
+                 std::string name, double value);
 };
 
 /** Broadcasts every event to several sinks (e.g. Chrome + text). */

@@ -9,8 +9,10 @@
  *   1. pending events whose time has arrived (device timers, DMA),
  *   2. Phase::Bus    - the MBus advances its transaction state machine
  *                      (caches act inside its callbacks),
- *   3. Phase::Cpu    - processors issue references,
- *   4. Phase::Device - polled device logic.
+ *   3. Phase::Cpu    - processors issue references.
+ *
+ * Devices have no phase of their own: they act through scheduled
+ * events.
  *
  * Determinism matters: two runs with the same configuration and seed
  * produce bit-identical statistics (there is a regression test).
@@ -71,9 +73,9 @@ class Clocked
     /**
      * Bring lazily credited statistics up to date: account every
      * cycle before `horizon` this component slept through.  Called
-     * when runUntil returns, before every StatSampler sample, and
-     * before the watchdog declares a wedge.  Must be idempotent and
-     * must not change simulated behaviour.
+     * when runUntil returns and before the watchdog declares a
+     * wedge.  Must be idempotent and must not change simulated
+     * behaviour.
      */
     virtual void settle(Cycle horizon) { (void)horizon; }
 
@@ -92,11 +94,10 @@ enum class Phase
 {
     Bus = 0,
     Cpu,
-    Device,
 };
 
 /** Number of phases. */
-constexpr std::size_t kPhases = 3;
+constexpr std::size_t kPhases = 2;
 
 /** The simulation kernel: clock, component list, event queue. */
 class Simulator
@@ -156,12 +157,6 @@ class Simulator
     std::uint64_t ticksDispatched() const { return ticksCalled; }
 
     /**
-     * Settle every component's lazily credited statistics at the
-     * current point of the current cycle (see Clocked::settle).
-     */
-    void settle();
-
-    /**
      * The horizon for settling a component of phase `p` right now:
      * one past the current cycle once that phase has run in it, else
      * the current cycle.  A completion callback in the Bus phase, for
@@ -204,6 +199,11 @@ class Simulator
     }
 
   private:
+    /**
+     * Settle every component's lazily credited statistics at the
+     * current point of the current cycle (see Clocked::settle).
+     */
+    void settle();
     void stepOneCycle();
     void fastForward(Cycle when);
     void compactRetired();

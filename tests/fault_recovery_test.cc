@@ -229,9 +229,9 @@ TEST(FaultRecovery, SystemRunUnderFaultsStaysCoherent)
     EXPECT_GT(sys.faultInjector()->stats().get("parity_errors"), 0.0);
 }
 
-// An unrecoverable fault inside a full system must deliver the
-// machine-check interrupt (mbus/interrupts) before the run unwinds.
-TEST(FaultRecovery, MachineCheckInterruptDeliveredThroughController)
+// An unrecoverable fault inside a full system is counted and recorded
+// in the flight recorder before the run unwinds.
+TEST(FaultRecovery, MachineCheckRecordedBeforeTheThrow)
 {
     FireflyConfig cfg = FireflyConfig::microVax(2);
     cfg.faults.enabled = true;
@@ -240,25 +240,30 @@ TEST(FaultRecovery, MachineCheckInterruptDeliveredThroughController)
     cfg.faults.throwOnMachineCheck = true;
 
     FireflySystem sys(cfg);
-    std::string unit, diag;
-    sys.interrupts().setMachineCheckHandler(
-        [&](const std::string &u, const std::string &d) {
-            unit = u;
-            diag = d;
-        });
     sys.attachSyntheticWorkload(SyntheticConfig{});
 
+    RecordingSink sink;
+    obs::ScopedTraceSink scoped(&sink);
     try {
         sys.run(0.05);
         FAIL() << "expected a machine check";
     } catch (const MachineCheck &mc) {
-        // The interrupt fired synchronously with the same payload
-        // the exception carries.
-        EXPECT_EQ(unit, mc.unit);
-        EXPECT_EQ(diag, mc.diagnostic);
-        EXPECT_FALSE(diag.empty());
+        EXPECT_FALSE(mc.unit.empty());
+        EXPECT_FALSE(mc.diagnostic.empty());
+        EXPECT_EQ(mc.what(), "machine check [" + mc.unit + "]: " +
+                                 mc.diagnostic);
+        // The run's last event is the machine check, carrying the
+        // payload the exception carries.
+        ASSERT_FALSE(sink.events.empty());
+        const obs::TraceEvent &ev = sink.events.back();
+        EXPECT_EQ(ev.kind, obs::EventKind::Instant);
+        EXPECT_STREQ(ev.category, obs::kCatFault);
+        EXPECT_EQ(ev.name, "machine-check");
+        EXPECT_EQ(ev.arg("unit"), mc.unit);
+        EXPECT_EQ(ev.arg("diag"), mc.diagnostic);
+        EXPECT_EQ(sink.count("machine-check"), 1u);
     }
-    EXPECT_EQ(sys.interrupts().stats().get("machine_checks"), 1.0);
+    EXPECT_EQ(sys.faultInjector()->stats().get("machine_checks"), 1.0);
     EXPECT_EQ(sys.faultInjector()->machineChecks.value(), 1u);
 }
 

@@ -6,15 +6,16 @@
  * as due; processors sleep through compute bursts and memory stalls
  * and credit the skipped ticks by arithmetic.  Every observation
  * point must see exactly what a machine ticking every component every
- * cycle sees: StatSampler rows, the watchdog, fence() and processor
- * offlining.  Each test runs both ways and compares.  The bus's
- * snoop filter reads the caches' own tags: it must probe exactly the
- * caches that hold the line, without changing the tag-store
- * contention the others see.
+ * cycle sees: counters read between run() slices, the watchdog,
+ * fence() and processor offlining.  Each test runs both ways and
+ * compares.  The bus's snoop filter reads the caches' own tags: it
+ * must probe exactly the caches that hold the line, without changing
+ * the tag-store contention the others see.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -24,7 +25,6 @@
 #include "check/rig.hh"
 #include "cpu/trace_cpu.hh"
 #include "firefly/system.hh"
-#include "obs/stat_sampler.hh"
 #include "obs/trace.hh"
 
 using namespace firefly;
@@ -80,45 +80,46 @@ statsJson(FireflySystem &sys)
     return os.str();
 }
 
-/** Sample times plus every channel, period 7 on a saturated
- *  4-CPU machine: most samples land inside a compute burst or a
- *  stall the gated processors are asleep in. */
-std::pair<std::vector<Cycle>, std::vector<std::vector<double>>>
-sampledRun(bool gated)
+/** Every processor's tick, compute and memory-wait counters, read
+ *  before each 7-cycle run() slice of a saturated 4-CPU machine: most
+ *  slices end inside a compute burst or a stall the gated processors
+ *  are asleep in.  One row per read: the cycle, then the twelve
+ *  counters. */
+std::vector<std::vector<std::uint64_t>>
+slicedRun(bool gated)
 {
     FireflySystem sys(FireflyConfig::microVax(4));
     sys.simulator().setFastForward(gated);
     sys.attachSyntheticWorkload(SyntheticConfig{});
-    obs::StatSampler sampler(sys.simulator(), 7);
-    for (unsigned i = 0; i < 4; ++i) {
-        for (const char *stat :
-             {"ticks", "compute_ticks", "mem_wait_ticks"}) {
-            sampler.addStat(sys.cpu(i).stats(), stat);
+    std::vector<std::vector<std::uint64_t>> rows;
+    for (Cycle t = 0; t < 20'000; t += 7) {
+        std::vector<std::uint64_t> row = {sys.simulator().now()};
+        for (unsigned i = 0; i < 4; ++i) {
+            const TraceCpu &cpu = sys.cpu(i);
+            row.insert(row.end(), {cpu.tickCount.value(),
+                                   cpu.computeTickCount.value(),
+                                   cpu.memWaitTicks.value()});
         }
+        rows.push_back(std::move(row));
+        sys.simulator().run(7);
     }
-    sys.simulator().run(20'000);
-    std::vector<std::vector<double>> series;
-    for (std::size_t c = 0; c < sampler.channelCount(); ++c)
-        series.push_back(sampler.series(c));
-    return {sampler.sampleTimes(), series};
+    return rows;
 }
 
 } // namespace
 
-TEST(Gating, SamplerRowsMatchEveryCycleTicking)
+TEST(Gating, CountersBetweenRunSlicesMatchEveryCycleTicking)
 {
-    const auto gated = sampledRun(true);
-    const auto every = sampledRun(false);
-    EXPECT_EQ(gated.first, every.first);
-    EXPECT_EQ(gated.second, every.second);
+    const auto gated = slicedRun(true);
+    const auto every = slicedRun(false);
+    EXPECT_EQ(gated, every);
 
-    // The Device-phase sample at cycle t counts the tick boundary at
-    // t itself: a MicroVAX has ticked t/2 + 1 times.
-    ASSERT_EQ(gated.first.size(), 20'000u / 7 + 1);
+    // A slice boundary at cycle t follows the tick boundaries 0, 2,
+    // ..., below t: a MicroVAX has ticked (t + 1) / 2 times.
+    ASSERT_EQ(gated.size(), 20'000u / 7 + 1);
     for (unsigned cpu = 0; cpu < 4; ++cpu) {
-        const auto &ticks = gated.second[3 * cpu];
-        for (std::size_t row = 0; row < gated.first.size(); ++row)
-            ASSERT_EQ(ticks[row], gated.first[row] / 2 + 1) << row;
+        for (const auto &row : gated)
+            ASSERT_EQ(row[1 + 3 * cpu], (row[0] + 1) / 2) << row[0];
     }
 }
 

@@ -10,6 +10,10 @@
  * fixed span and hashes its whole stat tree as `--stats-json` writes
  * it.  The expected digests were recorded before any of that
  * machinery existed, so a mismatch means simulated behaviour changed.
+ * (They were re-recorded once since, when the export lost the
+ * interrupt counters and the bus's count of ownership operations:
+ * each new digest is the hash of the old text with those keys cut
+ * out.)
  * Every case runs twice: gated with fast-forward, and with both off
  * (every component ticked every cycle).
  *
@@ -28,8 +32,8 @@
  * devices' own groups, so the runtime's memory layout and time slice
  * and the devices' timing are pinned along with the machine.
  *
- * A deliberate change to what the simulator computes (a timing fix, a
- * new statistic) changes these digests too; re-record them then, and
+ * A deliberate change to what the simulator computes or exports (a
+ * timing fix, a new or deleted statistic) changes these digests too; re-record them then, and
  * say why in the change.
  */
 
@@ -65,26 +69,26 @@ constexpr Cycle kSpan = 400'000;
 
 // Recorded with the configuration built by run() below.
 constexpr GoldenCase kCases[] = {
-    {false, 1, ProtocolKind::Firefly, 0xccf813104646bf18ULL},
-    {false, 7, ProtocolKind::Firefly, 0xf8424e6622a95039ULL},
-    {false, 1, ProtocolKind::Dragon, 0x3a2da82c8f9f27b1ULL},
-    {false, 7, ProtocolKind::Dragon, 0x3e178a0a9bbb11b1ULL},
-    {false, 1, ProtocolKind::WriteThroughInvalidate, 0x64327f964e63031eULL},
-    {false, 7, ProtocolKind::WriteThroughInvalidate, 0xcb0e24176426789aULL},
-    {false, 1, ProtocolKind::Berkeley, 0x719e2459e5e73114ULL},
-    {false, 7, ProtocolKind::Berkeley, 0x8ce477a7a4cca360ULL},
-    {false, 1, ProtocolKind::Mesi, 0x117db43bf89397d6ULL},
-    {false, 7, ProtocolKind::Mesi, 0x0dea9618c947cac2ULL},
-    {true, 1, ProtocolKind::Firefly, 0x75fb339e449787c9ULL},
-    {true, 7, ProtocolKind::Firefly, 0xef5540ada0b9d952ULL},
-    {true, 1, ProtocolKind::Dragon, 0x4d7f6ba66e7209deULL},
-    {true, 7, ProtocolKind::Dragon, 0x4d9c454acf8ca243ULL},
-    {true, 1, ProtocolKind::WriteThroughInvalidate, 0x33c141a6f9e79717ULL},
-    {true, 7, ProtocolKind::WriteThroughInvalidate, 0xe8914746ae492ee6ULL},
-    {true, 1, ProtocolKind::Berkeley, 0x2c4679138b671d21ULL},
-    {true, 7, ProtocolKind::Berkeley, 0xa488afcddd48f107ULL},
-    {true, 1, ProtocolKind::Mesi, 0x1e81a851bd4ac49bULL},
-    {true, 7, ProtocolKind::Mesi, 0xa6955338350113edULL},
+    {false, 1, ProtocolKind::Firefly, 0x38629baeac60b935ULL},
+    {false, 7, ProtocolKind::Firefly, 0x37f3eb9dbda11b8cULL},
+    {false, 1, ProtocolKind::Dragon, 0x5342652d195ea47eULL},
+    {false, 7, ProtocolKind::Dragon, 0xf427f9708e580ea4ULL},
+    {false, 1, ProtocolKind::WriteThroughInvalidate, 0x584534dce2900fb9ULL},
+    {false, 7, ProtocolKind::WriteThroughInvalidate, 0xb44cf841930adce1ULL},
+    {false, 1, ProtocolKind::Berkeley, 0xcca035649fc378e3ULL},
+    {false, 7, ProtocolKind::Berkeley, 0xc56ef79600b3f614ULL},
+    {false, 1, ProtocolKind::Mesi, 0x8e48b947e7d52f51ULL},
+    {false, 7, ProtocolKind::Mesi, 0xb38f10d36bcff11fULL},
+    {true, 1, ProtocolKind::Firefly, 0x4b30c5c068022786ULL},
+    {true, 7, ProtocolKind::Firefly, 0x36b84a6b30f93871ULL},
+    {true, 1, ProtocolKind::Dragon, 0x97e11de38c396ec1ULL},
+    {true, 7, ProtocolKind::Dragon, 0x10839e9dfbe7724cULL},
+    {true, 1, ProtocolKind::WriteThroughInvalidate, 0xfc0879583b4b87caULL},
+    {true, 7, ProtocolKind::WriteThroughInvalidate, 0x6638de51ef0b6a8fULL},
+    {true, 1, ProtocolKind::Berkeley, 0xaf348649a59806c4ULL},
+    {true, 7, ProtocolKind::Berkeley, 0xcb35ce6ced5f5e31ULL},
+    {true, 1, ProtocolKind::Mesi, 0xe645bec7d2c2ae04ULL},
+    {true, 7, ProtocolKind::Mesi, 0xe5b2fd6b8d16b545ULL},
 };
 
 std::uint64_t
@@ -167,21 +171,21 @@ static_assert(std::size(kShapeTags) == std::size(check::kFuzzShapes));
 
 // Recorded with the configuration built by runFuzzCase() below.
 constexpr GoldenFuzzCase kFuzzCases[] = {
-    {0, ProtocolKind::Firefly, 0xc3144ff772df120fULL},
-    {0, ProtocolKind::Dragon, 0xc86105d02ec1c429ULL},
-    {0, ProtocolKind::WriteThroughInvalidate, 0x88de738753469849ULL},
-    {0, ProtocolKind::Berkeley, 0x4d335379e2621d80ULL},
-    {0, ProtocolKind::Mesi, 0x1e28f4b31b4df886ULL},
-    {1, ProtocolKind::Firefly, 0x5e53df6ebd1246bcULL},
-    {1, ProtocolKind::Dragon, 0x2dfc8a1eec3958faULL},
-    {1, ProtocolKind::WriteThroughInvalidate, 0xdb9e9d7d4728007cULL},
-    {1, ProtocolKind::Berkeley, 0x5c6b213056cbc9a0ULL},
-    {1, ProtocolKind::Mesi, 0x47ba15dec222ebcaULL},
-    {2, ProtocolKind::Firefly, 0x0c09d86963d6fde2ULL},
-    {2, ProtocolKind::Dragon, 0xefd3338afb50fc30ULL},
-    {2, ProtocolKind::WriteThroughInvalidate, 0x538769d608426cf6ULL},
-    {2, ProtocolKind::Berkeley, 0xf739fd54f5920a33ULL},
-    {2, ProtocolKind::Mesi, 0xe8deb4a3215ee22bULL},
+    {0, ProtocolKind::Firefly, 0x7677a55f21836147ULL},
+    {0, ProtocolKind::Dragon, 0x855f5f0e4e121da1ULL},
+    {0, ProtocolKind::WriteThroughInvalidate, 0xf7dec52b7f990739ULL},
+    {0, ProtocolKind::Berkeley, 0xef7db90bc6d50096ULL},
+    {0, ProtocolKind::Mesi, 0x87b146d6ebdc1c32ULL},
+    {1, ProtocolKind::Firefly, 0xdb061e7743f4c658ULL},
+    {1, ProtocolKind::Dragon, 0xc8c7967c2422de12ULL},
+    {1, ProtocolKind::WriteThroughInvalidate, 0x91a8b86bbf5d4068ULL},
+    {1, ProtocolKind::Berkeley, 0x4e7afd2de0fb916cULL},
+    {1, ProtocolKind::Mesi, 0x305a0e9a3861496cULL},
+    {2, ProtocolKind::Firefly, 0x44ed1637adbcda76ULL},
+    {2, ProtocolKind::Dragon, 0xd23c8d67b5ff2b54ULL},
+    {2, ProtocolKind::WriteThroughInvalidate, 0x3d2e460838c68ce6ULL},
+    {2, ProtocolKind::Berkeley, 0xedf3035fdab4d883ULL},
+    {2, ProtocolKind::Mesi, 0x20fe2d6a9071948fULL},
 };
 
 std::uint64_t
@@ -252,7 +256,7 @@ statsJson(StatGroup &group)
 TEST(GoldenWorkloads, TopazExerciserDigestMatchesRecorded)
 {
     // Recorded with this configuration.
-    constexpr std::uint64_t kDigest = 0x5fb3f16d9619109eULL;
+    constexpr std::uint64_t kDigest = 0x456c087db7e3dccfULL;
     constexpr unsigned kCpus = 5;
     FireflySystem sys(FireflyConfig::microVax(kCpus));
     TopazConfig tc;
@@ -280,7 +284,7 @@ TEST(GoldenWorkloads, IoDevicesDigestMatchesRecorded)
     // Recorded with this configuration: two processors on a short
     // synthetic burst, while two back-to-back Ethernet controllers,
     // a disk and the MDC move data through the I/O cache.
-    constexpr std::uint64_t kDigest = 0x39bdf299a0737496ULL;
+    constexpr std::uint64_t kDigest = 0x8035157a0b73ef57ULL;
     constexpr Addr kBuffers = 0x0030'0000;
     FireflySystem sys(FireflyConfig::microVax(2));
     SyntheticConfig sc;

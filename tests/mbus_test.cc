@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fault/fault_injector.hh"
-#include "mbus/interrupts.hh"
 #include "mbus/mbus.hh"
 #include "mem/main_memory.hh"
 #include "obs/trace.hh"
@@ -431,28 +430,3 @@ TEST(MBus, ParityNackedAttemptIsNoTransaction)
     EXPECT_EQ(log.phases[3].name, "data");
 }
 
-TEST(Interrupts, DirectedDelivery)
-{
-    Simulator sim;
-    InterruptController ic(sim);
-    std::vector<std::pair<unsigned, unsigned>> delivered;
-    const unsigned t0 = ic.addTarget(
-        [&](unsigned src) { delivered.emplace_back(0, src); });
-    ic.addTarget([&](unsigned src) { delivered.emplace_back(1, src); });
-    ic.raise(t0, 1);
-    sim.run(2);
-    ASSERT_EQ(delivered.size(), 1u);
-    EXPECT_EQ(delivered[0], (std::pair<unsigned, unsigned>{0u, 1u}));
-}
-
-TEST(Interrupts, BroadcastSkipsSource)
-{
-    Simulator sim;
-    InterruptController ic(sim);
-    std::vector<unsigned> hit;
-    for (unsigned i = 0; i < 3; ++i)
-        ic.addTarget([&hit, i](unsigned) { hit.push_back(i); });
-    ic.broadcast(1);
-    sim.run(2);
-    EXPECT_EQ(hit, (std::vector<unsigned>{0, 2}));
-}

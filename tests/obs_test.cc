@@ -16,7 +16,6 @@
 
 #include "firefly/system.hh"
 #include "obs/chrome_trace.hh"
-#include "obs/stat_sampler.hh"
 #include "obs/text_trace.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -571,6 +570,44 @@ TEST(ChromeTrace, SchedulerAndRpcEventsAppear)
               names.end());
 }
 
+TEST(ChromeTrace, CounterRecordsCarryNumbers)
+{
+    // A counter sample is a "C" record whose args are JSON numbers,
+    // and one line of the text sink.
+    std::ostringstream trace, text;
+    {
+        obs::ChromeTraceSink chrome(trace);
+        obs::TextTraceSink printer({"MBus"}, text);
+        obs::TeeSink tee;
+        tee.add(&chrome);
+        tee.add(&printer);
+        tee.counter(10'000, obs::kCatMBus, "mbus", "bus.busy", 4242);
+        tee.counter(20'000, obs::kCatMBus, "mbus", "bus.busy", 0.125);
+        chrome.close();
+    }
+    EXPECT_NE(trace.str().find("\"ph\":\"C\",\"ts\":1000.0,"),
+              std::string::npos)
+        << trace.str();
+    EXPECT_NE(trace.str().find("\"args\":{\"value\":4242}"),
+              std::string::npos)
+        << trace.str();
+
+    const Json root = parseJson(trace.str());
+    std::vector<double> values;
+    for (const Json &rec : root.array) {
+        if (rec.at("ph").string != "C")
+            continue;
+        EXPECT_EQ(rec.at("name").string, "bus.busy");
+        const Json &value = rec.at("args").at("value");
+        ASSERT_EQ(value.kind, Json::Kind::Number);
+        values.push_back(value.number);
+    }
+    EXPECT_EQ(values, (std::vector<double>{4242, 0.125}));
+
+    EXPECT_EQ(text.str(), "[MBus] 10000 mbus: bus.busy (value=4242)\n"
+                          "[MBus] 20000 mbus: bus.busy (value=0.125)\n");
+}
+
 // --- observing must not perturb --------------------------------------
 
 TEST(Observation, TracingDoesNotChangeTheMachine)
@@ -659,54 +696,6 @@ TEST(LoggingFlags, ListSkipsEmptyTokens)
               (std::vector<std::string>{"MBus", "Cache"}));
     EXPECT_TRUE(obs::splitFlags("").empty());
     EXPECT_TRUE(obs::splitFlags(",,").empty());
-}
-
-// --- the stat sampler -------------------------------------------------
-
-TEST(StatSampler, RecordsLevelsAndDeltas)
-{
-    FireflySystem sys(FireflyConfig::microVax(1));
-    sys.attachSyntheticWorkload(SyntheticConfig{});
-
-    obs::StatSampler sampler(sys.simulator(), 1000);
-    sampler.addStat(sys.bus().stats(), "cycles");
-    sampler.addStat(sys.bus().stats(), "busy_cycles",
-                    obs::StatSampler::Mode::Delta, "busy_delta");
-    sys.run(0.001);  // 10'000 cycles
-
-    ASSERT_EQ(sampler.channelCount(), 2u);
-    ASSERT_GE(sampler.sampleCount(), 10u);
-
-    // Levels are cumulative and the bus counts every cycle, so
-    // consecutive samples differ by exactly one period.
-    const auto &cycles = sampler.series(0);
-    EXPECT_EQ(cycles.at(5) - cycles.at(0), 5000);
-    EXPECT_EQ(cycles.at(1) - cycles.at(0), 1000);
-
-    // Deltas sum (from a zero start) back to the final level.
-    const auto &busy = sampler.series(1);
-    double total = 0;
-    for (double d : busy)
-        total += d;
-    EXPECT_LE(total, sys.bus().stats().get("busy_cycles"));
-    EXPECT_GT(total, 0);
-}
-
-TEST(StatSampler, CsvOutput)
-{
-    FireflySystem sys(FireflyConfig::microVax(1));
-    sys.attachSyntheticWorkload(SyntheticConfig{});
-    obs::StatSampler sampler(sys.simulator(), 2000);
-    sampler.addStat(sys.bus().stats(), "cycles");
-    sampler.addProbe("load", [&] { return sys.busLoad(); });
-    sys.run(0.001);
-
-    std::ostringstream csv;
-    sampler.writeCsv(csv);
-    const std::string text = csv.str();
-    EXPECT_EQ(text.rfind("cycle,mbus.cycles,load", 0), 0u)
-        << "CSV header: " << text.substr(0, 40);
-    EXPECT_GT(std::count(text.begin(), text.end(), '\n'), 3);
 }
 
 } // namespace

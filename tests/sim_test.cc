@@ -306,10 +306,11 @@ TEST(Simulator, PhaseOrderWithinCycle)
     Simulator sim;
     std::vector<std::pair<int, Cycle>> log;
     Recorder device(&log, 2), bus(&log, 0), cpu(&log, 1);
-    // Register out of order; phases must still run Bus, Cpu, Device.
-    sim.addClocked(&device, Phase::Device);
-    sim.addClocked(&bus, Phase::Bus);
+    // Register out of phase order; phases must still run Bus then
+    // Cpu, and components within a phase in registration order.
     sim.addClocked(&cpu, Phase::Cpu);
+    sim.addClocked(&bus, Phase::Bus);
+    sim.addClocked(&device, Phase::Cpu);
     sim.run(2);
     ASSERT_EQ(log.size(), 6u);
     EXPECT_EQ(log[0], (std::pair<int, Cycle>{0, 0}));
@@ -411,13 +412,13 @@ TEST(Simulator, FastForwardMatchesSlowPathTickForTick)
     Simulator fast;
     fast.setFastForward(true);
     Periodic pf(1000);
-    fast.addClocked(&pf, Phase::Device);
+    fast.addClocked(&pf, Phase::Cpu);
     fast.run(5000);
 
     Simulator slow;
     slow.setFastForward(false);
     Periodic ps(1000);
-    slow.addClocked(&ps, Phase::Device);
+    slow.addClocked(&ps, Phase::Cpu);
     slow.run(5000);
 
     const std::vector<Cycle> expected = {0, 1000, 2000, 3000, 4000};
@@ -460,7 +461,7 @@ TEST(Simulator, FastForwardSkipsEveryIdleSpanWhole)
     } bursty;
     Simulator sim;
     sim.setFastForward(true);
-    sim.addClocked(&bursty, Phase::Device);
+    sim.addClocked(&bursty, Phase::Cpu);
     sim.run(1400);
     EXPECT_EQ(sim.cyclesFastForwarded(), 1000u);
     EXPECT_EQ(sim.ticksDispatched(), 400u);
@@ -479,7 +480,7 @@ TEST(Simulator, WatchdogWedgesAtTheSameCycleEitherPath)
             Quiet() { setDue(kNeverWakes); }
             void tick(Cycle) override {}
         } quiet;
-        sim.addClocked(&quiet, Phase::Device);
+        sim.addClocked(&quiet, Phase::Cpu);
         try {
             sim.run(10000);
         } catch (const SimulationWedged &) {

@@ -147,13 +147,3 @@ TEST(FireflySystem, RunToCompletionHonoursInstructionLimit)
     EXPECT_EQ(sys.cpu(1).instructions(), 5000u);
 }
 
-TEST(FireflySystem, InterruptsReachEveryProcessor)
-{
-    FireflySystem sys(FireflyConfig::microVax(3));
-    int count = 0;
-    for (unsigned i = 0; i < 3; ++i)
-        sys.interrupts().addTarget([&](unsigned) { ++count; });
-    sys.interrupts().broadcast(0);
-    sys.simulator().run(2);
-    EXPECT_EQ(count, 2);
-}
