@@ -344,7 +344,7 @@ void
 Cache::finishHead(Word value)
 {
     Callback cb = std::move(queue.front().cb);
-    queue.pop_front();
+    queue.erase(queue.begin());
     engineBusy = false;
     if (cb)
         cb(value);

@@ -34,7 +34,6 @@
 #ifndef FIREFLY_CACHE_CACHE_HH
 #define FIREFLY_CACHE_CACHE_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -271,7 +270,10 @@ class Cache : public MBusClient
      *  access and snoop. */
     unsigned lineShift = 0;
 
-    std::deque<PendingAccess> queue;
+    /** FIFO of pending accesses, popped by erasing the front: it
+     *  holds one or two in practice, and a deque would allocate a
+     *  node as it walks forward. */
+    std::vector<PendingAccess> queue;
     bool engineBusy = false;  ///< head of queue has a bus op in flight
 
     CoherenceObserver *checkObs = nullptr;

@@ -78,7 +78,7 @@ TraceCpu::reschedule()
 void
 TraceCpu::fence()
 {
-    credit(sim.settleHorizon(Phase::Cpu));
+    credit(sim.settleHorizon(*this));
     fenced = true;
     reschedule();
 }
@@ -110,7 +110,6 @@ TraceCpu::tick(Cycle now)
         // the offlining host flushes them once the bus drains too.
         _halted = true;
         setDue(kNeverWakes);
-        sim.retireClocked(this);
         if (auto *ts = obs::traceSink())
             ts->instant(sim.now(), obs::kCatCpu, _name, "fenced");
         return;
@@ -139,7 +138,6 @@ TraceCpu::issue(Cycle now)
           case CpuStep::Kind::Halt:
             _halted = true;
             hasPending = false;
-            sim.retireClocked(this);
             if (auto *ts = obs::traceSink())
                 ts->instant(sim.now(), obs::kCatCpu, _name, "halt");
             return;
@@ -167,7 +165,7 @@ TraceCpu::issue(Cycle now)
                 issued, [this, issued](Word data) {
                     // Stall ticks up to now; in the Bus phase this
                     // cycle's boundary is still to come.
-                    credit(sim.settleHorizon(Phase::Cpu));
+                    credit(sim.settleHorizon(*this));
                     waitingForMem = false;
                     if (auto *ts = obs::traceSink())
                         ts->end(sim.now(), obs::kCatCpu, _name);

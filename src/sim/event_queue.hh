@@ -49,8 +49,6 @@ class EventQueue
     /** Cycle of the earliest pending event, or max if empty. */
     Cycle nextEventCycle() const;
 
-    bool empty() const { return events.empty(); }
-    std::size_t size() const { return events.size(); }
     /** Events scheduled since construction (host-perf diagnostics). */
     std::uint64_t scheduled() const { return nextSeq; }
 

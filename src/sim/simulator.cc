@@ -8,6 +8,11 @@
 namespace firefly
 {
 
+Simulator::Simulator()
+{
+    obs::publishTraceNow(_now);
+}
+
 void
 Simulator::addClocked(Clocked *c, Phase phase)
 {
@@ -15,27 +20,7 @@ Simulator::addClocked(Clocked *c, Phase phase)
     if (idx >= kPhases)
         panic("bad phase %zu", idx);
     phases[idx].push_back(c);
-}
-
-void
-Simulator::retireClocked(Clocked *c)
-{
-    retired.push_back(c);
-}
-
-void
-Simulator::compactRetired()
-{
-    for (auto &phase : phases) {
-        phase.erase(std::remove_if(phase.begin(), phase.end(),
-                        [this](Clocked *c) {
-                            return std::find(retired.begin(),
-                                             retired.end(),
-                                             c) != retired.end();
-                        }),
-                    phase.end());
-    }
-    retired.clear();
+    c->sim = this;
 }
 
 void
@@ -44,24 +29,25 @@ Simulator::stepOneCycle()
     // Publish the cycle for trace emitters that have no Simulator
     // reference (obs::traceNow); a single word store per cycle.
     obs::publishTraceNow(_now);
-    curPhase = 0;
     if (_events.runUntil(_now) > 0)
         lastProgress = _now;
-    // Gating reads each due cycle as the phase reaches it, so a due
-    // cycle lowered earlier in this cycle (a bus completion waking a
-    // processor) takes effect in this very cycle.
+    // One walk gates each tick and finds the next wake.  It reads each
+    // due cycle as it reaches the component, so a due cycle lowered
+    // earlier in this cycle (a bus completion waking a processor)
+    // takes effect in this very cycle; one lowered after the walk
+    // passed its component is folded in by Clocked::setDue.
     const bool gate = ffEnabled;
+    wake = kNeverWakes;
     for (auto &phase : phases) {
         for (auto *c : phase) {
-            if (gate && c->dueCycle() > _now)
-                continue;
-            ++ticksCalled;
-            c->tick(_now);
+            if (!gate || c->due <= _now) {
+                ++ticksCalled;
+                c->tick(_now);
+            }
+            c->visited = _now;
+            wake = std::min(wake, c->due);
         }
-        ++curPhase;
     }
-    if (!retired.empty())
-        compactRetired();
     if (watchdogBound != 0 && _now - lastProgress >= watchdogBound) {
         // A processor sleeping through a compute burst reports that
         // progress only when settled; only then is the machine wedged.
@@ -70,48 +56,15 @@ Simulator::stepOneCycle()
             reportWedge();
     }
     ++_now;
-    curPhase = 0;
 }
 
 void
 Simulator::settle()
 {
-    for (std::size_t p = 0; p < kPhases; ++p) {
-        const Cycle horizon = settleHorizon(static_cast<Phase>(p));
-        for (auto *c : phases[p])
-            c->settle(horizon);
-    }
-}
-
-void
-Simulator::fastForward(Cycle when)
-{
-    // The machine may skip to the earliest cycle any component is
-    // due: the next scheduled event, or a Clocked component's due
-    // cycle.  Nothing executes over the skipped span, so nothing can
-    // schedule new work inside it - the bound stays valid once
-    // computed; components credit the span lazily (Clocked::settle).
-    // The probe runs after every stepped cycle, so every idle span is
-    // skipped whole.  A component due now ends it at once (the bus,
-    // scanned first, is busy on most cycles of a saturated run).
-    Cycle wake = _events.nextEventCycle();
     for (const auto &phase : phases) {
-        for (const auto *c : phase) {
-            const Cycle due = c->dueCycle();
-            if (due <= _now)
-                return;
-            wake = std::min(wake, due);
-        }
+        for (auto *c : phase)
+            c->settle(settleHorizon(*c));
     }
-    Cycle target = std::min(wake, when);
-    // Never skip past the watchdog deadline: the wedge must fire at
-    // the same cycle it would have fired on the slow path.
-    if (watchdogBound != 0)
-        target = std::min(target, lastProgress + watchdogBound);
-    if (target <= _now)
-        return;
-    ffSkipped += target - _now;
-    _now = target;
 }
 
 void
@@ -139,8 +92,21 @@ Simulator::runUntil(Cycle when)
 {
     while (_now < when) {
         stepOneCycle();
-        if (ffEnabled && _now < when)
-            fastForward(when);
+        if (!ffEnabled || wake <= _now)
+            continue;
+        // Nothing is due before the wake the walk found, or the next
+        // event.  Nothing executes over the skipped span, so nothing
+        // can schedule work inside it; components credit the span
+        // lazily (Clocked::settle).  Every idle span is skipped whole.
+        Cycle target = std::min({wake, _events.nextEventCycle(), when});
+        // Never skip past the watchdog deadline: the wedge must fire
+        // at the same cycle it would have fired on the slow path.
+        if (watchdogBound != 0)
+            target = std::min(target, lastProgress + watchdogBound);
+        if (target > _now) {
+            ffSkipped += target - _now;
+            _now = target;
+        }
     }
     // Every statistic is exact whenever a run returns.
     settle();

@@ -14,6 +14,10 @@
  * Devices have no phase of their own: they act through scheduled
  * events.
  *
+ * Steps 2 and 3 are one walk over the components in that order: it
+ * ticks each component that is due and folds the component's due
+ * cycle into the next wake, so idle fast-forward needs no second pass.
+ *
  * Determinism matters: two runs with the same configuration and seed
  * produce bit-identical statistics (there is a regression test).
  */
@@ -41,6 +45,8 @@ class SimulationWedged : public std::runtime_error
 /** Due cycle of a component with no work ever again. */
 constexpr Cycle kNeverWakes = std::numeric_limits<Cycle>::max();
 
+class Simulator;
+
 /**
  * Interface for synchronous components.
  *
@@ -52,8 +58,9 @@ constexpr Cycle kNeverWakes = std::numeric_limits<Cycle>::max();
  * in ticks every cycle exactly as written.  A due cycle must be
  * conservative: publishing a cycle later than the component's first
  * real work would change simulated behaviour.  It may be lowered from
- * anywhere (a bus request, a completion callback); a component whose
- * phase already ran this cycle then ticks next cycle.
+ * anywhere (a bus request, a completion callback); a component the
+ * simulator's walk has already passed this cycle then ticks next
+ * cycle.
  *
  * With fast-forward off every component ticks every cycle regardless,
  * which makes the ungated run the reference the gated one must match.
@@ -83,10 +90,17 @@ class Clocked
     Cycle dueCycle() const { return due; }
 
   protected:
-    void setDue(Cycle cycle) { due = cycle; }
+    /** Publish the due cycle (defined after Simulator: the fold). */
+    void setDue(Cycle cycle);
 
   private:
+    friend class Simulator;
+
     Cycle due = 0;
+    /** The simulator this component is registered with. */
+    Simulator *sim = nullptr;
+    /** Last cycle whose walk passed this component. */
+    Cycle visited = kNeverWakes;
 };
 
 /** Evaluation phases within one cycle, in execution order. */
@@ -103,7 +117,10 @@ constexpr std::size_t kPhases = 2;
 class Simulator
 {
   public:
-    Simulator() = default;
+    /** Publishes cycle 0 as this thread's trace clock, so events a
+     *  machine's builders emit before its first cycle (Topaz's
+     *  `ready` instants) carry its time, not the previous machine's. */
+    Simulator();
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
@@ -119,14 +136,6 @@ class Simulator
     /** Register a synchronous component in the given phase. */
     void addClocked(Clocked *c, Phase phase);
 
-    /**
-     * Permanently remove a component from the tick rotation (a halted
-     * CPU never ticks again).  Safe to call from inside tick(): the
-     * removal is deferred to the end of the current cycle.  A retired
-     * component no longer contributes to quiescence decisions either.
-     */
-    void retireClocked(Clocked *c);
-
     /** Run for `cycles` more cycles. */
     void run(Cycle cycles);
 
@@ -138,9 +147,9 @@ class Simulator
      * default; FireflyConfig::fastForward and the benches'
      * --no-fast-forward turn it off).  With it on, a component ticks
      * only from its due cycle on, and whenever nothing is due
-     * runUntil jumps time straight to the earliest due cycle or event
-     * (or the run horizon).  With it off every component ticks every
-     * cycle.  Simulated behaviour and statistics are bit-identical
+     * runUntil jumps time straight to the earliest due cycle the walk
+     * found, or the next event (or the run horizon).  With it off
+     * every component ticks every cycle.  Simulated behaviour and statistics are bit-identical
      * either way; the switch exists so tests and the perf lane can
      * compare the two paths.
      */
@@ -157,16 +166,16 @@ class Simulator
     std::uint64_t ticksDispatched() const { return ticksCalled; }
 
     /**
-     * The horizon for settling a component of phase `p` right now:
-     * one past the current cycle once that phase has run in it, else
-     * the current cycle.  A completion callback in the Bus phase, for
+     * The horizon for settling component `c` right now: one past the
+     * current cycle once this cycle's walk has passed `c`, else the
+     * current cycle.  A completion callback in the Bus phase, for
      * example, must not count the current cycle's processor tick,
      * which has not happened yet.
      */
     Cycle
-    settleHorizon(Phase p) const
+    settleHorizon(const Clocked &c) const
     {
-        return _now + (static_cast<int>(p) < curPhase ? 1 : 0);
+        return _now + (c.visited == _now ? 1 : 0);
     }
 
     /**
@@ -199,31 +208,41 @@ class Simulator
     }
 
   private:
+    friend class Clocked;
+
     /**
      * Settle every component's lazily credited statistics at the
      * current point of the current cycle (see Clocked::settle).
      */
     void settle();
     void stepOneCycle();
-    void fastForward(Cycle when);
-    void compactRetired();
     [[noreturn]] void reportWedge();
 
     Cycle _now = 0;
-    /** Phase whose components are ticking (kPhases once all have; 0
-     *  between cycles and while events run). */
-    int curPhase = 0;
+    /** Earliest due cycle of the components this cycle's walk has
+     *  passed (Clocked::setDue folds later lowerings in). */
+    Cycle wake = kNeverWakes;
     bool ffEnabled = true;
     Cycle ffSkipped = 0;
     std::uint64_t ticksCalled = 0;
     EventQueue _events;
     std::vector<Clocked *> phases[kPhases];
-    std::vector<Clocked *> retired;
 
     Cycle watchdogBound = 0;
     bool watchdogThrows = false;
     Cycle lastProgress = 0;
 };
+
+inline void
+Clocked::setDue(Cycle cycle)
+{
+    due = cycle;
+    // The fold rule: a component the walk has already passed this
+    // cycle was read into the wake, so a lower due cycle must reach
+    // it too.  One the walk has not reached is read when it gets there.
+    if (sim != nullptr && visited == sim->_now && cycle < sim->wake)
+        sim->wake = cycle;
+}
 
 } // namespace firefly
 

@@ -150,28 +150,37 @@ TEST(Gating, LongComputeBurstIsWatchdogProgress)
 TEST(Gating, LostCompletionWedgesAtTheSameCycle)
 {
     const auto wedge = [](bool gated) {
-        OneCpu rig(gated);
-        rig.source.steps = {CpuStep::makeCompute(10),
-                            CpuStep::makeRef({0x100, RefType::DataRead,
-                                              0})};
-        rig.sim.setWatchdog(5'000, /*throw_on_wedge=*/true);
-        rig.sim.run(21);  // the miss is requested at cycle 20
-        EXPECT_TRUE(rig.bus.busy(rig.caches[0].get()));
-        // Lose the completion: the bus arbitrates once more (cycle
-        // 21, progress), then leaves the clock for good.
-        rig.sim.retireClocked(&rig.bus);
+        // The processor runs on a clock of its own, over a cache whose
+        // bus is on the rig's clock, which never runs: the miss it
+        // requests at cycle 20 never completes.
+        Rig rig(ProtocolKind::Firefly, 2);
+        Simulator sim;
+        sim.setFastForward(gated);
+        ScriptedSource source;
+        source.steps = {CpuStep::makeCompute(10),
+                        CpuStep::makeRef({0x100, RefType::DataRead, 0})};
+        TraceCpu cpu(sim, *rig.caches[0], source, CpuTiming::microVax(),
+                     "cpu0");
+        sim.setWatchdog(5'000, /*throw_on_wedge=*/true);
+        const auto counts = [&] {
+            return std::make_tuple(sim.now(), cpu.tickCount.value(),
+                                   cpu.computeTickCount.value(),
+                                   cpu.memWaitTicks.value(),
+                                   cpu.halted());
+        };
         try {
-            rig.sim.run(100'000);
+            sim.run(100'000);
         } catch (const SimulationWedged &w) {
-            return std::make_pair(std::string(w.what()), rig.counts());
+            EXPECT_TRUE(rig.bus.busy(rig.caches[0].get()));
+            return std::make_pair(std::string(w.what()), counts());
         }
         ADD_FAILURE() << "watchdog did not fire, gated=" << gated;
-        return std::make_pair(std::string(), rig.counts());
+        return std::make_pair(std::string(), counts());
     };
     const auto gated = wedge(true);
     const auto every = wedge(false);
     EXPECT_EQ(gated, every);
-    EXPECT_NE(gated.first.find("(now 5021, last progress 21)"),
+    EXPECT_NE(gated.first.find("(now 5020, last progress 20)"),
               std::string::npos)
         << gated.first;
     // Stalled from the tick after the issue through the wedge cycle.

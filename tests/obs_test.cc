@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "firefly/system.hh"
@@ -568,6 +569,49 @@ TEST(ChromeTrace, SchedulerAndRpcEventsAppear)
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "dispatch"),
               names.end());
+}
+
+TEST(ChromeTrace, RuntimeBuiltAfterAnotherMachineReadsItsClock)
+{
+    // The scheduler stamps its events with the published trace clock.
+    // A runtime built after another machine ran on the same thread
+    // must stamp its first `ready` with the new machine's cycle 0,
+    // not the last cycle the old machine stepped.
+    struct Capture : obs::TraceSink
+    {
+        std::vector<obs::TraceEvent> events;
+        void event(const obs::TraceEvent &ev) override
+        {
+            events.push_back(ev);
+        }
+    };
+    Cycle oldLast = 0;
+    std::vector<Cycle> ready;
+    std::thread([&] {
+        {
+            FireflySystem old(FireflyConfig::microVax(1));
+            old.attachSyntheticWorkload(SyntheticConfig{});
+            old.simulator().run(50'000);
+            oldLast = obs::traceNow();
+        }
+        Capture sink;
+        obs::ScopedTraceSink attach(&sink);
+        FireflySystem sys(FireflyConfig::microVax(2));
+        TopazConfig tc;
+        tc.cpus = 2;
+        TopazRuntime runtime(tc);
+        ExerciserParams params;
+        params.threads = 4;
+        params.iterations = 1;
+        buildThreadsExerciser(runtime, params);
+        for (const auto &ev : sink.events) {
+            if (ev.name == "ready")
+                ready.push_back(ev.when);
+        }
+    }).join();
+    EXPECT_GT(oldLast, 40'000u);
+    ASSERT_FALSE(ready.empty());
+    EXPECT_EQ(ready.front(), 0u);
 }
 
 TEST(ChromeTrace, CounterRecordsCarryNumbers)

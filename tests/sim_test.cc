@@ -467,6 +467,96 @@ TEST(Simulator, FastForwardSkipsEveryIdleSpanWhole)
     EXPECT_EQ(sim.ticksDispatched(), 400u);
 }
 
+namespace
+{
+
+/** Acts only when another component pokes it awake; records the
+ *  cycles it acted at, then sleeps again. */
+struct Sleeper : Clocked
+{
+    std::vector<Cycle> acted;
+
+    Sleeper() { setDue(kNeverWakes); }
+
+    void poke(Cycle cycle) { setDue(cycle); }
+
+    void
+    tick(Cycle now) override
+    {
+        if (now < dueCycle())
+            return;  // ticked every cycle on the slow path
+        acted.push_back(now);
+        setDue(kNeverWakes);
+    }
+};
+
+/** Every `period` cycles from cycle `period` on, pokes `target` awake
+ *  at `now + lead`. */
+struct Poker : Clocked
+{
+    Sleeper &target;
+    Cycle period;
+    Cycle lead;
+
+    Poker(Sleeper &t, Cycle p, Cycle l) : target(t), period(p), lead(l)
+    {
+        setDue(period);
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        if (now < dueCycle())
+            return;
+        target.poke(now + lead);
+        setDue(now + period);
+    }
+};
+
+} // namespace
+
+TEST(Simulator, WakeLoweredAfterTheWalkPassedIsFolded)
+{
+    // A processor-phase component lowers a bus-phase component's due
+    // cycle to the next cycle, after the walk has already read it:
+    // the wake must fold the lowered cycle in, or the fast path would
+    // leap over it to the poker's next turn.
+    std::vector<std::vector<Cycle>> acted;
+    for (const bool fast_forward : {true, false}) {
+        Simulator sim;
+        sim.setFastForward(fast_forward);
+        Sleeper bus;
+        Poker cpu(bus, 100, 1);
+        sim.addClocked(&bus, Phase::Bus);
+        sim.addClocked(&cpu, Phase::Cpu);
+        sim.run(500);
+        acted.push_back(bus.acted);
+    }
+    EXPECT_EQ(acted[0], (std::vector<Cycle>{101, 201, 301, 401}));
+    EXPECT_EQ(acted[0], acted[1]);
+}
+
+TEST(Simulator, WakeLoweredBeforeTheWalkArrivesIsReadThere)
+{
+    // A bus-phase component wakes a processor-phase one for this very
+    // cycle, and the processor goes back to sleep on its own tick.
+    // The walk reads the processor's raised due cycle, so the wake is
+    // exact and the whole idle span after each pair of ticks is
+    // skipped.  (Folding the lowered cycle in as well would step one
+    // needless cycle per round.)
+    Simulator sim;
+    sim.setFastForward(true);
+    Sleeper cpu;
+    Poker bus(cpu, 100, 0);
+    sim.addClocked(&bus, Phase::Bus);
+    sim.addClocked(&cpu, Phase::Cpu);
+    sim.run(1000);
+    EXPECT_EQ(cpu.acted.size(), 9u);  // cycles 100 .. 900
+    EXPECT_EQ(cpu.acted.front(), 100u);
+    // Stepped: cycle 0 (everything starts due) and the nine rounds.
+    EXPECT_EQ(sim.cyclesFastForwarded(), 1000u - 10u);
+}
+
 TEST(Simulator, WatchdogWedgesAtTheSameCycleEitherPath)
 {
     // Fast-forward must never leap past the watchdog deadline: a
