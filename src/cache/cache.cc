@@ -137,14 +137,7 @@ Cache::trySilentWriteHit(const MemRef &ref)
         return false;
     }
     countRef(ref, true);
-    wordAt(i, ref.addr) = ref.value;
-    const LineState old = state[i];
-    setLine(i, tag[i], LineState::Dirty);
-    traceLine(tag[i], old, LineState::Dirty, "write-hit");
-    // The line is exclusive (a silent write requires it), so the
-    // local write instant is the global serialization instant.
-    if (checkObs)
-        checkObs->writeSerialized(ref.addr, ref.value, *this, "write-hit");
+    writeHeld(ref, LineState::Dirty, "write-hit", true);
     return true;
 }
 
@@ -164,8 +157,7 @@ Cache::cpuAccessSlow(const MemRef &ref, Callback cb)
         return {AccessOutcome::Hit, 0};
     }
 
-    queue.push_back(PendingAccess{ref, false, std::move(cb),
-                                  Stage::Start, false});
+    queue.push_back(PendingAccess{ref, false, std::move(cb)});
     if (!engineBusy && queue.size() == 1)
         dispatchHead();
     return {AccessOutcome::Pending, 0};
@@ -177,8 +169,7 @@ Cache::dmaAccess(const MemRef &ref, Callback cb)
     if (ref.addr % bytesPerWord != 0)
         panic("%s: unaligned DMA to 0x%x", _name.c_str(), ref.addr);
 
-    queue.push_back(PendingAccess{ref, true, std::move(cb),
-                                  Stage::Start, false});
+    queue.push_back(PendingAccess{ref, true, std::move(cb)});
     if (!engineBusy && queue.size() == 1)
         dispatchHead();
 }
@@ -187,105 +178,77 @@ void
 Cache::dispatchHead()
 {
     PendingAccess &p = queue.front();
-    const std::size_t i = indexOf(p.ref.addr);
-    const bool hit = tag[i] == lineBaseOf(p.ref.addr);
-    // A miss must first write back a dirty line in its way.
-    const bool victim = needsWriteback(state[i]);
+    const Addr addr = p.ref.addr;
+    const std::size_t i = indexOf(addr);
+    const bool hit = tag[i] == lineBaseOf(addr);
+    const bool write = isWrite(p.ref.type);
 
     if (p.isDma) {
-        if (isWrite(p.ref.type)) {
+        if (write) {
             ++dmaWrites;
-            issueWriteThrough(p.ref, true, Stage::DmaWrite,
-                              MBusOpKind::DmaWrite);
-        } else {
-            ++dmaReads;
-            if (hit) {
-                const Word value = wordAt(i, p.ref.addr);
-                if (checkObs)
-                    checkObs->loadObserved(p.ref.addr, value, *this,
-                                           "dma-hit");
-                finishHead(value);
-            } else {
-                ++dmaReadMisses;
-                MBusTransaction txn;
-                txn.type = MBusOpType::MRead;
-                txn.kind = MBusOpKind::DmaRead;
-                txn.addr = p.ref.addr;
-                txn.words = 1;  // DMA misses do not allocate
-                txn.updatesMemory = proto.fillsUpdateMemory;
-                txn.initiator = this;
-                p.stage = Stage::DmaRead;
-                engineBusy = true;
-                bus.request(txn);
-            }
-        }
-        return;
-    }
-
-    if (p.stage == Stage::Start) {
-        // Count the reference exactly once (restarts after victim
-        // writes or lost invalidation races must not recount).
-        if (!p.counted) {
-            countRef(p.ref, hit);
-            p.counted = true;
-        }
-    }
-
-    if (!isWrite(p.ref.type)) {
-        if (hit) {
-            const Word value = wordAt(i, p.ref.addr);
-            if (checkObs)
-                checkObs->loadObserved(p.ref.addr, value, *this, "hit");
-            finishHead(value);
+            issue(MBusOpType::MWrite, MBusOpKind::DmaWrite, addr, 1, true,
+                  &p.ref.value);
             return;
         }
-        if (victim) {
-            issueVictimWriteFor(p.ref.addr);
+        ++dmaReads;
+        if (!hit) {
+            // DMA misses do not allocate.
+            ++dmaReadMisses;
+            issue(MBusOpType::MRead, MBusOpKind::DmaRead, addr, 1,
+                  proto.fillsUpdateMemory, nullptr);
             return;
         }
-        issueFill(p.ref.addr, Stage::Fill);
-        return;
+    } else if (!p.counted) {
+        // Count the reference exactly once: a victim write-back
+        // re-dispatches it.
+        countRef(p.ref, hit);
+        p.counted = true;
     }
 
-    // Processor write.
     if (hit) {
-        applyWriteHit(i, p.ref);
+        if (write) {
+            applyWriteHit(i, p.ref);
+            return;
+        }
+        const Word value = wordAt(i, addr);
+        if (checkObs)
+            checkObs->loadObserved(addr, value, *this,
+                                   p.isDma ? "dma-hit" : "hit");
+        finishHead(value);
         return;
     }
 
-    switch (proto.writeMiss[_lineWords == 1 ? 0 : 1]) {
-      case WriteMissAction::WriteThroughAllocate:
-        if (_lineWords != 1)
-            panic("WriteThroughAllocate requires one-word lines");
-        if (victim) {
-            issueVictimWriteFor(p.ref.addr);
-            return;
-        }
-        p.installOnWriteThrough = true;
-        issueWriteThrough(p.ref, true, Stage::WriteThrough,
-                          MBusOpKind::WriteThrough);
-        return;
+    // A read miss is a fill; a write miss does what the protocol says.
+    const WriteMissAction miss = write
+        ? proto.writeMiss[_lineWords == 1 ? 0 : 1]
+        : WriteMissAction::FillThenWriteHit;
+    if (miss == WriteMissAction::WriteThroughAllocate && _lineWords != 1)
+        panic("WriteThroughAllocate requires one-word lines");
 
-      case WriteMissAction::WriteThroughNoAllocate:
-        issueWriteThrough(p.ref, true, Stage::WriteThrough,
-                          MBusOpKind::WriteThrough);
+    // Every miss except a no-allocate write-through first writes back
+    // a dirty line in its slot.
+    if (miss != WriteMissAction::WriteThroughNoAllocate &&
+        needsWriteback(state[i])) {
+        issue(MBusOpType::MWrite, MBusOpKind::VictimWrite, tag[i],
+              _lineWords, true, &data[i * _lineWords]);
         return;
+    }
 
+    switch (miss) {
       case WriteMissAction::FillThenWriteHit:
-        if (victim) {
-            issueVictimWriteFor(p.ref.addr);
-            return;
-        }
-        issueFill(p.ref.addr, Stage::Fill);
-        return;
-
       case WriteMissAction::ReadOwned:
-        if (victim) {
-            issueVictimWriteFor(p.ref.addr);
-            return;
-        }
-        issueFill(p.ref.addr, Stage::ReadOwned);
-        return;
+        issue(miss == WriteMissAction::ReadOwned ? MBusOpType::MReadOwned
+                                                 : MBusOpType::MRead,
+              MBusOpKind::Fill, lineBaseOf(addr), _lineWords,
+              proto.fillsUpdateMemory, nullptr);
+        break;
+      case WriteMissAction::WriteThroughAllocate:
+      case WriteMissAction::WriteThroughNoAllocate:
+        p.installOnWriteThrough =
+            miss == WriteMissAction::WriteThroughAllocate;
+        issue(MBusOpType::MWrite, MBusOpKind::WriteThrough, addr, 1, true,
+              &p.ref.value);
+        break;
     }
 }
 
@@ -304,28 +267,38 @@ Cache::applyWriteHit(std::size_t index, const MemRef &ref)
     switch (writeHitAction(state[index])) {
       case WriteHitAction::Illegal:
         break;  // writeHitAction panicked
-      case WriteHitAction::Silent: {
-        wordAt(index, ref.addr) = ref.value;
-        const LineState old = state[index];
-        setLine(index, tag[index], LineState::Dirty);
-        traceLine(tag[index], old, LineState::Dirty, "write-hit");
-        if (checkObs)
-            checkObs->writeSerialized(ref.addr, ref.value, *this,
-                                      "write-hit");
+      case WriteHitAction::Silent:
+        writeHeld(ref, LineState::Dirty, "write-hit", true);
         finishHead(0);
         break;
-      }
       case WriteHitAction::WriteThrough:
-        issueWriteThrough(ref, true, Stage::WriteThrough,
-                          MBusOpKind::WriteThrough);
+        issue(MBusOpType::MWrite, MBusOpKind::WriteThrough, ref.addr, 1,
+              true, &ref.value);
         break;
       case WriteHitAction::Update:
-        issueWriteThrough(ref, false, Stage::Update, MBusOpKind::Update);
+        issue(MBusOpType::MWrite, MBusOpKind::Update, ref.addr, 1, false,
+              &ref.value);
         break;
       case WriteHitAction::Invalidate:
-        issueInvalidate(ref.addr);
+        issue(MBusOpType::MInvalidate, MBusOpKind::Invalidate, ref.addr,
+              1, false, nullptr);
         break;
     }
+}
+
+void
+Cache::writeHeld(const MemRef &ref, LineState next, const char *cause,
+                 bool serializes)
+{
+    const std::size_t i = indexOf(ref.addr);
+    if (tag[i] != lineBaseOf(ref.addr))
+        return;
+    wordAt(i, ref.addr) = ref.value;
+    const LineState old = state[i];
+    setLine(i, tag[i], next);
+    traceLine(tag[i], old, next, cause);
+    if (serializes && checkObs)
+        checkObs->writeSerialized(ref.addr, ref.value, *this, cause);
 }
 
 void
@@ -353,66 +326,18 @@ Cache::finishHead(Word value)
 }
 
 void
-Cache::issueVictimWriteFor(Addr target_addr)
-{
-    const std::size_t victim = indexOf(target_addr);
-    MBusTransaction txn;
-    txn.type = MBusOpType::MWrite;
-    txn.kind = MBusOpKind::VictimWrite;
-    txn.addr = tag[victim];
-    txn.words = _lineWords;
-    std::copy_n(&data[victim * _lineWords], _lineWords, txn.data.begin());
-    txn.updatesMemory = true;
-    txn.initiator = this;
-    queue.front().stage = Stage::VictimWrite;
-    engineBusy = true;
-    bus.request(txn);
-}
-
-void
-Cache::issueFill(Addr byte_addr, Stage stage)
+Cache::issue(MBusOpType type, MBusOpKind kind, Addr addr, unsigned words,
+             bool updates_memory, const Word *src)
 {
     MBusTransaction txn;
-    txn.type = stage == Stage::ReadOwned ? MBusOpType::MReadOwned
-                                         : MBusOpType::MRead;
-    txn.kind = MBusOpKind::Fill;
-    txn.addr = lineBaseOf(byte_addr);
-    txn.words = _lineWords;
-    txn.updatesMemory = proto.fillsUpdateMemory;
-    txn.initiator = this;
-    queue.front().stage = stage;
-    engineBusy = true;
-    bus.request(txn);
-}
-
-void
-Cache::issueWriteThrough(const MemRef &ref, bool updates_memory,
-                         Stage stage, MBusOpKind kind)
-{
-    MBusTransaction txn;
-    txn.type = MBusOpType::MWrite;
+    txn.type = type;
     txn.kind = kind;
-    txn.addr = ref.addr;
-    txn.words = 1;
-    txn.data[0] = ref.value;
+    txn.addr = addr;
+    txn.words = words;
+    if (src)
+        std::copy_n(src, words, txn.data.begin());
     txn.updatesMemory = updates_memory;
     txn.initiator = this;
-    queue.front().stage = stage;
-    engineBusy = true;
-    bus.request(txn);
-}
-
-void
-Cache::issueInvalidate(Addr byte_addr)
-{
-    MBusTransaction txn;
-    txn.type = MBusOpType::MInvalidate;
-    txn.kind = MBusOpKind::Invalidate;
-    txn.addr = byte_addr;
-    txn.words = 1;
-    txn.updatesMemory = false;
-    txn.initiator = this;
-    queue.front().stage = Stage::Invalidate;
     engineBusy = true;
     bus.request(txn);
 }
@@ -495,23 +420,43 @@ Cache::snoopComplete(const MBusTransaction &txn)
 }
 
 void
-Cache::refreshWriteData(MBusTransaction &txn)
+Cache::transactionGranted(MBusTransaction &txn)
 {
-    if (txn.kind != MBusOpKind::VictimWrite)
-        return;
-    // The victim's data is driven in the bus write-data cycle, not
-    // latched at request time.  A snooped write that merged into the
-    // line while this request waited for the bus (a DMA write - the
-    // I/O cache outranks us in arbitration) must be part of what we
-    // write back, or memory ends up holding pre-DMA data.
     const std::size_t i = indexOf(txn.addr);
-    if (tag[i] == txn.addr) {
-        std::copy_n(&data[i * _lineWords], txn.words, txn.data.begin());
-    } else {
-        // The line was invalidated while the write-back waited (a
-        // full-line overwrite snooped by an invalidation protocol):
-        // drive nothing, or we would overwrite the newer data.
-        txn.updatesMemory = false;
+    const bool held = tag[i] == lineBaseOf(txn.addr);
+    switch (txn.kind) {
+      case MBusOpKind::VictimWrite:
+        // The victim's data is driven now, not latched at request
+        // time.  A snooped write that merged into the line while this
+        // request waited for the bus (a DMA write - the I/O cache
+        // outranks us in arbitration) must be part of what we write
+        // back, or memory ends up holding pre-DMA data.
+        if (held) {
+            std::copy_n(&data[i * _lineWords], txn.words,
+                        txn.data.begin());
+        } else {
+            // The line was invalidated while the write-back waited (a
+            // full-line overwrite snooped by an invalidation
+            // protocol): drive nothing, or we would overwrite the
+            // newer data.
+            txn.updatesMemory = false;
+        }
+        break;
+      case MBusOpKind::Invalidate:
+        // Another writer's snoop took our copy while this MInvalidate
+        // waited: we lost the ownership race.  Invalidating now would
+        // destroy the winner's dirty line, so go for the line as a
+        // write miss does under every invalidating protocol.
+        if (!held) {
+            txn.type = MBusOpType::MReadOwned;
+            txn.kind = MBusOpKind::Fill;
+            txn.addr = lineBaseOf(txn.addr);
+            txn.words = _lineWords;
+            txn.updatesMemory = proto.fillsUpdateMemory;
+        }
+        break;
+      default:
+        break;
     }
 }
 
@@ -523,141 +468,93 @@ Cache::transactionDone(const MBusTransaction &txn)
               _name.c_str());
     engineBusy = false;
     PendingAccess &p = queue.front();
+    const std::size_t i = indexOf(p.ref.addr);
 
-    switch (p.stage) {
-      case Stage::VictimWrite: {
+    switch (txn.kind) {
+      case MBusOpKind::VictimWrite: {
         ++victimWrites;
-        const std::size_t victim = indexOf(p.ref.addr);
-        const Addr base = tag[victim];
-        const LineState old = state[victim];
-        setLine(victim, base, LineState::Invalid);
+        const Addr base = tag[i];
+        const LineState old = state[i];
+        setLine(i, base, LineState::Invalid);
         traceLine(base, old, LineState::Invalid, "victim-writeback");
-        p.stage = Stage::Start;
         dispatchHead();
         break;
       }
 
-      case Stage::Fill: {
+      case MBusOpKind::Fill:
         ++fills;
-        const std::size_t i = indexOf(p.ref.addr);
         std::copy_n(txn.data.begin(), _lineWords, &data[i * _lineWords]);
-        install(i, p.ref.addr, proto.fillState[txn.mshared], "fill");
-        if (!isWrite(p.ref.type)) {
-            const Word value = wordAt(i, p.ref.addr);
-            if (checkObs)
-                checkObs->loadObserved(p.ref.addr, value, *this, "fill");
-            finishHead(value);
+        if (txn.type == MBusOpType::MReadOwned) {
+            // The write serializes at the commit of the MReadOwned
+            // that carried it (other copies died in its snoop).
+            install(i, p.ref.addr, proto.ownedState, "read-owned");
+            writeHeld(p.ref, proto.ownedState, "read-owned", true);
+            finishHead(0);
         } else {
-            applyWriteHit(i, p.ref);
+            install(i, p.ref.addr, proto.fillState[txn.mshared], "fill");
+            if (isWrite(p.ref.type)) {
+                applyWriteHit(i, p.ref);
+            } else {
+                const Word value = wordAt(i, p.ref.addr);
+                if (checkObs)
+                    checkObs->loadObserved(p.ref.addr, value, *this,
+                                           "fill");
+                finishHead(value);
+            }
         }
         break;
-      }
 
-      case Stage::ReadOwned: {
-        ++fills;
-        const std::size_t i = indexOf(p.ref.addr);
-        std::copy_n(txn.data.begin(), _lineWords, &data[i * _lineWords]);
-        wordAt(i, p.ref.addr) = p.ref.value;
-        install(i, p.ref.addr, proto.ownedState, "read-owned");
-        // The write serializes at the commit of the MReadOwned that
-        // carried it (other copies died in its snoop).
-        if (checkObs)
-            checkObs->writeSerialized(p.ref.addr, p.ref.value, *this,
-                                      "read-owned");
-        finishHead(0);
-        break;
-      }
-
-      case Stage::WriteThrough: {
-        if (txn.mshared)
-            ++wtMshared;
-        else
-            ++wtNoMshared;
-        const std::size_t i = indexOf(p.ref.addr);
+      case MBusOpKind::WriteThrough: {
+        ++(txn.mshared ? wtMshared : wtNoMshared);
         const LineState next = proto.afterWriteThrough[txn.mshared];
         if (p.installOnWriteThrough) {
             std::fill_n(&data[i * _lineWords], _lineWords, 0);
-            wordAt(i, p.ref.addr) = p.ref.value;
             install(i, p.ref.addr, next, "write-allocate-through");
-        } else if (tag[i] == lineBaseOf(p.ref.addr)) {
-            wordAt(i, p.ref.addr) = p.ref.value;
-            const LineState old = state[i];
-            setLine(i, tag[i], next);
-            traceLine(tag[i], old, next, "write-through");
         }
+        writeHeld(p.ref, next, "write-through");
         finishHead(0);
         break;
       }
 
-      case Stage::Update: {
+      case MBusOpKind::Update:
         ++updatesSent;
-        const std::size_t i = indexOf(p.ref.addr);
-        if (tag[i] == lineBaseOf(p.ref.addr)) {
-            wordAt(i, p.ref.addr) = p.ref.value;
-            const LineState old = state[i];
-            const LineState next = proto.afterWriteThrough[txn.mshared];
-            setLine(i, tag[i], next);
-            traceLine(tag[i], old, next, "update");
-        }
+        writeHeld(p.ref, proto.afterWriteThrough[txn.mshared], "update");
         finishHead(0);
         break;
-      }
 
-      case Stage::Invalidate: {
+      case MBusOpKind::Invalidate:
         ++invalidatesSent;
-        const std::size_t i = indexOf(p.ref.addr);
-        if (tag[i] == lineBaseOf(p.ref.addr)) {
-            wordAt(i, p.ref.addr) = p.ref.value;
-            const LineState old = state[i];
-            setLine(i, tag[i], proto.ownedState);
-            traceLine(tag[i], old, proto.ownedState, "invalidate");
-            if (checkObs)
-                checkObs->writeSerialized(p.ref.addr, p.ref.value,
-                                          *this, "invalidate");
-            finishHead(0);
-        } else {
-            // We lost an ownership race: another cache invalidated
-            // our copy while our MInvalidate waited for the bus.
-            // Restart as a write miss (will use MReadOwned).
-            p.stage = Stage::Start;
-            dispatchHead();
-        }
+        // Held: transactionGranted turned an MInvalidate whose line
+        // was gone into an MReadOwned, and nothing snoops the line
+        // while the bus is ours.
+        writeHeld(p.ref, proto.ownedState, "invalidate", true);
+        finishHead(0);
         break;
-      }
 
-      case Stage::DmaRead:
+      case MBusOpKind::DmaRead:
         if (checkObs)
             checkObs->loadObserved(p.ref.addr, txn.data[0], *this,
                                    "dma-fill");
         finishHead(txn.data[0]);
         break;
 
-      case Stage::DmaWrite: {
-        const std::size_t i = indexOf(p.ref.addr);
-        if (tag[i] == lineBaseOf(p.ref.addr)) {
-            wordAt(i, p.ref.addr) = p.ref.value;
-            // A partial DMA write into a line we own (Dirty, or
-            // SharedDirty under Berkeley/Dragon) must not launder the
-            // ownership state: memory received only the DMA word, so
-            // we still owe it the others.  Otherwise memory now holds
-            // everything we do, so the copy is clean - the same state
-            // a fresh fill would install, NOT afterWriteThrough,
-            // whose Dragon meaning (update: writer becomes owner,
-            // memory unchanged) would claim ownership a snooping
-            // owner never gave up.
-            if (!(needsWriteback(state[i]) && _lineWords > 1)) {
-                const LineState old = state[i];
-                const LineState next = proto.fillState[txn.mshared];
-                setLine(i, tag[i], next);
-                traceLine(tag[i], old, next, "dma-write");
-            }
-        }
+      case MBusOpKind::DmaWrite:
+        // A partial DMA write into a line we own (Dirty, or
+        // SharedDirty under Berkeley/Dragon) must not launder the
+        // ownership state: memory received only the DMA word, so we
+        // still owe it the others.  Otherwise memory now holds
+        // everything we do, so the copy is clean - the same state a
+        // fresh fill would install, NOT afterWriteThrough, whose
+        // Dragon meaning (update: writer becomes owner, memory
+        // unchanged) would claim ownership a snooping owner never
+        // gave up.
+        writeHeld(p.ref,
+                  needsWriteback(state[i]) && _lineWords > 1
+                      ? state[i]
+                      : proto.fillState[txn.mshared],
+                  "dma-write");
         finishHead(0);
         break;
-      }
-
-      case Stage::Start:
-        panic("%s: bus completion in Stage::Start", _name.c_str());
     }
 }
 

@@ -24,6 +24,13 @@
  *    the bus sequence completes.  DMA accesses queue behind CPU
  *    accesses and vice versa.
  *
+ * The queue head plus the transaction on the bus is all a cache has
+ * in flight: no separate sequencing state shadows the transaction.
+ * Beyond a hit, an access is one MBus operation (paper Figures 3 and
+ * 4), preceded by a dirty victim's MWrite when its slot holds one;
+ * the completion dispatches on the transaction's kind, and a victim
+ * write-back's completion re-dispatches the head.
+ *
  * Storage is structure-of-arrays: a tag array (the base of each valid
  * line, kNoLine for an invalid one), a state array and the data, one
  * word per line on the paper's geometry.  A line is Invalid exactly
@@ -154,7 +161,7 @@ class Cache : public MBusClient
     void snoopSupplyData(const MBusTransaction &txn, Word *out) override;
     void snoopComplete(const MBusTransaction &txn) override;
     void transactionDone(const MBusTransaction &txn) override;
-    void refreshWriteData(MBusTransaction &txn) override;
+    void transactionGranted(MBusTransaction &txn) override;
 
     // Statistics counters, public so benches can read them directly.
     Counter refsInstr, refsRead, refsWrite;
@@ -171,26 +178,11 @@ class Cache : public MBusClient
     Counter dmaReads, dmaWrites, dmaReadMisses;
 
   private:
-    /** Stage of the in-flight access's bus sequence. */
-    enum class Stage
-    {
-        Start,
-        VictimWrite,
-        Fill,
-        ReadOwned,
-        WriteThrough,
-        Update,
-        Invalidate,
-        DmaRead,
-        DmaWrite,
-    };
-
     struct PendingAccess
     {
         MemRef ref;
         bool isDma = false;
         Callback cb;
-        Stage stage = Stage::Start;
         /** Firefly write-allocate-through pending install. */
         bool installOnWriteThrough = false;
         /** Reference already counted in the stats. */
@@ -223,16 +215,15 @@ class Cache : public MBusClient
      *  it silently (no bus).  True if done. */
     bool trySilentWriteHit(const MemRef &ref);
 
-    /** Dispatch the head access from Stage::Start (engine must be
-     *  idle). */
+    /** Start the head access: finish a hit, or put its victim
+     *  write-back or its own operation on the bus (engine idle). */
     void dispatchHead();
     void finishHead(Word value);
 
-    void issueVictimWriteFor(Addr target_addr);
-    void issueFill(Addr byte_addr, Stage stage);
-    void issueWriteThrough(const MemRef &ref, bool updates_memory,
-                           Stage stage, MBusOpKind kind);
-    void issueInvalidate(Addr byte_addr);
+    /** Put this cache's one transaction on the bus; `src` (null for
+     *  none) holds the `words` words an MWrite drives. */
+    void issue(MBusOpType type, MBusOpKind kind, Addr addr,
+               unsigned words, bool updates_memory, const Word *src);
 
     /** The write-hit action for a resident line; panics if the
      *  protocol never writes a line in its state. */
@@ -240,6 +231,15 @@ class Cache : public MBusClient
     /** Apply the write-hit policy to resident line `index` (head
      *  access). */
     void applyWriteHit(std::size_t index, const MemRef &ref);
+    /**
+     * Write `ref`'s word into the line holding it and move the line
+     * to `next`, tracing `cause`; nothing if a snoop took the line.
+     * A write that `serializes` here (the line is exclusive, so no
+     * bus transaction carries the value) is reported to the
+     * coherence checker.
+     */
+    void writeHeld(const MemRef &ref, LineState next, const char *cause,
+                   bool serializes = false);
     /** The snoop rule for another agent's transaction on held line
      *  `index`; panics if the protocol never sees it. */
     const SnoopRule &snoopRule(std::size_t index,

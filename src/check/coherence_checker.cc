@@ -129,7 +129,7 @@ CoherenceChecker::busCommit(const MBusTransaction &txn)
     if (txn.kind == MBusOpKind::VictimWrite) {
         // A write-back moves an already-serialized value to memory;
         // it must not change the visible value.  Stale victim data
-        // (the bug refreshWriteData exists to prevent) shows up here.
+        // (the bug transactionGranted re-drives against) shows up here.
         if (!txn.updatesMemory)
             return;  // squashed: line was invalidated while waiting
         for (unsigned i = 0; i < txn.words; ++i) {

@@ -119,14 +119,13 @@ TraceCpu::tick(Cycle now)
         ++computeTickCount;
         return;
     }
-    issue(now);
+    issue();
     reschedule();
 }
 
 void
-TraceCpu::issue(Cycle now)
+TraceCpu::issue()
 {
-    (void)now;
     // A step may be carried over from a tag-store retry.
     for (int guard = 0; guard < 1000; ++guard) {
         if (!hasPending) {

@@ -118,7 +118,7 @@ class TraceCpu : public Clocked
     Counter onchipServed;    ///< references filtered by on-chip cache
 
   private:
-    void issue(Cycle now);
+    void issue();
     /** Account the tick boundaries before `horizon` (and before the
      *  due cycle) that the processor slept through. */
     void credit(Cycle horizon);

@@ -29,6 +29,7 @@
 
 #include "fault/fault_plan.hh"
 #include "sim/stats.hh"
+#include "sim/types.hh"
 
 namespace firefly::fault
 {

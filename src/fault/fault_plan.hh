@@ -19,8 +19,6 @@
 
 #include <cstdint>
 
-#include "sim/types.hh"
-
 namespace firefly::fault
 {
 
@@ -68,10 +66,9 @@ class FaultPlan
         Uncorrectable,  ///< double-bit error, machine check
     };
 
-    /** One draw per timed memory-module read; `addr` salts which
-     *  outcome a firing draw produces, not whether it fires. */
+    /** One draw per timed memory-module read. */
     EccOutcome
-    eccOnRead(Addr addr)
+    eccOnRead()
     {
         const double u = draw(kStreamEcc, eccCount++);
         // Double-bit errors claim the bottom of the deviate range so
@@ -79,10 +76,8 @@ class FaultPlan
         // into correctables.
         if (u < rates.eccDouble)
             return EccOutcome::Uncorrectable;
-        if (u < rates.eccDouble + rates.eccSingle) {
-            (void)addr;
+        if (u < rates.eccDouble + rates.eccSingle)
             return EccOutcome::Corrected;
-        }
         return EccOutcome::Ok;
     }
 

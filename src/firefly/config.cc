@@ -1,5 +1,7 @@
 #include "firefly/config.hh"
 
+#include <mutex>
+
 #include "sim/logging.hh"
 
 namespace firefly
@@ -39,8 +41,14 @@ FireflyConfig::validate() const
         fatal("Firefly needs 1-%u processors, got %u", maxProcessors,
               processors);
     if (processors > 7) {
-        warn("%u processors exceeds anything SRC built (the bus "
-             "saturates near nine)", processors);
+        // Once per process: a sweep builds many such machines, and
+        // its parallel points would otherwise make stderr depend on
+        // --jobs.
+        static std::once_flag warned;
+        std::call_once(warned, [] {
+            warn("more than seven processors exceed anything SRC "
+                 "built (the bus saturates near nine)");
+        });
     }
 
     const Addr max_memory = version == MachineVersion::MicroVax

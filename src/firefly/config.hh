@@ -93,7 +93,8 @@ struct FireflyConfig
     /** Highest address the I/O processor and DMA can reach. */
     Addr ioAddressLimit() const { return 16 * 1024 * 1024; }
 
-    /** Die (fatal) if the configuration violates hardware limits. */
+    /** Die (fatal) if the configuration violates hardware limits;
+     *  warn, once per process, past the seven processors SRC built. */
     void validate() const;
 
     static FireflyConfig microVax(unsigned processors = 5);

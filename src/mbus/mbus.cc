@@ -53,7 +53,7 @@ MBusClient::transactionDone(const MBusTransaction &)
 }
 
 void
-MBusClient::refreshWriteData(MBusTransaction &)
+MBusClient::transactionGranted(MBusTransaction &)
 {
 }
 
@@ -207,6 +207,7 @@ MBus::tick(Cycle now)
             suppliers.clear();
             ++busyCycleCount;
             sim.noteProgress();
+            active->initiator->transactionGranted(*active);
             if (auto *ts = obs::traceSink()) {
                 // The whole transaction is one slice on the bus
                 // track, grant (address cycle) to completion, named
@@ -232,8 +233,6 @@ MBus::tick(Cycle now)
     // Phase 2, the MShared cycle, has no work: the probe already
     // gathered the wired-OR.
     if (phaseCycle == 1) {
-        if (active->type == MBusOpType::MWrite)
-            active->initiator->refreshWriteData(*active);
         probePhase();
     } else if (phaseCycle >= 3) {
         const unsigned burst = phaseCycle - 3;
@@ -352,7 +351,8 @@ MBus::parityAbort(Cycle now)
     // Re-arm the master's slot: the transaction retries from the
     // arbitration phase after a bounded exponential backoff.  Snoop
     // results belong to the aborted attempt, so clear them; the
-    // retry re-probes (and an MWrite re-drives its data).
+    // retry re-probes (and its grant runs the initiator's hook
+    // again).
     txn.mshared = false;
     txn.suppliedByCache = false;
     for (unsigned i = 0; i < clients.size(); ++i) {

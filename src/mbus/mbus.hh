@@ -145,17 +145,20 @@ class MBusClient
     virtual void transactionDone(const MBusTransaction &txn);
 
     /**
-     * Initiator callback at the write-data cycle (cycle 1) of an
-     * MWrite: re-drive `txn.data` from current state.  A real bus
-     * master drives its data lines in this cycle, not at request
-     * time, so data that changed while the request waited for the
-     * bus (a snooped DMA write merging into a queued victim line)
-     * must be reflected here.  May clear `txn.updatesMemory` to
-     * squash the memory update entirely (the line was invalidated
-     * while the write-back waited).  Default: keep the request-time
-     * data.
+     * Initiator callback at the grant (cycle 0) of every transaction,
+     * before the bus's slice begins and before any snoop: restate
+     * `txn` from the initiator's current state.  Other agents'
+     * transactions can change what the initiator holds while its
+     * request waits: a queued victim write-back re-drives the line a
+     * snooped DMA write merged into (or clears `txn.updatesMemory` if
+     * the line was invalidated), and an MInvalidate whose line
+     * another writer's snoop took becomes the MReadOwned a write miss
+     * issues.  The grant is exact: from it to the data cycle the bus
+     * carries only this transaction and the initiator serves no other
+     * access, so nothing changes the line before a real master would
+     * drive its write data (cycle 1).  Default: keep the request.
      */
-    virtual void refreshWriteData(MBusTransaction &txn);
+    virtual void transactionGranted(MBusTransaction &txn);
 };
 
 /** The bus proper: arbitration + 4-phase transaction engine. */
@@ -227,7 +230,7 @@ class MBus : public Clocked
     void setFaultInjector(fault::FaultInjector *inj) { injector = inj; }
 
     // --- observability ------------------------------------------------
-    /** Fraction of non-idle bus cycles since construction/reset. */
+    /** Fraction of non-idle bus cycles since construction. */
     double load() const;
     Cycle busyCycles() const { return busyCycleCount.value(); }
     StatGroup &stats() { return statGroup; }

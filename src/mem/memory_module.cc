@@ -31,7 +31,7 @@ MemoryModule::read(Addr byte_addr)
     ++readCount;
     if (injector) {
         using Ecc = fault::FaultPlan::EccOutcome;
-        switch (injector->faultPlan().eccOnRead(byte_addr)) {
+        switch (injector->faultPlan().eccOnRead()) {
           case Ecc::Ok:
             break;
           case Ecc::Corrected:

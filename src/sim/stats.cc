@@ -34,13 +34,6 @@ Accumulator::sample(double v)
     _sum += v;
 }
 
-void
-Accumulator::reset()
-{
-    _count = 0;
-    _sum = _min = _max = 0.0;
-}
-
 Histogram::Histogram(unsigned bucket_count, double bucket_width)
     : buckets(bucket_count, 0), width(bucket_width)
 {
@@ -60,15 +53,6 @@ Histogram::sample(double v)
         ++_overflow;
     else
         ++buckets[idx];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets.begin(), buckets.end(), 0);
-    _count = 0;
-    _overflow = 0;
-    _sum = 0.0;
 }
 
 StatGroup::StatGroup(std::string name)
@@ -125,37 +109,6 @@ StatGroup::get(const std::string &stat_name) const
     }
     panic("unknown stat '%s' in group '%s'", stat_name.c_str(),
           _name.c_str());
-}
-
-bool
-StatGroup::has(const std::string &stat_name) const
-{
-    for (const auto &c : counters) {
-        if (c.name == stat_name)
-            return true;
-    }
-    for (const auto &a : accums) {
-        if (a.name == stat_name)
-            return true;
-    }
-    for (const auto &f : formulas) {
-        if (f.name == stat_name)
-            return true;
-    }
-    return false;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &c : counters)
-        c.stat->reset();
-    for (auto &a : accums)
-        a.stat->reset();
-    for (auto &h : hists)
-        h.stat->reset();
-    for (auto *child : children)
-        child->reset();
 }
 
 void

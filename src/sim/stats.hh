@@ -42,7 +42,6 @@ class Counter
     Counter &operator+=(std::uint64_t n) { _value += n; return *this; }
 
     std::uint64_t value() const { return _value; }
-    void reset() { _value = 0; }
 
   private:
     std::uint64_t _value = 0;
@@ -59,7 +58,6 @@ class Accumulator
     double mean() const { return _count ? _sum / _count : 0.0; }
     double min() const { return _count ? _min : 0.0; }
     double max() const { return _count ? _max : 0.0; }
-    void reset();
 
   private:
     std::uint64_t _count = 0;
@@ -83,7 +81,6 @@ class Histogram
     double bucketWidth() const { return width; }
     /** Samples at or above the top bucket boundary. */
     std::uint64_t overflow() const { return _overflow; }
-    void reset();
 
   private:
     std::vector<std::uint64_t> buckets;
@@ -119,11 +116,6 @@ class StatGroup
 
     /** Look up any stat (counter or formula) by name as a double. */
     double get(const std::string &stat_name) const;
-    /** True if the named stat exists in this group (not children). */
-    bool has(const std::string &stat_name) const;
-
-    /** Reset all registered stats in this group and children. */
-    void reset();
 
     /** Dump this group and children as an aligned text table. */
     void dump(std::ostream &os, int indent = 0) const;

@@ -3,11 +3,15 @@
  * Per-protocol Figure 3 edge cases, driven through a 2-cache machine
  * with the coherence checker attached, asserting the exact resulting
  * line states: read-miss on a shared/dirty line, write-hit on a
- * shared line, the Firefly last-sharer reversion, and the
- * write-back-vs-DMA race on every protocol with dirty lines.
+ * shared line, the Firefly last-sharer reversion, the
+ * write-back-vs-DMA race on every protocol with dirty lines, and the
+ * ownership race between two sharers' MInvalidates.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "check/rig.hh"
 
@@ -293,4 +297,61 @@ INSTANTIATE_TEST_SUITE_P(
                       ProtocolKind::Berkeley, ProtocolKind::Mesi),
     [](const ::testing::TestParamInfo<ProtocolKind> &info) {
         return std::string(toString(info.param));
+    });
+
+// --- Ownership race (every protocol that invalidates on a write hit) -----
+
+/**
+ * The race: two sharers write the line in the same cycle, so both
+ * request an MInvalidate.  The winner's invalidates the loser's copy
+ * while the loser's request still waits.  The loser must not then put
+ * its stale MInvalidate on the bus - that would destroy the winner's
+ * dirty line without a write-back - but fetch the line as a write
+ * miss does, with an MReadOwned the winner supplies.
+ */
+class OwnershipRace
+    : public ::testing::TestWithParam<std::tuple<ProtocolKind, Addr>>
+{
+};
+
+TEST_P(OwnershipRace, LoserFetchesTheWinnersLine)
+{
+    const auto [kind, line_bytes] = GetParam();
+    check::CheckedRig rig(kind, 2, {1024, line_bytes});
+    const Addr x = 0x2000;
+    rig.read(0, x);
+    rig.read(1, x);
+    ASSERT_EQ(rig.state(0, x), LineState::Shared);
+    ASSERT_EQ(rig.state(1, x), LineState::Shared);
+
+    // Both write in the same cycle; cache0 has bus priority and wins.
+    unsigned done = 0;
+    for (unsigned c = 0; c < 2; ++c) {
+        auto r = rig.caches[c]->cpuAccess(
+            {x, RefType::DataWrite, 0xa + c}, [&](Word) { ++done; });
+        ASSERT_EQ(r.outcome, Cache::AccessOutcome::Pending);
+    }
+    while (done < 2)
+        rig.sim.run(1);
+    rig.sim.run(8);
+
+    // The loser's write serialized last, on the line the winner
+    // handed over: one MInvalidate on the bus, then one MReadOwned.
+    EXPECT_EQ(rig.state(0, x), LineState::Invalid);
+    EXPECT_EQ(rig.state(1, x), LineState::Dirty);
+    EXPECT_EQ(rig.caches[0]->invalidatesSent.value(), 1u);
+    EXPECT_EQ(rig.caches[1]->invalidatesSent.value(), 0u);
+    EXPECT_EQ(rig.caches[1]->fills.value(), 2u);
+    EXPECT_EQ(rig.read(0, x), 0xbu);
+    rig.checker.finalCheck();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, OwnershipRace,
+    ::testing::Combine(::testing::Values(ProtocolKind::Berkeley,
+                                         ProtocolKind::Mesi),
+                       ::testing::Values(Addr{4}, Addr{16})),
+    [](const ::testing::TestParamInfo<OwnershipRace::ParamType> &info) {
+        return std::string(toString(std::get<0>(info.param))) + "_" +
+               std::to_string(std::get<1>(info.param)) + "ByteLines";
     });

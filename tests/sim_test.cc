@@ -213,8 +213,6 @@ TEST(Stats, CounterBasics)
     ++c;
     c += 4;
     EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Stats, AccumulatorTracksMinMaxMean)
@@ -255,22 +253,6 @@ TEST(Stats, GroupGetAndFormula)
     c += 3;
     EXPECT_DOUBLE_EQ(g.get("hits"), 3.0);
     EXPECT_DOUBLE_EQ(g.get("double_hits"), 6.0);
-    EXPECT_TRUE(g.has("hits"));
-    EXPECT_FALSE(g.has("misses"));
-}
-
-TEST(Stats, GroupResetRecurses)
-{
-    StatGroup parent("p"), child("c");
-    Counter a, b;
-    parent.addCounter(&a, "a", "");
-    child.addCounter(&b, "b", "");
-    parent.addChild(&child);
-    a += 1;
-    b += 2;
-    parent.reset();
-    EXPECT_EQ(a.value(), 0u);
-    EXPECT_EQ(b.value(), 0u);
 }
 
 TEST(Stats, DumpContainsNamesAndValues)
