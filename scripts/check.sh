@@ -84,16 +84,19 @@ if [ "$sanitize" = faults ]; then
     trap 'rm -rf "$faultdir"' EXIT
     # The availability experiment: recoverable faults recover, device
     # timeouts fail gracefully, a fenced CPU leaves a working N-1
-    # machine - and the same fault config exports a byte-identical
-    # stats file whatever --jobs is.
+    # machine - and the same fault config prints the same report and
+    # exports a byte-identical stats file whatever --jobs is (the
+    # disk section's timeouts and retries appear only on stdout).
     "$builddir/bench/firefly_faults" --jobs=1 \
-        --stats-json="$faultdir/serial.json" > /dev/null
+        --stats-json="$faultdir/serial.json" > "$faultdir/serial.out"
     "$builddir/bench/firefly_faults" --jobs=8 \
-        --stats-json="$faultdir/parallel.json" > /dev/null
-    cmp "$faultdir/serial.json" "$faultdir/parallel.json" || {
-        echo "fault stats diverge between --jobs=1 and --jobs=8" >&2
-        exit 1
-    }
+        --stats-json="$faultdir/parallel.json" > "$faultdir/parallel.out"
+    for ext in out json; do
+        cmp "$faultdir/serial.$ext" "$faultdir/parallel.$ext" || {
+            echo "fault $ext diverges between --jobs=1 and --jobs=8" >&2
+            exit 1
+        }
+    done
     # The coherence fuzz corpus with faults armed: injected parity,
     # ECC, and device timeouts must never perturb load values.
     "$builddir/bench/firefly_fuzz" --seeds=4 --steps=1500 \

@@ -123,21 +123,6 @@ runFuzz(const FuzzConfig &cfg)
         rig.sim.setWatchdog(fault::kWatchdogCycles, true);
     }
 
-    // Retry a timed-out DMA transfer up to the device retry budget,
-    // then give up gracefully (the op is skipped; every protocol skips
-    // the same ops for a given seed).
-    const auto transfer = [&](const auto &attempt) {
-        for (unsigned n = 1;; ++n) {
-            if (attempt() == IoStatus::Ok)
-                return true;
-            if (!injector || n >= fault::kDeviceRetryBudget)
-                break;
-            ++injector->deviceRetries;
-        }
-        ++injector->deviceFailures;
-        return false;
-    };
-
     Rng rng(cfg.seed);
     const std::vector<FuzzOp> ops = generateOps(cfg, rng);
 
@@ -161,12 +146,13 @@ runFuzz(const FuzzConfig &cfg)
             ++result.stores;
             break;
           case FuzzOp::Kind::DmaRead: {
-            std::vector<Word> values;
-            if (!transfer([&] {
-                    IoStatus status = IoStatus::Ok;
-                    values = rig.dmaRead(op.addr, op.words, &status);
-                    return status;
-                }))
+            // A transfer that times out past the engine's retry budget
+            // is skipped; every protocol skips the same ops for a
+            // given seed.
+            IoStatus status = IoStatus::Ok;
+            const std::vector<Word> values =
+                rig.dmaRead(op.addr, op.words, &status);
+            if (status != IoStatus::Ok)
                 break;
             for (unsigned w = 0; w < op.words; ++w) {
                 checker.requireCurrent(op.addr + w * bytesPerWord,
@@ -180,7 +166,7 @@ runFuzz(const FuzzConfig &cfg)
             break;
           }
           case FuzzOp::Kind::DmaWrite:
-            if (transfer([&] { return rig.dmaWrite(op.addr, op.data); }))
+            if (rig.dmaWrite(op.addr, op.data) == IoStatus::Ok)
                 result.dmaWrites += op.words;
             break;
         }

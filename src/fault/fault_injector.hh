@@ -11,7 +11,7 @@
  * build.
  *
  * Recoverable faults are handled where they land (the bus retries a
- * NACKed transaction, devices retry timed-out DMA) and every attempt
+ * NACKed transaction, the DMA engine a timed-out request) and every attempt
  * and recovery is visible in the flight recorder under the "Fault"
  * category.  Unrecoverable faults - a double-bit ECC error, a retry
  * budget exhausted - funnel through machineCheck(): the diagnostic is
@@ -41,7 +41,8 @@ inline constexpr unsigned kParityRetryBudget = 8;
 /** Backoff before parity retry k is min(base << (k-1), cap) cycles. */
 inline constexpr Cycle kParityBackoffBase = 2;
 inline constexpr Cycle kParityBackoffCap = 64;
-/** Device transfer attempts (including the first) before giving up. */
+/** DMA request attempts (including the first) before the DMA engine
+ *  gives up. */
 inline constexpr unsigned kDeviceRetryBudget = 4;
 /** A machine with faults armed aborts if no component makes progress
  *  for this many cycles (the simulator's wedge watchdog). */
@@ -53,8 +54,9 @@ static_assert(kParityRetryBudget > 0 && kDeviceRetryBudget > 0,
 /** Fault campaign configuration: what fires and how recovery runs. */
 struct FaultConfig
 {
-    /** Master switch; a config with rates but enabled=false is inert
-     *  (active() is what components should test). */
+    /** Arms the injector even when every rate is zero (the
+     *  fault-free baseline point of a fault sweep); any nonzero rate
+     *  arms it too.  active() is what components should test. */
     bool enabled = false;
     FaultRates rates;
     std::uint64_t seed = 1;
@@ -119,7 +121,7 @@ class FaultInjector
     Counter eccCorrected;     ///< single-bit reads corrected+scrubbed
     Counter eccUncorrectable; ///< double-bit reads (machine check)
     Counter deviceTimeouts;   ///< DMA requests that timed out
-    Counter deviceRetries;    ///< device-level transfer retries
+    Counter deviceRetries;    ///< DMA requests retried by the engine
     Counter deviceFailures;   ///< transfers failed after the budget
     Counter machineChecks;    ///< unrecoverable faults raised
 

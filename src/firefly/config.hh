@@ -66,8 +66,6 @@ struct FireflyConfig
     OnChipCache::DataMode onChipMode =
         OnChipCache::DataMode::InstructionsOnly;
 
-    std::uint64_t seed = 1;
-
     /** Attach the coherence checker (src/check/): every load is
      *  validated against the golden-memory oracle and protocol
      *  invariants are scanned after every bus transaction.  Purely

@@ -84,22 +84,24 @@ void
 DiskController::read(unsigned lba, unsigned sectors, Addr qbus_buffer,
                      Callback done)
 {
-    if (lba + sectors > totalSectors)
-        fatal("disk access beyond media: lba %u + %u", lba, sectors);
-    queue.push_back({false, lba, sectors, qbus_buffer,
-                     std::move(done), sim.now()});
-    if (!busy)
-        pump();
+    submit({false, lba, sectors, qbus_buffer, std::move(done), sim.now()});
 }
 
 void
 DiskController::write(unsigned lba, unsigned sectors, Addr qbus_buffer,
                       Callback done)
 {
-    if (lba + sectors > totalSectors)
-        fatal("disk access beyond media: lba %u + %u", lba, sectors);
-    queue.push_back({true, lba, sectors, qbus_buffer,
-                     std::move(done), sim.now()});
+    submit({true, lba, sectors, qbus_buffer, std::move(done), sim.now()});
+}
+
+void
+DiskController::submit(Request req)
+{
+    if (req.lba + req.sectors > totalSectors) {
+        fatal("disk access beyond media: lba %u + %u", req.lba,
+              req.sectors);
+    }
+    queue.push_back(std::move(req));
     if (!busy)
         pump();
 }
@@ -129,58 +131,25 @@ DiskController::pump()
         static_cast<Cycle>(bytes / (kTransferKBps * 1024.0) * 1e7);
 
     sim.events().schedule(sim.now() + mech + media_time,
-                          [this, req]() mutable { transfer(req); },
+                          [this, req] { transfer(req); },
                           "disk mechanical delay");
 }
 
 void
-DiskController::retryOrFail(Request req)
-{
-    auto *inj = qbus.engine().faultInjector();
-    ++req.attempt;
-    if (inj && req.attempt < fault::kDeviceRetryBudget) {
-        ++inj->deviceRetries;
-        sim.events().schedule(
-            sim.now() + inj->deviceBackoff(req.attempt),
-            [this, req]() mutable { transfer(std::move(req)); },
-            "disk transfer retry");
-        return;
-    }
-    if (inj)
-        ++inj->deviceFailures;
-    warn("%s: %s of %u sectors at lba %u failed after %u attempts",
-         statGroup.name().c_str(), req.isWrite ? "write" : "read",
-         req.sectors, req.lba, req.attempt);
-    if (req.done)
-        req.done(IoStatus::TimedOut);
-    pump();
-}
-
-void
-DiskController::transfer(Request req)
+DiskController::transfer(const Request &req)
 {
     const unsigned total_words = req.sectors * kWordsPerSector;
     const Addr media_word = static_cast<Addr>(req.lba) * kWordsPerSector;
 
     if (req.isWrite) {
-        // DMA the data out of memory, then commit to the media.
+        // DMA the data out of memory, then commit to the media (a
+        // timed-out read delivers no words).
         qbus.dmaRead(req.buffer, total_words,
                      [this, req, media_word](IoStatus status,
                                              std::vector<Word> data) {
-                         if (status != IoStatus::Ok) {
-                             retryOrFail(req);
-                             return;
-                         }
                          for (unsigned i = 0; i < data.size(); ++i)
                              media.write(media_word + i, data[i]);
-                         ++writes;
-                         sectorsMoved += req.sectors;
-                         serviceCycles.sample(
-                             static_cast<double>(sim.now() -
-                                                 req.queued));
-                         if (req.done)
-                             req.done(IoStatus::Ok);
-                         pump();
+                         complete(req, status);
                      });
     } else {
         std::vector<Word> data(total_words);
@@ -188,19 +157,26 @@ DiskController::transfer(Request req)
             data[i] = media.read(media_word + i);
         qbus.dmaWrite(req.buffer, std::move(data),
                       [this, req](IoStatus status) {
-            if (status != IoStatus::Ok) {
-                retryOrFail(req);
-                return;
-            }
-            ++reads;
-            sectorsMoved += req.sectors;
-            serviceCycles.sample(
-                static_cast<double>(sim.now() - req.queued));
-            if (req.done)
-                req.done(IoStatus::Ok);
-            pump();
-        });
+                          complete(req, status);
+                      });
     }
+}
+
+void
+DiskController::complete(const Request &req, IoStatus status)
+{
+    if (status == IoStatus::Ok) {
+        ++(req.isWrite ? writes : reads);
+        sectorsMoved += req.sectors;
+        serviceCycles.sample(static_cast<double>(sim.now() - req.queued));
+    } else {
+        warn("%s: %s of %u sectors at lba %u failed after %u attempts",
+             statGroup.name().c_str(), req.isWrite ? "write" : "read",
+             req.sectors, req.lba, fault::kDeviceRetryBudget);
+    }
+    if (req.done)
+        req.done(status);
+    pump();
 }
 
 Word

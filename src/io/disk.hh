@@ -68,17 +68,17 @@ class DiskController
         Addr buffer;
         Callback done;
         Cycle queued;
-        unsigned attempt = 0;  ///< timed-out DMA transfers so far
     };
 
     unsigned cylinderOf(unsigned lba) const;
     double rotationFractionAt(Cycle when) const;
     Cycle mechanicalDelay(const Request &req) const;
+    void submit(Request req);
     void pump();
-    void transfer(Request req);
-    /** A DMA transfer timed out: retry with backoff, or fail the
-     *  request (callback with TimedOut) once the budget is spent. */
-    void retryOrFail(Request req);
+    void transfer(const Request &req);
+    /** The DMA finished: count it, or warn if it timed out past the
+     *  engine's retry budget; then serve the next request. */
+    void complete(const Request &req, IoStatus status);
 
     Simulator &sim;
     QBus &qbus;

@@ -9,16 +9,6 @@
 namespace firefly
 {
 
-const char *
-toString(IoStatus status)
-{
-    switch (status) {
-      case IoStatus::Ok: return "ok";
-      case IoStatus::TimedOut: return "timed-out";
-    }
-    return "?";
-}
-
 DmaEngine::DmaEngine(Simulator &sim, Cache &io_cache, Addr io_limit,
                      Cycle cycles_per_word)
     : sim(sim), ioCache(io_cache), ioLimit(io_limit),
@@ -34,90 +24,85 @@ DmaEngine::DmaEngine(Simulator &sim, Cache &io_cache, Addr io_limit,
 }
 
 void
-DmaEngine::checkAddress(Addr addr, unsigned count) const
-{
-    if (addr % bytesPerWord != 0)
-        fatal("DMA address 0x%x not longword aligned", addr);
-    if (addr + count * bytesPerWord > ioLimit) {
-        fatal("DMA beyond the I/O processor's reach: 0x%x + %u words "
-              "(limit 0x%x)", addr, count, ioLimit);
-    }
-}
-
-bool
-DmaEngine::injectTimeout(Addr addr, bool is_write)
-{
-    if (!injector || !injector->faultPlan().deviceTimeout())
-        return false;
-    // The transfer never starts; the requester only learns after the
-    // bus timeout expires.  Completing through the event queue (with
-    // TimedOut) keeps hung devices from wedging "while (!done)" loops.
-    ++injector->deviceTimeouts;
-    if (auto *ts = obs::traceSink()) {
-        ts->instant(sim.now(), obs::kCatFault, statGroup.name(),
-                    "device-timeout",
-                    {{"addr", obs::hexAddr(addr)},
-                     {"op", is_write ? "dma-write" : "dma-read"}});
-    }
-    return true;
-}
-
-void
 DmaEngine::readWords(Addr addr, unsigned count, ReadCallback done)
 {
-    checkAddress(addr, count);
-    if (count == 0) {
-        done(IoStatus::Ok, {});
-        return;
-    }
-    if (injectTimeout(addr, false)) {
-        sim.events().schedule(
-            sim.now() + injector->config().deviceTimeoutCycles,
-            [cb = std::move(done)]() mutable {
-                cb(IoStatus::TimedOut, {});
-            },
-            "dma timeout completion");
-        return;
-    }
-    ++requestCount;
-    Request req;
-    req.isWrite = false;
-    req.addr = addr;
-    req.remaining = count;
-    req.readDone = std::move(done);
-    requests.push_back(std::move(req));
-    if (!wordInFlight)
-        pump();
+    submit({false, addr, count, {}, std::move(done), {}});
 }
 
 void
 DmaEngine::writeWords(Addr addr, std::vector<Word> data,
                       WriteCallback done)
 {
-    checkAddress(addr, data.size());
-    if (data.empty()) {
-        done(IoStatus::Ok);
+    const auto count = static_cast<unsigned>(data.size());
+    submit({true, addr, count, std::move(data), {}, std::move(done)});
+}
+
+void
+DmaEngine::submit(Request req)
+{
+    if (req.addr % bytesPerWord != 0)
+        fatal("DMA address 0x%x not longword aligned", req.addr);
+    if (req.addr + req.remaining * bytesPerWord > ioLimit) {
+        fatal("DMA beyond the I/O processor's reach: 0x%x + %u words "
+              "(limit 0x%x)", req.addr, req.remaining, ioLimit);
+    }
+    if (req.remaining == 0) {
+        complete(req, IoStatus::Ok);
         return;
     }
-    if (injectTimeout(addr, true)) {
-        sim.events().schedule(
-            sim.now() + injector->config().deviceTimeoutCycles,
-            [cb = std::move(done)]() mutable {
-                cb(IoStatus::TimedOut);
-            },
-            "dma timeout completion");
+    if (injector && injector->faultPlan().deviceTimeout()) {
+        timeOut(std::move(req));
         return;
     }
     ++requestCount;
-    Request req;
-    req.isWrite = true;
-    req.addr = addr;
-    req.remaining = data.size();
-    req.data = std::move(data);
-    req.writeDone = std::move(done);
+    // A read fills its buffer in place; a write's is already full.
+    req.data.resize(req.remaining);
     requests.push_back(std::move(req));
     if (!wordInFlight)
         pump();
+}
+
+void
+DmaEngine::timeOut(Request req)
+{
+    // The transfer never starts; the engine only learns after the bus
+    // timeout expires.  Completing through the event queue keeps hung
+    // devices from wedging "while (!done)" loops.
+    ++injector->deviceTimeouts;
+    if (auto *ts = obs::traceSink()) {
+        ts->instant(sim.now(), obs::kCatFault, statGroup.name(),
+                    "device-timeout",
+                    {{"addr", obs::hexAddr(req.addr)},
+                     {"op", req.isWrite ? "dma-write" : "dma-read"}});
+    }
+    sim.events().schedule(
+        sim.now() + injector->config().deviceTimeoutCycles,
+        [this, req = std::move(req)]() mutable {
+            if (++req.attempt < fault::kDeviceRetryBudget) {
+                ++injector->deviceRetries;
+                sim.events().schedule(
+                    sim.now() + injector->deviceBackoff(req.attempt),
+                    [this, req = std::move(req)]() mutable {
+                        submit(std::move(req));
+                    },
+                    "dma retry");
+                return;
+            }
+            ++injector->deviceFailures;
+            complete(req, IoStatus::TimedOut);
+        },
+        "dma timeout completion");
+}
+
+void
+DmaEngine::complete(Request &req, IoStatus status)
+{
+    if (req.isWrite) {
+        if (req.writeDone)
+            req.writeDone(status);
+    } else if (req.readDone) {
+        req.readDone(status, std::move(req.data));
+    }
 }
 
 void
@@ -129,63 +114,45 @@ DmaEngine::pump()
     }
     wordInFlight = true;
     Request &req = requests.front();
+    const std::size_t word = req.data.size() - req.remaining;
 
     // Requests are served FIFO and whole, so each renders as one
     // contiguous slice on the DMA track, first word to last callback.
-    if (!req.serviceTraced) {
-        req.serviceTraced = true;
+    if (word == 0) {
         if (auto *ts = obs::traceSink()) {
             ts->begin(sim.now(), obs::kCatDma, statGroup.name(),
                       req.isWrite ? "dma-write" : "dma-read",
                       {{"addr", obs::hexAddr(req.addr)},
-                       {"words",
-                        std::to_string(req.isWrite ? req.data.size()
-                                                   : req.remaining)}});
+                       {"words", std::to_string(req.data.size())}});
         }
     }
 
     // One word now; the next word starts `pacing` cycles after this
     // one was issued (the QBus word cycle covers the transfer).
     const Cycle issued = sim.now();
-    const Addr addr = req.addr;
-    if (req.isWrite) {
-        const Word value = req.data[req.data.size() - req.remaining];
-        ioCache.dmaAccess(
-            {addr, RefType::DataWrite, value}, [this, issued](Word) {
+    ioCache.dmaAccess(
+        {static_cast<Addr>(req.addr + word * bytesPerWord),
+         req.isWrite ? RefType::DataWrite : RefType::DataRead,
+         req.data[word]},
+        [this, issued](Word value) {
+            Request &front = requests.front();
+            if (front.isWrite) {
                 ++wordsWritten;
-                Request &front = requests.front();
-                front.addr += bytesPerWord;
-                if (--front.remaining == 0) {
-                    auto done = std::move(front.writeDone);
-                    requests.pop_front();
-                    if (done)
-                        done(IoStatus::Ok);
-                }
-                const Cycle next =
-                    std::max(issued + pacing, sim.now() + 1);
-                sim.events().schedule(next, [this] { pump(); },
-                                      "dma word pacing");
-            });
-    } else {
-        ioCache.dmaAccess(
-            {addr, RefType::DataRead, 0}, [this, issued](Word value) {
+            } else {
                 ++wordsRead;
-                Request &front = requests.front();
-                front.data.push_back(value);
-                front.addr += bytesPerWord;
-                if (--front.remaining == 0) {
-                    auto done = std::move(front.readDone);
-                    auto data = std::move(front.data);
-                    requests.pop_front();
-                    if (done)
-                        done(IoStatus::Ok, std::move(data));
-                }
-                const Cycle next =
-                    std::max(issued + pacing, sim.now() + 1);
-                sim.events().schedule(next, [this] { pump(); },
-                                      "dma word pacing");
-            });
-    }
+                front.data[front.data.size() - front.remaining] = value;
+            }
+            if (--front.remaining == 0) {
+                if (auto *ts = obs::traceSink())
+                    ts->end(sim.now(), obs::kCatDma, statGroup.name());
+                Request done = std::move(front);
+                requests.pop_front();
+                complete(done, IoStatus::Ok);
+            }
+            const Cycle next = std::max(issued + pacing, sim.now() + 1);
+            sim.events().schedule(next, [this] { pump(); },
+                                  "dma word pacing");
+        });
 }
 
 } // namespace firefly

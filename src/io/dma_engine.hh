@@ -33,17 +33,16 @@ class FaultInjector;
 }
 
 /**
- * Completion status of an I/O request.  Devices time out when the
- * fault injector decides the operation hangs; the requester sees the
- * timeout after `deviceTimeoutCycles` and decides whether to retry.
+ * Completion status of an I/O request.  A request the fault injector
+ * hangs times out after `deviceTimeoutCycles`; the engine retries it
+ * after the configured backoff and reports TimedOut only once
+ * `fault::kDeviceRetryBudget` attempts have timed out.
  */
 enum class IoStatus : std::uint8_t
 {
     Ok,
     TimedOut,
 };
-
-const char *toString(IoStatus status);
 
 /** Paced word-at-a-time DMA through the I/O processor's cache. */
 class DmaEngine
@@ -72,13 +71,14 @@ class DmaEngine
 
     /**
      * Attach the fault injector (nullptr detaches).  Requests can
-     * then time out: the transfer never starts and the callback fires
-     * with IoStatus::TimedOut after the configured timeout, so a hung
-     * device surfaces as a completion the requester can retry instead
-     * of a wedged event queue.
+     * then time out: the transfer never starts, and after the
+     * configured timeout the engine retries it with backoff.  The
+     * engine owns this policy for every requester: the callback fires
+     * with IoStatus::TimedOut only once the retry budget is spent, so
+     * a hung device surfaces as a completion instead of a wedged
+     * event queue.
      */
     void setFaultInjector(fault::FaultInjector *inj) { injector = inj; }
-    fault::FaultInjector *faultInjector() const { return injector; }
 
     StatGroup &stats() { return statGroup; }
 
@@ -92,17 +92,22 @@ class DmaEngine
         bool isWrite;
         Addr addr;
         unsigned remaining;
-        std::vector<Word> data;  ///< write source / read accumulator
+        /** Write source / read buffer, one slot per word; the next
+         *  word is `data.size() - remaining`. */
+        std::vector<Word> data;
         ReadCallback readDone;
         WriteCallback writeDone;
-        bool serviceTraced = false;  ///< begin event already emitted
+        unsigned attempt = 0;  ///< timed-out attempts so far
     };
 
+    /** Check, then complete an empty request, time one out, or queue
+     *  it; a retry re-enters here. */
+    void submit(Request req);
+    /** The request hung: after the timeout, retry it with backoff or,
+     *  once the budget is spent, complete it with TimedOut. */
+    void timeOut(Request req);
+    void complete(Request &req, IoStatus status);
     void pump();
-    void checkAddress(Addr addr, unsigned count) const;
-    /** Draw the per-request timeout fault; counts and traces it.
-     *  The caller schedules the timed-out completion. */
-    bool injectTimeout(Addr addr, bool is_write);
 
     Simulator &sim;
     Cache &ioCache;

@@ -76,22 +76,8 @@ EthernetController::startTx(TxRequest req)
                                   IoStatus status,
                                   std::vector<Word> payload) mutable {
         if (status != IoStatus::Ok) {
-            auto *inj = qbus.engine().faultInjector();
-            ++req.attempt;
-            if (inj && req.attempt < fault::kDeviceRetryBudget) {
-                ++inj->deviceRetries;
-                sim.events().schedule(
-                    sim.now() + inj->deviceBackoff(req.attempt),
-                    [this, req = std::move(req)]() mutable {
-                        startTx(std::move(req));
-                    },
-                    "ethernet tx retry");
-                return;
-            }
-            if (inj)
-                ++inj->deviceFailures;
             warn("%s: transmit of %u bytes failed after %u attempts",
-                 name.c_str(), req.bytes, req.attempt);
+                 name.c_str(), req.bytes, fault::kDeviceRetryBudget);
             if (req.done)
                 req.done(IoStatus::TimedOut);
             pumpTx();
@@ -152,9 +138,10 @@ EthernetController::injectFromWire(std::vector<Word> payload,
     qbus.dmaWrite(addr, std::move(payload),
                   [this, addr, bytes](IoStatus status) {
         if (status != IoStatus::Ok) {
-            // The receive DMA hung; the packet is lost on the floor
-            // exactly as on a real wire - the sender's upper layers
-            // retransmit.  The posted buffer was consumed.
+            // The receive DMA hung past the engine's retry budget;
+            // the packet is lost on the floor exactly as on a real
+            // wire - the sender's upper layers retransmit.  The
+            // posted buffer was consumed.
             ++rxDropped;
             return;
         }

@@ -73,11 +73,9 @@ class EthernetController
         Addr addr;
         unsigned bytes;
         TxCallback done;
-        unsigned attempt = 0;  ///< timed-out DMA fetches so far
     };
 
-    /** DMA the packet out of memory and put it on the wire;
-     *  re-entered on retry after a DMA timeout. */
+    /** DMA the packet out of memory and put it on the wire. */
     void startTx(TxRequest req);
 
     struct RxBuffer

@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal simulator bugs
  * (conditions that should be impossible), fatal() for user errors
- * (bad configuration), warn()/inform() for status.  Tracing goes
+ * (bad configuration), warn() for questionable behaviour.  Tracing goes
  * through the flight recorder (obs/trace.hh), not through here.
  */
 
@@ -26,9 +26,6 @@ namespace firefly
 
 /** Non-fatal warning about questionable behaviour. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Informational status message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace firefly
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <iomanip>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -109,35 +108,6 @@ StatGroup::get(const std::string &stat_name) const
     }
     panic("unknown stat '%s' in group '%s'", stat_name.c_str(),
           _name.c_str());
-}
-
-void
-StatGroup::dump(std::ostream &os, int indent) const
-{
-    const std::string pad(indent * 2, ' ');
-    os << pad << _name << ":\n";
-    auto line = [&](const std::string &name, double value,
-                    const std::string &desc) {
-        os << pad << "  " << std::left << std::setw(32) << name
-           << std::right << std::setw(16) << value << "  # " << desc
-           << "\n";
-    };
-    for (const auto &c : counters)
-        line(c.name, static_cast<double>(c.stat->value()), c.desc);
-    for (const auto &a : accums)
-        line(a.name + ".mean", a.stat->mean(), a.desc);
-    for (const auto &f : formulas)
-        line(f.name, f.fn(), f.desc);
-    for (const auto &h : hists) {
-        os << pad << "  " << h.name << " (hist, width "
-           << h.stat->bucketWidth() << ", mean " << h.stat->mean()
-           << "):";
-        for (unsigned i = 0; i < h.stat->bucketCount(); ++i)
-            os << " " << h.stat->bucket(i);
-        os << " of:" << h.stat->overflow() << "  # " << h.desc << "\n";
-    }
-    for (const auto *child : children)
-        child->dump(os, indent + 1);
 }
 
 namespace

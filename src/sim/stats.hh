@@ -117,14 +117,11 @@ class StatGroup
     /** Look up any stat (counter or formula) by name as a double. */
     double get(const std::string &stat_name) const;
 
-    /** Dump this group and children as an aligned text table. */
-    void dump(std::ostream &os, int indent = 0) const;
-
     /**
      * Dump this group and children as one JSON object: counters,
      * accumulator count/mean/min/max, histogram buckets, formula
-     * values, and a "children" array, mirroring the text dump's
-     * nesting.  Deterministic: identical runs produce byte-identical
+     * values, and a "children" array, one per child group.
+     * Deterministic: identical runs produce byte-identical
      * output (there is a regression test).
      */
     void dumpJson(std::ostream &os, int indent = 0) const;

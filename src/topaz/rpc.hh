@@ -52,8 +52,9 @@ class RpcEngine
 
     Counter callsCompleted;
     Counter bytesTransferred;
-    /** Calls whose request transmit failed (device timeout past the
-     *  NIC's retry budget); the slot reissues a fresh call. */
+    /** Calls whose request transmit failed (the DMA fetch timed out
+     *  past the DMA engine's retry budget); the slot reissues a fresh
+     *  call. */
     Counter callsFailed;
 
   private:

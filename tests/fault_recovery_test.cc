@@ -10,6 +10,9 @@
  *    diagnostic, never a hang or silent corruption;
  *  - a processor fenced mid-run must flush its dirty lines and leave
  *    an N-1 machine that keeps delivering work;
+ *  - a hung DMA request is retried by the DMA engine with backoff and
+ *    reaches its requester once, as TimedOut, only after the retry
+ *    budget is spent;
  *  - the event-queue watchdog must turn a wedged simulation into a
  *    diagnostic with the pending-event list.
  */
@@ -20,8 +23,12 @@
 #include <vector>
 
 #include "check/fuzz.hh"
+#include "check/rig.hh"
 #include "fault/fault_injector.hh"
 #include "firefly/system.hh"
+#include "io/disk.hh"
+#include "io/ethernet.hh"
+#include "io/qbus.hh"
 #include "obs/trace.hh"
 #include "sim/simulator.hh"
 #include "topaz/runtime.hh"
@@ -56,6 +63,38 @@ struct RecordingSink : obs::TraceSink
         return n;
     }
 };
+
+/** A rig whose DMA engine, behind a QBus, times out every request. */
+struct HungDeviceRig : check::Rig
+{
+    fault::FaultInjector injector{hungDevices()};
+    QBus qbus{sim, *caches[0], 16 * 1024 * 1024};
+
+    HungDeviceRig()
+        : Rig(ProtocolKind::Firefly)
+    {
+        qbus.identityMap();
+        qbus.engine().setFaultInjector(&injector);
+    }
+
+    static FaultConfig
+    hungDevices()
+    {
+        FaultConfig cfg;
+        cfg.rates.deviceTimeout = 1.0;
+        return cfg;
+    }
+};
+
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
 
 /** A fuzz config with the standard recoverable-fault campaign. */
 FuzzConfig
@@ -358,4 +397,118 @@ TEST(FaultRecovery, WatchdogStaysQuietWhileEventsFlow)
     };
     beat();
     EXPECT_NO_THROW(sim.run(20'000));
+}
+
+// A DMA request that hangs on every attempt: the engine waits out
+// each timeout, backs off, retries, and after the budget fires the
+// callback once, with TimedOut.
+TEST(FaultRecovery, DmaTimeoutRetriesWithBackoffThenFailsOnce)
+{
+    check::Rig rig(ProtocolKind::Firefly);
+    FaultConfig cfg;
+    cfg.rates.deviceTimeout = 1.0;
+    fault::FaultInjector inj(cfg);
+    rig.dma->setFaultInjector(&inj);
+
+    const Cycle issued = rig.sim.now();
+    unsigned completions = 0;
+    IoStatus status = IoStatus::Ok;
+    Cycle completed = 0;
+    rig.dma->readWords(0x1000, 2,
+                       [&](IoStatus st, std::vector<Word> data) {
+                           ++completions;
+                           status = st;
+                           completed = rig.sim.now();
+                           EXPECT_TRUE(data.empty());
+                       });
+    rig.sim.run(50'000);
+
+    EXPECT_EQ(completions, 1u);
+    EXPECT_EQ(status, IoStatus::TimedOut);
+    // Four 2,000-cycle timeouts, with backoffs of 500, 1,000 and
+    // 2,000 cycles between them.
+    EXPECT_EQ(completed - issued, 4 * 2000 + 500 + 1000 + 2000);
+    EXPECT_EQ(inj.deviceTimeouts.value(), fault::kDeviceRetryBudget);
+    EXPECT_EQ(inj.deviceRetries.value(), fault::kDeviceRetryBudget - 1);
+    EXPECT_EQ(inj.deviceFailures.value(), 1u);
+    EXPECT_EQ(rig.dma->requestCount.value(), 0u);
+}
+
+// A request that hangs once: the retry transfers the right words.
+TEST(FaultRecovery, DmaRetryAfterOneTimeoutReadsTheWords)
+{
+    // A plan whose first device draw fires and whose second does not.
+    FaultConfig cfg;
+    cfg.rates.deviceTimeout = 0.5;
+    for (;; ++cfg.seed) {
+        fault::FaultPlan plan(cfg.seed, cfg.rates);
+        if (plan.deviceTimeout() && !plan.deviceTimeout())
+            break;
+    }
+    check::Rig rig(ProtocolKind::Firefly);
+    rig.memory.write(0x1000, 7);
+    rig.memory.write(0x1004, 9);
+    fault::FaultInjector inj(cfg);
+    rig.dma->setFaultInjector(&inj);
+
+    IoStatus status = IoStatus::TimedOut;
+    const std::vector<Word> got = rig.dmaRead(0x1000, 2, &status);
+    EXPECT_EQ(status, IoStatus::Ok);
+    EXPECT_EQ(got, (std::vector<Word>{7, 9}));
+    EXPECT_EQ(inj.deviceTimeouts.value(), 1u);
+    EXPECT_EQ(inj.deviceRetries.value(), 1u);
+    EXPECT_EQ(inj.deviceFailures.value(), 0u);
+    EXPECT_EQ(rig.dma->requestCount.value(), 1u);
+}
+
+// With every DMA request hung, each disk request fails once, with
+// one warning, and the controller goes on to the next one.
+TEST(FaultRecovery, DiskRequestFailsOnceAndTheNextOneRuns)
+{
+    HungDeviceRig rig;
+    DiskController disk(rig.sim, rig.qbus, "disk0");
+    std::vector<IoStatus> done;
+    testing::internal::CaptureStderr();
+    disk.read(10, 1, 0xa000, [&](IoStatus st) { done.push_back(st); });
+    disk.write(20, 1, 0xb000, [&](IoStatus st) { done.push_back(st); });
+    rig.sim.run(2'000'000);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(done, (std::vector<IoStatus>{IoStatus::TimedOut,
+                                           IoStatus::TimedOut}));
+    EXPECT_EQ(occurrences(warnings, "disk0: "), 2u) << warnings;
+    EXPECT_EQ(occurrences(warnings, "read of 1 sectors at lba 10 "
+                                    "failed after 4 attempts"),
+              1u);
+    EXPECT_EQ(occurrences(warnings, "write of 1 sectors at lba 20 "
+                                    "failed after 4 attempts"),
+              1u);
+    EXPECT_EQ(disk.reads.value() + disk.writes.value(), 0u);
+    EXPECT_EQ(rig.injector.deviceFailures.value(), 2u);
+}
+
+// The same for the Ethernet: each transmit fails once, warns once,
+// and the next queued packet still gets its DMA fetch.
+TEST(FaultRecovery, EthernetTransmitFailsOnceAndTheNextOneRuns)
+{
+    HungDeviceRig rig;
+    EthernetController eth(rig.sim, rig.qbus, "eth0");
+    std::vector<IoStatus> done;
+    testing::internal::CaptureStderr();
+    eth.transmit(0x8000, 64, [&](IoStatus st) { done.push_back(st); });
+    eth.transmit(0x9000, 128, [&](IoStatus st) { done.push_back(st); });
+    rig.sim.run(200'000);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(done, (std::vector<IoStatus>{IoStatus::TimedOut,
+                                           IoStatus::TimedOut}));
+    EXPECT_EQ(occurrences(warnings, "eth0: "), 2u) << warnings;
+    EXPECT_EQ(occurrences(warnings, "transmit of 64 bytes failed after "
+                                    "4 attempts"),
+              1u);
+    EXPECT_EQ(occurrences(warnings, "transmit of 128 bytes failed after "
+                                    "4 attempts"),
+              1u);
+    EXPECT_EQ(eth.txPackets.value(), 0u);
+    EXPECT_EQ(rig.injector.deviceFailures.value(), 2u);
 }

@@ -149,7 +149,7 @@ TEST(Integration, WholeSystemDeterminism)
         disk.write(123, 4, kIoBuffers, [&](IoStatus) { done = true; });
         sys.run(0.03);
         std::ostringstream os;
-        sys.stats().dump(os);
+        sys.stats().dumpJson(os);
         return os.str();
     };
     EXPECT_EQ(run(), run());
@@ -161,13 +161,18 @@ TEST(Integration, StatsDumpCoversTheMachine)
     sys.attachSyntheticWorkload(SyntheticConfig{});
     sys.run(0.01);
     std::ostringstream os;
-    sys.stats().dump(os);
-    const std::string text = os.str();
-    for (const char *needle :
-         {"cache0:", "cache1:", "cpu0:", "mbus:", "mem0:",
-          "busy_cycles", "miss_rate", "wt_mshared"}) {
-        EXPECT_NE(text.find(needle), std::string::npos)
-            << "missing " << needle;
+    sys.stats().dumpJson(os);
+    const std::string json = os.str();
+    for (const std::string group :
+         {"cache0", "cache1", "cpu0", "mbus", "mem0"}) {
+        EXPECT_NE(json.find("\"name\": \"" + group + "\""),
+                  std::string::npos)
+            << "missing group " << group;
+    }
+    for (const std::string stat :
+         {"busy_cycles", "miss_rate", "wt_mshared"}) {
+        EXPECT_NE(json.find("\"" + stat + "\": "), std::string::npos)
+            << "missing " << stat;
     }
 }
 

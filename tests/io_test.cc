@@ -10,6 +10,7 @@
 #include "io/disk.hh"
 #include "io/ethernet.hh"
 #include "io/qbus.hh"
+#include "obs/trace.hh"
 
 using namespace firefly;
 using firefly::check::Rig;
@@ -40,6 +41,22 @@ struct IoRig : Rig
     }
 };
 
+/** Keeps the events of one trace track. */
+struct TrackLog : obs::TraceSink
+{
+    std::string track;
+    std::vector<obs::TraceEvent> events;
+
+    explicit TrackLog(std::string name) : track(std::move(name)) {}
+
+    void
+    event(const obs::TraceEvent &ev) override
+    {
+        if (ev.track == track)
+            events.push_back(ev);
+    }
+};
+
 } // namespace
 
 TEST(DmaEngine, ReadSeesMemoryAndCaches)
@@ -58,6 +75,31 @@ TEST(DmaEngine, ReadSeesMemoryAndCaches)
     });
     rig.runUntil(done);
     EXPECT_EQ(got, (std::vector<Word>{7, 9}));
+}
+
+// A request is one slice on the engine's track: it begins at the
+// first word and ends when the last word completes.
+TEST(DmaEngine, RequestIsOneClosedSliceOnItsTrack)
+{
+    Rig rig(ProtocolKind::Firefly);
+    TrackLog log("dma");
+    Cycle completed = 0;
+    {
+        obs::ScopedTraceSink scoped(&log);
+        bool done = false;
+        rig.dma->readWords(0x1000, 3, [&](IoStatus, std::vector<Word>) {
+            done = true;
+            completed = rig.sim.now();
+        });
+        while (!done)
+            rig.sim.run(1);
+    }
+    ASSERT_EQ(log.events.size(), 2u);
+    EXPECT_EQ(log.events[0].kind, obs::EventKind::Begin);
+    EXPECT_EQ(log.events[0].name, "dma-read");
+    EXPECT_EQ(log.events[0].arg("words"), "3");
+    EXPECT_EQ(log.events[1].kind, obs::EventKind::End);
+    EXPECT_EQ(log.events[1].when, completed);
 }
 
 TEST(DmaEngine, WriteIsVisibleToCpus)

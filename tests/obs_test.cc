@@ -323,59 +323,6 @@ TEST(StatsJson, HistogramsAndAccumulators)
     EXPECT_EQ(h.at("overflow").number, 1);             // 99 -> overflow
 }
 
-// Recursively find a counter by name anywhere in the exported tree.
-const Json *
-findCounter(const Json &node, const std::string &name)
-{
-    if (node.has("counters") && node.at("counters").has(name))
-        return &node.at("counters").at(name);
-    if (node.has("children")) {
-        for (const Json &child : node.at("children").array)
-            if (const Json *hit = findCounter(child, name))
-                return hit;
-    }
-    return nullptr;
-}
-
-TEST(StatsJson, MatchesTheTextDump)
-{
-    // The Table-2 counters in the JSON export must equal the values
-    // the classic text dump prints for the same run.
-    FireflySystem sys(FireflyConfig::microVax(1));
-    sys.attachSyntheticWorkload(SyntheticConfig{});
-    sys.run(0.005);
-
-    std::ostringstream text_os, json_os;
-    sys.stats().dump(text_os);
-    sys.stats().dumpJson(json_os);
-    const std::string text = text_os.str();
-    const Json root = parseJson(json_os.str());
-
-    // First token of each dump line is the stat name, second the
-    // value.  These counters appear exactly once in a 1-CPU machine.
-    for (const char *name :
-         {"refs_instr", "wt_mshared", "wt_no_mshared",
-          "tag_busy_retries", "mshared_asserted", "cache_supplied"}) {
-        int matches = 0;
-        double text_value = -1;
-        std::istringstream lines(text);
-        std::string line;
-        while (std::getline(lines, line)) {
-            std::istringstream fields(line);
-            std::string first;
-            double value;
-            if (fields >> first >> value && first == name) {
-                ++matches;
-                text_value = value;
-            }
-        }
-        ASSERT_EQ(matches, 1) << name << " lines in the text dump";
-        const Json *json_value = findCounter(root, name);
-        ASSERT_NE(json_value, nullptr) << name;
-        EXPECT_EQ(json_value->number, text_value) << name;
-    }
-}
-
 TEST(StatsJson, GoldenDeterminism)
 {
     // Byte-identical across runs: the export is usable as a golden

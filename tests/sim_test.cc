@@ -255,20 +255,6 @@ TEST(Stats, GroupGetAndFormula)
     EXPECT_DOUBLE_EQ(g.get("double_hits"), 6.0);
 }
 
-TEST(Stats, DumpContainsNamesAndValues)
-{
-    StatGroup g("bus");
-    Counter c;
-    c += 7;
-    g.addCounter(&c, "cycles", "elapsed cycles");
-    std::ostringstream os;
-    g.dump(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("bus:"), std::string::npos);
-    EXPECT_NE(text.find("cycles"), std::string::npos);
-    EXPECT_NE(text.find("7"), std::string::npos);
-}
-
 namespace
 {
 
