@@ -23,7 +23,11 @@
  *               cycles.
  *
  * A third, `checked`, is the saturated machine under the coherence
- * checker: the cost of a checked run.
+ * checker: the cost of a checked run.  A fourth, `dma`, is bench_io_dma's
+ * DMA traffic on the idle 4-CPU machine: each CPU halts after the idle
+ * burst while back-to-back Ethernet receives and 4 KB disk writes keep
+ * the QBus DMA engine busy through the I/O processor's cache, so every
+ * stepped cycle is a bus cycle or a device event.
  *
  * Each point runs twice, fast-forward on and (forcibly) off, and
  * reports the ratio; behaviour and statistics are bit-identical
@@ -48,11 +52,15 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "firefly/system.hh"
+#include "io/disk.hh"
+#include "io/ethernet.hh"
+#include "io/qbus.hh"
 #include "sim/stats.hh"
 
 /** Calls of the global operator new so far (heap_count.cc). */
@@ -69,7 +77,7 @@ std::string perfJsonPath;
 
 struct Point
 {
-    const char *workload;  ///< "saturated", "idle" or "checked"
+    const char *workload;  ///< "saturated", "idle", "checked" or "dma"
     ProtocolKind proto;
     unsigned cpus;
 };
@@ -132,6 +140,64 @@ struct Measure
     }
 };
 
+/** Back-to-back DMA: each completion starts the next transfer, so
+ *  the QBus DMA engine always has a request queued. */
+struct DmaTraffic
+{
+    static constexpr Addr kRing = 0x0030'0000;  // above the synthetic
+                                                // footprint
+    static constexpr unsigned kRxBuffers = 8;
+    static constexpr unsigned kRxBufferBytes = 2048;
+    static constexpr unsigned kPacketBytes = 1500;
+    static constexpr unsigned kDiskSectors = 8;  // 4 KB
+    static constexpr unsigned kDiskBuffers = 4;
+
+    QBus qbus;
+    EthernetController nic;
+    DiskController disk;
+    unsigned received = 0;
+    unsigned written = 0;
+
+    explicit DmaTraffic(FireflySystem &sys)
+        : qbus(sys.simulator(), sys.ioCache(),
+               sys.config().ioAddressLimit()),
+          nic(sys.simulator(), qbus, "net0"),
+          disk(sys.simulator(), qbus, "disk0")
+    {
+        qbus.identityMap();
+        nic.setReceiveHandler([this](Addr, unsigned) { receiveNext(); });
+        receiveNext();
+        writeNext();
+    }
+
+    void
+    receiveNext()
+    {
+        nic.addReceiveBuffer(
+            kRing + (received++ % kRxBuffers) * kRxBufferBytes,
+            kRxBufferBytes);
+        nic.injectFromWire(
+            std::vector<Word>(kPacketBytes / bytesPerWord, 0x55aa55aa),
+            kPacketBytes);
+    }
+
+    void
+    writeNext()
+    {
+        // Sequential writes over the first 128 sectors: the disk's
+        // backing store stays small however long the run.
+        const unsigned lba = (written * kDiskSectors) % 128;
+        const Addr buffer = kRing + (written++ % kDiskBuffers) *
+                                        kDiskSectors *
+                                        DiskController::bytesPerSector;
+        disk.write(lba, kDiskSectors, buffer, [this](IoStatus status) {
+            if (status != IoStatus::Ok)
+                fatal("dma point: a disk write timed out");
+            writeNext();
+        });
+    }
+};
+
 /** One full simulation of the point; returns wall time and totals.
  *  `headline` additionally exports the stat tree (--stats-json). */
 Measure
@@ -144,7 +210,8 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
 
     SyntheticConfig sc;
     double simSeconds = perfSimSeconds;
-    if (std::string(pt.workload) == "idle") {
+    const bool dma = std::string(pt.workload) == "dma";
+    if (std::string(pt.workload) == "idle" || dma) {
         // A short burst, then halt: the machine spends the vast
         // majority of the (10x longer) simulated span with every
         // component quiescent.  This models the real duty cycle of a
@@ -153,6 +220,9 @@ runOnce(const Point &pt, bool fast_forward, bool headline)
         simSeconds *= 10.0;
     }
     sys.attachSyntheticWorkload(sc);
+    std::optional<DmaTraffic> traffic;
+    if (dma)
+        traffic.emplace(sys);
     // --no-fast-forward forces the reference path on the "fast" runs
     // too, so the headline --stats-json can be compared across the
     // two paths (scripts/check.sh perf).
@@ -225,6 +295,7 @@ experiment()
         {"saturated", ProtocolKind::Dragon, 7},
         {"saturated", ProtocolKind::Mesi, 7},
         {"checked", ProtocolKind::Firefly, 7},
+        {"dma", ProtocolKind::Firefly, 4},
     };
 
     std::printf("%-9s %-8s %3s | %12s %12s %9s | %12s %8s | %9s %9s "

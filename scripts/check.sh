@@ -219,16 +219,19 @@ for bp in with_stepped(base["points"]):
                      f"the committed {bp[counter]:.4f}")
 
 # The saturated 7-CPU Firefly point must keep the gating, the snoop
-# filter and the exact idle jump doing their job (was 8.0
-# ticks/cycle, 6.0 probes/txn, 0.9975 stepped cycles per cycle).
+# filter, the exact idle jump and the bus's sleep through the MShared
+# cycle (and through the probe cycle when nobody else holds the line)
+# doing their job (was 8.0 ticks/cycle, 6.0 probes/txn, 0.9975
+# stepped cycles per cycle; 1.542 and 0.787 with a bus ticked on all
+# four phases).
 sat7 = points[("saturated", "Firefly", 7)]
-if (sat7["tick_calls_per_cycle"] > 2.5 or
+if (sat7["tick_calls_per_cycle"] > 1.25 or
         sat7["snoop_calls_per_txn"] > 0.5 or
-        sat7["stepped_per_cycle"] > 0.82):
+        sat7["stepped_per_cycle"] > 0.65):
     sys.exit(f"saturated 7-CPU point: {sat7['tick_calls_per_cycle']:.3f} "
-             f"ticks/cycle (max 2.5), {sat7['snoop_calls_per_txn']:.3f} "
+             f"ticks/cycle (max 1.25), {sat7['snoop_calls_per_txn']:.3f} "
              f"snoops/txn (max 0.5), {sat7['stepped_per_cycle']:.3f} "
-             f"stepped cycles/cycle (max 0.82)")
+             f"stepped cycles/cycle (max 0.65)")
 print("perf lane: fast/slow identical, idle speedup >= 3x, "
       "work counters within baseline, throughput within baseline "
       "envelope")

@@ -138,9 +138,10 @@ MBus::request(const MBusTransaction &txn)
                       txn.initiator->busClientName().c_str());
             }
             pending[i] = PendingRequest{txn, sim.now()};
-            // Arbitrate at this cycle's Bus phase if it is still to
-            // come, else at the next one.
-            if (dueCycle() > sim.now())
+            // An idle bus arbitrates at this cycle's Bus phase if it
+            // is still to come, else at the next one.  A busy one
+            // picks the slot up when its transaction ends (idleDue).
+            if (!active && dueCycle() > sim.now())
                 setDue(sim.now());
             return;
         }
@@ -174,13 +175,28 @@ MBus::idleDue(Cycle from) const
     return due;
 }
 
+bool
+MBus::anotherMayHold() const
+{
+    for (unsigned i = 0; i < clients.size(); ++i) {
+        if (clients[i] != active->initiator && mayHold(i, active->addr))
+            return true;
+    }
+    return false;
+}
+
 void
 MBus::settle(Cycle horizon)
 {
     // tick() counts every cycle (idle ones are the denominator of
-    // load()); credit the idle cycles the bus slept through.
+    // load()); credit the cycles the bus slept through, busy ones
+    // (and their progress) if a transaction held the bus.
     if (horizon > countedTo) {
         totalCycleCount += horizon - countedTo;
+        if (active) {
+            busyCycleCount += horizon - countedTo;
+            sim.noteProgressAt(horizon - 1);
+        }
         countedTo = horizon;
     }
 }
@@ -188,78 +204,89 @@ MBus::settle(Cycle horizon)
 void
 MBus::tick(Cycle now)
 {
-    settle(now + 1);  // this cycle, and any idle ones slept through
+    settle(now + 1);  // this cycle, and any slept through
+    // Before its due cycle the bus only counts, so the path that ticks
+    // every cycle does the gated path's work in the same cycles.
+    if (now < dueCycle())
+        return;
 
     if (!active) {
         // Arbitration: fixed priority, lowest index wins.  Slots in
         // parity-retry backoff are not eligible yet.
         for (unsigned i = 0; i < pending.size(); ++i) {
-            if (!pending[i].has_value())
-                continue;
-            if (now < pending[i]->earliest)
-                continue;
-            active = pending[i]->txn;
-            activeAttempt = pending[i]->attempt;
-            const Cycle requested = pending[i]->requested;
-            arbWaitHist.sample(static_cast<double>(now - requested));
-            pending[i].reset();
-            phaseCycle = 0;
-            suppliers.clear();
-            ++busyCycleCount;
-            sim.noteProgress();
-            active->initiator->transactionGranted(*active);
-            if (auto *ts = obs::traceSink()) {
-                // The whole transaction is one slice on the bus
-                // track, grant (address cycle) to completion, named
-                // for its operation.
-                ts->begin(now, obs::kCatMBus, statGroup.name(),
-                          toString(active->type),
-                          {{"addr", obs::hexAddr(active->addr)},
-                           {"kind", toString(active->kind)},
-                           {"by", active->initiator->busClientName()},
-                           {"words", std::to_string(active->words)},
-                           {"wait", std::to_string(now - requested)}});
+            if (pending[i].has_value() && now >= pending[i]->earliest) {
+                grant(i, now);
+                return;
             }
-            return;
         }
         setDue(idleDue(now + 1));  // idle cycle
         return;
     }
 
-    ++busyCycleCount;
-    ++phaseCycle;
-    sim.noteProgress();
-
-    // Phase 2, the MShared cycle, has no work: the probe already
-    // gathered the wired-OR.
-    if (phaseCycle == 1) {
+    // Cycle 2, the MShared cycle, has no work: the probe already
+    // gathered the wired-OR, so the bus is never due then.
+    const Cycle phase = now - grantCycle;
+    if (phase == 1) {
         probePhase();
-    } else if (phaseCycle >= 3) {
-        const unsigned burst = phaseCycle - 3;
-        if (burst == 0 && injector &&
-            injector->faultPlan().busParityError()) {
-            // A parity error is detected as the data cycle begins,
-            // before any word moves: no memory or cache state has
-            // changed, so dropping the attempt is side-effect free.
-            parityAbort(now);
-            setDue(idleDue(now + 1));
-            return;
-        }
-        dataPhase(burst);
-        if (burst + 1 == active->words) {
-            completeTransaction();
-            setDue(idleDue(now + 1));
-        }
+        setDue(grantCycle + 3);
+        return;
     }
+    const unsigned burst = static_cast<unsigned>(phase - 3);
+    if (burst == 0 && injector && injector->faultPlan().busParityError()) {
+        // A parity error is detected as the data cycle begins, before
+        // any word moves: no memory or cache state has changed, so
+        // dropping the attempt is side-effect free.
+        parityAbort(now);
+        setDue(idleDue(now + 1));
+        return;
+    }
+    dataPhase(burst);
+    if (burst + 1 == active->words) {
+        completeTransaction();
+        setDue(idleDue(now + 1));
+    }
+}
+
+void
+MBus::grant(unsigned slot, Cycle now)
+{
+    PendingRequest &req = *pending[slot];
+    active = req.txn;
+    activeAttempt = req.attempt;
+    const Cycle requested = req.requested;
+    arbWaitHist.sample(static_cast<double>(now - requested));
+    pending[slot].reset();
+    grantCycle = now;
+    suppliers.clear();
+    ++busyCycleCount;  // settle credits the cycles after this one
+    sim.noteProgress();
+    active->initiator->transactionGranted(*active);
+    if (auto *ts = obs::traceSink()) {
+        // The whole transaction is one slice on the bus track, grant
+        // (address cycle) to completion, named for its operation.
+        ts->begin(now, obs::kCatMBus, statGroup.name(),
+                  toString(active->type),
+                  {{"addr", obs::hexAddr(active->addr)},
+                   {"kind", toString(active->kind)},
+                   {"by", active->initiator->busClientName()},
+                   {"words", std::to_string(active->words)},
+                   {"wait", std::to_string(now - requested)}});
+    }
+    // Every other client's tag store is busy in the probe cycle,
+    // probed or not.
+    probeCycle = now + 1;
+    probeInitiator = active->initiator;
+    // With no other holder now there is none at the probe either: only
+    // a completing transaction installs a line, and this one holds the
+    // bus.  That probe would call nobody, so the bus sleeps to the
+    // data cycle with MShared clear.
+    setDue(anotherMayHold() ? now + 1 : now + 3);
 }
 
 void
 MBus::probePhase()
 {
-    // Every other client's tag store is busy this cycle, probed or
-    // not; only caches that hold the line are actually probed.
-    probeCycle = sim.now();
-    probeInitiator = active->initiator;
+    // Only the caches that hold the line are probed.
     for (unsigned i = 0; i < clients.size(); ++i) {
         if (clients[i] == active->initiator || !mayHold(i, active->addr))
             continue;

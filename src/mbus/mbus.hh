@@ -13,6 +13,15 @@
  *            inhibited (but captures a dirty supply, keeping memory
  *            consistent with clean-shared copies)
  *
+ * The simulated bus wakes only for work: at the grant, at cycle 1
+ * only when some other client may hold the line (the snoop filter
+ * reads the caches' tags), and at each data cycle.  Cycle 2 carries
+ * the wired-OR the probe already gathered, so the bus sleeps through
+ * it, and through cycle 1 when nobody else holds the line: then the
+ * probe would call nobody.  The grant stamps the other tag stores busy
+ * for cycle 1 ahead of time either way.  The cycles slept through are
+ * credited as busy when the bus next ticks or settles.
+ *
  * With a flight-recorder sink attached (obs/trace.hh) each granted
  * transaction is one MBus slice, named for its operation, from grant
  * to last data cycle: its begin args say what was asked for ("addr",
@@ -124,8 +133,9 @@ class MBusClient
     virtual std::string busClientName() const = 0;
 
     /**
-     * Tag probe for another agent's transaction (cycle 1).  Must not
-     * mutate coherence state; state changes belong in snoopComplete.
+     * Tag probe for another agent's transaction (cycle 1; the bus
+     * calls only clients that may hold the line).  Must not mutate
+     * coherence state; state changes belong in snoopComplete.
      */
     virtual SnoopReply snoopProbe(const MBusTransaction &txn) = 0;
 
@@ -189,11 +199,12 @@ class MBus : public Clocked
 
     /**
      * True if the tag store of `client` is taken by a snoop probe in
-     * cycle `now`: the bus probed this cycle for a transaction someone
-     * else initiated.  This stamp stands for the probe of every
-     * non-initiator, including the caches the bus skips because they
-     * do not hold the line, so the single-ported tag-store contention
-     * (the paper's SP term) does not depend on the filter.
+     * cycle `now`: it is the probe cycle of a transaction someone else
+     * initiated (the grant sets this stamp ahead, for grant + 1).
+     * This stamp stands for the probe of every non-initiator,
+     * including the caches the bus skips because they do not hold the
+     * line, so the single-ported tag-store contention (the paper's SP
+     * term) does not depend on the filter.
      */
     bool
     probedAt(Cycle now, const MBusClient *client) const
@@ -292,8 +303,13 @@ class MBus : public Clocked
         return f.tags[line & f.indexMask] == line << f.lineShift;
     }
 
+    /** May any client but the initiator hold the active line? */
+    bool anotherMayHold() const;
     /** Due cycle of an idle bus: its earliest eligible request. */
     Cycle idleDue(Cycle from) const;
+    /** Start the transaction in pending slot `slot` (cycle 0) and
+     *  publish its next wake: the probe cycle or the data cycle. */
+    void grant(unsigned slot, Cycle now);
     void probePhase();
     void dataPhase(unsigned burst_index);
     void completeTransaction();
@@ -305,20 +321,21 @@ class MBus : public Clocked
 
     std::vector<MBusClient *> clients;
     std::vector<TagFilter> filters;  ///< indexed by priority
-    /** Snoop-probe stamp: the cycle of the last probe and the
-     *  transaction's initiator (see probedAt). */
+    /** Snoop-probe stamp: the probe cycle of the latest grant and
+     *  its transaction's initiator (see probedAt). */
     Cycle probeCycle = kNeverWakes;
     const MBusClient *probeInitiator = nullptr;
     std::uint64_t snoopCallCount = 0;
-    /** Cycles before this are in totalCycleCount; idle cycles the bus
-     *  slept through are credited at its next tick or settle. */
+    /** Cycles before this are in totalCycleCount, and in
+     *  busyCycleCount if a transaction held the bus; the cycles the
+     *  bus slept through are credited at its next tick or settle. */
     Cycle countedTo;
     /** One pending slot per client, indexed by priority. */
     std::vector<std::optional<PendingRequest>> pending;
 
     /** Active transaction state. */
     std::optional<MBusTransaction> active;
-    unsigned phaseCycle = 0;
+    Cycle grantCycle = 0;  ///< the active transaction's cycle 0
     unsigned activeAttempt = 0;       ///< parity NACKs already taken
     std::vector<unsigned> suppliers;  ///< client indices driving data
 

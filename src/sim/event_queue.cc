@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -20,34 +19,39 @@ EventQueue::schedule(Cycle when, EventFn fn, const char *label)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(horizon));
     }
-    events.push_back({when, nextSeq++, label, std::move(fn)});
-    std::push_heap(events.begin(), events.end(), Later{});
-}
-
-Cycle
-EventQueue::nextEventCycle() const
-{
-    if (events.empty())
-        return std::numeric_limits<Cycle>::max();
-    return events.front().when;
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    slots[slot].label = label;
+    slots[slot].fn = std::move(fn);
+    heap.push_back({when, nextSeq++, slot});
+    std::push_heap(heap.begin(), heap.end(), Later{});
 }
 
 std::size_t
 EventQueue::runPending(Cycle now)
 {
     std::size_t ran = 0;
-    while (!events.empty() && events.front().when <= now) {
-        // Move out before pop so the callback may schedule new events.
-        std::pop_heap(events.begin(), events.end(), Later{});
-        auto ev = std::move(events.back());
-        events.pop_back();
+    while (!heap.empty() && heap.front().when <= now) {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        const Key key = heap.back();
+        heap.pop_back();
+        // Move the closure out and free its slot first, so the
+        // callback may schedule new events (and grow the slot table).
+        EventFn fn = std::move(slots[key.slot].fn);
+        freeSlots.push_back(key.slot);
         // The horizon tracks the event being processed, not the sweep
         // target: a callback at cycle 1 may schedule for cycle 2 even
         // when this sweep runs to 5 (the new event still fires in
         // order, within this sweep).
-        if (ev.when > horizon)
-            horizon = ev.when;
-        ev.fn();
+        if (key.when > horizon)
+            horizon = key.when;
+        fn();
         ++ran;
     }
     if (now > horizon)
@@ -58,28 +62,21 @@ EventQueue::runPending(Cycle now)
 std::string
 EventQueue::describePending(std::size_t max) const
 {
-    if (events.empty())
+    if (heap.empty())
         return "  (event queue empty)\n";
-    std::vector<const Event *> sorted;
-    sorted.reserve(events.size());
-    for (const Event &ev : events)
-        sorted.push_back(&ev);
+    std::vector<Key> sorted = heap;
     std::sort(sorted.begin(), sorted.end(),
-              [](const Event *a, const Event *b) {
-                  if (a->when != b->when)
-                      return a->when < b->when;
-                  return a->seq < b->seq;
-              });
+              [](const Key &a, const Key &b) { return Later{}(b, a); });
     std::ostringstream os;
     std::size_t shown = 0;
-    for (const Event *ev : sorted) {
+    for (const Key &key : sorted) {
         if (shown++ == max) {
             os << "  ... " << (sorted.size() - max) << " more\n";
             break;
         }
-        os << "  cycle " << ev->when << ": "
-           << (ev->label && *ev->label ? ev->label : "(unlabelled)")
-           << "\n";
+        const char *label = slots[key.slot].label;
+        os << "  cycle " << key.when << ": "
+           << (label && *label ? label : "(unlabelled)") << "\n";
     }
     return os.str();
 }

@@ -17,6 +17,7 @@
 #define FIREFLY_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,8 +47,14 @@ class EventQueue
      */
     void schedule(Cycle when, EventFn fn, const char *label = "");
 
-    /** Cycle of the earliest pending event, or max if empty. */
-    Cycle nextEventCycle() const;
+    /** Cycle of the earliest pending event, or max if empty (read on
+     *  every stepped cycle). */
+    Cycle
+    nextEventCycle() const
+    {
+        return heap.empty() ? std::numeric_limits<Cycle>::max()
+                            : heap.front().when;
+    }
 
     /** Events scheduled since construction (host-perf diagnostics). */
     std::uint64_t scheduled() const { return nextSeq; }
@@ -63,7 +70,7 @@ class EventQueue
     std::size_t
     runUntil(Cycle now)
     {
-        if (events.empty() || events.front().when > now) {
+        if (heap.empty() || heap.front().when > now) {
             if (now > horizon)
                 horizon = now;
             return 0;
@@ -79,27 +86,37 @@ class EventQueue
     /** Out-of-line body of runUntil for cycles with ripe events. */
     std::size_t runPending(Cycle now);
 
-    struct Event
+    /** A pending event's heap entry: its order, and the slot that
+     *  holds its closure.  Heap moves shuffle these 24 bytes, never
+     *  the closures. */
+    struct Key
     {
         Cycle when;
         std::uint64_t seq;
-        const char *label;
-        EventFn fn;
+        std::uint32_t slot;
     };
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
             return a.seq > b.seq;
         }
     };
+    struct Slot
+    {
+        const char *label = nullptr;
+        EventFn fn;
+    };
 
     /** Binary heap managed with std::push_heap/pop_heap so
      *  describePending can walk the pending set. */
-    std::vector<Event> events;
+    std::vector<Key> heap;
+    /** Closures by slot; a slot is free once its event has run. */
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> freeSlots;
     std::uint64_t nextSeq = 0;
     /** Latest cycle runUntil has swept; schedules before it panic. */
     Cycle horizon = 0;

@@ -10,12 +10,16 @@
  * fence() and processor offlining.  Each test runs both ways and
  * compares.  The bus's snoop filter reads the caches' own tags: it
  * must probe exactly the caches that hold the line, without changing
- * the tag-store contention the others see.
+ * the tag-store contention the others see.  The bus itself wakes only
+ * at a transaction's grant, its probe cycle (only when another cache
+ * holds the line) and its data cycles, and must still count, stamp
+ * and arbitrate as a bus ticked on all four phases does.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -70,6 +74,21 @@ struct OneCpu : Rig
                                cpu->memWaitTicks.value(),
                                cpu->halted());
     }
+};
+
+/** Runs `action` in the Cpu phase of every cycle, where a processor
+ *  issues its references. */
+struct CpuPhase : Clocked
+{
+    std::function<void(Cycle)> action;
+
+    CpuPhase(Simulator &sim, std::function<void(Cycle)> fn)
+        : action(std::move(fn))
+    {
+        sim.addClocked(this, Phase::Cpu);
+    }
+
+    void tick(Cycle now) override { action(now); }
 };
 
 std::string
@@ -224,48 +243,51 @@ TEST(Gating, OfflineProcessorMatchesEveryCycleTicking)
 
 TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
 {
+    // Cache 1 misses on A while the bystander's processor re-reads its
+    // own line every cycle.  With cache 0 holding A the bus probes
+    // cache 0 only; with no holder it probes nobody and sleeps through
+    // the probe cycle.  Either way the bystander's tag store is busy in
+    // exactly that cycle, on both paths.
     constexpr Addr kA = 0x1000;
     constexpr Addr kB = 0x2000;
-    Rig rig(ProtocolKind::Firefly, 3);
-    Cache &bystander = *rig.caches[2];
-    rig.read(0, kA);
-    rig.read(2, kB);  // nobody else holds B: no probe at all
-    EXPECT_EQ(rig.bus.snoopCalls(), 0u);
+    for (const bool holder : {true, false}) {
+        for (const bool gated : {true, false}) {
+            Rig rig(ProtocolKind::Firefly, 3);
+            rig.sim.setFastForward(gated);
+            Cache &bystander = *rig.caches[2];
+            if (holder)
+                rig.read(0, kA);
+            rig.read(2, kB);  // nobody else holds B: no probe at all
+            EXPECT_EQ(rig.bus.snoopCalls(), 0u);
 
-    MBusPhaseLog log;
-    obs::ScopedTraceSink attach(&log);
-    // The bystander's processor re-reads its own line every cycle
-    // while cache 1 misses on A, which only cache 0 holds.
-    struct Poker : Clocked
-    {
-        Cache &cache;
-        std::vector<std::pair<Cycle, Cache::AccessOutcome>> log;
-        explicit Poker(Cache &c) : cache(c) {}
-        void
-        tick(Cycle now) override
-        {
-            log.emplace_back(
-                now,
-                cache.cpuAccess({kB, RefType::DataRead, 0}, {}).outcome);
+            MBusPhaseLog log;
+            obs::ScopedTraceSink attach(&log);
+            std::vector<std::pair<Cycle, Cache::AccessOutcome>> pokes;
+            CpuPhase poker(rig.sim, [&](Cycle now) {
+                pokes.emplace_back(
+                    now,
+                    bystander.cpuAccess({kB, RefType::DataRead, 0}, {})
+                        .outcome);
+            });
+            rig.read(1, kA);
+
+            std::vector<Cycle> probes;
+            for (const MBusPhase &phase : log.phases) {
+                if (phase.name == "wdata+probe")
+                    probes.push_back(phase.when);
+            }
+            EXPECT_EQ(rig.bus.snoopCalls(), holder ? 1u : 0u);
+            ASSERT_EQ(probes.size(), 1u);
+            ASSERT_FALSE(pokes.empty());
+            for (const auto &[cycle, outcome] : pokes) {
+                EXPECT_EQ(outcome == Cache::AccessOutcome::RetryTagBusy,
+                          cycle == probes[0])
+                    << "cycle " << cycle << " holder=" << holder
+                    << " gated=" << gated;
+            }
+            EXPECT_EQ(bystander.tagBusyRetries.value(), 1u);
         }
-    } poker(bystander);
-    rig.sim.addClocked(&poker, Phase::Cpu);
-    rig.read(1, kA);
-
-    std::vector<Cycle> probes;
-    for (const MBusPhase &phase : log.phases) {
-        if (phase.name == "wdata+probe")
-            probes.push_back(phase.when);
     }
-    EXPECT_EQ(rig.bus.snoopCalls(), 1u);  // cache 0 only
-    ASSERT_EQ(probes.size(), 1u);
-    ASSERT_FALSE(poker.log.empty());
-    for (const auto &[cycle, outcome] : poker.log) {
-        EXPECT_EQ(outcome == Cache::AccessOutcome::RetryTagBusy,
-                  cycle == probes[0])
-            << "cycle " << cycle;
-    }
-    EXPECT_EQ(bystander.tagBusyRetries.value(), 1u);
 }
 
 TEST(SnoopFilter, EveryProbeFindsAHolder)
@@ -303,5 +325,142 @@ TEST(SnoopFilter, EveryProbeFindsAHolder)
         EXPECT_GT(holders, 0u) << toString(kind);
         EXPECT_EQ(probes_at_commit - probes_before, holders)
             << toString(kind);
+    }
+}
+
+namespace
+{
+
+constexpr Addr kLine = 0x1000;
+
+/** A rig whose cache 1 is about to miss on kLine, which cache 0
+ *  holds iff `holder`; the bus is idle. */
+struct MissRig : Rig
+{
+    MissRig(bool gated, bool holder,
+            ProtocolKind kind = ProtocolKind::Firefly)
+        : Rig(kind, 3)
+    {
+        sim.setFastForward(gated);
+        if (holder)
+            read(0, kLine);
+    }
+
+    /** Cache 1's read of kLine, requested now: granted this cycle. */
+    void
+    requestMiss(Word *out = nullptr)
+    {
+        const auto r = caches[1]->cpuAccess(
+            {kLine, RefType::DataRead, 0}, [out](Word w) {
+                if (out)
+                    *out = w;
+            });
+        ASSERT_EQ(r.outcome, Cache::AccessOutcome::Pending);
+    }
+};
+
+} // namespace
+
+TEST(BusWake, TicksAtGrantProbeIfAnotherHolderAndData)
+{
+    // A 1-word transaction: grant and data cycle, plus the probe cycle
+    // only when another cache holds the line.  The bus is the rig's
+    // only clocked component.
+    for (const bool holder : {false, true}) {
+        MissRig rig(/*gated=*/true, holder);
+        const std::uint64_t before = rig.sim.ticksDispatched();
+        const Cycle start = rig.sim.now();
+        rig.read(1, kLine);
+        EXPECT_EQ(rig.sim.now() - start, 4u) << "holder=" << holder;
+        EXPECT_EQ(rig.sim.ticksDispatched() - before, holder ? 3u : 2u)
+            << "holder=" << holder;
+        EXPECT_EQ(rig.bus.snoopCalls(), holder ? 1u : 0u);
+    }
+}
+
+TEST(BusWake, BusyCyclesExactWhenASliceEndsMidTransaction)
+{
+    // One-cycle run() slices from the grant: the slices ending at
+    // grant + 1 and grant + 2 end while the gated bus sleeps.
+    const auto sliced = [](bool gated, bool holder) {
+        MissRig rig(gated, holder);
+        const Cycle grant = rig.sim.now();
+        const Cycle busy0 = rig.bus.busyCycles();
+        const double cycles0 = rig.bus.stats().get("cycles");
+        rig.requestMiss();
+        std::vector<std::vector<double>> rows;
+        for (int i = 0; i < 6; ++i) {
+            rig.sim.run(1);
+            rows.push_back(
+                {static_cast<double>(rig.sim.now() - grant),
+                 static_cast<double>(rig.bus.busyCycles() - busy0),
+                 rig.bus.stats().get("cycles") - cycles0});
+        }
+        return rows;
+    };
+    const std::vector<std::vector<double>> expected = {
+        {1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {4, 4, 4}, {5, 4, 5}, {6, 4, 6}};
+    for (const bool holder : {false, true}) {
+        EXPECT_EQ(sliced(true, holder), expected) << "holder=" << holder;
+        EXPECT_EQ(sliced(false, holder), expected) << "holder=" << holder;
+    }
+}
+
+TEST(BusWake, RequestWhileTheBusSleepsIsGrantedAfterTheCompletion)
+{
+    // Cache 2 requests at grant + 2, the MShared cycle, which the
+    // gated bus sleeps through; it is granted the cycle after cache
+    // 1's completion on both paths, and the bus still sleeps until
+    // that completion.
+    const auto grants = [](bool gated) {
+        MissRig rig(gated, /*holder=*/false);
+        MBusPhaseLog log;
+        obs::ScopedTraceSink attach(&log);
+        const Cycle grant = rig.sim.now();
+        rig.sim.events().schedule(grant + 2, [&] {
+            rig.caches[2]->cpuAccess({0x2000, RefType::DataRead, 0}, {});
+        });
+        rig.requestMiss();
+        const std::uint64_t before = rig.sim.ticksDispatched();
+        rig.sim.run(8);
+        std::vector<Cycle> at;
+        for (const MBusPhase &phase : log.phases) {
+            if (phase.name == "arb+addr")
+                at.push_back(phase.when - grant);
+        }
+        return std::make_pair(at, rig.sim.ticksDispatched() - before);
+    };
+    const auto gated = grants(true);
+    EXPECT_EQ(gated.first, (std::vector<Cycle>{0, 4}));
+    EXPECT_EQ(gated.second, 4u);  // two ticks per transaction
+    EXPECT_EQ(grants(false).first, gated.first);
+}
+
+TEST(BusWake, HolderWriteHitInTheGrantCycleIsSupplied)
+{
+    // MESI: cache 0 holds kLine Exclusive, and its processor writes it
+    // silently (E -> M) in the Cpu phase of the cycle cache 1's read is
+    // granted.  The probe at grant + 1 sees M, so cache 0 supplies the
+    // new value; a probe skipped or taken at the grant would see E and
+    // let memory supply the stale one.
+    constexpr Word kNew = 0xfeed;
+    for (const bool gated : {true, false}) {
+        MissRig rig(gated, /*holder=*/true, ProtocolKind::Mesi);
+        ASSERT_EQ(rig.state(0, kLine), LineState::Valid);
+        const Cycle grant = rig.sim.now();
+        CpuPhase writer(rig.sim, [&](Cycle now) {
+            if (now != grant)
+                return;
+            const auto r = rig.caches[0]->cpuAccess(
+                {kLine, RefType::DataWrite, kNew}, {});
+            EXPECT_EQ(r.outcome, Cache::AccessOutcome::Hit);
+        });
+        Word got = 0;
+        rig.requestMiss(&got);
+        rig.sim.run(4);
+        EXPECT_EQ(got, kNew) << "gated=" << gated;
+        EXPECT_EQ(rig.bus.stats().get("cache_supplied"), 1.0);
+        EXPECT_EQ(rig.state(0, kLine), LineState::Shared);
+        EXPECT_EQ(rig.state(1, kLine), LineState::Shared);
     }
 }
