@@ -88,7 +88,7 @@ CoherenceChecker::loadObserved(Addr addr, Word value, const Cache &by,
                                const char *how)
 {
     ++loadsChecked;
-    if (golden.admissible(sim.now(), addr, value))
+    if (value == golden.current(addr))
         return;
     std::ostringstream os;
     os << "load validation: " << by.name() << " (" << how << ") read "
@@ -134,7 +134,7 @@ CoherenceChecker::busCommit(const MBusTransaction &txn)
             return;  // squashed: line was invalidated while waiting
         for (unsigned i = 0; i < txn.words; ++i) {
             const Addr a = txn.addr + i * bytesPerWord;
-            if (golden.admissible(sim.now(), a, txn.data[i]))
+            if (txn.data[i] == golden.current(a))
                 continue;
             std::ostringstream os;
             os << "victim write-back by " << clientName(txn.initiator)
@@ -184,18 +184,14 @@ CoherenceChecker::scanDirtyLines(std::vector<std::string> &violations)
     dirtyLines.erase(std::unique(dirtyLines.begin(), dirtyLines.end()),
                      dirtyLines.end());
     nLineChecks += dirtyLines.size();
-    openLines.clear();
-    scanner.checkLines(dirtyLines, golden, sim.now(), violations,
-                       &openLines);
+    scanner.checkLines(dirtyLines, golden, violations);
     if (!violations.empty())
         return;
 
     // Every check is a function of cache states, cached data, memory
-    // and the oracle, which only change through the dirty-line feeds
-    // - except I4's race window, under which a copy holding a
-    // superseded value turns inadmissible by the clock alone.  Only
-    // the lines with such a copy stay for the next scan.
-    dirtyLines.swap(openLines);
+    // and the oracle, which only change through the dirty-line feeds,
+    // so a line that passed waits for a feed to mark it again.
+    dirtyLines.clear();
 }
 
 void
@@ -203,21 +199,20 @@ CoherenceChecker::busSettled(const MBusTransaction &txn)
 {
     ++txnsObserved;
     std::vector<std::string> violations;
-    const bool exact =
-        scanner.checkLine(txn.addr, golden, sim.now(), violations);
+    scanner.checkLine(txn.addr, golden, violations);
     ++lineScans;
     ++nLineChecks;
 
     // Fills, snoop transitions, victim write-backs, DMA and every
     // memory write (memory only changes through the bus) all land on
     // the lines the transaction spans; the periodic scan re-checks
-    // them.  The first line was just checked: if it passed with every
-    // copy equal to current(), its verdict is fixed until a feed
-    // marks it again (as scanDirtyLines argues), so it is not queued.
+    // them.  The first line was just checked: if it passed, its
+    // verdict is fixed until a feed marks it again (as scanDirtyLines
+    // argues), so it is queued only if it failed.
     const Addr first = scanner.lineBase(txn.addr);
     const Addr last_word =
         txn.addr + (std::max(txn.words, 1u) - 1) * bytesPerWord;
-    if (!violations.empty() || !exact)
+    if (!violations.empty())
         markDirty(first, first);
     if (scanner.lineBase(last_word) != first)
         markDirty(first + scanner.lineBytes(), last_word);
@@ -243,7 +238,7 @@ void
 CoherenceChecker::finalCheck()
 {
     std::vector<std::string> violations;
-    scanner.fullScan(golden, sim.now(), violations);
+    scanner.fullScan(golden, violations);
     ++fullScans;
     if (!violations.empty()) {
         std::ostringstream os;
@@ -292,7 +287,7 @@ CoherenceChecker::onChipHit(const MemRef &ref, const OnChipCache &by)
     ++onChipChecks;
     const Addr word_addr = ref.addr - ref.addr % bytesPerWord;
     const Word held = line.words[(word_addr - base) / bytesPerWord];
-    if (golden.admissible(sim.now(), word_addr, held))
+    if (held == golden.current(word_addr))
         return;
     std::ostringstream os;
     os << "on-chip staleness: " << by.name() << " hit "

@@ -30,13 +30,15 @@
  *
  * The tags-only on-chip cache is validated by value snapshot: at
  * install time the checker records the oracle's view of the line; on
- * every on-chip hit the snapshot must still be admissible, or the
- * non-snooping structure would have served stale data.  (The
- * snapshot is taken at the install/access instant, so in
- * InstructionsOnly mode a write landing between a miss and its fill
- * completion can look stale; none of the shipped workloads write
- * instruction words, and InstructionsAndData mode is exact because
- * the bus-write repair drops the entry first.)
+ * every on-chip hit the snapshot must still equal current(), or the
+ * non-snooping structure would have served stale data.  The rule is
+ * exact, as for every other hook.  The snapshot is taken at the
+ * install/access instant, so in InstructionsOnly mode a write landing
+ * between a miss and its fill completion makes the next hit a
+ * reported violation.  No shipped workload writes instruction words:
+ * bench_cvax_upgrade --check and Checker.SystemLevelCheckedRunStaysClean
+ * run clean under the exact rule.  InstructionsAndData mode cannot hit
+ * that case, because the bus-write repair drops the entry first.
  */
 
 #ifndef FIREFLY_CHECK_COHERENCE_CHECKER_HH
@@ -99,9 +101,10 @@ class CoherenceChecker : public CoherenceObserver
 
     /**
      * Fail unless `value`, which `who` just read from `addr`, is the
-     * oracle's current value exactly.  Only for a driver that issues
-     * one operation at a time, so no write can race the load (see
-     * golden_memory.hh).
+     * oracle's current value.  The load hook already holds the value
+     * a cache binds to current(); this adds a check of the value
+     * delivered to the driver, so it suits a driver that issues one
+     * operation at a time, where no write can land between the two.
      */
     void requireCurrent(Addr addr, Word value, const std::string &who);
 
@@ -150,9 +153,9 @@ class CoherenceChecker : public CoherenceObserver
     /** Add the lines from the one holding `first` to the one holding
      *  `last_addr` to the set the next periodic scan checks. */
     void markDirty(Addr first, Addr last_addr);
-    /** The periodic scan: check the dirty lines, then forget those
-     *  whose verdict cannot change until they are touched again
-     *  (every copy held current(); see InvariantScanner::checkLine). */
+    /** The periodic scan: check the dirty lines, then forget them;
+     *  a line that passed keeps its verdict until a feed marks it
+     *  again (see InvariantScanner::checkLine). */
     void scanDirtyLines(std::vector<std::string> &violations);
     std::string describeLine(Addr line_base) const;
     std::string replayFor(Addr line_base) const;
@@ -178,13 +181,13 @@ class CoherenceChecker : public CoherenceObserver
      * value may have changed since the last periodic scan (unsorted,
      * and one entry per mark until the scan sorts and dedupes it, so
      * it grows with one period's traffic).  Fed by every settled bus
-     * transaction (bar the line its settle check just passed with
-     * every copy equal to current()), by writeSerialized, and by the
-     * race window: a scanned line stays while a copy holds a
-     * superseded value (see scanDirtyLines).  Nothing else can break an
-     * invariant on a line that passed: a clean eviction on fill only
-     * removes a non-owning holder, which adds no state, owner, holder
-     * or value and leaves I5's owner set alone; and
+     * transaction (bar the line its settle check just passed) and by
+     * writeSerialized; no line is queued by the clock, because a
+     * line that passed has every copy equal to current() and its
+     * verdict cannot change until a feed marks it.  Nothing else can
+     * break an invariant on a line that passed: a clean eviction on
+     * fill only removes a non-owning holder, which adds no state,
+     * owner, holder or value and leaves I5's owner set alone; and
      * FireflySystem::offlineProcessor's flushFunctional writes back
      * only lines that are in the set or passed unchanged - whose
      * owner held the oracle value, so memory holds it once the line
@@ -192,9 +195,6 @@ class CoherenceChecker : public CoherenceObserver
      * section 9 has the full argument.
      */
     std::vector<Addr> dirtyLines;
-    /** scanDirtyLines' buffer for the lines that stay; swapped with
-     *  dirtyLines, so neither reallocates once grown. */
-    std::vector<Addr> openLines;
     std::uint64_t nLineChecks = 0;
 
     /** The oracle's view of one on-chip line when it was installed. */

@@ -18,10 +18,10 @@
  * one at a time, coherent protocols must produce identical logs for
  * the same seed, which is the differential cross-protocol test.
  *
- * Serialized issue also makes every load exact: besides the checker's
- * own hooks, each CPU load and every word of each DMA read must equal
- * the oracle's current value (CoherenceChecker::requireCurrent), with
- * no race window.
+ * Every checker hook holds the value a cache binds to the oracle's
+ * current value.  Serialized issue adds a check of the value the
+ * driver receives: each CPU load and every word of each DMA read must
+ * equal current() too (CoherenceChecker::requireCurrent).
  *
  * A violation raises CoherenceViolation (runFuzz always configures
  * the checker to throw); the message carries the seed's failing line,

@@ -11,29 +11,18 @@
  * content (the simulator's memory is only mutated through the bus,
  * so an untouched word's baseline is authoritative).
  *
- * Load validation uses admissible(), not plain equality, because the
- * simulator binds some load values a cycle or two before the
- * serialization instant the oracle keys on (a fill's data phase runs
- * before its commit).  The oracle therefore remembers the values
- * words held within the last few cycles; a load is admissible if it
- * returns the current value or one superseded no more than
- * kRaceWindowCycles cycles ago.  The window is a handful of bus
- * cycles - far shorter than any genuine staleness a protocol bug
- * produces, which persists until the line is re-fetched.  A driver
- * that issues one operation at a time (runFuzz) has no such race and
- * holds each load to current() exactly.
+ * Every load, every victim write-back, every cached copy and every
+ * on-chip snapshot is held to current() exactly: no superseded value
+ * is ever accepted.  If a correct machine ever binds a value before
+ * the instant the oracle serializes it, the serialize() call moves to
+ * the instant the value becomes visible (DESIGN.md section 9).
  *
  * Layout (DESIGN.md section 9): the tracked words live in one flat
  * open-addressed table of {addr, value, when} slots - linear probing,
  * a power-of-two size kept at most half full, a non-word-aligned
  * address marking an empty slot - so a tracked word costs no heap
- * node of its own.  The superseded values live in one time-ordered
- * ring of {addr, value, superseded} records for the whole oracle,
- * dropped from the front once they leave the race window.  Both are
- * allocated on the first serialize(), never at construction.  Every
- * caller passes a `now` that never decreases from one call to the
- * next (the simulator's clock), which is what lets admissible() stop
- * at the first expired record and serialize() expire from the front.
+ * node of its own.  The table is allocated on the first serialize(),
+ * never at construction.
  */
 
 #ifndef FIREFLY_CHECK_GOLDEN_MEMORY_HH
@@ -51,9 +40,6 @@
 namespace firefly::check
 {
 
-/** Cycles a superseded value stays an admissible load result. */
-inline constexpr unsigned kRaceWindowCycles = 16;
-
 /** Word-granular oracle of globally-visible memory contents. */
 class GoldenMemory
 {
@@ -70,16 +56,11 @@ class GoldenMemory
             grow();
         Slot &slot = probe(addr);
         if (slot.addr == kEmpty) {
-            // First write: the old visible value was memory's.
             slot.addr = addr;
             ++used;
-            pushStale({addr, memory.peek(addr), now});
-        } else if (slot.value != value) {
-            pushStale({addr, slot.value, now});
         }
         slot.value = value;
         slot.when = now;
-        expire(now);
     }
 
     /** True if `addr` has ever been written through the oracle. */
@@ -89,21 +70,20 @@ class GoldenMemory
     struct WordState
     {
         Word current;      ///< the visible value, as current() gives it
-        bool tracked;      ///< written through the oracle
         bool memoryStale;  ///< memory does not hold `current`
     };
 
-    /** `addr`'s visible value, whether it is tracked and whether
-     *  memory is stale, from one table lookup and one memory peek
-     *  (the scans ask this of every word they check). */
+    /** `addr`'s visible value and whether memory is stale, from one
+     *  table lookup and one memory peek (the scans ask this of every
+     *  word they check). */
     WordState
     word(Addr addr) const
     {
         const Slot *slot = find(addr);
         const Word in_memory = memory.peek(addr);
         if (!slot)
-            return {in_memory, false, false};
-        return {slot->value, true, in_memory != slot->value};
+            return {in_memory, false};
+        return {slot->value, in_memory != slot->value};
     }
 
     /** The visible value: last serialized write, else memory. */
@@ -122,30 +102,6 @@ class GoldenMemory
         return slot ? slot->when : 0;
     }
 
-    /**
-     * Is `observed` an admissible result for a load of `addr` that
-     * bound its value at cycle `now`?
-     */
-    bool
-    admissible(Cycle now, Addr addr, Word observed) const
-    {
-        const Slot *slot = find(addr);
-        if (!slot)
-            return observed == memory.peek(addr);
-        return observed == slot->value ||
-               recentlySuperseded(now, addr, observed);
-    }
-
-    /**
-     * Did `addr` hold `observed` until a write no more than
-     * kRaceWindowCycles before `now`?  admissible()'s ring search,
-     * for a caller that already knows `observed` is not current.
-     * Out of line: it runs only for a value that is not current, and
-     * keeping it out leaves admissible() small enough to inline into
-     * the load hook.
-     */
-    bool recentlySuperseded(Cycle now, Addr addr, Word observed) const;
-
     /** Call `fn(addr)` for every tracked word, in no set order. */
     template <typename Fn>
     void
@@ -161,7 +117,6 @@ class GoldenMemory
     /** Marks an empty slot: no tracked word has this address. */
     static constexpr Addr kEmpty = 1;
     static constexpr std::size_t kInitialSlots = 256;
-    static constexpr std::size_t kInitialRing = 64;
 
     /** A tracked word. */
     struct Slot
@@ -169,14 +124,6 @@ class GoldenMemory
         Addr addr = kEmpty;
         Word value = 0;
         Cycle when = 0;
-    };
-
-    /** `value`, held by `addr` until `superseded`; admissible briefly. */
-    struct Stale
-    {
-        Addr addr;
-        Word value;
-        Cycle superseded;
     };
 
     std::size_t
@@ -227,44 +174,12 @@ class GoldenMemory
         }
     }
 
-    void
-    pushStale(const Stale &stale)
-    {
-        if (ringCount == ring.size()) {
-            // Full: unroll into a ring twice the size.  No cap - a
-            // value still inside the window is never dropped.
-            std::vector<Stale> bigger(ring.empty() ? kInitialRing
-                                                   : ring.size() * 2);
-            for (std::size_t n = 0; n < ringCount; ++n)
-                bigger[n] = ring[(ringHead + n) & (ring.size() - 1)];
-            ring.swap(bigger);
-            ringHead = 0;
-        }
-        ring[(ringHead + ringCount) & (ring.size() - 1)] = stale;
-        ++ringCount;
-    }
-
-    /** Drop the records no load at `now` or later can admit. */
-    void
-    expire(Cycle now)
-    {
-        while (ringCount &&
-               ring[ringHead].superseded + kRaceWindowCycles < now) {
-            ringHead = (ringHead + 1) & (ring.size() - 1);
-            --ringCount;
-        }
-    }
-
     const MainMemory &memory;
     /** Open-addressed, linear probing, at most half full. */
     std::vector<Slot> slots;
     std::size_t used = 0;
     /** 64 - log2(slots.size()): home()'s shift. */
     unsigned shift = 64;
-    /** Superseded values in superseded order, oldest at ringHead. */
-    std::vector<Stale> ring;
-    std::size_t ringHead = 0;
-    std::size_t ringCount = 0;
 };
 
 } // namespace firefly::check

@@ -36,24 +36,23 @@ InvariantScanner::holdersOf(Addr base, Holders &buf) const
     return n;
 }
 
-bool
+void
 InvariantScanner::checkLine(Addr addr, const GoldenMemory &oracle,
-                            Cycle now, std::vector<std::string> &out) const
+                            std::vector<std::string> &out) const
 {
     if (caches.empty())
-        return true;
+        return;
     const Addr base = lineBase(addr);
     // Fixed inline storage: a scan runs after every bus transaction,
     // so it must not touch the heap unless it has something to say.
     Holders holder_buf;
     const std::size_t n_holders = holdersOf(base, holder_buf);
-    return checkHeld(base, {holder_buf.data(), n_holders}, oracle, now,
-                     out);
+    checkHeld(base, {holder_buf.data(), n_holders}, oracle, out);
 }
 
-bool
+void
 InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
-                            const GoldenMemory &oracle, Cycle now,
+                            const GoldenMemory &oracle,
                             std::vector<std::string> &out) const
 {
     // I1: state legality.
@@ -97,10 +96,7 @@ InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
         }
     }
 
-    // I4/I5: word-level data checks, one oracle lookup per word.  A
-    // copy that is not current() is checked against the race window,
-    // and leaves the verdict open to the clock.
-    bool exact = true;
+    // I4/I5: word-level data checks, one oracle lookup per word.
     const unsigned words = _lineBytes / bytesPerWord;
     for (unsigned w = 0; w < words; ++w) {
         const Addr a = base + w * bytesPerWord;
@@ -111,7 +107,6 @@ InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
                 const Word v = h.line.data[w];
                 if (v == held)
                     continue;
-                exact = false;
                 std::ostringstream os;
                 os << "I4 copies disagree at " << obs::hexAddr(a)
                    << ": " << holders.front().cache->name() << "="
@@ -120,17 +115,12 @@ InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
                 out.push_back(os.str());
             }
             if (held != word.current) {
-                exact = false;
-                if (!word.tracked ||
-                    !oracle.recentlySuperseded(now, a, held)) {
-                    std::ostringstream os;
-                    os << "I4 cached value at " << obs::hexAddr(a)
-                       << " is " << obs::hexAddr(held)
-                       << " but the oracle says "
-                       << obs::hexAddr(word.current) << " (serialized @"
-                       << oracle.writtenAt(a) << ")";
-                    out.push_back(os.str());
-                }
+                std::ostringstream os;
+                os << "I4 cached value at " << obs::hexAddr(a) << " is "
+                   << obs::hexAddr(held) << " but the oracle says "
+                   << obs::hexAddr(word.current) << " (serialized @"
+                   << oracle.writtenAt(a) << ")";
+                out.push_back(os.str());
             }
         }
         if (owners.empty() && word.memoryStale) {
@@ -142,14 +132,12 @@ InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
             out.push_back(os.str());
         }
     }
-    return exact;
 }
 
 void
 InvariantScanner::checkLines(const std::vector<Addr> &bases,
-                             const GoldenMemory &oracle, Cycle now,
-                             std::vector<std::string> &out,
-                             std::vector<Addr> *open) const
+                             const GoldenMemory &oracle,
+                             std::vector<std::string> &out) const
 {
     // Tracked words nobody caches: memory must hold the value.  Their
     // reports follow every resident line's, as in a full scan.
@@ -159,11 +147,7 @@ InvariantScanner::checkLines(const std::vector<Addr> &bases,
     for (const Addr base : bases) {
         const std::size_t n_holders = holdersOf(base, holder_buf);
         if (n_holders) {
-            if (!checkHeld(base, {holder_buf.data(), n_holders}, oracle,
-                           now, out) &&
-                open) {
-                open->push_back(base);
-            }
+            checkHeld(base, {holder_buf.data(), n_holders}, oracle, out);
             continue;
         }
         for (unsigned w = 0; w < words; ++w) {
@@ -183,7 +167,7 @@ InvariantScanner::checkLines(const std::vector<Addr> &bases,
 }
 
 void
-InvariantScanner::fullScan(const GoldenMemory &oracle, Cycle now,
+InvariantScanner::fullScan(const GoldenMemory &oracle,
                            std::vector<std::string> &out) const
 {
     std::vector<Addr> bases;
@@ -198,7 +182,7 @@ InvariantScanner::fullScan(const GoldenMemory &oracle, Cycle now,
         [&](Addr addr) { bases.push_back(lineBase(addr)); });
     std::sort(bases.begin(), bases.end());
     bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
-    checkLines(bases, oracle, now, out);
+    checkLines(bases, oracle, out);
 }
 
 } // namespace firefly::check

@@ -71,13 +71,11 @@ class InvariantScanner
     /**
      * Check every invariant for the line containing `addr`;
      * violations are appended to `out` as one description each.
-     * Returns true if the verdict is clock-independent: every cached
-     * copy of every word of the line equals the oracle's current()
-     * value, so no superseded value that the race window still admits
-     * is held anywhere and the verdict can change only when the
-     * line's states, data, memory or oracle value do.
+     * Every cached copy must equal the oracle's current() value, so a
+     * line that passes keeps passing until its states, data, memory
+     * or oracle value change: no verdict changes by the clock alone.
      */
-    bool checkLine(Addr addr, const GoldenMemory &oracle, Cycle now,
+    void checkLine(Addr addr, const GoldenMemory &oracle,
                    std::vector<std::string> &out) const;
 
     /**
@@ -85,20 +83,17 @@ class InvariantScanner
      * duplicates): checkLine for each line some cache holds, then
      * memory-vs-oracle for the tracked words of the others.  Reports
      * exactly what fullScan reports about those lines, in the same
-     * order.  If `open` is given, the bases of the lines whose
-     * verdict is not clock-independent (see checkLine) are appended
-     * to it, in order.
+     * order.
      */
     void checkLines(const std::vector<Addr> &bases,
-                    const GoldenMemory &oracle, Cycle now,
-                    std::vector<std::string> &out,
-                    std::vector<Addr> *open = nullptr) const;
+                    const GoldenMemory &oracle,
+                    std::vector<std::string> &out) const;
 
     /**
      * Check every valid line in every cache, plus memory-vs-oracle
      * for tracked words no cache holds.
      */
-    void fullScan(const GoldenMemory &oracle, Cycle now,
+    void fullScan(const GoldenMemory &oracle,
                   std::vector<std::string> &out) const;
 
   private:
@@ -113,8 +108,8 @@ class InvariantScanner
      *  watch order; returns how many. */
     std::size_t holdersOf(Addr base, Holders &buf) const;
     /** checkLine for the line at `base`, whose holders are known. */
-    bool checkHeld(Addr base, std::span<const Holder> holders,
-                   const GoldenMemory &oracle, Cycle now,
+    void checkHeld(Addr base, std::span<const Holder> holders,
+                   const GoldenMemory &oracle,
                    std::vector<std::string> &out) const;
 
     const ProtocolTable &rules;

@@ -27,7 +27,6 @@ using check::CheckerConfig;
 using check::CoherenceChecker;
 using check::CoherenceViolation;
 using check::GoldenMemory;
-using check::kRaceWindowCycles;
 using firefly::check::CheckedRig;
 using firefly::check::Rig;
 
@@ -65,86 +64,6 @@ struct OracleRig
 };
 
 } // namespace
-
-TEST(Oracle, BaselineAdmissibleForExactlyTheRaceWindow)
-{
-    OracleRig r;
-    r.memory.write(kA, 5);
-    EXPECT_FALSE(r.oracle.tracked(kA));
-    EXPECT_TRUE(r.oracle.admissible(90, kA, 5));
-    EXPECT_FALSE(r.oracle.admissible(90, kA, 7));
-
-    r.oracle.serialize(100, kA, 7);
-    EXPECT_TRUE(r.oracle.tracked(kA));
-    EXPECT_EQ(r.oracle.current(kA), 7u);
-    EXPECT_EQ(r.oracle.writtenAt(kA), 100u);
-    // Memory's value was visible until cycle 100: a load may still
-    // return it for kRaceWindowCycles cycles, and not one cycle more
-    // (another word's write on the window's last cycle expires
-    // nothing that is still admissible).
-    EXPECT_TRUE(r.oracle.admissible(100, kA, 5));
-    r.oracle.serialize(100 + kRaceWindowCycles, kB, 1);
-    EXPECT_TRUE(r.oracle.admissible(100 + kRaceWindowCycles, kA, 5));
-    EXPECT_FALSE(r.oracle.admissible(101 + kRaceWindowCycles, kA, 5));
-    EXPECT_TRUE(r.oracle.admissible(101 + kRaceWindowCycles, kA, 7));
-}
-
-TEST(Oracle, ValuesWrittenBackAndForthAdmittedOnlyInTheWindow)
-{
-    OracleRig r;
-    r.oracle.serialize(10, kA, 0xA);
-    r.oracle.serialize(12, kA, 0xB);
-    r.oracle.serialize(14, kA, 0xA);
-    EXPECT_EQ(r.oracle.current(kA), 0xAu);
-    EXPECT_TRUE(r.oracle.admissible(20, kA, 0xA));
-    EXPECT_TRUE(r.oracle.admissible(20, kA, 0xB));
-    EXPECT_TRUE(r.oracle.admissible(20, kA, 0));  // memory's, until 10
-    EXPECT_FALSE(r.oracle.admissible(20, kA, 0xC));
-
-    const Cycle after = 14 + kRaceWindowCycles + 1;
-    EXPECT_TRUE(r.oracle.admissible(after, kA, 0xA));
-    EXPECT_FALSE(r.oracle.admissible(after, kA, 0xB));
-    EXPECT_FALSE(r.oracle.admissible(after, kA, 0));
-}
-
-TEST(Oracle, WordsWrittenInOneCycleKeepSeparateHistories)
-{
-    OracleRig r;
-    r.memory.write(kA, 0xAA);
-    r.memory.write(kB, 0xBB);
-    r.oracle.serialize(10, kA, 1);
-    r.oracle.serialize(10, kB, 2);
-    EXPECT_TRUE(r.oracle.admissible(10, kA, 0xAA));
-    EXPECT_TRUE(r.oracle.admissible(10, kB, 0xBB));
-    // Neither word admits the other's current or superseded value.
-    EXPECT_FALSE(r.oracle.admissible(10, kA, 2));
-    EXPECT_FALSE(r.oracle.admissible(10, kA, 0xBB));
-    EXPECT_FALSE(r.oracle.admissible(10, kB, 1));
-    EXPECT_FALSE(r.oracle.admissible(10, kB, 0xAA));
-}
-
-TEST(Oracle, EveryValueInsideTheWindowStaysAdmissible)
-{
-    // Ten writes a cycle for 20 cycles, then 200 a cycle: the old
-    // records expire from the front while the burst wraps round and
-    // grows the record ring.  No record may be dropped while a load
-    // could still return it, and none kept admissible after.
-    OracleRig r;
-    std::vector<Cycle> written;
-    for (Cycle c = 0; c < 30; ++c) {
-        for (unsigned n = 0; n < (c < 20 ? 10u : 200u); ++n) {
-            const Addr a = written.size() * bytesPerWord;
-            r.memory.write(a, 1000 + written.size());
-            r.oracle.serialize(c, a, written.size());
-            written.push_back(c);
-        }
-    }
-    const Cycle now = 29;
-    for (std::size_t i = 0; i < written.size(); ++i) {
-        EXPECT_EQ(r.oracle.admissible(now, i * bytesPerWord, 1000 + i),
-                  written[i] + kRaceWindowCycles >= now) << i;
-    }
-}
 
 TEST(Oracle, GrowingTheTableKeepsEveryWord)
 {
@@ -339,32 +258,25 @@ TEST(Checker, SilentSharedWriteCaughtByPeriodicScan)
     }
 }
 
-TEST(Checker, StaleCopyCaughtOnceRaceWindowCloses)
+TEST(Checker, StaleCopyCaughtAtTheWritesOwnSettle)
 {
     // A DMA write to a line only cache1 holds, with cache1 deaf to
-    // it.  At the write's own settle the stale copy is still
-    // admissible (superseded this very cycle), so the line scan and a
-    // periodic scan in the same cycle pass it.  The line must stay
-    // marked until a periodic scan after the race window catches it.
+    // it.  The write's own settle check reports the stale copy, in
+    // the write's cycle: no periodic scan runs, and none is needed.
     CheckerConfig ccfg;
-    ccfg.fullScanPeriod = 4;
+    ccfg.fullScanPeriod = 0;
     CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites,
                    ccfg);
-    rig.write(1, kA, 5);  // tracked, so the old value stays admissible
-    while (rig.checker.txnsObserved.value() % ccfg.fullScanPeriod !=
-           ccfg.fullScanPeriod - 1) {
-        rig.read(0, kB + 0x1000 + 0x40 * rig.checker.txnsObserved.value());
-    }
-    rig.dmaWrite(kA, {9});
-    const std::uint64_t scans = rig.checker.fullScans.value();
-    ASSERT_EQ(rig.checker.txnsObserved.value() % ccfg.fullScanPeriod, 0u);
-    rig.sim.run(2 * check::kRaceWindowCycles);
+    rig.write(1, kA, 5);
+    const std::uint64_t txns = rig.checker.txnsObserved.value();
     try {
-        padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
-        FAIL() << "stale copy outlived the race window unnoticed";
+        rig.dmaWrite(kA, {9});
+        FAIL() << "stale copy not caught at the write's settle";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.checker.fullScans.value(), scans + 1);
+        EXPECT_EQ(rig.checker.txnsObserved.value(), txns + 1);
+        EXPECT_EQ(rig.checker.fullScans.value(), 0u);
+        EXPECT_EQ(rig.sim.now(), rig.checker.oracle().writtenAt(kA));
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
                   std::string::npos) << what;
     }
@@ -373,11 +285,10 @@ TEST(Checker, StaleCopyCaughtOnceRaceWindowCloses)
 TEST(Checker, CurrentSettledLineNotCheckedAgainByTheScan)
 {
     // A write-through to a line both caches share updates both copies
-    // at its commit.  The word is inside the race window when the
-    // write settles, but every copy holds current(), so the settle
-    // check's verdict cannot change by the clock: the periodic scan
-    // that follows checks no line at all (every check in the span is
-    // a settle check).
+    // at its commit.  The settle check passes with every copy equal
+    // to current(), so its verdict cannot change by the clock: the
+    // periodic scan that follows checks no line at all (every check in
+    // the span is a settle check).
     CheckerConfig ccfg;
     ccfg.fullScanPeriod = 4;
     CheckedRig rig(ProtocolKind::Firefly, 2, {}, nullptr, ccfg);
@@ -392,8 +303,6 @@ TEST(Checker, CurrentSettledLineNotCheckedAgainByTheScan)
     ASSERT_EQ(rig.checker.txnsObserved.value(), txns + 1);
     ASSERT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.checker.oracle().current(kA), 77u);
-    EXPECT_GE(rig.checker.oracle().writtenAt(kA) + kRaceWindowCycles,
-              rig.sim.now());
     padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
 
     EXPECT_EQ(rig.checker.fullScans.value(), scans + 1);
@@ -401,34 +310,57 @@ TEST(Checker, CurrentSettledLineNotCheckedAgainByTheScan)
               rig.checker.txnsObserved.value() - txns);
 }
 
-TEST(Checker, SupersededCopyRecheckedUntilTheWindowCloses)
+TEST(Checker, SupersededCopyCaughtByTheSettleCheckAlone)
 {
     // cache1, deaf to bus writes, keeps a value a DMA write
-    // superseded.  With a scan after every transaction, each scan
-    // inside the race window re-checks that line (and only it: the
-    // fresh fills in between hold current()) and keeps it queued; the
-    // first scan after the window catches the stale copy.
+    // superseded.  A periodic scan is due after every transaction,
+    // but the DMA write's settle check reports the stale copy first:
+    // one line check, in the write's cycle, and no scan runs.
     CheckerConfig ccfg;
     ccfg.fullScanPeriod = 1;
     CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites,
                    ccfg);
     rig.write(1, kA, 5);
-    rig.dmaWrite(kA, {9});
-    const Cycle written = rig.checker.oracle().writtenAt(kA);
-    unsigned passed = 0;
+    const std::uint64_t checks = rig.checker.lineChecks();
+    const std::uint64_t scans = rig.checker.fullScans.value();
     try {
-        for (unsigned n = 0; n < 64; ++n, ++passed) {
-            const std::uint64_t checks = rig.checker.lineChecks();
-            rig.read(0, kB + 0x40 * n);
-            // One settle check on the fill, one scan check on kA.
-            ASSERT_EQ(rig.checker.lineChecks() - checks, 2u) << n;
-        }
-        FAIL() << "stale copy outlived the race window unnoticed";
+        rig.dmaWrite(kA, {9});
+        FAIL() << "superseded copy not caught at the write's settle";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_GT(passed, 0u);
-        EXPECT_GT(rig.sim.now(), written + kRaceWindowCycles);
+        EXPECT_EQ(rig.checker.lineChecks() - checks, 1u);
+        EXPECT_EQ(rig.checker.fullScans.value(), scans);
+        EXPECT_EQ(rig.sim.now(), rig.checker.oracle().writtenAt(kA));
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
+                  std::string::npos) << what;
+    }
+}
+
+TEST(Checker, ShortLivedStaleCopyCaught)
+{
+    // cache1, deaf to bus writes, holds kA clean when a DMA write
+    // changes it.  It reads its stale copy the next cycle and loses
+    // the line to a conflicting fill within five cycles of the write,
+    // so no later scan can see the stale value.  The DMA write's
+    // settle check must report it.
+    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites);
+    rig.dmaWrite(kA, {5});  // the oracle's value, which 9 supersedes
+    rig.read(1, kA);
+    ASSERT_EQ(rig.state(1, kA), LineState::Valid);
+    const Addr conflict = kA + Cache::Geometry{}.cacheBytes;
+    try {
+        rig.dmaWrite(kA, {9});
+        EXPECT_EQ(rig.read(1, kA), 5u);  // the stale copy, read
+        rig.read(1, conflict);           // and evicted, clean
+        ASSERT_EQ(rig.state(1, kA), LineState::Invalid);
+        rig.checker.finalCheck();
+        FAIL() << "short-lived stale copy not caught";
+    } catch (const CoherenceViolation &v) {
+        const std::string what = v.what();
+        EXPECT_EQ(rig.sim.now(), rig.checker.oracle().writtenAt(kA));
+        EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA) +
+                            " is " + obs::hexAddr(5) +
+                            " but the oracle says " + obs::hexAddr(9)),
                   std::string::npos) << what;
     }
 }
@@ -463,7 +395,6 @@ TEST(Checker, OnChipStalenessDetectedWithoutRepair)
     rig.memory.write(kA, 1);
     EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));  // install
     rig.write(1, kA, 99);   // serializes 99 behind the chip's back
-    rig.sim.run(64);        // move past the race window
     EXPECT_THROW(chip.access({kA, RefType::DataRead, 0}),
                  CoherenceViolation);
 }

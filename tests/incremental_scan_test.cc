@@ -63,14 +63,13 @@ runShadowed(FuzzConfig cfg)
             shadow->addCache(cache.get());
         // Registered after the checker's observer: runs only if the
         // checker's own scan of this transaction did not throw.
-        m.bus.addSettleObserver([&, &sim = m.sim,
-                                 &checker = m.checker](
+        m.bus.addSettleObserver([&, &checker = m.checker](
                                     const MBusTransaction &txn) {
             if (checker.txnsObserved.value() % cfg.fullScanPeriod != 0)
                 return;
             ++out.exhaustiveScans;
             std::vector<std::string> violations;
-            shadow->fullScan(checker.oracle(), sim.now(), violations);
+            shadow->fullScan(checker.oracle(), violations);
             if (!violations.empty() && out.missed.empty()) {
                 out.missed = "after " +
                     std::to_string(checker.txnsObserved.value()) +
