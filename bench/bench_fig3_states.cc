@@ -29,8 +29,7 @@ constexpr Addr kConflict = kA + 16 * 1024;
 /** Transitions that disagreed with the paper's figure. */
 int mismatches = 0;
 
-/** Two Firefly caches, c0 and c1, on one bus, under the checker. */
-using Rig = check::CheckedRig;
+using check::Rig;
 
 /** Bring cache 0's line for kA into `target`, with or without
  *  cache 1 sharing it. */
@@ -156,12 +155,16 @@ experiment()
                 "condition", "expected", "observed", "check");
     bench::rule();
 
+    // Two Firefly caches, c0 and c1, on one bus, under the checker.
+    FireflyConfig cfg =
+        check::checked(check::rigConfig(ProtocolKind::Firefly));
+    cfg.cacheNames = {"c0", "c1"};
+    cfg = bench::checkedConfig(cfg);
     for (const auto &t : transitions) {
-        Rig rig(ProtocolKind::Firefly, {"c0", "c1"});
-        rig.sim.setFastForward(!bench::obsOptions().noFastForward);
+        Rig rig(cfg);
         t.prepare(rig);
         t.act(rig);
-        rig.checker.finalCheck();
+        rig.checker->finalCheck();
         const LineState observed = rig.state(0, kA);
         const bool ok = observed == t.expected;
         mismatches += !ok;

@@ -27,18 +27,23 @@ int failures = 0;
 
 /** Two Firefly caches on one bus, under the checker: `a` is cache 0,
  *  the one traced. */
-struct Rig : check::CheckedRig
+FireflyConfig
+twoCaches(const char *a_name, const char *b_name)
 {
-    Rig(const char *a_name, const char *b_name)
-        : CheckedRig(ProtocolKind::Firefly, {a_name, b_name})
-    {
-        sim.setFastForward(!bench::obsOptions().noFastForward);
-    }
+    FireflyConfig cfg =
+        check::checked(check::rigConfig(ProtocolKind::Firefly));
+    cfg.cacheNames = {a_name, b_name};
+    return bench::checkedConfig(cfg);
+}
+
+struct Rig : check::Rig
+{
+    using check::Rig::Rig;
 
     void
     access(unsigned cache, RefType type)
     {
-        CheckedRig::access(cache, {0x1000, type, 0xbeef});
+        check::Rig::access(cache, {0x1000, type, 0xbeef});
     }
 
     /** Print the phases of one access by cache `a`, and check that
@@ -51,7 +56,7 @@ struct Rig : check::CheckedRig
             obs::ScopedTraceSink attach(&log);
             access(0, type);
         }
-        checker.finalCheck();
+        checker->finalCheck();
         bench::exportStats(bus.stats());
 
         failures += log.phases.size() != 4;
@@ -71,11 +76,11 @@ experiment()
 {
     bench::banner("Figure 4", "MBus timing (four 100 ns cycles per op)");
 
-    Rig("initiator", "other")
+    Rig(twoCaches("initiator", "other"))
         .trace("MRead, no other cache holds the line", RefType::DataRead);
     {
         // Make the other cache the only holder: trace a fresh read.
-        Rig rig("a", "b");
+        Rig rig(twoCaches("a", "b"));
         rig.access(1, RefType::DataRead);
         const auto phases =
             rig.trace("MRead, another cache holds the line (MShared, "
@@ -86,18 +91,19 @@ experiment()
                     phases[3].detail != "cache supplies, memory inhibited";
     }
     {
-        Rig rig("initiator", "other");
+        Rig rig(twoCaches("initiator", "other"));
         rig.access(1, RefType::DataRead);
         rig.access(0, RefType::DataRead);
         rig.trace("MWrite (conditional write-through to a shared line)",
                   RefType::DataWrite);
     }
 
-    // Bandwidth: saturate the bus for a millisecond.
+    // Bandwidth: saturate the bus for a millisecond.  The one cache
+    // never holds the hammered line, so it is never probed.
     bench::rule();
     {
-        check::Rig rig(ProtocolKind::Firefly, 0);
-        rig.sim.setFastForward(!bench::obsOptions().noFastForward);
+        check::Rig rig(bench::checkedConfig(
+            check::rigConfig(ProtocolKind::Firefly, 1)));
 
         struct Hammer : MBusClient, Clocked
         {

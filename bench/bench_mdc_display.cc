@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hh"
 #include "check/rig.hh"
@@ -30,16 +29,14 @@ constexpr Addr kCharsBase = 0x0012'0000;
  *  the MDC on the QBus. */
 struct Rig : check::Rig
 {
-    std::unique_ptr<check::CoherenceChecker> checker =
-        bench::rigChecker(*this, ProtocolKind::Firefly);
     QBus qbus;
     Mdc mdc;
 
     Rig()
-        : check::Rig(ProtocolKind::Firefly, {"io-cache"}),
+        : check::Rig(bench::checkedConfig(
+              check::rigConfig(ProtocolKind::Firefly, 1))),
           qbus(sim, *caches[0], 16 * 1024 * 1024), mdc(sim, qbus, config())
     {
-        sim.setFastForward(!bench::obsOptions().noFastForward);
         qbus.identityMap();
         mdc.loadBuiltinFont();
         mdc.start();

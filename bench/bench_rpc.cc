@@ -29,9 +29,8 @@ struct Point
 Point
 run(unsigned threads, double seconds = 1.0)
 {
-    check::Rig rig(ProtocolKind::Firefly, {"io-cache"});
-    const auto checker = bench::rigChecker(rig, ProtocolKind::Firefly);
-    rig.sim.setFastForward(!bench::obsOptions().noFastForward);
+    check::Rig rig(
+        bench::checkedConfig(check::rigConfig(ProtocolKind::Firefly, 1)));
     QBus qbus(rig.sim, *rig.caches[0], 16 * 1024 * 1024);
     qbus.identityMap();
     EthernetController nic(rig.sim, qbus, "net0");

@@ -20,14 +20,12 @@
  *   --jobs=N             run independent sweep points on N worker
  *                        threads (default 1 = today's serial loop)
  *   --check              run every simulated machine under the
- *                        coherence checker (checkedConfig, rigChecker);
- *                        a violation aborts with its diagnostic, and
+ *                        coherence checker (checkedConfig); a
+ *                        violation aborts with its diagnostic, and
  *                        the printed numbers do not change
  *   --no-fast-forward    tick every component of every simulated
- *                        machine every cycle (checkedConfig for a
- *                        FireflySystem; the rig-built benches turn
- *                        it off on their check::Rig's Simulator):
- *                        the reference path for due-cycle gating and
+ *                        machine every cycle (checkedConfig): the
+ *                        reference path for due-cycle gating and
  *                        idle fast-forward, with identical results
  *
  * Unrecognized arguments are an error (usage + nonzero exit), so a
@@ -56,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,7 +63,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/rig.hh"
 #include "firefly/config.hh"
 #include "harness/sweep.hh"
 #include "obs/chrome_trace.hh"
@@ -241,8 +239,9 @@ class Observation
 
 /** `cfg`, with the coherence checker on if --check was given and
  *  fast-forward off if --no-fast-forward was.  Every bench that
- *  builds a FireflySystem passes its config through here, or turns
- *  the checker on itself (firefly_faults). */
+ *  builds a FireflySystem - the rig-built ones (check::Rig) too -
+ *  passes its config through here, or turns the checker on itself
+ *  (firefly_faults). */
 inline FireflyConfig
 checkedConfig(FireflyConfig cfg)
 {
@@ -251,24 +250,6 @@ checkedConfig(FireflyConfig cfg)
     if (obsOptions().noFastForward)
         cfg.fastForward = false;
     return cfg;
-}
-
-/**
- * With --check, a coherence checker watching every cache of `rig`
- * (checkedConfig's counterpart for a bench built on a bare
- * check::Rig); like the system's, it panics on a violation.  nullptr
- * without --check.
- */
-inline std::unique_ptr<check::CoherenceChecker>
-rigChecker(check::Rig &rig, ProtocolKind kind)
-{
-    if (!obsOptions().check)
-        return nullptr;
-    auto checker = std::make_unique<check::CoherenceChecker>(
-        rig.sim, rig.bus, rig.memory, kind);
-    for (auto &cache : rig.caches)
-        checker->watch(*cache);
-    return checker;
 }
 
 /** Print the experiment banner. */

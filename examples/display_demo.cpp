@@ -32,7 +32,7 @@ struct Machine : check::Rig
     Mdc mdc;
 
     Machine()
-        : check::Rig(ProtocolKind::Firefly, {"io-cache"}),
+        : check::Rig(check::rigConfig(ProtocolKind::Firefly, 1)),
           qbus(sim, *caches[0], 16 * 1024 * 1024), mdc(sim, qbus, config())
     {
         qbus.identityMap();

@@ -22,23 +22,20 @@ using namespace firefly;
 namespace
 {
 
-/** Two caches on one bus, under the coherence checker. */
-struct Explorer : check::CheckedRig
+/** A rig that narrates the bus cycles of each access. */
+struct Explorer : check::Rig
 {
     MBusPhaseLog log;
     obs::ScopedTraceSink attach{&log};
 
-    explicit Explorer(ProtocolKind kind)
-        : CheckedRig(kind, {"cpu0-cache", "cpu1-cache"})
-    {
-    }
+    using check::Rig::Rig;
 
     /** Issue one access and narrate each bus cycle it took. */
     void
     access(unsigned cpu, bool write, Addr addr, Word value)
     {
         log.phases.clear();
-        CheckedRig::access(
+        check::Rig::access(
             cpu, {addr, write ? RefType::DataWrite : RefType::DataRead,
                   value});
         for (const MBusPhase &p : log.phases) {
@@ -77,7 +74,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    Explorer ex(kind);
+    FireflyConfig cfg = check::checked(check::rigConfig(kind));
+    cfg.cacheNames = {"cpu0-cache", "cpu1-cache"};
+    Explorer ex(cfg);
     const Addr addr = 0x1000;
     std::printf("=== %s protocol, two processors, one location "
                 "(0x%x) ===\n\n", toString(kind), addr);
@@ -112,7 +111,7 @@ main(int argc, char **argv)
     std::printf("7. cpu0 writes 0x44 (is the line private again?):\n");
     ex.access(0, true, addr, 0x44);
     ex.show(addr);
-    ex.checker.finalCheck();
+    ex.checker->finalCheck();
 
     std::printf("Under Firefly, step 4 is a write-through that "
                 "updates cpu1 in place,\nstep 5 is then a free cache "

@@ -26,9 +26,10 @@
 # coherence checker on; see DESIGN.md section 10.  The perf variant
 # guards the host-performance work (DESIGN.md section 11): it proves
 # idle fast-forward changes nothing observable (byte-identical stats
-# exports, and for the rig-built Figure 4 and MDC benches and for
-# Table 2 stdout too, with --no-fast-forward), that the idle-heavy
-# speedup is still there, that the deterministic work counters (tick
+# exports, and for the four rig-built benches - Figures 3 and 4, MDC
+# and RPC - and for Table 2 stdout too, with --no-fast-forward), that
+# the idle-heavy speedup is still there, that the deterministic work
+# counters (tick
 # calls per cycle, snoop probes per transaction, events scheduled per
 # cycle, cycles stepped rather than skipped per cycle, lines the
 # coherence checker checks per transaction, and heap allocations per
@@ -141,10 +142,10 @@ if [ "$sanitize" = perf ]; then
         echo "bench_io_dma stats diverge with fast-forward off" >&2
         exit 1
     }
-    # The rig-built benches turn it off on their check::Rig too;
+    # The rig-built benches take it through checkedConfig too;
     # Table 2 covers Topaz threads, halting processors and events.
-    for bench in bench_fig4_mbus_timing bench_mdc_display \
-            bench_table2_measured; do
+    for bench in bench_fig3_states bench_fig4_mbus_timing \
+            bench_mdc_display bench_rpc bench_table2_measured; do
         for mode in fast slow; do
             flag=
             [ "$mode" = slow ] && flag=--no-fast-forward

@@ -175,7 +175,7 @@ CoherenceChecker::markDirty(Addr first, Addr last_addr)
     }
 }
 
-void
+std::optional<Addr>
 CoherenceChecker::scanDirtyLines(std::vector<std::string> &violations)
 {
     // Ascending order, so the report matches what a full scan would
@@ -184,14 +184,16 @@ CoherenceChecker::scanDirtyLines(std::vector<std::string> &violations)
     dirtyLines.erase(std::unique(dirtyLines.begin(), dirtyLines.end()),
                      dirtyLines.end());
     nLineChecks += dirtyLines.size();
-    scanner.checkLines(dirtyLines, golden, violations);
-    if (!violations.empty())
-        return;
+    const std::optional<Addr> failed =
+        scanner.checkLines(dirtyLines, golden, violations);
+    if (failed)
+        return failed;
 
     // Every check is a function of cache states, cached data, memory
     // and the oracle, which only change through the dirty-line feeds,
     // so a line that passed waits for a feed to mark it again.
     dirtyLines.clear();
+    return std::nullopt;
 }
 
 void
@@ -217,9 +219,12 @@ CoherenceChecker::busSettled(const MBusTransaction &txn)
     if (scanner.lineBase(last_word) != first)
         markDirty(first + scanner.lineBytes(), last_word);
 
+    // A violation the periodic scan finds is reported under its own
+    // line, not the one this transaction happened to settle.
+    Addr failed = txn.addr;
     if (violations.empty() && cfg.fullScanPeriod &&
         txnsObserved.value() % cfg.fullScanPeriod == 0) {
-        scanDirtyLines(violations);
+        failed = scanDirtyLines(violations).value_or(txn.addr);
         ++fullScans;
     }
 
@@ -230,7 +235,7 @@ CoherenceChecker::busSettled(const MBusTransaction &txn)
            << " by " << clientName(txn.initiator);
         for (const std::string &v : violations)
             os << "\n  " << v;
-        fail(txn.addr, os.str());
+        fail(failed, os.str());
     }
 }
 
@@ -238,14 +243,14 @@ void
 CoherenceChecker::finalCheck()
 {
     std::vector<std::string> violations;
-    scanner.fullScan(golden, violations);
+    const std::optional<Addr> failed = scanner.fullScan(golden, violations);
     ++fullScans;
-    if (!violations.empty()) {
+    if (failed) {
         std::ostringstream os;
         os << "final scan";
         for (const std::string &v : violations)
             os << "\n  " << v;
-        fail(0, os.str());
+        fail(*failed, os.str());
     }
 }
 

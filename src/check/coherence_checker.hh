@@ -46,6 +46,7 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -155,8 +156,9 @@ class CoherenceChecker : public CoherenceObserver
     void markDirty(Addr first, Addr last_addr);
     /** The periodic scan: check the dirty lines, then forget them;
      *  a line that passed keeps its verdict until a feed marks it
-     *  again (see InvariantScanner::checkLine). */
-    void scanDirtyLines(std::vector<std::string> &violations);
+     *  again (see InvariantScanner::checkLine).  Returns the first
+     *  failing line, as InvariantScanner::checkLines does. */
+    std::optional<Addr> scanDirtyLines(std::vector<std::string> &violations);
     std::string describeLine(Addr line_base) const;
     std::string replayFor(Addr line_base) const;
     [[noreturn]] void fail(Addr addr, const std::string &what);

@@ -1,7 +1,6 @@
 #include "check/fuzz.hh"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -103,25 +102,18 @@ runFuzz(const FuzzConfig &cfg)
         panic("fuzz: degenerate configuration");
     }
 
-    CheckerConfig checker_cfg;
-    checker_cfg.fullScanPeriod = cfg.fullScanPeriod;
-    CheckedRig rig(cfg.protocol, cfg.nCaches,
-                   {cfg.cacheBytes, cfg.lineBytes}, cfg.protocolTable,
-                   checker_cfg);
-    CoherenceChecker &checker = rig.checker;
+    FireflyConfig machine = checked(rigConfig(
+        cfg.protocol, cfg.nCaches, {cfg.cacheBytes, cfg.lineBytes}));
+    machine.protocolTable = cfg.protocolTable;
+    machine.checker.fullScanPeriod = cfg.fullScanPeriod;
+    // A machine check or a wedge under fault injection is a test
+    // failure, not a reason to kill the whole process.
+    machine.faults = cfg.faults;
+    machine.faults.throwOnMachineCheck = true;
+    Rig rig(machine);
+    CoherenceChecker &checker = *rig.checker;
     if (cfg.onBuilt)
         cfg.onBuilt(rig);
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (cfg.faults.active()) {
-        injector = std::make_unique<fault::FaultInjector>(cfg.faults);
-        rig.bus.setFaultInjector(injector.get());
-        rig.memory.setFaultInjector(injector.get());
-        rig.dma->setFaultInjector(injector.get());
-        // Throw mode: a wedge under fault injection is a test
-        // failure, not a reason to kill the whole process.
-        rig.sim.setWatchdog(fault::kWatchdogCycles, true);
-    }
 
     Rng rng(cfg.seed);
     const std::vector<FuzzOp> ops = generateOps(cfg, rng);
@@ -172,7 +164,7 @@ runFuzz(const FuzzConfig &cfg)
         }
     }
 
-    while (!rig.dma->idle())
+    while (!rig.dma.idle())
         rig.sim.run(1);
     checker.finalCheck();
 
@@ -180,7 +172,7 @@ runFuzz(const FuzzConfig &cfg)
     result.loadsChecked = checker.loadsChecked.value();
     result.writesTracked = checker.writesTracked.value();
     result.fullScans = checker.fullScans.value();
-    if (injector) {
+    if (auto *injector = rig.machine.faultInjector()) {
         result.parityErrors = injector->parityErrors.value();
         result.parityRecovered = injector->parityRecovered.value();
         result.eccCorrected = injector->eccCorrected.value();

@@ -2,9 +2,10 @@
  * @file
  * Randomized coherence fuzzer.
  *
- * runFuzz() builds a CheckedRig (check/rig.hh) - memory, bus, N
- * caches, a DMA engine through cache 0 (the I/O processor position),
- * the coherence checker - and drives a pseudo-random reference stream of
+ * runFuzz() builds a checked Rig (check/rig.hh) - a Firefly of N
+ * caches and no CPUs, a DMA engine through cache 0 (the I/O processor
+ * position), the machine's coherence checker and, with `faults` set,
+ * its fault injector - and drives a pseudo-random reference stream of
  * CPU loads/stores and DMA bursts at it.  Tunables steer the stream
  * toward the interesting corners: sharing (several CPUs hitting a
  * common pool of words), migration (writers moving between caches),
@@ -74,7 +75,7 @@ struct FuzzConfig
      * in issue order, so for a given seed the same faults hit the
      * same operations whatever the protocol - recoverable faults must
      * not perturb the differential load log.  The fuzz machine runs
-     * with the wedge watchdog in throw mode.
+     * with machine checks and the wedge watchdog in throw mode.
      */
     fault::FaultConfig faults;
 
@@ -91,7 +92,7 @@ struct FuzzConfig
      * cache, before the first operation.  Bus observers registered
      * here run after the checker's, so tests can cross-examine it.
      */
-    std::function<void(CheckedRig &)> onBuilt;
+    std::function<void(Rig &)> onBuilt;
 };
 
 /** A machine shape the fuzz corpus cycles through. */

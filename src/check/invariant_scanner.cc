@@ -134,7 +134,7 @@ InvariantScanner::checkHeld(Addr base, std::span<const Holder> holders,
     }
 }
 
-void
+std::optional<Addr>
 InvariantScanner::checkLines(const std::vector<Addr> &bases,
                              const GoldenMemory &oracle,
                              std::vector<std::string> &out) const
@@ -142,12 +142,16 @@ InvariantScanner::checkLines(const std::vector<Addr> &bases,
     // Tracked words nobody caches: memory must hold the value.  Their
     // reports follow every resident line's, as in a full scan.
     std::vector<std::string> uncached;
+    std::optional<Addr> first_held, first_uncached;
     const unsigned words = _lineBytes / bytesPerWord;
     Holders holder_buf;
     for (const Addr base : bases) {
         const std::size_t n_holders = holdersOf(base, holder_buf);
         if (n_holders) {
+            const std::size_t reported = out.size();
             checkHeld(base, {holder_buf.data(), n_holders}, oracle, out);
+            if (!first_held && out.size() != reported)
+                first_held = base;
             continue;
         }
         for (unsigned w = 0; w < words; ++w) {
@@ -161,12 +165,15 @@ InvariantScanner::checkLines(const std::vector<Addr> &bases,
                << ", oracle " << obs::hexAddr(word.current)
                << " (serialized @" << oracle.writtenAt(a) << ")";
             uncached.push_back(os.str());
+            if (!first_uncached)
+                first_uncached = base;
         }
     }
     out.insert(out.end(), uncached.begin(), uncached.end());
+    return first_held ? first_held : first_uncached;
 }
 
-void
+std::optional<Addr>
 InvariantScanner::fullScan(const GoldenMemory &oracle,
                            std::vector<std::string> &out) const
 {
@@ -182,7 +189,7 @@ InvariantScanner::fullScan(const GoldenMemory &oracle,
         [&](Addr addr) { bases.push_back(lineBase(addr)); });
     std::sort(bases.begin(), bases.end());
     bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
-    checkLines(bases, oracle, out);
+    return checkLines(bases, oracle, out);
 }
 
 } // namespace firefly::check

@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,18 +84,19 @@ class InvariantScanner
      * duplicates): checkLine for each line some cache holds, then
      * memory-vs-oracle for the tracked words of the others.  Reports
      * exactly what fullScan reports about those lines, in the same
-     * order.
+     * order.  Returns the base of the line the first report names
+     * (nullopt when every line passed).
      */
-    void checkLines(const std::vector<Addr> &bases,
-                    const GoldenMemory &oracle,
-                    std::vector<std::string> &out) const;
+    std::optional<Addr> checkLines(const std::vector<Addr> &bases,
+                                   const GoldenMemory &oracle,
+                                   std::vector<std::string> &out) const;
 
     /**
      * Check every valid line in every cache, plus memory-vs-oracle
-     * for tracked words no cache holds.
+     * for tracked words no cache holds; returns as checkLines does.
      */
-    void fullScan(const GoldenMemory &oracle,
-                  std::vector<std::string> &out) const;
+    std::optional<Addr> fullScan(const GoldenMemory &oracle,
+                                 std::vector<std::string> &out) const;
 
   private:
     struct Holder

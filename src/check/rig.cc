@@ -3,35 +3,34 @@
 namespace firefly::check
 {
 
-namespace
+FireflyConfig
+rigConfig(ProtocolKind kind, unsigned caches, Cache::Geometry geom)
 {
-
-CheckerConfig
-throwing(CheckerConfig ccfg)
-{
-    ccfg.throwOnViolation = true;
-    return ccfg;
+    FireflyConfig cfg = FireflyConfig::microVax(caches);
+    cfg.memoryBytes = 4 * 1024 * 1024;
+    cfg.protocol = kind;
+    cfg.cacheGeometry = geom;
+    return cfg;
 }
 
-} // namespace
-
-CacheNames::CacheNames(unsigned n)
+FireflyConfig
+checked(FireflyConfig cfg)
 {
-    for (unsigned i = 0; i < n; ++i)
-        names.push_back("cache" + std::to_string(i));
+    cfg.coherenceCheck = true;
+    cfg.checker.throwOnViolation = true;
+    return cfg;
 }
 
-Rig::Rig(ProtocolKind kind, CacheNames names, Cache::Geometry geom,
-         const ProtocolTable *table)
+Rig::Rig(const FireflyConfig &cfg)
+    : machine(cfg), sim(machine.simulator()), memory(machine.memory()),
+      bus(machine.bus()),
+      dma(sim, machine.ioCache(), cfg.ioAddressLimit()),
+      checker(machine.checker())
 {
-    memory.addModule(4 * 1024 * 1024);
-    for (std::string &name : names.names) {
-        caches.push_back(std::make_unique<Cache>(
-            sim, bus, table ? *table : makeProtocol(kind), geom,
-            std::move(name)));
-    }
-    if (!caches.empty())
-        dma.emplace(sim, *caches[0], 16 * 1024 * 1024);
+    for (unsigned i = 0; i < machine.processorCount(); ++i)
+        caches.push_back(&machine.cache(i));
+    if (auto *injector = machine.faultInjector())
+        dma.setFaultInjector(injector);
 }
 
 void
@@ -72,7 +71,7 @@ Rig::dmaRead(Addr addr, unsigned count, IoStatus *status)
 {
     bool done = false;
     std::vector<Word> out;
-    dma->readWords(addr, count, [&](IoStatus st, std::vector<Word> v) {
+    dma.readWords(addr, count, [&](IoStatus st, std::vector<Word> v) {
         done = true;
         if (status)
             *status = st;
@@ -87,22 +86,12 @@ Rig::dmaWrite(Addr addr, std::vector<Word> data)
 {
     bool done = false;
     IoStatus status = IoStatus::Ok;
-    dma->writeWords(addr, std::move(data), [&](IoStatus st) {
+    dma.writeWords(addr, std::move(data), [&](IoStatus st) {
         done = true;
         status = st;
     });
     waitFor(done);
     return status;
-}
-
-CheckedRig::CheckedRig(ProtocolKind kind, CacheNames names,
-                       Cache::Geometry geom, const ProtocolTable *table,
-                       CheckerConfig ccfg)
-    : Rig(kind, std::move(names), geom, table),
-      checker(sim, bus, memory, kind, throwing(ccfg))
-{
-    for (auto &cache : caches)
-        checker.watch(*cache);
 }
 
 } // namespace firefly::check

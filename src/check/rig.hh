@@ -1,63 +1,55 @@
 /**
  * @file
- * The small machine the paper's protocol figures show: a few caches
- * sharing one MBus and a 4 MB main memory, with a DmaEngine through
- * cache 0 (the I/O processor's position).  The blocking helpers
- * stand in for the processors: each issues one access and runs the
- * clock until it completes, retrying while a snoop probe holds the
- * tag store.  Unit tests, the fuzzer, the Figure 3/4 benches, the I/O
- * benches and the examples all build on it.
+ * The small machine the paper's protocol figures show: a Firefly
+ * without processors.  rigConfig() gives the shape - a few caches
+ * sharing one MBus and a 4 MB main memory - and Rig drives the
+ * FireflySystem built from it, with a DmaEngine through cache 0 (the
+ * I/O processor's position).  The blocking helpers stand in for the
+ * processors: each issues one access and runs the clock until it
+ * completes, retrying while a snoop probe holds the tag store.  Unit
+ * tests, the fuzzer, the Figure 3/4 benches, the I/O benches and the
+ * examples all build on it.
  *
- * CheckedRig attaches a CoherenceChecker that throws on a violation,
- * so any incoherence a run provokes fails with a line-level
- * diagnostic.
+ * The checker is the machine's own (FireflyConfig::coherenceCheck);
+ * checked() turns it on in the mode that throws, so any incoherence a
+ * run provokes fails with a line-level diagnostic.
  */
 
 #ifndef FIREFLY_CHECK_RIG_HH
 #define FIREFLY_CHECK_RIG_HH
 
-#include <initializer_list>
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "cache/cache.hh"
-#include "cache/protocol.hh"
-#include "check/coherence_checker.hh"
+#include "firefly/system.hh"
 #include "io/dma_engine.hh"
-#include "mbus/mbus.hh"
-#include "mem/main_memory.hh"
-#include "sim/simulator.hh"
 
 namespace firefly::check
 {
 
-/** The rig's cache names, in bus priority order; a count `n` names
- *  them cache0 .. cache<n-1>. */
-struct CacheNames
-{
-    std::vector<std::string> names;
+/** A MicroVAX Firefly with `caches` processor boards and no CPUs,
+ *  one 4 MB module, and `geom` caches running `kind`. */
+FireflyConfig rigConfig(ProtocolKind kind, unsigned caches = 2,
+                        Cache::Geometry geom = {});
 
-    CacheNames(unsigned n);
-    CacheNames(std::initializer_list<std::string> list) : names(list) {}
-};
+/** `cfg` with its coherence checker on, throwing CoherenceViolation
+ *  on a violation instead of panicking. */
+FireflyConfig checked(FireflyConfig cfg);
 
-/** Memory, bus, caches and DMA, with blocking access helpers. */
+/** Blocking access helpers and DMA over one machine. */
 struct Rig
 {
-    Simulator sim;
-    MainMemory memory;
-    MBus bus{sim, memory};
-    std::vector<std::unique_ptr<Cache>> caches;
-    /** DMA through cache 0; absent on a rig without caches. */
-    std::optional<DmaEngine> dma;
+    explicit Rig(const FireflyConfig &cfg);
 
-    /** `table` overrides the table the caches run; nullptr =
-     *  makeProtocol(kind). */
-    explicit Rig(ProtocolKind kind, CacheNames names = 2u,
-                 Cache::Geometry geom = {},
-                 const ProtocolTable *table = nullptr);
+    FireflySystem machine;
+    Simulator &sim;
+    MainMemory &memory;
+    MBus &bus;
+    /** The machine's caches, in bus priority order. */
+    std::vector<Cache *> caches;
+    /** DMA through cache 0. */
+    DmaEngine dma;
+    /** The machine's checker (nullptr unless cfg.coherenceCheck). */
+    CoherenceChecker *checker;
 
     /** Issue one access and run the clock until it completes. */
     Word access(unsigned cache, const MemRef &ref);
@@ -86,17 +78,6 @@ struct Rig
 
   private:
     void waitFor(const bool &done);
-};
-
-/** A Rig whose every cache the throwing coherence checker watches. */
-struct CheckedRig : Rig
-{
-    CoherenceChecker checker;
-
-    explicit CheckedRig(ProtocolKind kind, CacheNames names = 2u,
-                        Cache::Geometry geom = {},
-                        const ProtocolTable *table = nullptr,
-                        CheckerConfig ccfg = {});
 };
 
 } // namespace firefly::check

@@ -51,6 +51,11 @@ FireflyConfig::validate() const
         });
     }
 
+    if (!cacheNames.empty() && cacheNames.size() != processors) {
+        fatal("%zu cache names for %u processors", cacheNames.size(),
+              processors);
+    }
+
     const Addr max_memory = version == MachineVersion::MicroVax
         ? 16u * 1024 * 1024    // 24-bit physical address
         : 128u * 1024 * 1024;  // four 32 MB modules

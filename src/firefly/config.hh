@@ -19,8 +19,12 @@
 #ifndef FIREFLY_FIREFLY_CONFIG_HH
 #define FIREFLY_FIREFLY_CONFIG_HH
 
+#include <string>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/protocol.hh"
+#include "check/coherence_checker.hh"
 #include "cpu/onchip_cache.hh"
 #include "fault/fault_injector.hh"
 #include "sim/types.hh"
@@ -57,6 +61,15 @@ struct FireflyConfig
      *  the comparison experiments). */
     ProtocolKind protocol = ProtocolKind::Firefly;
 
+    /** The table the caches run instead of makeProtocol(protocol),
+     *  so a test can run a deliberately broken protocol; the checker
+     *  still judges by `protocol`'s rules.  nullptr: the real one. */
+    const ProtocolTable *protocolTable = nullptr;
+
+    /** The caches' names, in bus priority order (empty: cache0,
+     *  cache1, ...); otherwise one per processor. */
+    std::vector<std::string> cacheNames;
+
     /** Board cache geometry; {0, 0} selects the version's default
      *  (16 KB/4 B MicroVAX, 64 KB/4 B CVAX). */
     Cache::Geometry cacheGeometry{0, 0};
@@ -72,6 +85,8 @@ struct FireflyConfig
      *  observational - statistics are unchanged - but costs time;
      *  off by default. */
     bool coherenceCheck = false;
+    /** The attached checker's settings. */
+    check::CheckerConfig checker;
 
     /** Due-cycle gating and idle fast-forward
      *  (Simulator::setFastForward).  Off, every component ticks every

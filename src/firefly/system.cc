@@ -25,10 +25,14 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
     mbus = std::make_unique<MBus>(sim, mem);
 
     const Cache::Geometry geom = cfg.effectiveGeometry();
+    const ProtocolTable &table = cfg.protocolTable
+        ? *cfg.protocolTable
+        : makeProtocol(cfg.protocol);
     for (unsigned i = 0; i < cfg.processors; ++i) {
         caches.push_back(std::make_unique<Cache>(
-            sim, *mbus, makeProtocol(cfg.protocol), geom,
-            "cache" + std::to_string(i)));
+            sim, *mbus, table, geom,
+            cfg.cacheNames.empty() ? "cache" + std::to_string(i)
+                                   : cfg.cacheNames[i]));
         statGroup.addChild(&caches.back()->stats());
 
         if (cfg.version == MachineVersion::Cvax &&
@@ -65,7 +69,7 @@ FireflySystem::FireflySystem(const FireflyConfig &config)
 
     if (cfg.coherenceCheck) {
         coherenceChecker = std::make_unique<check::CoherenceChecker>(
-            sim, *mbus, mem, cfg.protocol);
+            sim, *mbus, mem, cfg.protocol, cfg.checker);
         for (auto &cache : caches)
             coherenceChecker->watch(*cache);
         for (auto &chip : onchips) {

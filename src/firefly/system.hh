@@ -7,7 +7,8 @@
  * Workloads attach after construction: either the synthetic VAX
  * stream (one per processor, with per-processor private regions and
  * a common shared region) or externally owned RefSources (the Topaz
- * runtime uses this).
+ * runtime uses this).  A machine with no workload attached is the
+ * small machine check::Rig drives (check/rig.hh).
  */
 
 #ifndef FIREFLY_FIREFLY_SYSTEM_HH

@@ -23,11 +23,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "bench_util.hh"
+#include "check/rig.hh"
 
 using namespace firefly;
 
@@ -137,23 +139,25 @@ TEST(CheckFlag, TurnsTheCheckerOnInEveryBuiltMachine)
     bench::ObsOptions takes_no_value;
     EXPECT_EQ(parse(takes_no_value, {"--check=1"}), 2);
 
+    // The one flag path: a rig-shaped config through checkedConfig
+    // is a checked machine with fast-forward off.
     bench::ObsOptions &global = bench::obsOptions();
-    const bool saved = global.check;
-    global.check = false;
+    const bench::ObsOptions saved = std::exchange(global, {});
     EXPECT_FALSE(bench::checkedConfig(FireflyConfig::microVax(2))
                      .coherenceCheck);
-    check::Rig rig(ProtocolKind::Firefly);
-    EXPECT_EQ(bench::rigChecker(rig, ProtocolKind::Firefly), nullptr);
-    global.check = true;
+    EXPECT_EQ(parse(global, {"--check", "--no-fast-forward"}),
+              std::nullopt);
     EXPECT_TRUE(bench::checkedConfig(FireflyConfig::microVax(2))
                     .coherenceCheck);
-    const auto checker = bench::rigChecker(rig, ProtocolKind::Firefly);
-    ASSERT_NE(checker, nullptr);
-    global.check = saved;
+    check::Rig rig(
+        bench::checkedConfig(check::rigConfig(ProtocolKind::Firefly)));
+    global = saved;
+    ASSERT_NE(rig.machine.checker(), nullptr);
+    EXPECT_FALSE(rig.machine.simulator().fastForwardEnabled());
     rig.write(0, 0x100, 7);
     EXPECT_EQ(rig.read(1, 0x100), 7u);
-    EXPECT_GT(checker->loadsChecked.value(), 0u);
-    EXPECT_GT(checker->txnsObserved.value(), 0u);
+    EXPECT_GT(rig.machine.checker()->loadsChecked.value(), 0u);
+    EXPECT_GT(rig.machine.checker()->txnsObserved.value(), 0u);
 }
 
 TEST(NumericFlags, BadValuesAreUsageErrors)

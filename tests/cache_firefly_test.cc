@@ -14,6 +14,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -22,7 +23,7 @@ constexpr Addr kA = 0x1000;
 
 struct FireflyRig : Rig
 {
-    FireflyRig() : Rig(ProtocolKind::Firefly, 3) {}
+    FireflyRig() : Rig(rigConfig(ProtocolKind::Firefly, 3)) {}
 
     double
     busWrites()

@@ -12,15 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "check/rig.hh"
 
 using namespace firefly;
-using firefly::check::CheckedRig;
+using firefly::check::checked;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -44,14 +44,14 @@ class ProtocolBehaviour
 
 TEST_P(ProtocolBehaviour, ReadReturnsMemoryValue)
 {
-    CheckedRig rig(kind(), 3, geometry());
+    Rig rig(checked(rigConfig(kind(), 3, geometry())));
     rig.memory.write(kA, 0xfeed);
     EXPECT_EQ(rig.read(0, kA), 0xfeedu);
 }
 
 TEST_P(ProtocolBehaviour, ReadAfterWriteSameCpu)
 {
-    CheckedRig rig(kind(), 3, geometry());
+    Rig rig(checked(rigConfig(kind(), 3, geometry())));
     rig.write(0, kA, 11);
     EXPECT_EQ(rig.read(0, kA), 11u);
     rig.write(0, kA, 12);
@@ -60,7 +60,7 @@ TEST_P(ProtocolBehaviour, ReadAfterWriteSameCpu)
 
 TEST_P(ProtocolBehaviour, ReadAfterWriteOtherCpu)
 {
-    CheckedRig rig(kind(), 3, geometry());
+    Rig rig(checked(rigConfig(kind(), 3, geometry())));
     rig.write(0, kA, 21);
     EXPECT_EQ(rig.read(1, kA), 21u);
     EXPECT_EQ(rig.read(2, kA), 21u);
@@ -68,28 +68,28 @@ TEST_P(ProtocolBehaviour, ReadAfterWriteOtherCpu)
 
 TEST_P(ProtocolBehaviour, WriteOverRemoteDirty)
 {
-    CheckedRig rig(kind(), 3, geometry());
+    Rig rig(checked(rigConfig(kind(), 3, geometry())));
     rig.write(0, kA, 1);
     rig.write(0, kA, 2);  // likely dirty in cache 0
     rig.write(1, kA, 3);
     EXPECT_EQ(rig.read(0, kA), 3u);
     EXPECT_EQ(rig.read(2, kA), 3u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, PingPongWritersConverge)
 {
-    CheckedRig rig(kind(), 2, geometry());
+    Rig rig(checked(rigConfig(kind(), 2, geometry())));
     for (Word i = 0; i < 20; ++i)
         rig.write(i % 2, kA, 100 + i);
     EXPECT_EQ(rig.read(0, kA), 119u);
     EXPECT_EQ(rig.read(1, kA), 119u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, ConflictEvictionPreservesData)
 {
-    CheckedRig rig(kind(), 2, geometry());
+    Rig rig(checked(rigConfig(kind(), 2, geometry())));
     rig.write(0, kA, 31);
     rig.write(0, kB, 32);  // may evict kA (same index)
     rig.write(0, kA, 33);  // may evict kB
@@ -101,7 +101,7 @@ TEST_P(ProtocolBehaviour, ConflictEvictionPreservesData)
 
 TEST_P(ProtocolBehaviour, FlushLeavesMemoryCurrent)
 {
-    CheckedRig rig(kind(), 3, geometry());
+    Rig rig(checked(rigConfig(kind(), 3, geometry())));
     rig.write(0, kA, 41);
     rig.write(1, kA, 42);
     rig.write(1, kA + 8, 43);
@@ -115,7 +115,7 @@ TEST_P(ProtocolBehaviour, FlushLeavesMemoryCurrent)
 
 TEST_P(ProtocolBehaviour, ReadersThenSingleWriter)
 {
-    CheckedRig rig(kind(), 3, geometry());
+    Rig rig(checked(rigConfig(kind(), 3, geometry())));
     rig.memory.write(kA, 7);
     EXPECT_EQ(rig.read(0, kA), 7u);
     EXPECT_EQ(rig.read(1, kA), 7u);
@@ -123,12 +123,12 @@ TEST_P(ProtocolBehaviour, ReadersThenSingleWriter)
     rig.write(1, kA, 8);
     EXPECT_EQ(rig.read(0, kA), 8u);
     EXPECT_EQ(rig.read(2, kA), 8u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST_P(ProtocolBehaviour, InterleavedAddressesStayIndependent)
 {
-    CheckedRig rig(kind(), 2, geometry());
+    Rig rig(checked(rigConfig(kind(), 2, geometry())));
     for (Word i = 0; i < 8; ++i)
         rig.write(0, kA + 4 * i, 200 + i);
     for (Word i = 0; i < 8; ++i)
@@ -153,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WtiProtocol, EveryWriteGoesToTheBus)
 {
-    Rig rig(ProtocolKind::WriteThroughInvalidate, 2);
+    Rig rig(rigConfig(ProtocolKind::WriteThroughInvalidate, 2));
     rig.read(0, kA);
     for (Word i = 0; i < 5; ++i)
         rig.write(0, kA, i);
@@ -164,7 +164,7 @@ TEST(WtiProtocol, EveryWriteGoesToTheBus)
 
 TEST(WtiProtocol, ObservedWriteInvalidates)
 {
-    Rig rig(ProtocolKind::WriteThroughInvalidate, 2);
+    Rig rig(rigConfig(ProtocolKind::WriteThroughInvalidate, 2));
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(0, kA, 9);
@@ -179,7 +179,7 @@ TEST(WtiProtocol, ObservedWriteInvalidates)
 
 TEST(WtiProtocol, NoVictimWritesEver)
 {
-    Rig rig(ProtocolKind::WriteThroughInvalidate, 1);
+    Rig rig(rigConfig(ProtocolKind::WriteThroughInvalidate, 1));
     rig.write(0, kA, 1);
     rig.write(0, kB, 2);
     rig.read(0, kA);
@@ -189,7 +189,7 @@ TEST(WtiProtocol, NoVictimWritesEver)
 
 TEST(DragonProtocol, UpdateLeavesMemoryStale)
 {
-    Rig rig(ProtocolKind::Dragon, 2);
+    Rig rig(rigConfig(ProtocolKind::Dragon, 2));
     rig.memory.write(kA, 1);
     rig.read(0, kA);
     rig.read(1, kA);
@@ -203,7 +203,7 @@ TEST(DragonProtocol, UpdateLeavesMemoryStale)
 
 TEST(DragonProtocol, OwnerSuppliesAndWritesBackOnEviction)
 {
-    Rig rig(ProtocolKind::Dragon, 2);
+    Rig rig(rigConfig(ProtocolKind::Dragon, 2));
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(0, kA, 5);  // cache 0 is Sm owner
@@ -216,7 +216,7 @@ TEST(DragonProtocol, OwnerSuppliesAndWritesBackOnEviction)
 
 TEST(DragonProtocol, WriterOwnershipMigrates)
 {
-    Rig rig(ProtocolKind::Dragon, 2);
+    Rig rig(rigConfig(ProtocolKind::Dragon, 2));
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(0, kA, 1);
@@ -229,7 +229,7 @@ TEST(DragonProtocol, WriterOwnershipMigrates)
 
 TEST(BerkeleyProtocol, WriteAcquiresOwnershipByInvalidation)
 {
-    Rig rig(ProtocolKind::Berkeley, 3);
+    Rig rig(rigConfig(ProtocolKind::Berkeley, 3));
     rig.read(0, kA);
     rig.read(1, kA);
     rig.read(2, kA);
@@ -244,7 +244,7 @@ TEST(BerkeleyProtocol, WriteAcquiresOwnershipByInvalidation)
 
 TEST(BerkeleyProtocol, OwnerSuppliesReadersAndBecomesSharedDirty)
 {
-    Rig rig(ProtocolKind::Berkeley, 2);
+    Rig rig(rigConfig(ProtocolKind::Berkeley, 2));
     rig.write(0, kA, 3);
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
     EXPECT_EQ(rig.read(1, kA), 3u);
@@ -258,7 +258,7 @@ TEST(BerkeleyProtocol, OwnerSuppliesReadersAndBecomesSharedDirty)
 
 TEST(BerkeleyProtocol, FillsInstallUnownedShared)
 {
-    Rig rig(ProtocolKind::Berkeley, 2);
+    Rig rig(rigConfig(ProtocolKind::Berkeley, 2));
     rig.memory.write(kA, 1);
     rig.read(0, kA);
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
@@ -266,7 +266,7 @@ TEST(BerkeleyProtocol, FillsInstallUnownedShared)
 
 TEST(MesiProtocol, ExclusiveCleanUpgradesSilently)
 {
-    Rig rig(ProtocolKind::Mesi, 2);
+    Rig rig(rigConfig(ProtocolKind::Mesi, 2));
     rig.read(0, kA);
     EXPECT_EQ(rig.state(0, kA), LineState::Valid);  // E
     const double writes = rig.bus.stats().get("writes");
@@ -279,7 +279,7 @@ TEST(MesiProtocol, ExclusiveCleanUpgradesSilently)
 
 TEST(MesiProtocol, SharedWriteSendsUpgrade)
 {
-    Rig rig(ProtocolKind::Mesi, 2);
+    Rig rig(rigConfig(ProtocolKind::Mesi, 2));
     rig.read(0, kA);
     rig.read(1, kA);
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
@@ -291,7 +291,7 @@ TEST(MesiProtocol, SharedWriteSendsUpgrade)
 
 TEST(MesiProtocol, SnoopedReadDowngradesModifiedAndCleansMemory)
 {
-    Rig rig(ProtocolKind::Mesi, 2);
+    Rig rig(rigConfig(ProtocolKind::Mesi, 2));
     rig.write(0, kA, 6);   // M via BusRdX
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
     EXPECT_EQ(rig.read(1, kA), 6u);
@@ -306,7 +306,7 @@ TEST(MesiProtocol, InvalidationCausesCoherenceMissOnSharer)
     // The paper: invalidation protocols "perform poorly when actual
     // sharing occurs, since the invalidated information must be
     // reloaded when the CPU next references it."
-    Rig rig(ProtocolKind::Mesi, 2);
+    Rig rig(rigConfig(ProtocolKind::Mesi, 2));
     rig.read(0, kA);
     rig.read(1, kA);
     const auto fills_before = rig.caches[1]->fills.value();
@@ -366,7 +366,9 @@ TEST(ProtocolTableDeathTest, ImpossibleEntriesPanic)
     bad_fill.fillState = {LineState::SharedDirty, LineState::SharedDirty};
     EXPECT_DEATH(
         {
-            Rig rig(ProtocolKind::Firefly, 1, {}, &bad_fill);
+            FireflyConfig cfg = rigConfig(ProtocolKind::Firefly, 1);
+            cfg.protocolTable = &bad_fill;
+            Rig rig(cfg);
             rig.read(0, kA);
             rig.write(0, kA, 1);
         },
@@ -378,7 +380,9 @@ TEST(ProtocolTableDeathTest, ImpossibleEntriesPanic)
                             WriteMissAction::ReadOwned};
     EXPECT_DEATH(
         {
-            Rig rig(ProtocolKind::Firefly, 2, {}, &owned_miss);
+            FireflyConfig cfg = rigConfig(ProtocolKind::Firefly);
+            cfg.protocolTable = &owned_miss;
+            Rig rig(cfg);
             rig.read(0, kA);
             rig.write(1, kA, 1);
         },
@@ -392,10 +396,10 @@ TEST(ProtocolTableDeathTest, TransactionNeitherWordNorLinePanics)
     // 2-word fill seen by a cache with 1-word lines is neither.
     EXPECT_DEATH(
         {
-            Rig rig(ProtocolKind::Firefly, {"narrow"}, {16 * 1024, 4});
-            rig.caches.push_back(std::make_unique<Cache>(
-                rig.sim, rig.bus, makeProtocol(ProtocolKind::Firefly),
-                Cache::Geometry{16 * 1024, 8}, "wide"));
+            Rig rig(rigConfig(ProtocolKind::Firefly, 1, {16 * 1024, 4}));
+            Cache wide(rig.sim, rig.bus, makeProtocol(ProtocolKind::Firefly),
+                       Cache::Geometry{16 * 1024, 8}, "wide");
+            rig.caches.push_back(&wide);
             rig.read(0, kA);
             rig.read(1, kA);
         },
@@ -404,10 +408,12 @@ TEST(ProtocolTableDeathTest, TransactionNeitherWordNorLinePanics)
 
 TEST(CacheGeometry, RejectsBadLineSizes)
 {
-    Rig rig(ProtocolKind::Firefly, 0);
+    Simulator sim;
+    MainMemory memory;
+    MBus bus(sim, memory);
     const auto build = [&](Cache::Geometry geom) {
-        Cache c(rig.sim, rig.bus, makeProtocol(ProtocolKind::Firefly),
-                geom, "bad");
+        Cache c(sim, bus, makeProtocol(ProtocolKind::Firefly), geom,
+                "bad");
     };
     EXPECT_EXIT(build({16 * 1024, 3}), ::testing::ExitedWithCode(1),
                 "line size");
@@ -421,7 +427,7 @@ TEST(CacheGeometry, RejectsBadLineSizes)
 
 TEST(CacheGeometry, SingleLineCacheStillCoherent)
 {
-    Rig rig(ProtocolKind::Firefly, 2, {4, 4});  // one-line cache
+    Rig rig(rigConfig(ProtocolKind::Firefly, 2, {4, 4}));  // one-line cache
     rig.write(0, kA, 1);
     rig.write(0, kA + 4, 2);  // evicts constantly
     EXPECT_EQ(rig.read(1, kA), 1u);

@@ -23,12 +23,12 @@
 #include "obs/trace.hh"
 
 using namespace firefly;
-using check::CheckerConfig;
 using check::CoherenceChecker;
 using check::CoherenceViolation;
 using check::GoldenMemory;
-using firefly::check::CheckedRig;
+using firefly::check::checked;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -107,7 +107,7 @@ TEST(Oracle, ForEachTrackedVisitsEachWordOnce)
 
 TEST(Checker, CleanSharingRunPassesAndCounts)
 {
-    CheckedRig rig(ProtocolKind::Firefly, 3);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly, 3)));
     for (unsigned round = 0; round < 4; ++round) {
         for (unsigned c = 0; c < 3; ++c) {
             rig.write(c, kA, 100 * round + c);
@@ -115,47 +115,47 @@ TEST(Checker, CleanSharingRunPassesAndCounts)
             rig.read(c, kB + c * 0x100);
         }
     }
-    rig.checker.finalCheck();
-    EXPECT_GT(rig.checker.loadsChecked.value(), 0u);
-    EXPECT_GT(rig.checker.writesTracked.value(), 0u);
-    EXPECT_GT(rig.checker.txnsObserved.value(), 0u);
-    EXPECT_GT(rig.checker.lineScans.value(), 0u);
+    rig.checker->finalCheck();
+    EXPECT_GT(rig.checker->loadsChecked.value(), 0u);
+    EXPECT_GT(rig.checker->writesTracked.value(), 0u);
+    EXPECT_GT(rig.checker->txnsObserved.value(), 0u);
+    EXPECT_GT(rig.checker->lineScans.value(), 0u);
 }
 
 TEST(Checker, OracleTracksSilentAndBusWrites)
 {
-    CheckedRig rig(ProtocolKind::Firefly);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly)));
     // Write-through-allocate miss: serialized at the bus commit.
     rig.write(0, kA, 7);
-    EXPECT_TRUE(rig.checker.oracle().tracked(kA));
-    EXPECT_EQ(rig.checker.oracle().current(kA), 7u);
+    EXPECT_TRUE(rig.checker->oracle().tracked(kA));
+    EXPECT_EQ(rig.checker->oracle().current(kA), 7u);
     // Read (Valid), write again: a silent Dirty write, serialized at
     // the local write instant.
     rig.read(0, kB);
     rig.write(0, kB, 9);
-    EXPECT_EQ(rig.checker.oracle().current(kB), 9u);
-    EXPECT_GE(rig.checker.writesTracked.value(), 2u);
-    rig.checker.finalCheck();
+    EXPECT_EQ(rig.checker->oracle().current(kB), 9u);
+    EXPECT_GE(rig.checker->writesTracked.value(), 2u);
+    rig.checker->finalCheck();
 }
 
 TEST(Checker, UntrackedWordsReadFromMemoryBaseline)
 {
-    CheckedRig rig(ProtocolKind::Mesi);
+    Rig rig(checked(rigConfig(ProtocolKind::Mesi)));
     rig.memory.write(kA, 42);
-    EXPECT_FALSE(rig.checker.oracle().tracked(kA));
-    EXPECT_EQ(rig.checker.oracle().current(kA), 42u);
+    EXPECT_FALSE(rig.checker->oracle().tracked(kA));
+    EXPECT_EQ(rig.checker->oracle().current(kA), 42u);
     EXPECT_EQ(rig.read(0, kA), 42u);  // validated against the baseline
-    EXPECT_GT(rig.checker.loadsChecked.value(), 0u);
+    EXPECT_GT(rig.checker->loadsChecked.value(), 0u);
 }
 
 TEST(Checker, PeriodicFullScansRun)
 {
-    CheckerConfig ccfg;
-    ccfg.fullScanPeriod = 4;
-    CheckedRig rig(ProtocolKind::Berkeley, 2, {}, {}, ccfg);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Berkeley));
+    cfg.checker.fullScanPeriod = 4;
+    Rig rig(cfg);
     for (unsigned i = 0; i < 16; ++i)
         rig.write(i % 2, kA + i * 0x40, i);
-    EXPECT_GT(rig.checker.fullScans.value(), 0u);
+    EXPECT_GT(rig.checker->fullScans.value(), 0u);
 }
 
 TEST(Checker, SkippedMSharedUpdateCaughtWithLineDiagnostic)
@@ -164,7 +164,9 @@ TEST(Checker, SkippedMSharedUpdateCaughtWithLineDiagnostic)
     // ignoring what the MShared wire said - the classic "forgot the
     // sharing update" bug.  The second cache to fill the same line
     // violates exclusivity (I3) the instant its fill settles.
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kIgnoreMShared);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kIgnoreMShared;
+    Rig rig(cfg);
     rig.read(0, kA);
     try {
         rig.read(1, kA);
@@ -184,7 +186,9 @@ TEST(Checker, LostSnoopedWriteCaughtWithReplayLog)
     // This protocol drops snooped MWrites: a foreign write-through
     // never updates local copies.  After cache1's write the stale
     // copy in cache0 disagrees with both cache1 and the oracle.
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kDeafToWrites;
+    Rig rig(cfg);
     rig.memory.write(kA, 5);
     rig.read(0, kA);
     rig.read(1, kA);
@@ -214,11 +218,11 @@ namespace
  * never revisits a line.
  */
 void
-padToPeriodicScan(CheckedRig &rig, unsigned cache, unsigned period)
+padToPeriodicScan(Rig &rig, unsigned cache, unsigned period)
 {
     do {
-        rig.read(cache, kB + 0x40 * rig.checker.txnsObserved.value());
-    } while (rig.checker.txnsObserved.value() % period != 0);
+        rig.read(cache, kB + 0x40 * rig.checker->txnsObserved.value());
+    } while (rig.checker->txnsObserved.value() % period != 0);
 }
 
 } // namespace
@@ -230,30 +234,40 @@ TEST(Checker, SilentSharedWriteCaughtByPeriodicScan)
     // line scan ever looks at the line.  The write's serialization
     // marks the line for the next periodic scan, which must find the
     // stale copy left in the other cache.
-    CheckerConfig ccfg;
-    ccfg.fullScanPeriod = 4;
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kSilentSharedWrite,
-                   ccfg);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kSilentSharedWrite;
+    cfg.checker.fullScanPeriod = 4;
+    Rig rig(cfg);
     rig.read(0, kA);
     rig.read(1, kA);
     ASSERT_EQ(rig.state(0, kA), LineState::Shared);
     // A periodic scan passes the line, so only the write can put it
     // back in front of the next one.
-    padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
-    const std::uint64_t txns = rig.checker.txnsObserved.value();
+    padToPeriodicScan(rig, 0, cfg.checker.fullScanPeriod);
+    const std::uint64_t txns = rig.checker->txnsObserved.value();
     rig.write(0, kA, 77);
-    ASSERT_EQ(rig.checker.txnsObserved.value(), txns);  // truly silent
+    ASSERT_EQ(rig.checker->txnsObserved.value(), txns);  // truly silent
     try {
-        padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+        padToPeriodicScan(rig, 0, cfg.checker.fullScanPeriod);
         FAIL() << "silent write to a shared line not caught";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.checker.txnsObserved.value(),
-                  txns + ccfg.fullScanPeriod);
+        EXPECT_EQ(rig.checker->txnsObserved.value(),
+                  txns + cfg.checker.fullScanPeriod);
         EXPECT_NE(what.find("I3 exclusivity: cache0 holds " +
                             obs::hexAddr(kA)),
                   std::string::npos) << what;
         EXPECT_NE(what.find("I4 copies disagree at " + obs::hexAddr(kA)),
+                  std::string::npos) << what;
+        // Reported under kA's line, with kA's picture, not under the
+        // padding fill whose settle ran the scan.
+        EXPECT_NE(what.find("line " + obs::hexAddr(kA) + ":"),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("cache0: Dirty data=[" + obs::hexAddr(77) +
+                            "]\n  cache1: Shared data=[" +
+                            obs::hexAddr(0) + "]"),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find("oracle: [" + obs::hexAddr(77) + "]"),
                   std::string::npos) << what;
     }
 }
@@ -263,20 +277,20 @@ TEST(Checker, StaleCopyCaughtAtTheWritesOwnSettle)
     // A DMA write to a line only cache1 holds, with cache1 deaf to
     // it.  The write's own settle check reports the stale copy, in
     // the write's cycle: no periodic scan runs, and none is needed.
-    CheckerConfig ccfg;
-    ccfg.fullScanPeriod = 0;
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites,
-                   ccfg);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kDeafToWrites;
+    cfg.checker.fullScanPeriod = 0;
+    Rig rig(cfg);
     rig.write(1, kA, 5);
-    const std::uint64_t txns = rig.checker.txnsObserved.value();
+    const std::uint64_t txns = rig.checker->txnsObserved.value();
     try {
         rig.dmaWrite(kA, {9});
         FAIL() << "stale copy not caught at the write's settle";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.checker.txnsObserved.value(), txns + 1);
-        EXPECT_EQ(rig.checker.fullScans.value(), 0u);
-        EXPECT_EQ(rig.sim.now(), rig.checker.oracle().writtenAt(kA));
+        EXPECT_EQ(rig.checker->txnsObserved.value(), txns + 1);
+        EXPECT_EQ(rig.checker->fullScans.value(), 0u);
+        EXPECT_EQ(rig.sim.now(), rig.checker->oracle().writtenAt(kA));
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
                   std::string::npos) << what;
     }
@@ -289,25 +303,25 @@ TEST(Checker, CurrentSettledLineNotCheckedAgainByTheScan)
     // to current(), so its verdict cannot change by the clock: the
     // periodic scan that follows checks no line at all (every check in
     // the span is a settle check).
-    CheckerConfig ccfg;
-    ccfg.fullScanPeriod = 4;
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, nullptr, ccfg);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.checker.fullScanPeriod = 4;
+    Rig rig(cfg);
     rig.read(0, kA);
     rig.read(1, kA);
-    padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
-    const std::uint64_t txns = rig.checker.txnsObserved.value();
-    const std::uint64_t checks = rig.checker.lineChecks();
-    const std::uint64_t scans = rig.checker.fullScans.value();
+    padToPeriodicScan(rig, 0, cfg.checker.fullScanPeriod);
+    const std::uint64_t txns = rig.checker->txnsObserved.value();
+    const std::uint64_t checks = rig.checker->lineChecks();
+    const std::uint64_t scans = rig.checker->fullScans.value();
 
     rig.write(0, kA, 77);
-    ASSERT_EQ(rig.checker.txnsObserved.value(), txns + 1);
+    ASSERT_EQ(rig.checker->txnsObserved.value(), txns + 1);
     ASSERT_EQ(rig.state(1, kA), LineState::Shared);
-    EXPECT_EQ(rig.checker.oracle().current(kA), 77u);
-    padToPeriodicScan(rig, 0, ccfg.fullScanPeriod);
+    EXPECT_EQ(rig.checker->oracle().current(kA), 77u);
+    padToPeriodicScan(rig, 0, cfg.checker.fullScanPeriod);
 
-    EXPECT_EQ(rig.checker.fullScans.value(), scans + 1);
-    EXPECT_EQ(rig.checker.lineChecks() - checks,
-              rig.checker.txnsObserved.value() - txns);
+    EXPECT_EQ(rig.checker->fullScans.value(), scans + 1);
+    EXPECT_EQ(rig.checker->lineChecks() - checks,
+              rig.checker->txnsObserved.value() - txns);
 }
 
 TEST(Checker, SupersededCopyCaughtByTheSettleCheckAlone)
@@ -316,21 +330,21 @@ TEST(Checker, SupersededCopyCaughtByTheSettleCheckAlone)
     // superseded.  A periodic scan is due after every transaction,
     // but the DMA write's settle check reports the stale copy first:
     // one line check, in the write's cycle, and no scan runs.
-    CheckerConfig ccfg;
-    ccfg.fullScanPeriod = 1;
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites,
-                   ccfg);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kDeafToWrites;
+    cfg.checker.fullScanPeriod = 1;
+    Rig rig(cfg);
     rig.write(1, kA, 5);
-    const std::uint64_t checks = rig.checker.lineChecks();
-    const std::uint64_t scans = rig.checker.fullScans.value();
+    const std::uint64_t checks = rig.checker->lineChecks();
+    const std::uint64_t scans = rig.checker->fullScans.value();
     try {
         rig.dmaWrite(kA, {9});
         FAIL() << "superseded copy not caught at the write's settle";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.checker.lineChecks() - checks, 1u);
-        EXPECT_EQ(rig.checker.fullScans.value(), scans);
-        EXPECT_EQ(rig.sim.now(), rig.checker.oracle().writtenAt(kA));
+        EXPECT_EQ(rig.checker->lineChecks() - checks, 1u);
+        EXPECT_EQ(rig.checker->fullScans.value(), scans);
+        EXPECT_EQ(rig.sim.now(), rig.checker->oracle().writtenAt(kA));
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA)),
                   std::string::npos) << what;
     }
@@ -343,7 +357,9 @@ TEST(Checker, ShortLivedStaleCopyCaught)
     // the line to a conflicting fill within five cycles of the write,
     // so no later scan can see the stale value.  The DMA write's
     // settle check must report it.
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kDeafToWrites;
+    Rig rig(cfg);
     rig.dmaWrite(kA, {5});  // the oracle's value, which 9 supersedes
     rig.read(1, kA);
     ASSERT_EQ(rig.state(1, kA), LineState::Valid);
@@ -353,11 +369,11 @@ TEST(Checker, ShortLivedStaleCopyCaught)
         EXPECT_EQ(rig.read(1, kA), 5u);  // the stale copy, read
         rig.read(1, conflict);           // and evicted, clean
         ASSERT_EQ(rig.state(1, kA), LineState::Invalid);
-        rig.checker.finalCheck();
+        rig.checker->finalCheck();
         FAIL() << "short-lived stale copy not caught";
     } catch (const CoherenceViolation &v) {
         const std::string what = v.what();
-        EXPECT_EQ(rig.sim.now(), rig.checker.oracle().writtenAt(kA));
+        EXPECT_EQ(rig.sim.now(), rig.checker->oracle().writtenAt(kA));
         EXPECT_NE(what.find("I4 cached value at " + obs::hexAddr(kA) +
                             " is " + obs::hexAddr(5) +
                             " but the oracle says " + obs::hexAddr(9)),
@@ -369,7 +385,9 @@ TEST(Checker, ViolationEmitsFlightRecorderEvent)
 {
     RecordingSink sink;
     obs::ScopedTraceSink scoped(&sink);
-    CheckedRig rig(ProtocolKind::Firefly, 2, {}, &test::kDeafToWrites);
+    FireflyConfig cfg = checked(rigConfig(ProtocolKind::Firefly));
+    cfg.protocolTable = &test::kDeafToWrites;
+    Rig rig(cfg);
     rig.read(0, kA);
     rig.read(1, kA);
     EXPECT_THROW(rig.write(1, kA, 6), CoherenceViolation);
@@ -388,9 +406,9 @@ TEST(Checker, OnChipStalenessDetectedWithoutRepair)
     // An InstructionsAndData on-chip cache that is NOT wired to the
     // bus-write repair observer serves stale data after a foreign
     // write; the checker's install-time snapshot catches the hit.
-    CheckedRig rig(ProtocolKind::Firefly, 2);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly, 2)));
     OnChipCache chip(OnChipCache::DataMode::InstructionsAndData, "onchip0");
-    rig.checker.watch(chip);
+    rig.checker->watch(chip);
 
     rig.memory.write(kA, 1);
     EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));  // install
@@ -404,9 +422,9 @@ TEST(Checker, OnChipRepairPreventsStaleness)
     // Same scenario, but with the repair commit observer the system
     // wires for InstructionsAndData mode: the write drops the entry, the
     // next access misses and reinstalls, and nothing is stale.
-    CheckedRig rig(ProtocolKind::Firefly, 2);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly, 2)));
     OnChipCache chip(OnChipCache::DataMode::InstructionsAndData, "onchip0");
-    rig.checker.watch(chip);
+    rig.checker->watch(chip);
     rig.bus.addCommitObserver([&chip](const MBusTransaction &txn) {
         if (txn.type != MBusOpType::MRead)
             chip.observeBusWrite(txn.addr, txn.words);
@@ -423,26 +441,26 @@ TEST(Checker, OnChipRepairPreventsStaleness)
 
 TEST(Checker, OnChipSnapshotsShadowTheDirectMappedEntries)
 {
-    CheckedRig rig(ProtocolKind::Firefly, 2);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly, 2)));
     OnChipCache chip(OnChipCache::DataMode::InstructionsAndData, "onchip0");
     const Addr conflict = kA + OnChipCache::sizeBytes;  // same entry
 
     // Installed before the checker attached: hits go unchecked.
     EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));
-    rig.checker.watch(chip);
+    rig.checker->watch(chip);
     EXPECT_TRUE(chip.access({kA, RefType::DataRead, 0}));
-    EXPECT_EQ(rig.checker.onChipChecks.value(), 0u);
+    EXPECT_EQ(rig.checker->onChipChecks.value(), 0u);
 
     // A conflicting install replaces the entry and its snapshot; the
     // reinstalled line is snapshotted afresh, after the foreign write.
     EXPECT_FALSE(chip.access({conflict, RefType::DataRead, 0}));
     EXPECT_TRUE(chip.access({conflict, RefType::DataRead, 0}));
-    EXPECT_EQ(rig.checker.onChipChecks.value(), 1u);
+    EXPECT_EQ(rig.checker->onChipChecks.value(), 1u);
     rig.write(1, kA, 99);
     rig.sim.run(64);
     EXPECT_FALSE(chip.access({kA, RefType::DataRead, 0}));
     EXPECT_NO_THROW(chip.access({kA, RefType::DataRead, 0}));
-    EXPECT_EQ(rig.checker.onChipChecks.value(), 2u);
+    EXPECT_EQ(rig.checker->onChipChecks.value(), 2u);
 }
 
 TEST(Checker, SystemLevelCheckedRunStaysClean)

@@ -16,6 +16,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -42,7 +43,7 @@ struct CpuRig : Rig
 
     explicit CpuRig(CpuTiming timing = CpuTiming::microVax(),
                     OnChipCache *onchip = nullptr)
-        : Rig(ProtocolKind::Firefly, 2)
+        : Rig(rigConfig(ProtocolKind::Firefly, 2))
     {
         cpu = std::make_unique<TraceCpu>(sim, *caches[0], source,
                                          timing, "cpu0", onchip);
@@ -245,7 +246,7 @@ TEST(TraceCpu, TagContentionCostsOneTick)
 {
     // Two CPUs on one bus: CPU1 write-throughs constantly; CPU0 sees
     // occasional tag-busy retries.
-    Rig rig(ProtocolKind::Firefly, 2);
+    Rig rig(rigConfig(ProtocolKind::Firefly, 2));
     ScriptedSource src0, src1;
     // Make CPU1's stream shared-write-heavy: read then many writes
     // (each a write-through because CPU0 shares the line).

@@ -15,6 +15,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -32,7 +33,7 @@ struct MdcRig : Rig
     Mdc mdc;
 
     MdcRig()
-        : Rig(ProtocolKind::Firefly, 1),
+        : Rig(rigConfig(ProtocolKind::Firefly, 1)),
           qbus(sim, *caches[0], kIoLimit),
           mdc(sim, qbus, makeConfig())
     {

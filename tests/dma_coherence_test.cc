@@ -15,7 +15,9 @@
 #include "check/rig.hh"
 
 using namespace firefly;
-using firefly::check::CheckedRig;
+using firefly::check::checked;
+using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -34,7 +36,7 @@ class DmaSharedLine : public ::testing::TestWithParam<ProtocolKind>
 
 TEST_P(DmaSharedLine, EngineWriteReachesEverySharerAndTheOracle)
 {
-    CheckedRig rig(GetParam(), 3);
+    Rig rig(checked(rigConfig(GetParam(), 3)));
     rig.memory.write(kX, 5);
     EXPECT_EQ(rig.read(1, kX), 5u);
     EXPECT_EQ(rig.read(2, kX), 5u);
@@ -42,8 +44,8 @@ TEST_P(DmaSharedLine, EngineWriteReachesEverySharerAndTheOracle)
     rig.dmaWrite(kX, {0xAB});
 
     // The oracle serialized the DMA write at its bus commit.
-    EXPECT_TRUE(rig.checker.oracle().tracked(kX));
-    EXPECT_EQ(rig.checker.oracle().current(kX), 0xABu);
+    EXPECT_TRUE(rig.checker->oracle().tracked(kX));
+    EXPECT_EQ(rig.checker->oracle().current(kX), 0xABu);
     EXPECT_EQ(rig.memory.read(kX), 0xABu);
 
     // Update protocols refresh the cached copies in place; the
@@ -63,7 +65,7 @@ TEST_P(DmaSharedLine, EngineWriteReachesEverySharerAndTheOracle)
     // is validated against the oracle).
     EXPECT_EQ(rig.read(1, kX), 0xABu);
     EXPECT_EQ(rig.read(2, kX), 0xABu);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(DmaPartialWrite, MesiDirtyLineMergesInsteadOfLosingData)
 {
-    CheckedRig rig(ProtocolKind::Mesi, 3, {256, 8});
+    Rig rig(checked(rigConfig(ProtocolKind::Mesi, 3, {256, 8})));
     rig.read(1, kX);
     rig.write(1, kX + 4, 0x11);  // silent E -> M
     ASSERT_EQ(rig.state(1, kX), LineState::Dirty);
@@ -100,13 +102,13 @@ TEST(DmaPartialWrite, MesiDirtyLineMergesInsteadOfLosingData)
     rig.read(1, kX + 256);
     EXPECT_EQ(rig.memory.read(kX), 0x22u);
     EXPECT_EQ(rig.memory.read(kX + 4), 0x11u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 /** Same data-loss hazard in Berkeley's owning states. */
 TEST(DmaPartialWrite, BerkeleySharedDirtyLineMergesInsteadOfLosingData)
 {
-    CheckedRig rig(ProtocolKind::Berkeley, 3, {256, 8});
+    Rig rig(checked(rigConfig(ProtocolKind::Berkeley, 3, {256, 8})));
     rig.write(1, kX + 4, 0x11);  // ReadOwned -> Dirty
     rig.read(2, kX);             // owner supplies -> SharedDirty
     ASSERT_EQ(rig.state(1, kX), LineState::SharedDirty);
@@ -123,7 +125,7 @@ TEST(DmaPartialWrite, BerkeleySharedDirtyLineMergesInsteadOfLosingData)
     rig.read(1, kX + 256);  // evict: write-back carries both words
     EXPECT_EQ(rig.memory.read(kX), 0x22u);
     EXPECT_EQ(rig.memory.read(kX + 4), 0x11u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 /**
@@ -133,7 +135,7 @@ TEST(DmaPartialWrite, BerkeleySharedDirtyLineMergesInsteadOfLosingData)
  */
 TEST(DmaPartialWrite, IoCacheOwnedLineKeepsDirtyWords)
 {
-    CheckedRig rig(ProtocolKind::Berkeley, 3, {256, 8});
+    Rig rig(checked(rigConfig(ProtocolKind::Berkeley, 3, {256, 8})));
     rig.write(0, kX + 4, 0x11);  // the I/O cache owns the line
     rig.read(1, kX);             // ... as SharedDirty
     ASSERT_EQ(rig.state(0, kX), LineState::SharedDirty);
@@ -144,7 +146,7 @@ TEST(DmaPartialWrite, IoCacheOwnedLineKeepsDirtyWords)
     EXPECT_EQ(rig.caches[0]->lineAt(kX).data[0], 0x22u);
     EXPECT_EQ(rig.caches[0]->lineAt(kX).data[1], 0x11u);
     EXPECT_EQ(rig.read(0, kX + 4), 0x11u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 /**
@@ -157,7 +159,7 @@ TEST(DmaPartialWrite, IoCacheOwnedLineKeepsDirtyWords)
  */
 TEST(DmaPartialWrite, DragonIoCacheDoesNotMintSecondOwner)
 {
-    CheckedRig rig(ProtocolKind::Dragon, 3);
+    Rig rig(checked(rigConfig(ProtocolKind::Dragon, 3)));
     rig.write(1, kX, 0x9);  // fill exclusive, silent write -> Dirty
     rig.read(0, kX);        // owner supplies; I/O cache shares
     ASSERT_EQ(rig.state(1, kX), LineState::SharedDirty);
@@ -172,7 +174,7 @@ TEST(DmaPartialWrite, DragonIoCacheDoesNotMintSecondOwner)
     EXPECT_EQ(rig.memory.read(kX), 0x32u);
     EXPECT_EQ(rig.read(0, kX), 0x32u);
     EXPECT_EQ(rig.read(1, kX), 0x32u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 /**
@@ -182,7 +184,7 @@ TEST(DmaPartialWrite, DragonIoCacheDoesNotMintSecondOwner)
  */
 TEST(DmaPartialWrite, DragonPartialWriteLeavesExactlyOneOwner)
 {
-    CheckedRig rig(ProtocolKind::Dragon, 3, {256, 8});
+    Rig rig(checked(rigConfig(ProtocolKind::Dragon, 3, {256, 8})));
     rig.write(1, kX + 4, 0x11);  // Dirty, word 1 modified
     rig.read(0, kX);             // owner -> SharedDirty, I/O -> Shared
     ASSERT_EQ(rig.state(1, kX), LineState::SharedDirty);
@@ -197,7 +199,7 @@ TEST(DmaPartialWrite, DragonPartialWriteLeavesExactlyOneOwner)
     rig.read(1, kX + 256);  // evict: the owner still carries word 1
     EXPECT_EQ(rig.memory.read(kX), 0x22u);
     EXPECT_EQ(rig.memory.read(kX + 4), 0x11u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 /** DMA reads see dirty data, validated against the oracle. */
@@ -206,13 +208,13 @@ TEST(DmaRead, SeesCpuDirtyDataEverywhere)
     for (const ProtocolKind kind :
          {ProtocolKind::Firefly, ProtocolKind::Dragon,
           ProtocolKind::Berkeley, ProtocolKind::Mesi}) {
-        CheckedRig rig(kind, 3);
+        Rig rig(checked(rigConfig(kind, 3)));
         rig.read(1, kX);
         rig.write(1, kX, 0x77);
         const auto values = rig.dmaRead(kX, 1);
         ASSERT_EQ(values.size(), 1u);
         EXPECT_EQ(values[0], 0x77u) << toString(kind);
-        rig.checker.finalCheck();
+        rig.checker->finalCheck();
     }
 }
 
@@ -229,7 +231,7 @@ TEST(DmaRead, PartialReadDoesNotLaunderDirtyOwnership)
     for (const ProtocolKind kind :
          {ProtocolKind::Firefly, ProtocolKind::Dragon,
           ProtocolKind::Berkeley, ProtocolKind::Mesi}) {
-        CheckedRig rig(kind, 3, {256, 8});
+        Rig rig(checked(rigConfig(kind, 3, {256, 8})));
         rig.write(1, kX, 0xAA);
         rig.write(1, kX + 4, 0xBB);
         ASSERT_TRUE(needsWriteback(rig.state(1, kX))) << toString(kind);
@@ -244,14 +246,14 @@ TEST(DmaRead, PartialReadDoesNotLaunderDirtyOwnership)
         rig.read(1, kX + 256);
         EXPECT_EQ(rig.memory.read(kX), 0xAAu) << toString(kind);
         EXPECT_EQ(rig.memory.read(kX + 4), 0xBBu) << toString(kind);
-        rig.checker.finalCheck();
+        rig.checker->finalCheck();
     }
 }
 
 /** A multi-word engine burst across lines CPUs are actively sharing. */
 TEST(DmaBurst, WritesAcrossSharedLinesStayCoherent)
 {
-    CheckedRig rig(ProtocolKind::Firefly, 3);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly, 3)));
     for (unsigned w = 0; w < 4; ++w) {
         rig.read(1, kX + w * bytesPerWord);
         rig.read(2, kX + w * bytesPerWord);
@@ -261,7 +263,7 @@ TEST(DmaBurst, WritesAcrossSharedLinesStayCoherent)
         EXPECT_EQ(rig.read(1, kX + w * bytesPerWord), w + 1);
         EXPECT_EQ(rig.read(2, kX + w * bytesPerWord), w + 1);
     }
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 /**
@@ -277,7 +279,7 @@ TEST(DmaBurst, WritesAcrossSharedLinesStayCoherent)
 TEST(DmaSquashedWriteback, NewOwnerKeepsItsLine)
 {
     for (const auto kind : {ProtocolKind::Berkeley, ProtocolKind::Mesi}) {
-        CheckedRig rig(kind, 3, {256, 4});
+        Rig rig(checked(rigConfig(kind, 3, {256, 4})));
         const Addr conflict = kX + 256;  // same set, different tag
         rig.read(2, kX);
         rig.write(2, kX, 0x11);
@@ -303,6 +305,6 @@ TEST(DmaSquashedWriteback, NewOwnerKeepsItsLine)
         EXPECT_EQ(rig.memory.read(kX), 0x22u) << "write-back not squashed";
         EXPECT_EQ(rig.state(1, kX), LineState::Dirty) << toString(kind);
         EXPECT_EQ(rig.read(1, kX), 0x33u) << toString(kind);
-        rig.checker.finalCheck();
+        rig.checker->finalCheck();
     }
 }

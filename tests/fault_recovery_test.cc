@@ -71,7 +71,7 @@ struct HungDeviceRig : check::Rig
     QBus qbus{sim, *caches[0], 16 * 1024 * 1024};
 
     HungDeviceRig()
-        : Rig(ProtocolKind::Firefly)
+        : Rig(check::rigConfig(ProtocolKind::Firefly))
     {
         qbus.identityMap();
         qbus.engine().setFaultInjector(&injector);
@@ -404,17 +404,17 @@ TEST(FaultRecovery, WatchdogStaysQuietWhileEventsFlow)
 // callback once, with TimedOut.
 TEST(FaultRecovery, DmaTimeoutRetriesWithBackoffThenFailsOnce)
 {
-    check::Rig rig(ProtocolKind::Firefly);
+    check::Rig rig(check::rigConfig(ProtocolKind::Firefly));
     FaultConfig cfg;
     cfg.rates.deviceTimeout = 1.0;
     fault::FaultInjector inj(cfg);
-    rig.dma->setFaultInjector(&inj);
+    rig.dma.setFaultInjector(&inj);
 
     const Cycle issued = rig.sim.now();
     unsigned completions = 0;
     IoStatus status = IoStatus::Ok;
     Cycle completed = 0;
-    rig.dma->readWords(0x1000, 2,
+    rig.dma.readWords(0x1000, 2,
                        [&](IoStatus st, std::vector<Word> data) {
                            ++completions;
                            status = st;
@@ -431,7 +431,7 @@ TEST(FaultRecovery, DmaTimeoutRetriesWithBackoffThenFailsOnce)
     EXPECT_EQ(inj.deviceTimeouts.value(), fault::kDeviceRetryBudget);
     EXPECT_EQ(inj.deviceRetries.value(), fault::kDeviceRetryBudget - 1);
     EXPECT_EQ(inj.deviceFailures.value(), 1u);
-    EXPECT_EQ(rig.dma->requestCount.value(), 0u);
+    EXPECT_EQ(rig.dma.requestCount.value(), 0u);
 }
 
 // A request that hangs once: the retry transfers the right words.
@@ -445,11 +445,11 @@ TEST(FaultRecovery, DmaRetryAfterOneTimeoutReadsTheWords)
         if (plan.deviceTimeout() && !plan.deviceTimeout())
             break;
     }
-    check::Rig rig(ProtocolKind::Firefly);
+    check::Rig rig(check::rigConfig(ProtocolKind::Firefly));
     rig.memory.write(0x1000, 7);
     rig.memory.write(0x1004, 9);
     fault::FaultInjector inj(cfg);
-    rig.dma->setFaultInjector(&inj);
+    rig.dma.setFaultInjector(&inj);
 
     IoStatus status = IoStatus::TimedOut;
     const std::vector<Word> got = rig.dmaRead(0x1000, 2, &status);
@@ -458,7 +458,7 @@ TEST(FaultRecovery, DmaRetryAfterOneTimeoutReadsTheWords)
     EXPECT_EQ(inj.deviceTimeouts.value(), 1u);
     EXPECT_EQ(inj.deviceRetries.value(), 1u);
     EXPECT_EQ(inj.deviceFailures.value(), 0u);
-    EXPECT_EQ(rig.dma->requestCount.value(), 1u);
+    EXPECT_EQ(rig.dma.requestCount.value(), 1u);
 }
 
 // With every DMA request hung, each disk request fails once, with

@@ -33,6 +33,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -58,7 +59,7 @@ struct OneCpu : Rig
     ScriptedSource source;
     std::unique_ptr<TraceCpu> cpu;
 
-    explicit OneCpu(bool gated) : Rig(ProtocolKind::Firefly, 2)
+    explicit OneCpu(bool gated) : Rig(rigConfig(ProtocolKind::Firefly, 2))
     {
         sim.setFastForward(gated);
         cpu = std::make_unique<TraceCpu>(sim, *caches[0], source,
@@ -172,7 +173,7 @@ TEST(Gating, LostCompletionWedgesAtTheSameCycle)
         // The processor runs on a clock of its own, over a cache whose
         // bus is on the rig's clock, which never runs: the miss it
         // requests at cycle 20 never completes.
-        Rig rig(ProtocolKind::Firefly, 2);
+        Rig rig(rigConfig(ProtocolKind::Firefly, 2));
         Simulator sim;
         sim.setFastForward(gated);
         ScriptedSource source;
@@ -190,7 +191,7 @@ TEST(Gating, LostCompletionWedgesAtTheSameCycle)
         try {
             sim.run(100'000);
         } catch (const SimulationWedged &w) {
-            EXPECT_TRUE(rig.bus.busy(rig.caches[0].get()));
+            EXPECT_TRUE(rig.bus.busy(rig.caches[0]));
             return std::make_pair(std::string(w.what()), counts());
         }
         ADD_FAILURE() << "watchdog did not fire, gated=" << gated;
@@ -252,7 +253,7 @@ TEST(SnoopFilter, NonHolderIsNeverProbedYetItsTagStoreIsBusy)
     constexpr Addr kB = 0x2000;
     for (const bool holder : {true, false}) {
         for (const bool gated : {true, false}) {
-            Rig rig(ProtocolKind::Firefly, 3);
+            Rig rig(rigConfig(ProtocolKind::Firefly, 3));
             rig.sim.setFastForward(gated);
             Cache &bystander = *rig.caches[2];
             if (holder)
@@ -339,7 +340,7 @@ struct MissRig : Rig
 {
     MissRig(bool gated, bool holder,
             ProtocolKind kind = ProtocolKind::Firefly)
-        : Rig(kind, 3)
+        : Rig(rigConfig(kind, 3))
     {
         sim.setFastForward(gated);
         if (holder)

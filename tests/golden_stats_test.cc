@@ -196,7 +196,7 @@ runFuzzCase(const GoldenFuzzCase &c)
     cfg.seed = kFuzzSeed;
     check::kFuzzShapes[c.shape].apply(cfg);
     std::string last;
-    cfg.onBuilt = [&last](check::CheckedRig &m) {
+    cfg.onBuilt = [&last](check::Rig &m) {
         m.bus.addSettleObserver([&last, &m](const MBusTransaction &) {
             std::ostringstream os;
             m.bus.stats().dumpJson(os);

@@ -265,7 +265,7 @@ TEST(FastForwardDeterminism, FuzzCorpusWithFaultsAgrees)
     cfg.faults.rates.deviceTimeout = 0.005;
 
     const auto fast = check::runFuzz(cfg);
-    cfg.onBuilt = [](check::CheckedRig &m) { m.sim.setFastForward(false); };
+    cfg.onBuilt = [](check::Rig &m) { m.sim.setFastForward(false); };
     const auto slow = check::runFuzz(cfg);
 
     EXPECT_EQ(fast.loadLog, slow.loadLog);

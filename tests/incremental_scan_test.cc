@@ -56,14 +56,14 @@ runShadowed(FuzzConfig cfg)
 {
     Shadowed out;
     std::unique_ptr<InvariantScanner> shadow;
-    cfg.onBuilt = [&](check::CheckedRig &m) {
+    cfg.onBuilt = [&](check::Rig &m) {
         shadow = std::make_unique<InvariantScanner>(
             cfg.protocol, m.bus.memorySystem());
         for (const auto &cache : m.caches)
-            shadow->addCache(cache.get());
+            shadow->addCache(cache);
         // Registered after the checker's observer: runs only if the
         // checker's own scan of this transaction did not throw.
-        m.bus.addSettleObserver([&, &checker = m.checker](
+        m.bus.addSettleObserver([&, &checker = *m.checker](
                                     const MBusTransaction &txn) {
             if (checker.txnsObserved.value() % cfg.fullScanPeriod != 0)
                 return;

@@ -14,6 +14,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -25,7 +26,7 @@ struct IoRig : Rig
     QBus qbus;
 
     IoRig()
-        : Rig(ProtocolKind::Firefly, 2),
+        : Rig(rigConfig(ProtocolKind::Firefly, 2)),
           qbus(sim, *caches[0], kIoLimit)
     {
         qbus.identityMap();
@@ -81,13 +82,13 @@ TEST(DmaEngine, ReadSeesMemoryAndCaches)
 // first word and ends when the last word completes.
 TEST(DmaEngine, RequestIsOneClosedSliceOnItsTrack)
 {
-    Rig rig(ProtocolKind::Firefly);
+    Rig rig(rigConfig(ProtocolKind::Firefly));
     TrackLog log("dma");
     Cycle completed = 0;
     {
         obs::ScopedTraceSink scoped(&log);
         bool done = false;
-        rig.dma->readWords(0x1000, 3, [&](IoStatus, std::vector<Word>) {
+        rig.dma.readWords(0x1000, 3, [&](IoStatus, std::vector<Word>) {
             done = true;
             completed = rig.sim.now();
         });
@@ -162,7 +163,7 @@ TEST(QBus, MappingTranslates)
 
 TEST(QBusDeathTest, UnmappedPageIsFatal)
 {
-    Rig base(ProtocolKind::Firefly, 1);
+    Rig base(rigConfig(ProtocolKind::Firefly, 1));
     QBus qbus(base.sim, *base.caches[0], kIoLimit);
     EXPECT_EXIT(qbus.translate(0x10), ::testing::ExitedWithCode(1),
                 "unmapped");

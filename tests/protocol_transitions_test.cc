@@ -16,7 +16,9 @@
 #include "check/rig.hh"
 
 using namespace firefly;
-using firefly::check::CheckedRig;
+using firefly::check::checked;
+using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -29,7 +31,7 @@ constexpr Addr kA = 0x1000;
 
 TEST(FireflyTransitions, ReadMissOnDirtyLineSharesAndCleansMemory)
 {
-    CheckedRig rig(ProtocolKind::Firefly);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly)));
     rig.read(0, kA);
     rig.write(0, kA, 7);  // silent: Valid -> Dirty
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
@@ -40,12 +42,12 @@ TEST(FireflyTransitions, ReadMissOnDirtyLineSharesAndCleansMemory)
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 7u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST(FireflyTransitions, WriteHitSharedWritesThroughAndStaysShared)
 {
-    CheckedRig rig(ProtocolKind::Firefly);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly)));
     rig.read(0, kA);
     rig.read(1, kA);
     ASSERT_EQ(rig.state(0, kA), LineState::Shared);
@@ -58,12 +60,12 @@ TEST(FireflyTransitions, WriteHitSharedWritesThroughAndStaysShared)
     // The sharer's copy was updated in place: no new fill.
     EXPECT_EQ(rig.read(1, kA), 8u);
     EXPECT_EQ(rig.caches[1]->fills.value(), fills_before);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST(FireflyTransitions, LastSharerRevertsAndWritesGoSilentAgain)
 {
-    CheckedRig rig(ProtocolKind::Firefly);
+    Rig rig(checked(rigConfig(ProtocolKind::Firefly)));
     rig.read(0, kA);
     rig.read(1, kA);
     ASSERT_EQ(rig.state(0, kA), LineState::Shared);
@@ -82,14 +84,14 @@ TEST(FireflyTransitions, LastSharerRevertsAndWritesGoSilentAgain)
     rig.write(0, kA, 10);
     EXPECT_EQ(rig.state(0, kA), LineState::Dirty);
     EXPECT_EQ(rig.bus.stats().get("writes"), writes_before);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 // --- Dragon --------------------------------------------------------------
 
 TEST(DragonTransitions, ReadMissOnDirtyLineMakesOwnerSharedDirty)
 {
-    CheckedRig rig(ProtocolKind::Dragon);
+    Rig rig(checked(rigConfig(ProtocolKind::Dragon)));
     rig.read(0, kA);
     rig.write(0, kA, 7);
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
@@ -100,12 +102,12 @@ TEST(DragonTransitions, ReadMissOnDirtyLineMakesOwnerSharedDirty)
     EXPECT_EQ(rig.state(0, kA), LineState::SharedDirty);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 0u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST(DragonTransitions, WriteHitSharedUpdatesAndMovesOwnership)
 {
-    CheckedRig rig(ProtocolKind::Dragon);
+    Rig rig(checked(rigConfig(ProtocolKind::Dragon)));
     rig.read(0, kA);
     rig.write(0, kA, 7);
     rig.read(1, kA);
@@ -118,12 +120,12 @@ TEST(DragonTransitions, WriteHitSharedUpdatesAndMovesOwnership)
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     EXPECT_EQ(rig.read(0, kA), 8u);
     EXPECT_EQ(rig.memory.read(kA), 0u);  // still never written back
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST(DragonTransitions, UpdateWithNoSharersRevertsToDirty)
 {
-    CheckedRig rig(ProtocolKind::Dragon);
+    Rig rig(checked(rigConfig(ProtocolKind::Dragon)));
     rig.read(0, kA);
     rig.read(1, kA);
     rig.write(1, kA, 8);
@@ -133,14 +135,14 @@ TEST(DragonTransitions, UpdateWithNoSharersRevertsToDirty)
     ASSERT_EQ(rig.state(0, kA), LineState::Invalid);
     rig.write(1, kA, 9);
     EXPECT_EQ(rig.state(1, kA), LineState::Dirty);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 // --- Write-through invalidate --------------------------------------------
 
 TEST(WtiTransitions, WriteInvalidatesEverySharer)
 {
-    CheckedRig rig(ProtocolKind::WriteThroughInvalidate);
+    Rig rig(checked(rigConfig(ProtocolKind::WriteThroughInvalidate)));
     rig.read(0, kA);
     rig.read(1, kA);
     ASSERT_EQ(rig.state(0, kA), LineState::Valid);
@@ -151,14 +153,14 @@ TEST(WtiTransitions, WriteInvalidatesEverySharer)
     EXPECT_EQ(rig.state(0, kA), LineState::Invalid);
     EXPECT_EQ(rig.memory.read(kA), 8u);
     EXPECT_EQ(rig.read(0, kA), 8u);  // re-fetches from memory
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 // --- Berkeley ------------------------------------------------------------
 
 TEST(BerkeleyTransitions, ReadMissOnDirtyLineLeavesOwnerResponsible)
 {
-    CheckedRig rig(ProtocolKind::Berkeley);
+    Rig rig(checked(rigConfig(ProtocolKind::Berkeley)));
     rig.write(0, kA, 7);  // ReadOwned miss -> Dirty
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
 
@@ -168,12 +170,12 @@ TEST(BerkeleyTransitions, ReadMissOnDirtyLineLeavesOwnerResponsible)
     EXPECT_EQ(rig.state(0, kA), LineState::SharedDirty);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 0u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST(BerkeleyTransitions, WriteHitSharedInvalidatesAndTakesOwnership)
 {
-    CheckedRig rig(ProtocolKind::Berkeley);
+    Rig rig(checked(rigConfig(ProtocolKind::Berkeley)));
     rig.write(0, kA, 7);
     rig.read(1, kA);
     ASSERT_EQ(rig.state(1, kA), LineState::Shared);
@@ -183,14 +185,14 @@ TEST(BerkeleyTransitions, WriteHitSharedInvalidatesAndTakesOwnership)
     EXPECT_EQ(rig.state(0, kA), LineState::Invalid);
     EXPECT_EQ(rig.memory.read(kA), 0u);  // ownership moved, no write-back
     EXPECT_EQ(rig.read(0, kA), 8u);      // supplied by the new owner
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 // --- MESI ----------------------------------------------------------------
 
 TEST(MesiTransitions, ReadMissOnModifiedLineSharesAndCleansMemory)
 {
-    CheckedRig rig(ProtocolKind::Mesi);
+    Rig rig(checked(rigConfig(ProtocolKind::Mesi)));
     rig.read(0, kA);
     rig.write(0, kA, 7);  // E -> M, silent
     ASSERT_EQ(rig.state(0, kA), LineState::Dirty);
@@ -201,12 +203,12 @@ TEST(MesiTransitions, ReadMissOnModifiedLineSharesAndCleansMemory)
     EXPECT_EQ(rig.state(0, kA), LineState::Shared);
     EXPECT_EQ(rig.state(1, kA), LineState::Shared);
     EXPECT_EQ(rig.memory.read(kA), 7u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST(MesiTransitions, WriteHitSharedInvalidatesOthers)
 {
-    CheckedRig rig(ProtocolKind::Mesi);
+    Rig rig(checked(rigConfig(ProtocolKind::Mesi)));
     rig.read(0, kA);
     rig.write(0, kA, 7);
     rig.read(1, kA);
@@ -216,7 +218,7 @@ TEST(MesiTransitions, WriteHitSharedInvalidatesOthers)
     EXPECT_EQ(rig.state(1, kA), LineState::Dirty);
     EXPECT_EQ(rig.state(0, kA), LineState::Invalid);
     EXPECT_EQ(rig.memory.read(kA), 7u);  // invalidation carries no data
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 // --- Write-back vs DMA race (every protocol with dirty lines) ------------
@@ -237,7 +239,7 @@ TEST_P(WritebackDmaRace, PartialDmaWriteMergesIntoPendingVictim)
 {
     // 8-byte lines: the DMA write covers word 0 only, so the dirty
     // word 1 must survive the merge into the write-back.
-    check::CheckedRig rig(GetParam(), 2, {256, 8});
+    Rig rig(checked(rigConfig(GetParam(), 2, {256, 8})));
     const Addr x = 0x100;
     const Addr conflict = x + 256;  // same set, different tag
 
@@ -260,7 +262,7 @@ TEST_P(WritebackDmaRace, PartialDmaWriteMergesIntoPendingVictim)
 
     EXPECT_EQ(rig.memory.read(x), 0x22u);      // the DMA write
     EXPECT_EQ(rig.memory.read(x + 4), 0x11u);  // the dirty word
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 TEST_P(WritebackDmaRace, FullLineDmaWriteIsNotUndoneByVictim)
@@ -268,7 +270,7 @@ TEST_P(WritebackDmaRace, FullLineDmaWriteIsNotUndoneByVictim)
     // 4-byte lines: the DMA write covers the whole line.  Whether the
     // snoop updates or invalidates the victim, the write-back must
     // not roll memory back to the pre-DMA value.
-    check::CheckedRig rig(GetParam(), 2, {256, 4});
+    Rig rig(checked(rigConfig(GetParam(), 2, {256, 4})));
     const Addr x = 0x100;
     const Addr conflict = x + 256;
 
@@ -288,7 +290,7 @@ TEST_P(WritebackDmaRace, FullLineDmaWriteIsNotUndoneByVictim)
     rig.sim.run(8);
 
     EXPECT_EQ(rig.memory.read(x), 0x22u);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -317,7 +319,7 @@ class OwnershipRace
 TEST_P(OwnershipRace, LoserFetchesTheWinnersLine)
 {
     const auto [kind, line_bytes] = GetParam();
-    check::CheckedRig rig(kind, 2, {1024, line_bytes});
+    Rig rig(checked(rigConfig(kind, 2, {1024, line_bytes})));
     const Addr x = 0x2000;
     rig.read(0, x);
     rig.read(1, x);
@@ -343,7 +345,7 @@ TEST_P(OwnershipRace, LoserFetchesTheWinnersLine)
     EXPECT_EQ(rig.caches[1]->invalidatesSent.value(), 0u);
     EXPECT_EQ(rig.caches[1]->fills.value(), 2u);
     EXPECT_EQ(rig.read(0, x), 0xbu);
-    rig.checker.finalCheck();
+    rig.checker->finalCheck();
 }
 
 INSTANTIATE_TEST_SUITE_P(

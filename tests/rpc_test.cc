@@ -12,6 +12,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -22,7 +23,7 @@ struct RpcRig : Rig
     EthernetController nic;
 
     RpcRig()
-        : Rig(ProtocolKind::Firefly, 1),
+        : Rig(rigConfig(ProtocolKind::Firefly, 1)),
           qbus(sim, *caches[0], 16 * 1024 * 1024),
           nic(sim, qbus, "net0")
     {

@@ -40,6 +40,11 @@ TEST(FireflyConfigDeathTest, RejectsImpossibleMachines)
     onchip_on_microvax.onChipCacheEnabled = true;
     EXPECT_EXIT(onchip_on_microvax.validate(),
                 ::testing::ExitedWithCode(1), "no on-chip cache");
+
+    auto one_name_short = FireflyConfig::microVax(2);
+    one_name_short.cacheNames = {"only"};
+    EXPECT_EXIT(one_name_short.validate(), ::testing::ExitedWithCode(1),
+                "1 cache names for 2 processors");
 }
 
 TEST(FireflySystem, BuildsStandardMachine)

@@ -15,6 +15,7 @@
 
 using namespace firefly;
 using firefly::check::Rig;
+using firefly::check::rigConfig;
 
 namespace
 {
@@ -42,7 +43,7 @@ TEST(TagStore, InvalidExactlyWhenTagIsNoLineThroughoutAFuzzRun)
             cfg.seed = 17;
             std::uint64_t lines_checked = 0;
             std::uint64_t invalid_seen = 0;
-            cfg.onBuilt = [&](check::CheckedRig &m) {
+            cfg.onBuilt = [&](check::Rig &m) {
                 // After every transaction has applied its state
                 // changes, look at every index of every cache.
                 m.bus.addSettleObserver([&](const MBusTransaction &) {
@@ -70,7 +71,7 @@ TEST(TagStore, InvalidExactlyWhenTagIsNoLineThroughoutAFuzzRun)
 
 TEST(TagStore, FlushedCacheIsNeverProbedAgain)
 {
-    Rig rig(ProtocolKind::Firefly, 2);
+    Rig rig(rigConfig(ProtocolKind::Firefly, 2));
     Cache &flushed = *rig.caches[0];
     rig.read(0, kA);
     rig.write(0, kA + 4, 0x11);  // silent write: Dirty
@@ -92,7 +93,7 @@ TEST(TagStore, FlushedCacheIsNeverProbedAgain)
 
 TEST(TagStore, VictimWriteBackThenFillLeavesOnlyTheNewBase)
 {
-    Rig rig(ProtocolKind::Firefly, 2);
+    Rig rig(rigConfig(ProtocolKind::Firefly, 2));
     Cache &cache = *rig.caches[0];
     rig.read(0, kA);
     rig.write(0, kA, 0x33);  // silent write: Dirty
